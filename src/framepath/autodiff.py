@@ -9,10 +9,14 @@ backward needs a fresh forward pass.
 
 Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
+
+Hot paths are single records with hand-written backwards: ``lstm_sequence``,
+``sum_row_groups``, and the CRF ops in ``crf`` built on ``_record``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -102,9 +106,10 @@ def tape_length() -> int:
 
 
 def _check(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite value produced by {op}")
-    return arr
+    # A finite sum proves every entry finite; an overflowed one does not.
+    if math.isfinite(arr.sum()) or np.all(np.isfinite(arr)):
+        return arr
+    raise FloatingPointError(f"non-finite value produced by {op}")
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
@@ -239,17 +244,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _record(out, (m, v), vjp)
 
 
-def add_colvec(m: Tensor, v: Tensor) -> Tensor:
-    """(n, k) + (n,) broadcast over columns."""
-    out = Tensor(_check(m.data + v.data[:, None], "add_colvec"))
-
-    def vjp(g):
-        _acc(m, g)
-        _acc(v, g.sum(axis=1))
-
-    return _record(out, (m, v), vjp)
-
-
 # ---------------------------------------------------------------------------
 # primitives: shape and indexing
 
@@ -335,6 +329,27 @@ def sum_rows(m: Tensor) -> Tensor:
     return _record(out, (m,), vjp)
 
 
+def sum_row_groups(m: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
+    """Row k sums m's rows listed in groups[k], in list order, exactly as
+    ``m.data[group].sum(axis=0)`` does: padding cells index an appended
+    zero row, and adding 0.0 changes no sum.  An empty group gives zeros."""
+    n, dim = m.data.shape
+    idx = np.full((len(groups), max(map(len, groups), default=0)), n,
+                  dtype=np.intp)
+    for k, group in enumerate(groups):
+        idx[k, :len(group)] = group
+    padded = np.concatenate([m.data, np.zeros((1, dim))])
+    out = Tensor(_check(padded[idx].sum(axis=1), "sum_row_groups"))
+
+    def vjp(g):
+        if m.needs_grad:
+            full = np.zeros_like(padded)
+            np.add.at(full, idx, g[:, None, :])
+            _acc(m, full[:n])
+
+    return _record(out, (m,), vjp)
+
+
 def vec_select(x: Tensor, idx: Sequence[int]) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(x.data[idx])
@@ -346,21 +361,6 @@ def vec_select(x: Tensor, idx: Sequence[int]) -> Tensor:
             _acc(x, full)
 
     return _record(out, (x,), vjp)
-
-
-def gather_pairs(m: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """Elements m[rows[k], cols[k]] as a vector."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor(m.data[rows, cols])
-
-    def vjp(g):
-        if m.needs_grad:
-            full = np.zeros_like(m.data)
-            np.add.at(full, (rows, cols), g)
-            _acc(m, full)
-
-    return _record(out, (m,), vjp)
 
 
 def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
@@ -461,34 +461,6 @@ def log_softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
-    """log(sum(exp(x))): whole vector, or one axis of a matrix."""
-    data = x.data
-    if data.ndim == 1:
-        if axis not in (None, 0):
-            raise ValueError("vector logsumexp takes axis None")
-        m = data.max()
-        val = m + np.log(np.exp(data - m).sum())
-        out = Tensor(_check(np.asarray(val), "logsumexp"))
-
-        def vjp(g):
-            _acc(x, g * np.exp(data - val))
-
-        return _record(out, (x,), vjp)
-
-    if axis not in (0, 1):
-        raise ValueError("matrix logsumexp needs axis 0 or 1")
-    m = data.max(axis=axis, keepdims=True)
-    val = m + np.log(np.exp(data - m).sum(axis=axis, keepdims=True))
-    out = Tensor(_check(val.squeeze(axis), "logsumexp"))
-
-    def vjp(g):
-        soft = np.exp(data - val)
-        _acc(x, soft * np.expand_dims(g, axis))
-
-    return _record(out, (x,), vjp)
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept entries are scaled by 1/(1-rate)."""
     if rate == 0.0:
@@ -517,7 +489,9 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     Running the whole recurrence as a single primitive (with the
     backward-through-time product written out by hand) keeps the tape a
     few records per layer instead of a dozen per token, which is what
-    makes training runs affordable in pure Python.
+    makes training runs affordable in pure Python.  Only step-dependent
+    work stays in the loops: the backward pass forms all gate-derivative
+    factors up front and the wh and b gradients as products afterwards.
     """
     n, four_h = xw.data.shape
     h = four_h // 4
@@ -526,54 +500,39 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     hs = np.zeros((n, h))
     cs = np.zeros((n, h))
     gates = np.zeros((n, four_h))  # post-activation [i, f, g, o]
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
+    h_prev = c_prev = np.zeros(h)
     for t in range(n):
         raw = xw.data[t] + h_prev @ wh.data + b.data
-        i = 1.0 / (1.0 + np.exp(-raw[:h]))
-        f = 1.0 / (1.0 + np.exp(-raw[h:2 * h]))
-        g = np.tanh(raw[2 * h:3 * h])
-        o = 1.0 / (1.0 + np.exp(-raw[3 * h:]))
-        c_prev = f * c_prev + i * g
-        h_prev = o * np.tanh(c_prev)
-        gates[t, :h], gates[t, h:2 * h] = i, f
-        gates[t, 2 * h:3 * h], gates[t, 3 * h:] = g, o
-        cs[t] = c_prev
-        hs[t] = h_prev
+        act = 1.0 / (1.0 + np.exp(-raw))
+        act[2 * h:3 * h] = np.tanh(raw[2 * h:3 * h])
+        c_prev = act[h:2 * h] * c_prev + act[:h] * act[2 * h:3 * h]
+        h_prev = act[3 * h:] * np.tanh(c_prev)
+        gates[t], cs[t], hs[t] = act, c_prev, h_prev
     out = Tensor(_check(hs, "lstm_sequence"))
 
     def vjp(grad_h):
-        d_xw = np.zeros_like(xw.data)
-        d_wh = np.zeros_like(wh.data)
-        d_b = np.zeros_like(b.data)
-        dh = np.zeros(h)
-        dc = np.zeros(h)
+        i, f, g, o = np.split(gates, 4, axis=1)
+        tc = np.tanh(cs)
+        c_before = np.vstack([np.zeros(h), cs[:-1]])
+        h_before = np.vstack([np.zeros(h), hs[:-1]])
+        # d raw = [dc, dc, dc, dh] * coef, step by step.
+        coef = np.concatenate([g * i * (1.0 - i),
+                               c_before * f * (1.0 - f),
+                               i * (1.0 - g * g),
+                               tc * o * (1.0 - o)], axis=1)
+        dc_from_dh = o * (1.0 - tc * tc)
+        draws = np.empty_like(xw.data)
+        dh = dc = np.zeros(h)
         for t in range(n - 1, -1, -1):
             dh = dh + grad_h[t]
-            i, f = gates[t, :h], gates[t, h:2 * h]
-            g, o = gates[t, 2 * h:3 * h], gates[t, 3 * h:]
-            tc = np.tanh(cs[t])
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            c_before = cs[t - 1] if t > 0 else np.zeros(h)
-            di = dc * g
-            df = dc * c_before
-            dg = dc * i
-            draw = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ])
-            d_xw[t] = draw
-            d_b += draw
-            h_before = hs[t - 1] if t > 0 else np.zeros(h)
-            d_wh += np.outer(h_before, draw)
+            dc = dc + dh * dc_from_dh[t]
+            draw = np.concatenate([dc, dc, dc, dh]) * coef[t]
+            draws[t] = draw
             dh = wh.data @ draw
-            dc = dc * f
-        _acc(xw, d_xw)
-        _acc(wh, d_wh)
-        _acc(b, d_b)
+            dc = dc * f[t]
+        _acc(xw, draws)
+        _acc(wh, h_before.T @ draws)
+        _acc(b, draws.sum(axis=0))
 
     return _record(out, (xw, wh, b), vjp)
 

@@ -110,6 +110,21 @@ def build_parser() -> _Parser:
     return p
 
 
+def _load_model_and_corpus(args) -> tuple[FrameParser, list]:
+    """Load --checkpoint and --corpus; the first sentence with a POS tag or
+    constituent label outside the model's vocabulary raises with file:line."""
+    model = FrameParser.load(args.checkpoint)
+    sentences = load_corpus(args.corpus, ontology=model.ontology)
+    with open(args.corpus) as fh:
+        lines = [k for k, line in enumerate(fh, start=1) if line.strip()]
+    for lineno, sent in zip(lines, sentences):
+        try:
+            model.prepare(sent, with_gold=False)
+        except KeyError as e:
+            raise CorpusError(f"{args.corpus}:{lineno}: {e.args[0]}") from e
+    return model, sentences
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -141,8 +156,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = FrameParser.load(args.checkpoint)
-    sentences = load_corpus(args.corpus, ontology=model.ontology)
+    model, sentences = _load_model_and_corpus(args)
     task = args.task or model.config.task
     if args.gold_frames:
         reports = [evaluate_srl(model, sentences)]
@@ -159,8 +173,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = FrameParser.load(args.checkpoint)
-    sentences = load_corpus(args.corpus, ontology=model.ontology)
+    model, sentences = _load_model_and_corpus(args)
     out = open(args.out, "w") if args.out else sys.stdout
     dropped_total = 0
     try:

@@ -8,6 +8,8 @@ penalties rather than hard -inf, keeping every quantity finite; the same
 penalties can be switched on for the training objective or left to
 decoding only.
 
+log Z and the gold score are one tape op each; log Z's backward pass is
+forward-backward (Sutton & McCallum, An Introduction to CRFs, 2012).
 Viterbi is plain numpy and breaks score ties toward the lower label id
 (argmax returns the first maximum).
 """
@@ -79,39 +81,66 @@ class LinearChainCrf:
         self._start_penalty = np.where(scheme.allowed_start, 0.0, PENALTY)
         self._trans_penalty = np.where(scheme.allowed_transition, 0.0, PENALTY)
 
-    def _effective(self, constrain: bool) -> tuple[Tensor, Tensor]:
+    def _tables(self, constrain: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Start and transition scores, with the penalties if constrained."""
         if not constrain:
-            return self.start, self.trans
-        start = ad.add(self.start, ad.tensor(self._start_penalty))
-        trans = ad.add(self.trans, ad.tensor(self._trans_penalty))
-        return start, trans
+            return self.start.data, self.trans.data
+        return (self.start.data + self._start_penalty,
+                self.trans.data + self._trans_penalty)
 
     def log_partition(self, emissions: Tensor, constrain: bool) -> Tensor:
-        n = emissions.data.shape[0]
+        """log Z by the forward algorithm, as one tape op whose backward
+        runs the beta recursion and hands node marginals to emissions,
+        start and end, and edge marginals summed over positions to trans."""
+        n, k = emissions.data.shape
         if n == 0:
             raise ValueError("empty sequence")
-        start, trans = self._effective(constrain)
-        alpha = ad.add(start, ad.row(emissions, 0))
+        start, trans = self._tables(constrain)
+        x, end = emissions.data, self.end.data
+        alpha = np.empty((n, k))
+        alpha[0] = start + x[0]
         for t in range(1, n):
-            spread = ad.logsumexp(ad.add_colvec(trans, alpha), axis=0)
-            alpha = ad.add(spread, ad.row(emissions, t))
-        return ad.logsumexp(ad.add(alpha, self.end))
+            alpha[t] = _logsumexp(trans + alpha[t - 1][:, None]) + x[t]
+        log_z = ad._check(_logsumexp(alpha[-1] + end), "crf.log_partition")
+
+        def vjp(g):
+            beta = np.empty((n, k))
+            beta[-1] = end
+            for t in range(n - 2, -1, -1):
+                beta[t] = _logsumexp(trans.T + (x[t + 1] + beta[t + 1])[:, None])
+            nodes = g * np.exp(alpha + beta - log_z)
+            edges = np.exp(alpha[:-1, :, None] + trans
+                           + (x[1:] + beta[1:])[:, None, :] - log_z)
+            ad._acc(emissions, nodes)
+            ad._acc(self.start, nodes[0])
+            ad._acc(self.end, nodes[-1])
+            ad._acc(self.trans, g * edges.sum(axis=0))
+
+        return ad._record(Tensor(log_z),
+                          (emissions, self.start, self.trans, self.end), vjp)
 
     def gold_score(self, emissions: Tensor, tags: list[int],
                    constrain: bool) -> Tensor:
+        """Score of one tag sequence, as one tape op whose backward adds
+        the output gradient onto every gold cell."""
         n = emissions.data.shape[0]
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
-        start, trans = self._effective(constrain)
-        score = ad.add(
-            ad.sum_all(ad.vec_select(start, [tags[0]])),
-            ad.sum_all(ad.gather_pairs(emissions, list(range(n)), tags)),
-        )
-        if n > 1:
-            score = ad.add(
-                score, ad.sum_all(ad.gather_pairs(trans, tags[:-1], tags[1:]))
-            )
-        return ad.add(score, ad.sum_all(ad.vec_select(self.end, [tags[-1]])))
+        start, trans = self._tables(constrain)
+        cells = [(emissions, (np.arange(n), tags)), (self.start, tags[:1]),
+                 (self.trans, (tags[:-1], tags[1:])), (self.end, tags[-1:])]
+        score = start[tags[0]] + emissions.data[cells[0][1]].sum()
+        score = score + trans[cells[2][1]].sum()  # 0.0 when n == 1
+        score = score + self.end.data[tags[-1]]
+
+        def vjp(g):
+            for param, idx in cells:
+                full = np.zeros_like(param.data)
+                np.add.at(full, idx, g)
+                ad._acc(param, full)
+
+        return ad._record(Tensor(ad._check(score, "crf.gold_score")),
+                          [param for param, _ in cells], vjp)
 
     def nll(self, emissions: Tensor, tags: list[int], constrain: bool) -> Tensor:
         """Negative log-likelihood of the tag sequence."""
@@ -123,8 +152,8 @@ class LinearChainCrf:
         n, k = emissions.shape
         if n == 0:
             return []
-        trans = self.trans.data + self._trans_penalty
-        score = self.start.data + self._start_penalty + emissions[0]
+        start, trans = self._tables(True)
+        score = start + emissions[0]
         back = np.zeros((n, k), dtype=np.intp)
         for t in range(1, n):
             total = score[:, None] + trans
@@ -135,6 +164,11 @@ class LinearChainCrf:
         for t in range(n - 1, 0, -1):
             tags.append(int(back[t][tags[-1]]))
         return tags[::-1]
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:  # over axis 0
+    m = a.max(axis=0)
+    return m + np.log(np.exp(a - m).sum(axis=0))
 
 
 def mask_penalty(allowed: np.ndarray) -> np.ndarray:

@@ -78,14 +78,7 @@ def path_sum_features(tree: ConstTree, h: Tensor, ref_node: int,
     i's preterminal to ref_node.  Without endpoints the two path ends are
     dropped; a path with nothing left between them contributes zeros.
     """
-    dim = h.data.shape[1]
-    rows = []
-    for tok in range(tree.n_tokens):
-        nodes = tree_path(tree, tree.token_node(tok), ref_node)
-        if not include_endpoints:
-            nodes = nodes[1:-1]
-        if nodes:
-            rows.append(ad.sum_rows(ad.row_select(h, nodes)))
-        else:
-            rows.append(ad.tensor(np.zeros(dim)))
-    return ad.stack_rows(rows)
+    keep = slice(None) if include_endpoints else slice(1, -1)
+    return ad.sum_row_groups(h, [tree_path(tree, tree.token_node(tok),
+                                           ref_node)[keep]
+                                 for tok in range(tree.n_tokens)])

@@ -34,6 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config, config_from_dict
 from .corpus import (
+    CorpusError,
     FrameAnnotation,
     Ontology,
     Sentence,
@@ -105,15 +106,10 @@ class SentenceEncoding:
         tok = model.token_emb(prep.token_ids)
         pos = model.pos_emb(prep.pos_ids)
         self.e = ad.concat_cols([tok, pos])
-        if model.gcn is not None:
-            self.h = model.gcn(tree, prep.label_ids, drop=self._drop)
-            p_root = path_sum_features(tree, self.h, tree.root_index,
-                                       model.config.path_include_endpoints)
-        else:
-            self.h = None
-            p_root = ad.tensor(np.zeros((len(prep.sentence),
-                                         model.config.gcn_dim)))
-        raw = model.lstm_a(ad.concat_cols([self.e, p_root]))
+        self.h = (model.gcn(tree, prep.label_ids, drop=self._drop)
+                  if model.gcn is not None else None)
+        raw = model.lstm_a(ad.concat_cols([self.e,
+                                           self._paths(tree.root_index)]))
         self.a = model.ln_a(ad.add(self._drop(raw), self.e))
         self._b: dict[int, Tensor] = {}
 
@@ -123,19 +119,20 @@ class SentenceEncoding:
                               self.model.dropout_rng)
         return t
 
+    def _paths(self, ref_node: int) -> Tensor:
+        """Path features toward ref_node; zeros without a GCN."""
+        config, tree = self.model.config, self.prep.sentence.tree
+        if self.h is None:
+            return ad.tensor(np.zeros((tree.n_tokens, config.gcn_dim)))
+        return path_sum_features(tree, self.h, ref_node,
+                                 config.path_include_endpoints)
+
     def b(self, target_first: int) -> Tensor:
         if target_first not in self._b:
-            model, prep = self.model, self.prep
-            tree = prep.sentence.tree
-            if model.gcn is not None:
-                p_l = path_sum_features(tree, self.h,
-                                        tree.token_node(target_first),
-                                        model.config.path_include_endpoints)
-            else:
-                p_l = ad.tensor(np.zeros((len(prep.sentence),
-                                          model.config.gcn_dim)))
-            raw = model.lstm_b(ad.concat_cols([self.e, p_l]))
-            self._b[target_first] = model.ln_b(ad.add(self._drop(raw), self.e))
+            p_l = self._paths(self.prep.sentence.tree.token_node(target_first))
+            raw = self.model.lstm_b(ad.concat_cols([self.e, p_l]))
+            self._b[target_first] = self.model.ln_b(
+                ad.add(self._drop(raw), self.e))
         return self._b[target_first]
 
 
@@ -461,6 +458,9 @@ class FrameParser:
     def load(cls, path: str) -> "FrameParser":
         with open(path) as fh:
             doc = json.load(fh)
+        for key in ("config", "vocab", "ontology", "params"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise CorpusError(f"{path}: checkpoint has no {key!r} entry")
         model = cls(config_from_dict(doc["config"]),
                     Vocab.from_dict(doc["vocab"]),
                     Ontology(**doc["ontology"]))

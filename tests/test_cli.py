@@ -118,6 +118,36 @@ def test_malformed_corpus_exits_2(workspace, tmp_path):
                  "--corpus", str(broken)]) == 2
 
 
+def test_unseen_pos_tag_exits_2_naming_the_line(workspace, tmp_path,
+                                                capsys):
+    lines = open(workspace["corpus"]).read().splitlines()
+    record = json.loads(lines[1])
+    record["pos"][0] = "XX"
+    old = record["tree"].split()[2]          # "(NNP" or similar
+    record["tree"] = record["tree"].replace(old, "(XX", 1)
+    unseen = tmp_path / "unseen.jsonl"
+    # A blank line first: the reported line is the file's, not the index.
+    unseen.write_text("\n".join(["", lines[0], json.dumps(record)]) + "\n")
+    for command in ("predict", "eval"):
+        assert main([command, "--checkpoint", workspace["ckpt"],
+                     "--corpus", str(unseen)]) == 2
+        err = capsys.readouterr().err
+        assert f"{unseen}:3:" in err and "'XX'" in err
+
+
+def test_incomplete_checkpoint_exits_2(workspace, tmp_path, capsys):
+    doc = json.load(open(workspace["ckpt"]))
+    for drop in (None, "config", "params"):
+        ckpt = tmp_path / "partial.json"
+        partial = {} if drop is None else {k: v for k, v in doc.items()
+                                           if k != drop}
+        ckpt.write_text(json.dumps(partial))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", workspace["corpus"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint has no '{drop or 'config'}' entry" in err
+
+
 def test_gradcheck_exits_0():
     assert main(["gradcheck", "--task", "joint", "--max-checks", "40"]) == 0
 

@@ -8,8 +8,7 @@ from helpers import (
     oracle_viterbi,
 )
 
-from framepath import autodiff as ad
-from framepath.autodiff import fresh_tape, no_grad, param, tensor
+from framepath.autodiff import backward, fresh_tape, no_grad, param, tensor
 from framepath.crf import (
     LinearChainCrf,
     PENALTY,
@@ -196,6 +195,53 @@ class TestGradients:
         assert_grads_ok(lambda: crf.nll(emissions, [1], True),
                         [emissions, crf.trans, crf.start, crf.end])
         assert crf.viterbi(emissions.data) in ([0], [1])
+
+
+class TestFusedLogPartition:
+    @pytest.mark.parametrize("constrain", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gradients_are_enumerated_marginals(self, n, constrain):
+        rng = np.random.default_rng(100 + n)
+        crf = make_crf(iobc_scheme(), seed=n)
+        emissions = param(rng.normal(size=(n, 4)), name="emissions")
+        with fresh_tape():
+            backward(crf.log_partition(emissions, constrain))
+        seqs, scores = enumerate_sequences(*crf_tables(crf, constrain),
+                                           emissions.data)
+        probs = np.exp(scores - oracle_log_partition(
+            *crf_tables(crf, constrain), emissions.data))
+        nodes = np.zeros((n, 4))
+        counts = np.zeros((4, 4))
+        for seq, p in zip(seqs, probs):
+            nodes[np.arange(n), seq] += p
+            np.add.at(counts, (seq[:-1], seq[1:]), p)
+        assert np.allclose(emissions.grad, nodes, rtol=0, atol=1e-10)
+        assert np.allclose(crf.start.grad, nodes[0], rtol=0, atol=1e-10)
+        assert np.allclose(crf.end.grad, nodes[-1], rtol=0, atol=1e-10)
+        assert np.allclose(crf.trans.grad, counts, rtol=0, atol=1e-10)
+        if n == 1:
+            assert np.array_equal(crf.trans.grad, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_long_chain_with_large_emissions(self, constrain):
+        rng = np.random.default_rng(23)
+        crf = make_crf(iobc_scheme(), seed=9)
+        emissions = param(100.0 * rng.normal(size=(40, 4)), name="emissions")
+        with fresh_tape(), no_grad():
+            log_z = crf.log_partition(emissions, constrain).item()
+        assert np.isfinite(log_z)
+        # Central differences over a 1e-5 step lose a few ulps of |log Z|
+        # (thousands here) to roundoff, so the absolute floor scales with it.
+        floor = 8 * np.finfo(float).eps * abs(log_z) / 1e-5
+        assert_grads_ok(lambda: crf.log_partition(emissions, constrain),
+                        [emissions, crf.trans, crf.start, crf.end],
+                        abs_floor=floor)
+        with fresh_tape():
+            backward(crf.log_partition(emissions, constrain))
+        for t in (emissions, crf.trans, crf.start, crf.end):
+            assert np.all(np.isfinite(t.grad))
+        # Each position's node marginals form a distribution.
+        assert np.allclose(emissions.grad.sum(axis=1), 1.0, atol=1e-10)
 
 
 class TestValidation:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from framepath import autodiff as ad
-from framepath.autodiff import fresh_tape, grad_check, no_grad, tensor
+from framepath.autodiff import (
+    backward,
+    fresh_tape,
+    grad_check,
+    no_grad,
+    param,
+    tensor,
+)
 from framepath.gcn import TreeGcn, path_sum_features
 from framepath.layers import ParamStore
 from framepath.syntax import parse_bracketed, tree_path
@@ -201,3 +208,38 @@ class TestPathSumFeatures:
             return ad.sum_all(ad.tanh(p))
 
         assert_grads_ok(loss, s.tensors())
+
+
+class TestSumRowGroups:
+    def test_matches_fancy_index_sums_exactly(self):
+        rng = np.random.default_rng(8)
+        m = tensor(rng.normal(size=(7, 5)))
+        groups = [[3, 0, 6], [], [2], [5, 5, 1, 4, 0], [6, 3]]
+        with fresh_tape(), no_grad():
+            got = ad.sum_row_groups(m, groups).data
+        assert got.shape == (5, 5)
+        for row, group in zip(got, groups):
+            assert np.array_equal(row, m.data[group].sum(axis=0))
+
+    def test_gradients_with_nodes_shared_across_rows(self):
+        m = param(np.random.default_rng(9).normal(size=(6, 3)), name="m")
+        w = tensor(np.random.default_rng(10).normal(size=(4, 3)))
+        groups = [[0, 2, 5], [2, 5], [5], [1, 2, 2]]
+        assert_grads_ok(
+            lambda: ad.sum_all(ad.tanh(ad.mul(ad.sum_row_groups(m, groups),
+                                              w))),
+            [m])
+
+    def test_adjacent_nodes_without_endpoints(self):
+        # Token 1 (VBD, node 4) to its parent VP (node 3): stripping both
+        # endpoints leaves an empty path, so the row is zero and no
+        # gradient flows back through it.
+        tree = parse_bracketed(SAMPLE)
+        h = param(np.random.default_rng(11).normal(size=(8, 4)), name="h")
+        with fresh_tape():
+            feats = path_sum_features(tree, h, 3, include_endpoints=False)
+            assert np.array_equal(feats.data[1], np.zeros(4))
+            weights = np.zeros((tree.n_tokens, 4))
+            weights[1] = 1.0
+            backward(ad.sum_all(ad.mul(feats, tensor(weights))))
+        assert np.array_equal(h.grad, np.zeros((8, 4)))
