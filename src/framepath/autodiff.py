@@ -10,7 +10,8 @@ backward needs a fresh forward pass.
 Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
-Hot paths are single records with hand-written backwards: ``lstm_sequence``,
+Hot paths are single records with hand-written backwards: ``lstm_sequence``
+(one per LSTM direction over a whole batch of packed sequences),
 ``sum_row_groups``, and the CRF ops in ``crf`` built on ``_record``.
 """
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,6 +251,8 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 # primitives: shape and indexing
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    if len(parts) == 1:
+        return parts[0]
     out = Tensor(_check(np.concatenate([p.data for p in parts]), "concat"))
     sizes = [p.data.shape[0] for p in parts]
 
@@ -294,7 +299,8 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
     return _record(out, cols, vjp)
 
 
-def row(m: Tensor, i: int) -> Tensor:
+def row(m: Tensor, i: int | slice) -> Tensor:
+    """Row i of m, or the rows a slice i picks."""
     out = Tensor(m.data[i])
 
     def vjp(g):
@@ -479,60 +485,103 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused recurrence
 
-def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Full LSTM pass over precomputed input projections, as one tape op.
+def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
+                  lengths: Sequence[int] | None = None,
+                  reverse: bool = False) -> Tensor:
+    """LSTM passes over packed sequences, as one tape op.
 
-    xw is (n, 4H) holding x_t @ Wx for every step; wh is (H, 4H); b is
-    (4H,) with gate order [input, forget, cell, output].  Initial hidden
-    and cell states are zero.  Returns the (n, H) hidden-state sequence.
+    xw is (n, 4H) holding x_t @ Wx for every step of sequences of the
+    given lengths (None: one), back to back; wh is (H, 4H); b is (4H,)
+    with gate order [input, forget, cell, output].  Each sequence starts
+    from zero states and, with reverse, runs right to left.  Returns the
+    (n, H) hidden states in xw's row order.
 
-    Running the whole recurrence as a single primitive (with the
-    backward-through-time product written out by hand) keeps the tape a
-    few records per layer instead of a dozen per token, which is what
-    makes training runs affordable in pure Python.  Only step-dependent
-    work stays in the loops: the backward pass forms all gate-derivative
-    factors up front and the wh and b gradients as products afterwards.
+    Several sequences run in a zero-padded time-major block, longest
+    first, so those still running at step t are a prefix [:k_t] and a
+    step is one (k_t, H) @ wh product; one sequence steps over its own
+    rows.  The hand-written backward pass forms all gate-derivative
+    factors up front and keeps only the dh/dc recurrence in its loop.
     """
     n, four_h = xw.data.shape
     h = four_h // 4
     if wh.data.shape != (h, four_h):
         raise ValueError(f"wh shape {wh.data.shape} does not match ({h}, {four_h})")
-    hs = np.zeros((n, h))
-    cs = np.zeros((n, h))
-    gates = np.zeros((n, four_h))  # post-activation [i, f, g, o]
-    h_prev = c_prev = np.zeros(h)
-    for t in range(n):
-        raw = xw.data[t] + h_prev @ wh.data + b.data
+    lengths = [n] if lengths is None else list(lengths)
+    if sum(lengths) != n or min(lengths, default=0) < 0:
+        raise ValueError(f"lengths {lengths} do not pack {n} rows")
+    if len(lengths) == 1:
+        seqs, steps, active = [(0, n)], n, [1] * n
+    else:  # (first row, length) of each sequence, longest first
+        seqs = sorted(zip(accumulate([0] + lengths[:-1]), lengths),
+                      key=lambda s: -s[1])
+        ends = sorted(lengths)
+        steps = ends[-1] if ends else 0
+        active = [len(ends) - bisect_right(ends, t) for t in range(steps)]
+    flip = slice(None, None, -1 if reverse else None)
+
+    def to_block(rows: np.ndarray) -> np.ndarray:
+        if len(seqs) == 1:
+            return rows[flip]
+        block = np.zeros((steps, len(seqs), rows.shape[1]))
+        for j, (lo, m) in enumerate(seqs):
+            block[:m, j] = rows[lo:lo + m][flip]
+        return block
+
+    def from_block(block: np.ndarray) -> np.ndarray:
+        if len(seqs) == 1:
+            return block[flip]
+        rows = np.empty((n, block.shape[-1]))
+        for j, (lo, m) in enumerate(seqs):
+            rows[lo:lo + m] = block[:m, j][flip]
+        return rows
+
+    xs = to_block(xw.data)
+    hs = np.zeros(xs.shape[:-1] + (h,))
+    # Post-activation gates [i, f, g, o] and cells, kept for a backward.
+    keep = _tape().enabled and any(t.needs_grad for t in (xw, wh, b))
+    gates, cs = np.zeros_like(xs), np.zeros_like(hs)
+    h_prev = c_prev = np.zeros(hs.shape[1:])
+    for t, k in enumerate(active):
+        step = t
+        if k < len(seqs):  # only the k longest sequences still run
+            step = (t, slice(k))
+            h_prev, c_prev = h_prev[:k], c_prev[:k]
+        raw = xs[step] + h_prev @ wh.data + b.data
         act = 1.0 / (1.0 + np.exp(-raw))
-        act[2 * h:3 * h] = np.tanh(raw[2 * h:3 * h])
-        c_prev = act[h:2 * h] * c_prev + act[:h] * act[2 * h:3 * h]
-        h_prev = act[3 * h:] * np.tanh(c_prev)
-        gates[t], cs[t], hs[t] = act, c_prev, h_prev
-    out = Tensor(_check(hs, "lstm_sequence"))
+        g = act[..., 2 * h:3 * h] = np.tanh(raw[..., 2 * h:3 * h])
+        c_prev = act[..., h:2 * h] * c_prev + act[..., :h] * g
+        h_prev = act[..., 3 * h:] * np.tanh(c_prev)
+        hs[step] = h_prev
+        if keep:
+            gates[step], cs[step] = act, c_prev
+    out = Tensor(_check(from_block(hs), "lstm_sequence"))
 
     def vjp(grad_h):
-        i, f, g, o = np.split(gates, 4, axis=1)
+        i, f, g, o = np.split(gates, 4, axis=-1)
         tc = np.tanh(cs)
-        c_before = np.vstack([np.zeros(h), cs[:-1]])
-        h_before = np.vstack([np.zeros(h), hs[:-1]])
-        # d raw = [dc, dc, dc, dh] * coef, step by step.
+        c_before = np.concatenate([np.zeros_like(cs[:1]), cs[:-1]])
+        h_before = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])
+        # d raw = [dc, dc, dc, dh] * coef, step by step.  Padding cells
+        # have all-zero gates, so their coef, and hence draw, is zero.
         coef = np.concatenate([g * i * (1.0 - i),
                                c_before * f * (1.0 - f),
                                i * (1.0 - g * g),
-                               tc * o * (1.0 - o)], axis=1)
+                               tc * o * (1.0 - o)], axis=-1)
         dc_from_dh = o * (1.0 - tc * tc)
-        draws = np.empty_like(xw.data)
-        dh = dc = np.zeros(h)
-        for t in range(n - 1, -1, -1):
-            dh = dh + grad_h[t]
+        grad_block = to_block(grad_h)
+        wh_t = wh.data.T
+        draws = np.empty_like(xs)
+        dh = dc = np.zeros(hs.shape[1:])
+        for t in range(steps - 1, -1, -1):
+            dh = dh + grad_block[t]
             dc = dc + dh * dc_from_dh[t]
-            draw = np.concatenate([dc, dc, dc, dh]) * coef[t]
+            draw = np.concatenate([dc, dc, dc, dh], axis=-1) * coef[t]
             draws[t] = draw
-            dh = wh.data @ draw
+            dh = draw @ wh_t
             dc = dc * f[t]
-        _acc(xw, draws)
-        _acc(wh, h_before.T @ draws)
-        _acc(b, draws.sum(axis=0))
+        _acc(xw, from_block(draws))
+        _acc(wh, h_before.reshape(-1, h).T @ draws.reshape(-1, four_h))
+        _acc(b, draws.reshape(-1, four_h).sum(axis=0))
 
     return _record(out, (xw, wh, b), vjp)
 

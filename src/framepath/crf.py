@@ -3,10 +3,10 @@
 Scores factor as start[y0] + sum emissions[t, yt] + sum trans[y(t-1), yt]
 + end[yn-1].  The log partition function runs in log space throughout, so
 no probability ever underflows.  Structural constraints (which labels may
-open a sequence, which may follow which) are applied as additive -1e4
-penalties rather than hard -inf, keeping every quantity finite; the same
-penalties can be switched on for the training objective or left to
-decoding only.
+open a sequence, which may follow which) enter the training objective, if
+switched on, as additive -1e4 penalties rather than hard -inf, keeping
+every quantity finite.  Viterbi excludes forbidden openers and bigrams
+outright, so decoding is legal at any emission scale.
 
 log Z and the gold score are one tape op each; log Z's backward pass is
 forward-backward (Sutton & McCallum, An Introduction to CRFs, 2012).
@@ -148,11 +148,14 @@ class LinearChainCrf:
                       self.gold_score(emissions, tags, constrain))
 
     def viterbi(self, emissions: np.ndarray) -> list[int]:
-        """Best tag sequence under the constrained scores (no tape)."""
+        """Best legal tag sequence (no tape): the scheme's forbidden
+        openers and bigrams score -inf, not a finite penalty."""
         n, k = emissions.shape
         if n == 0:
             return []
-        start, trans = self._tables(True)
+        start = np.where(self.scheme.allowed_start, self.start.data, -np.inf)
+        trans = np.where(self.scheme.allowed_transition, self.trans.data,
+                         -np.inf)
         score = start + emissions[0]
         back = np.zeros((n, k), dtype=np.intp)
         for t in range(1, n):

@@ -78,7 +78,10 @@ def path_sum_features(tree: ConstTree, h: Tensor, ref_node: int,
     i's preterminal to ref_node.  Without endpoints the two path ends are
     dropped; a path with nothing left between them contributes zeros.
     """
-    keep = slice(None) if include_endpoints else slice(1, -1)
-    return ad.sum_row_groups(h, [tree_path(tree, tree.token_node(tok),
-                                           ref_node)[keep]
-                                 for tok in range(tree.n_tokens)])
+    groups = tree.path_groups.get((ref_node, include_endpoints))
+    if groups is None:
+        keep = slice(None) if include_endpoints else slice(1, -1)
+        groups = tree.path_groups[ref_node, include_endpoints] = [
+            tree_path(tree, tree.token_node(tok), ref_node)[keep]
+            for tok in range(tree.n_tokens)]
+    return ad.sum_row_groups(h, groups)

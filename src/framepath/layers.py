@@ -148,16 +148,12 @@ class LayerNorm:
         return ad.layer_norm(x, self.gain, self.bias)
 
 
-def reverse_rows(x: Tensor) -> Tensor:
-    n = x.data.shape[0]
-    return ad.row_select(x, list(range(n - 1, -1, -1)))
-
-
 class LstmDirection:
-    """One left-to-right LSTM pass with packed gates [i, f, g, o].
+    """One LSTM direction with packed gates [i, f, g, o].
 
-    The input projection for the whole sequence is a single matmul; the
-    recurrence then works on one row per step.  The forget-gate bias
+    The input projection for every row of a packed batch is a single
+    matmul; the recurrence then runs over all sequences at once, each
+    left to right or, with reverse, right to left.  The forget-gate bias
     starts at +1 so early training does not erase the cell state.
     """
 
@@ -169,13 +165,15 @@ class LstmDirection:
         b[hidden:2 * hidden] = 1.0
         self.b = store.add(f"{path}.b", b, decay=False)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, lengths: Sequence[int] | None = None,
+                 reverse: bool = False) -> Tensor:
         xw = ad.matmul(x, self.wx)
-        return ad.lstm_sequence(xw, self.wh, self.b)
+        return ad.lstm_sequence(xw, self.wh, self.b, lengths, reverse)
 
 
 class BiLstm:
-    """Stacked bidirectional LSTM; output width is 2 * hidden."""
+    """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
+    sequences of the given lengths back to back (None: one sequence)."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
                  layers: int = 1):
@@ -190,10 +188,10 @@ class BiLstm:
             width = 2 * hidden
         self.out_dim = width
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor,
+                 lengths: Sequence[int] | None = None) -> Tensor:
         out = x
         for fwd, bwd in self.layers:
-            left = fwd(out)
-            right = reverse_rows(bwd(reverse_rows(out)))
-            out = ad.concat_cols([left, right])
+            out = ad.concat_cols([fwd(out, lengths),
+                                  bwd(out, lengths, reverse=True)])
         return out

@@ -26,6 +26,7 @@ spans at inference.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,8 @@ class Prepared:
 
 
 class SentenceEncoding:
-    """Holds e and a for a sentence; b is computed lazily per target
-    first-index and cached, since annotations often share targets."""
+    """Holds e and a for a sentence (a set by FrameParser.encode_batch),
+    and b per target first-index, since annotations often share targets."""
 
     def __init__(self, model: "FrameParser", prep: Prepared, train: bool):
         self.model = model
@@ -108,9 +109,6 @@ class SentenceEncoding:
         self.e = ad.concat_cols([tok, pos])
         self.h = (model.gcn(tree, prep.label_ids, drop=self._drop)
                   if model.gcn is not None else None)
-        raw = model.lstm_a(ad.concat_cols([self.e,
-                                           self._paths(tree.root_index)]))
-        self.a = model.ln_a(ad.add(self._drop(raw), self.e))
         self._b: dict[int, Tensor] = {}
 
     def _drop(self, t: Tensor) -> Tensor:
@@ -129,11 +127,23 @@ class SentenceEncoding:
 
     def b(self, target_first: int) -> Tensor:
         if target_first not in self._b:
-            p_l = self._paths(self.prep.sentence.tree.token_node(target_first))
-            raw = self.model.lstm_b(ad.concat_cols([self.e, p_l]))
-            self._b[target_first] = self.model.ln_b(
-                ad.add(self._drop(raw), self.e))
+            self.model.encode_targets([(self, target_first)])
         return self._b[target_first]
+
+
+def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> list[Tensor]:
+    """LN(BiLSTM([e; path features]) + e) for each (encoding, reference
+    node) in refs, with one pass over their packed rows."""
+    if not refs:
+        return []
+    lengths = [enc.e.data.shape[0] for enc, _ in refs]
+    e = ad.concat([enc.e for enc, _ in refs])
+    paths = ad.concat([enc._paths(ref) for enc, ref in refs])
+    raw = lstm(ad.concat_cols([e, paths]), lengths)
+    out = norm(ad.add(refs[0][0]._drop(raw), e))
+    return [out] if len(refs) == 1 else [
+        ad.row(out, slice(stop - n, stop))
+        for n, stop in zip(lengths, np.cumsum(lengths))]
 
 
 class FrameParser:
@@ -238,7 +248,25 @@ class FrameParser:
         return prep
 
     def encode(self, prep: Prepared, train: bool = False) -> SentenceEncoding:
-        return SentenceEncoding(self, prep, train)
+        return self.encode_batch([prep], train)[0]
+
+    def encode_batch(self, preps: list[Prepared],
+                     train: bool = False) -> list[SentenceEncoding]:
+        encs = [SentenceEncoding(self, prep, train) for prep in preps]
+        refs = [(enc, enc.prep.sentence.tree.root_index) for enc in encs]
+        for enc, a in zip(encs, _backbone(self.lstm_a, self.ln_a, refs)):
+            enc.a = a
+        return encs
+
+    def encode_targets(self, pairs: list[tuple[SentenceEncoding, int]]):
+        """Fill b for each (encoding, target first-index) not cached yet."""
+        todo = list({(id(enc), first): (enc, first) for enc, first in pairs
+                     if first not in enc._b}.values())
+        refs = [(enc, enc.prep.sentence.tree.token_node(first))
+                for enc, first in todo]
+        for (enc, first), b in zip(todo, _backbone(self.lstm_b, self.ln_b,
+                                                   refs)):
+            enc._b[first] = b
 
     def target_repr(self, enc: SentenceEncoding, target: list[int]) -> Tensor:
         if not target:
@@ -274,6 +302,7 @@ class FrameParser:
                    lu: str) -> str:
         with ad.no_grad():
             scores = self.fi_scores(enc, target, lu).data
+        scores[self._frame_penalty[lu] < 0.0] = -np.inf  # unlicensed
         return self.vocab.frames[int(scores.argmax())]
 
     # ------------------------------------------------------------------
@@ -332,6 +361,7 @@ class FrameParser:
             z, _ = self.predicate_repr(enc, target, self.vocab.lu_id(lu),
                                        self.vocab.frame_id(frame))
             emissions = self.ac_emissions(enc, target, z, spans, penalty).data
+        emissions[:, penalty < 0.0] = -np.inf  # unlicensed roles
         return [self.vocab.fes[k] for k in self.ac_crf.viterbi(emissions)]
 
     # ------------------------------------------------------------------
@@ -371,8 +401,11 @@ class FrameParser:
         if not preps:
             raise ValueError("empty batch")
         terms: dict[str, list[Tensor]] = {p: [] for p in parts}
-        for prep in preps:
-            enc = self.encode(prep, train)
+        encs = self.encode_batch(preps, train)
+        if "srl" in parts:
+            self.encode_targets([(enc, min(pa.target)) for enc in encs
+                                 for pa in enc.prep.annotations])
+        for prep, enc in zip(preps, encs):
             if "ti" in parts:
                 terms["ti"].append(
                     self.ti_crf.nll(self.ti_emissions(enc), prep.ti_tags,
@@ -406,15 +439,16 @@ class FrameParser:
         """Predict annotations from scratch; returns (annotations, number
         of predicted targets dropped for lacking a known lexical unit)."""
         prep = self.prepare(sent, with_gold=False)
-        dropped = 0
         out = []
         with ad.fresh_tape(), ad.no_grad():
             enc = self.encode(prep, train=False)
-            for target in self.ti_predict(enc):
-                key = lu_key(sent.tokens, target, sent.pos)
-                if key not in self.ontology.lu_to_frames:
-                    dropped += 1
-                    continue
+            targets = self.ti_predict(enc)
+            kept = [(target, key) for target in targets
+                    if (key := lu_key(sent.tokens, target, sent.pos))
+                    in self.ontology.lu_to_frames]
+            dropped = len(targets) - len(kept)
+            self.encode_targets([(enc, min(target)) for target, _ in kept])
+            for target, key in kept:
                 frame = self.fi_predict(enc, target, key)
                 spans = self.ai_predict(enc, target, key, frame)
                 labels = self.ac_predict(enc, target, key, frame, spans)
@@ -451,8 +485,14 @@ class FrameParser:
             "ontology": self.ontology.to_dict(),
             "params": self.store.state(),
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        tmp = f"{path}.{os.getpid()}.tmp"  # renamed over path once whole
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str) -> "FrameParser":

@@ -40,6 +40,8 @@ class ConstTree:
     nodes: list[Node]
     root_index: int
     preterminal_order: list[int]
+    # token paths per (reference node, endpoints kept), built on first use
+    path_groups: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -98,6 +98,17 @@ class TestShapeGrads:
         # Repeated indices must accumulate, not overwrite.
         check(lambda: ad.sum_all(ad.tanh(ad.row_select(m, [1, 1, 4]))), [m])
 
+    def test_row_slice(self):
+        m = randp(5, 3)
+        w = tensor(RNG.normal(size=(2, 3)))
+        with fresh_tape(), no_grad():
+            assert np.array_equal(ad.row(m, slice(1, 3)).data, m.data[1:3])
+        check(lambda: ad.sum_all(ad.mul(ad.row(m, slice(1, 3)), w)), [m])
+
+    def test_concat_of_one_part_is_the_part(self):
+        x = randp(3, 2)
+        assert ad.concat([x]) is x
+
     def test_sum_rows(self):
         m = randp(4, 3)
         check(lambda: ad.dot(ad.sum_rows(m), ad.sum_rows(m)), [m])
@@ -333,6 +344,57 @@ class TestLstmSequence:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="wh shape"):
             ad.lstm_sequence(randp(3, 8), randp(3, 8), randp(8))
+
+    def test_lengths_must_pack_every_row(self):
+        with pytest.raises(ValueError, match="lengths"):
+            ad.lstm_sequence(randp(5, 8), randp(2, 8), randp(8), [2, 2])
+
+    def test_reverse_runs_right_to_left(self):
+        xw, wh, b = randp(5, 8), randp(2, 8), randp(8)
+        with fresh_tape(), no_grad():
+            got = ad.lstm_sequence(xw, wh, b, reverse=True).data
+            want = ad.lstm_sequence(tensor(xw.data[::-1]), wh, b).data
+        assert np.array_equal(got, want[::-1])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_matches_one_call_per_sequence(self, reverse):
+        # Unsorted mixed lengths, one of them 1: each sequence gets what
+        # its own call gives, in outputs and in all three gradients.
+        lengths = [3, 1, 5, 2, 5]
+        n = sum(lengths)
+        xw, wh, b = randp(n, 12), randp(3, 12), randp(12)
+        weight = RNG.normal(size=(n, 3))
+
+        def run(x, lens, w):
+            ad.zero_grads([x, wh, b])
+            with fresh_tape():
+                out = ad.lstm_sequence(x, wh, b, lens, reverse)
+                backward(ad.sum_all(ad.mul(out, tensor(w))))
+            return out.data, x.grad, wh.grad, b.grad
+
+        packed = run(xw, lengths, weight)
+        outs, d_xw, d_wh, d_b = [], [], 0.0, 0.0
+        lo = 0
+        for m in lengths:
+            out, g_x, g_wh, g_b = run(param(xw.data[lo:lo + m]), None,
+                                      weight[lo:lo + m])
+            outs.append(out)
+            d_xw.append(g_x)
+            d_wh, d_b = d_wh + g_wh, d_b + g_b
+            lo += m
+        want = (np.vstack(outs), np.vstack(d_xw), d_wh, d_b)
+        for got, expected in zip(packed, want):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_gradients(self, reverse):
+        xw = randp(7, 12, name="xw")
+        wh = randp(3, 12, name="wh")
+        b = randp(12, name="b")
+        w = tensor(RNG.normal(size=(7, 3)))
+        check(lambda: ad.sum_all(ad.mul(
+            ad.lstm_sequence(xw, wh, b, [2, 4, 1], reverse), w)),
+            [xw, wh, b], tol=1e-5)
 
 
 class TestComposite:

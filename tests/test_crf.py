@@ -146,6 +146,27 @@ class TestConstraints:
             for a, b in zip(tags, tags[1:]):
                 assert (a, b) != (0, 2)
 
+    def test_large_emission_cannot_open_with_i(self):
+        # An I emission of 2e4 outweighs the finite -1e4 start penalty;
+        # decoding must still refuse to open with I.
+        crf = make_crf(iob2_scheme(), randomize=False)
+        emissions = np.zeros((3, 3))
+        emissions[0, 2] = 2e4
+        assert crf.viterbi(emissions)[0] != 2
+
+    def test_decode_legal_at_any_emission_scale(self):
+        rng = np.random.default_rng(19)
+        for seed, scheme in enumerate((iob2_scheme(), iobc_scheme())):
+            crf = make_crf(scheme, seed=seed)
+            for _ in range(200):
+                n = int(rng.integers(1, 9))
+                scale = 10.0 ** rng.uniform(0.0, 6.0)
+                emissions = rng.normal(size=(n, scheme.n_labels)) * scale
+                tags = crf.viterbi(emissions)
+                assert scheme.allowed_start[tags[0]], (scale, tags)
+                for a, b in zip(tags, tags[1:]):
+                    assert scheme.allowed_transition[a, b], (scale, tags)
+
     def test_constraining_changes_partition(self):
         crf = make_crf(iob2_scheme(), seed=6)
         emissions = tensor(np.random.default_rng(1).normal(size=(3, 3)))

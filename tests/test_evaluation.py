@@ -11,7 +11,7 @@ from framepath.evaluation import (
     srl_prf,
 )
 
-from test_model import make_model, make_sentence
+from test_model import count_backbone_calls, make_model, make_sentence
 
 
 class TestSpanPrf:
@@ -122,6 +122,12 @@ class TestDrivers:
         srl = evaluate_srl(model, [sent])["f1"]
         got = dev_metric(model, [sent], "joint")
         assert abs(got - 0.5 * (fi + srl)) < 1e-12
+
+    def test_dev_metric_joint_encodes_dev_set_once(self):
+        model, sent = make_model()
+        calls = count_backbone_calls(model)
+        dev_metric(model, [sent, sent], "joint")
+        assert calls == {"a": 1, "b": 1}
 
     def test_dev_metric_unknown_task(self):
         model, sent = make_model()

@@ -183,6 +183,19 @@ class TestPathSumFeatures:
         # Self path with endpoints stripped leaves nothing.
         assert np.array_equal(feats[1], np.zeros(4))
 
+    def test_paths_built_once_per_tree_and_reference(self, monkeypatch):
+        tree = parse_bracketed(SAMPLE)
+        h = tensor(np.random.default_rng(3).normal(size=(len(tree), 4)))
+        with fresh_tape(), no_grad():
+            first = path_sum_features(tree, h, 4, False).data
+
+            def unused(*args):
+                raise AssertionError("path rebuilt")
+
+            monkeypatch.setattr("framepath.gcn.tree_path", unused)
+            again = path_sum_features(tree, h, 4, False).data
+        assert np.array_equal(first, again)
+
     def test_matches_bruteforce_on_random_trees(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -12,7 +12,6 @@ from framepath.layers import (
     Linear,
     LstmDirection,
     ParamStore,
-    reverse_rows,
 )
 
 
@@ -117,10 +116,6 @@ class TestSimpleLayers:
         assert np.array_equal(ln.gain.data, np.ones(4))
         assert "ln.gain" in s and "ln.bias" in s
 
-    def test_reverse_rows(self):
-        x = tensor(np.arange(12.0).reshape(4, 3))
-        assert np.array_equal(reverse_rows(x).data, x.data[::-1])
-
 
 class TestLstm:
     def test_single_step_matches_hand_computation(self):
@@ -179,6 +174,19 @@ class TestLstm:
             b = net(tensor(x2)).data
         assert np.array_equal(a[0, :3], b[0, :3])      # forward half
         assert not np.allclose(a[0, 3:], b[0, 3:])     # backward half
+
+    def test_packed_batch_matches_one_call_per_sequence(self):
+        s = store(17)
+        net = BiLstm(s, "lstm", 3, 2, layers=2)
+        lengths = [4, 1, 3]
+        x = np.random.default_rng(6).normal(size=(8, 3))
+        with fresh_tape(), no_grad():
+            packed = net(tensor(x), lengths).data
+            ends = np.cumsum(lengths)
+            single = [net(tensor(x[end - m:end])).data
+                      for m, end in zip(lengths, ends)]
+        np.testing.assert_allclose(packed, np.vstack(single), rtol=0,
+                                   atol=1e-12)
 
     def test_deterministic_across_calls(self):
         s = store(13)

@@ -9,6 +9,7 @@ import pytest
 from framepath import autodiff as ad
 from framepath.config import Config
 from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
+from framepath.evaluation import evaluate_fi, evaluate_srl
 from framepath.model import FrameParser
 from framepath.syntax import parse_bracketed
 
@@ -63,6 +64,59 @@ def make_model(**overrides) -> tuple[FrameParser, Sentence]:
     return FrameParser(tiny_config(**overrides), vocab, onto), sent
 
 
+def sentence(bracketed: str, annotations=()) -> Sentence:
+    tree = parse_bracketed(bracketed)
+    return Sentence(tokens=tree.tokens(),
+                    pos=[tree.nodes[k].label for k in tree.preterminal_order],
+                    tree=tree, annotations=list(annotations))
+
+
+def make_corpus_model(**overrides) -> tuple[FrameParser, list[Sentence]]:
+    """Sentences of 5, 3, 7 and 5 tokens, the last unannotated, whose
+    lexical units are the keys parse looks up, and a model with every
+    parameter moved off its initial value."""
+    onto = Ontology(
+        lu_to_frames={"ran.v": ["Motion", "Operating"], "dog.n": ["Animal"],
+                      "gave.v": ["Giving"]},
+        frame_to_elements=make_ontology().frame_to_elements)
+    corpus = [
+        sentence("(S (NP (DT the) (NN dog)) (VP (VBD ran) (PP (IN down) "
+                 "(NN hill))))",
+                 [FrameAnnotation([2], "ran.v", "Motion",
+                                  [((0, 1), "Mover"), ((3, 4), "Path")]),
+                  FrameAnnotation([1], "dog.n", "Animal", [((0, 0), "Kind")])]),
+        sentence("(S (NP (DT the) (NN dog)) (VP (VBD ran)))",
+                 [FrameAnnotation([2], "ran.v", "Operating",
+                                  [((0, 1), "Agent")])]),
+        sentence("(S (NP (DT the) (NN dog)) (VP (VBD gave) (NP (DT the) "
+                 "(NN dog)) (PP (IN down) (NN hill))))",
+                 [FrameAnnotation([2], "gave.v", "Giving",
+                                  [((0, 1), "Donor"), ((3, 4), "Theme")]),
+                  FrameAnnotation([4], "dog.n", "Animal", [])]),
+        sentence("(S (NP (DT the) (NN dog) (VBD ran)) (PP (IN down) "
+                 "(NN hill)))"),
+    ]
+    model = FrameParser(tiny_config(**overrides),
+                        build_vocab(corpus, onto), onto)
+    noise = np.random.default_rng(23)
+    for _, entry in model.store.entries():
+        entry.tensor.data += noise.normal(0.0, 0.3, entry.tensor.data.shape)
+    return model, corpus
+
+
+def count_backbone_calls(model) -> dict[str, int]:
+    calls = {"a": 0, "b": 0}
+    for key in calls:
+        inner = getattr(model, f"lstm_{key}")
+
+        def counting(x, lengths=None, key=key, inner=inner):
+            calls[key] += 1
+            return inner(x, lengths)
+
+        setattr(model, f"lstm_{key}", counting)
+    return calls
+
+
 def zero_params(model, prefix):
     for path, entry in model.store.entries():
         if path.startswith(prefix):
@@ -90,9 +144,9 @@ class TestEncoding:
         calls = []
         inner = model.lstm_b
 
-        def counting(x):
+        def counting(x, lengths=None):
             calls.append(1)
-            return inner(x)
+            return inner(x, lengths)
 
         model.lstm_b = counting
         prep = model.prepare(sent)
@@ -401,6 +455,99 @@ class TestGradients:
                 assert np.any(entry.tensor.grad != 0.0), path
 
 
+class TestPackedBatch:
+    def test_batch_losses_equal_mean_of_single_sentences(self):
+        model, corpus = make_corpus_model()
+        preps = [model.prepare(s) for s in corpus]
+        params = [e.tensor for _, e in model.store.entries()]
+
+        def run(batch):
+            ad.zero_grads(params)
+            with ad.fresh_tape():
+                parts = model.batch_losses(batch)
+                ad.backward(ad.add(ad.add(parts["ti"], parts["fi"]),
+                                   parts["srl"]))
+            return ({k: float(t.data) for k, t in parts.items()},
+                    [np.zeros_like(p.data) if p.grad is None else p.grad
+                     for p in params])
+
+        packed, packed_grads = run(preps)
+        singles = [run([prep]) for prep in preps]
+        for name, value in packed.items():
+            mean = np.mean([losses[name] for losses, _ in singles])
+            assert abs(value - mean) < 1e-10, name
+        for k, grad in enumerate(packed_grads):
+            mean = np.mean([grads[k] for _, grads in singles], axis=0)
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-10)
+
+    def test_one_backbone_pass_per_batch(self):
+        model, corpus = make_corpus_model()
+        preps = [model.prepare(s) for s in corpus]
+        calls = count_backbone_calls(model)
+        with ad.fresh_tape(), ad.no_grad():
+            model.batch_losses(preps)
+        assert calls == {"a": 1, "b": 1}
+
+    def test_encode_targets_matches_one_target_at_a_time(self):
+        model, corpus = make_corpus_model()
+        preps = [model.prepare(s) for s in corpus[:3]]
+        with ad.fresh_tape(), ad.no_grad():
+            packed = model.encode_batch(preps)
+            model.encode_targets([(enc, first) for enc in packed
+                                  for first in (0, 2)])
+            for prep, enc in zip(preps, packed):
+                alone = model.encode(prep)
+                np.testing.assert_allclose(enc.a.data, alone.a.data,
+                                           rtol=0, atol=1e-12)
+                for first in (0, 2):
+                    np.testing.assert_allclose(enc.b(first).data,
+                                               alone.b(first).data,
+                                               rtol=0, atol=1e-12)
+
+    def test_parse_matches_one_target_at_a_time(self):
+        model, corpus = make_corpus_model()
+        model.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
+        calls = count_backbone_calls(model)
+        packed = [model.parse(s) for s in corpus]
+        assert calls == {"a": len(corpus), "b": len(corpus)}
+        assert max(len(anns) for anns, _ in packed) == 3
+        inner = model.encode_targets
+        model.encode_targets = lambda pairs: [inner([p]) for p in pairs]
+        assert [model.parse(s) for s in corpus] == packed
+
+    def test_evaluation_matches_one_sentence_at_a_time(self):
+        model, corpus = make_corpus_model()
+        for evaluate in (evaluate_fi, evaluate_srl):
+            packed = evaluate(model, corpus)
+            singles = [evaluate(model, [s]) for s in corpus]
+            for key, value in packed["counts"].items():
+                assert value == sum(r["counts"][key] for r in singles)
+
+
+# ---------------------------------------------------------------------------
+# decoding legality
+
+class TestLegalAtScale:
+    def test_unlicensed_frames_and_roles_never_predicted(self):
+        # Frame logits and role emissions scaled far past the -1e4
+        # penalty must still yield licensed labels only.
+        model, sent = make_model()
+        rng = np.random.default_rng(31)
+        fi_b, ac_b = model.fi3.b, model.ac_emit.b
+        with ad.fresh_tape(), ad.no_grad():
+            enc = model.encode(model.prepare(sent))
+            for _ in range(50):
+                scale = 10.0 ** rng.uniform(0.0, 6.0)
+                fi_b.data = rng.normal(size=fi_b.data.shape) * scale
+                ac_b.data = rng.normal(size=ac_b.data.shape) * scale
+                assert model.fi_predict(enc, [2], "run.v") in (
+                    "Motion", "Operating")
+                assert model.fi_predict(enc, [1], "dog.n") == "Animal"
+                labels = model.ac_predict(enc, [2], "run.v", "Motion",
+                                          [(0, 1), (3, 4)])
+                assert set(labels) <= {"Mover", "Path"}
+
+
 # ---------------------------------------------------------------------------
 # task parameter selection
 
@@ -469,6 +616,22 @@ class TestCheckpoint:
             la = float(model.loss([prep_a], "joint").data)
             lb = float(clone.loss([prep_b], "joint").data)
         assert la == lb
+
+    def test_failed_save_leaves_old_checkpoint(self, tmp_path, monkeypatch):
+        model, _ = make_model()
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh):
+            fh.write('{"config": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            model.save(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_checkpoint_is_plain_json(self, tmp_path):
         model, _ = make_model()
