@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -251,8 +250,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 # primitives: shape and indexing
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    if len(parts) == 1:
-        return parts[0]
     out = Tensor(_check(np.concatenate([p.data for p in parts]), "concat"))
     sizes = [p.data.shape[0] for p in parts]
 
@@ -299,8 +296,27 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
     return _record(out, cols, vjp)
 
 
-def row(m: Tensor, i: int | slice) -> Tensor:
-    """Row i of m, or the rows a slice i picks."""
+def split_rows(m: Tensor, sizes: Sequence[int]) -> list[Tensor]:
+    """concat's inverse: m's rows cut into parts of the given sizes, as
+    one tape op whose backward writes the parts' gradients into one array."""
+    parts = [Tensor(m.data[stop - size:stop])
+             for size, stop in zip(sizes, accumulate(sizes))]
+    t = _tape()
+    if t.enabled and m.needs_grad:
+        def vjp(_):
+            if any(p.grad is not None for p in parts):
+                _acc(m, np.concatenate([np.zeros_like(p.data) if p.grad is None
+                                        else p.grad for p in parts]))
+
+        for p in parts:
+            p.needs_grad = True
+        hub = Tensor(0.0)  # its gradient is always set, so backward calls vjp
+        hub.grad = hub.data
+        t.records.append((hub, vjp))
+    return parts
+
+
+def row(m: Tensor, i: int) -> Tensor:
     out = Tensor(m.data[i])
 
     def vjp(g):
@@ -496,11 +512,11 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
     from zero states and, with reverse, runs right to left.  Returns the
     (n, H) hidden states in xw's row order.
 
-    Several sequences run in a zero-padded time-major block, longest
-    first, so those still running at step t are a prefix [:k_t] and a
-    step is one (k_t, H) @ wh product; one sequence steps over its own
-    rows.  The hand-written backward pass forms all gate-derivative
-    factors up front and keeps only the dh/dc recurrence in its loop.
+    The sequences run in a zero-padded time-major block, longest first,
+    so those still running at step t are a prefix [:k_t] and a step is
+    one (k_t, H) @ wh product.  The hand-written backward pass forms all
+    gate-derivative factors up front and keeps only the dh/dc recurrence
+    in its loop.
     """
     n, four_h = xw.data.shape
     h = four_h // 4
@@ -509,27 +525,19 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
     lengths = [n] if lengths is None else list(lengths)
     if sum(lengths) != n or min(lengths, default=0) < 0:
         raise ValueError(f"lengths {lengths} do not pack {n} rows")
-    if len(lengths) == 1:
-        seqs, steps, active = [(0, n)], n, [1] * n
-    else:  # (first row, length) of each sequence, longest first
-        seqs = sorted(zip(accumulate([0] + lengths[:-1]), lengths),
-                      key=lambda s: -s[1])
-        ends = sorted(lengths)
-        steps = ends[-1] if ends else 0
-        active = [len(ends) - bisect_right(ends, t) for t in range(steps)]
+    # (first row, length) of each sequence, longest first
+    seqs = sorted(zip(accumulate([0] + lengths[:-1]), lengths),
+                  key=lambda s: -s[1])
+    steps = max(lengths, default=0)
     flip = slice(None, None, -1 if reverse else None)
 
     def to_block(rows: np.ndarray) -> np.ndarray:
-        if len(seqs) == 1:
-            return rows[flip]
         block = np.zeros((steps, len(seqs), rows.shape[1]))
         for j, (lo, m) in enumerate(seqs):
             block[:m, j] = rows[lo:lo + m][flip]
         return block
 
     def from_block(block: np.ndarray) -> np.ndarray:
-        if len(seqs) == 1:
-            return block[flip]
         rows = np.empty((n, block.shape[-1]))
         for j, (lo, m) in enumerate(seqs):
             rows[lo:lo + m] = block[:m, j][flip]
@@ -539,21 +547,22 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
     hs = np.zeros(xs.shape[:-1] + (h,))
     # Post-activation gates [i, f, g, o] and cells, kept for a backward.
     keep = _tape().enabled and any(t.needs_grad for t in (xw, wh, b))
-    gates, cs = np.zeros_like(xs), np.zeros_like(hs)
+    gates, cs = ((np.zeros_like(xs), np.zeros_like(hs)) if keep
+                 else (None, None))
     h_prev = c_prev = np.zeros(hs.shape[1:])
-    for t, k in enumerate(active):
-        step = t
-        if k < len(seqs):  # only the k longest sequences still run
-            step = (t, slice(k))
+    k = len(seqs)
+    for t in range(steps):
+        while seqs[k - 1][1] <= t:  # only the k longest still run
+            k -= 1
             h_prev, c_prev = h_prev[:k], c_prev[:k]
-        raw = xs[step] + h_prev @ wh.data + b.data
+        raw = xs[t, :k] + h_prev @ wh.data + b.data
         act = 1.0 / (1.0 + np.exp(-raw))
-        g = act[..., 2 * h:3 * h] = np.tanh(raw[..., 2 * h:3 * h])
-        c_prev = act[..., h:2 * h] * c_prev + act[..., :h] * g
-        h_prev = act[..., 3 * h:] * np.tanh(c_prev)
-        hs[step] = h_prev
+        g = act[:, 2 * h:3 * h] = np.tanh(raw[:, 2 * h:3 * h])
+        c_prev = act[:, h:2 * h] * c_prev + act[:, :h] * g
+        h_prev = act[:, 3 * h:] * np.tanh(c_prev)
+        hs[t, :k] = h_prev
         if keep:
-            gates[step], cs[step] = act, c_prev
+            gates[t, :k], cs[t, :k] = act, c_prev
     out = Tensor(_check(from_block(hs), "lstm_sequence"))
 
     def vjp(grad_h):

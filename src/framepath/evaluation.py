@@ -60,41 +60,29 @@ def srl_prf(gold: Sequence[Sequence], pred: Sequence[Sequence]):
 # ---------------------------------------------------------------------------
 # drivers
 
-def _encode(model: FrameParser, sentences: Sequence[Sentence],
-            srl: bool = False):
-    """One batched encoding of the sentences; with srl, also backbone B
-    for every gold target."""
-    encs = model.encode_batch([model.prepare(s, with_gold=False)
-                               for s in sentences])
-    if srl:
-        model.encode_targets([(enc, min(ann.target)) for enc in encs
-                              for ann in enc.prep.sentence.annotations])
-    return encs
-
-
-def _span_report(task: str, gold, pred) -> dict:
+def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+    gold, pred = [], []
+    with ad.fresh_tape(), ad.no_grad():
+        for sent in sentences:
+            prep = model.prepare(sent, with_gold=False)
+            enc = model.encode(prep)
+            gold.append([tuple(sorted(a.target)) for a in sent.annotations])
+            pred.append([tuple(t) for t in model.ti_predict(enc)])
     matched, n_pred, n_gold = _tally(gold, pred)
     p, r, f1 = _prf(matched, n_pred, n_gold)
-    return {"task": task, "precision": p, "recall": r, "f1": f1,
+    return {"task": "ti", "precision": p, "recall": r, "f1": f1,
             "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
 
 
-def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
-    with ad.fresh_tape(), ad.no_grad():
-        pred = [[tuple(t) for t in model.ti_predict(enc)]
-                for enc in _encode(model, sentences)]
-    return _span_report("ti", [[tuple(sorted(a.target)) for a in s.annotations]
-                               for s in sentences], pred)
-
-
-def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence],
-                encs=None) -> dict:
-    """Frame accuracy over gold targets and gold lexical units; encs
-    reuses an encoding of the sentences."""
+def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+    """Frame accuracy over gold targets and gold lexical units."""
     gold, pred = [], []
     with ad.fresh_tape(), ad.no_grad():
-        for enc in encs or _encode(model, sentences):
-            for ann in enc.prep.sentence.annotations:
+        for sent in sentences:
+            if not sent.annotations:
+                continue
+            enc = model.encode(model.prepare(sent, with_gold=False))
+            for ann in sent.annotations:
                 gold.append(ann.frame)
                 pred.append(model.fi_predict(enc, ann.target, ann.lu))
     acc = fi_accuracy(gold, pred)
@@ -103,13 +91,15 @@ def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence],
                        "correct": sum(g == p for g, p in zip(gold, pred))}}
 
 
-def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence],
-                 encs=None) -> dict:
-    """Labeled-span P/R/F1 with gold targets and gold frames; encs as in
-    evaluate_fi."""
+def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+    """Labeled-span P/R/F1 with gold targets and gold frames."""
     gold, pred = [], []
     with ad.fresh_tape(), ad.no_grad():
-        for enc in encs or _encode(model, sentences, srl=True):
+        encs = [model.encode(model.prepare(sent, with_gold=False))
+                for sent in sentences if sent.annotations]
+        model.encode_targets([(enc, min(ann.target)) for enc in encs
+                              for ann in enc.prep.sentence.annotations])
+        for enc in encs:
             for ann in enc.prep.sentence.annotations:
                 gold.append([(label, s, e) for (s, e), label in ann.elements])
                 spans = model.ai_predict(enc, ann.target, ann.lu, ann.frame)
@@ -117,7 +107,10 @@ def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence],
                                           spans)
                 pred.append([(label, s, e)
                              for (s, e), label in zip(spans, labels)])
-    return _span_report("srl", gold, pred)
+    matched, n_pred, n_gold = _tally(gold, pred)
+    p, r, f1 = _prf(matched, n_pred, n_gold)
+    return {"task": "srl", "precision": p, "recall": r, "f1": f1,
+            "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
 
 
 EVALUATORS = {"ti": evaluate_ti, "fi": evaluate_fi, "srl": evaluate_srl}
@@ -134,12 +127,13 @@ def evaluate(model: FrameParser, sentences: Sequence[Sentence],
 def dev_metric(model: FrameParser, sentences: Sequence[Sentence],
                task: str) -> float:
     """The scalar the scheduler and early stopping watch (higher = better)."""
-    if task == "joint":  # one encoding pass serves both heads
-        with ad.fresh_tape(), ad.no_grad():
-            encs = _encode(model, sentences, srl=True)
-            return 0.5 * (evaluate_fi(model, sentences, encs)["accuracy"]
-                          + evaluate_srl(model, sentences, encs)["f1"])
-    if task not in EVALUATORS:
-        raise ValueError(f"unknown task {task!r}")
-    report = EVALUATORS[task](model, sentences)
-    return report["accuracy"] if task == "fi" else report["f1"]
+    if task == "ti":
+        return evaluate_ti(model, sentences)["f1"]
+    if task == "fi":
+        return evaluate_fi(model, sentences)["accuracy"]
+    if task == "srl":
+        return evaluate_srl(model, sentences)["f1"]
+    if task == "joint":
+        return 0.5 * (evaluate_fi(model, sentences)["accuracy"]
+                      + evaluate_srl(model, sentences)["f1"])
+    raise ValueError(f"unknown task {task!r}")

@@ -140,10 +140,7 @@ def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> list[Tensor]:
     e = ad.concat([enc.e for enc, _ in refs])
     paths = ad.concat([enc._paths(ref) for enc, ref in refs])
     raw = lstm(ad.concat_cols([e, paths]), lengths)
-    out = norm(ad.add(refs[0][0]._drop(raw), e))
-    return [out] if len(refs) == 1 else [
-        ad.row(out, slice(stop - n, stop))
-        for n, stop in zip(lengths, np.cumsum(lengths))]
+    return ad.split_rows(norm(ad.add(refs[0][0]._drop(raw), e)), lengths)
 
 
 class FrameParser:
@@ -260,8 +257,8 @@ class FrameParser:
 
     def encode_targets(self, pairs: list[tuple[SentenceEncoding, int]]):
         """Fill b for each (encoding, target first-index) not cached yet."""
-        todo = list({(id(enc), first): (enc, first) for enc, first in pairs
-                     if first not in enc._b}.values())
+        todo = {(id(enc), first): (enc, first) for enc, first in pairs
+                if first not in enc._b}.values()
         refs = [(enc, enc.prep.sentence.tree.token_node(first))
                 for enc, first in todo]
         for (enc, first), b in zip(todo, _backbone(self.lstm_b, self.ln_b,

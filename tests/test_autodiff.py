@@ -98,16 +98,20 @@ class TestShapeGrads:
         # Repeated indices must accumulate, not overwrite.
         check(lambda: ad.sum_all(ad.tanh(ad.row_select(m, [1, 1, 4]))), [m])
 
-    def test_row_slice(self):
-        m = randp(5, 3)
-        w = tensor(RNG.normal(size=(2, 3)))
+    def test_split_rows_inverts_concat(self):
+        m = randp(6, 3)
         with fresh_tape(), no_grad():
-            assert np.array_equal(ad.row(m, slice(1, 3)).data, m.data[1:3])
-        check(lambda: ad.sum_all(ad.mul(ad.row(m, slice(1, 3)), w)), [m])
-
-    def test_concat_of_one_part_is_the_part(self):
-        x = randp(3, 2)
-        assert ad.concat([x]) is x
+            parts = ad.split_rows(m, [2, 1, 3])
+            assert np.array_equal(ad.concat(parts).data, m.data)
+        w = tensor(RNG.normal(size=(3, 3)))
+        # The middle part gets no gradient; the split is one record.
+        check(lambda: ad.add(
+            ad.sum_all(ad.tanh(ad.split_rows(m, [2, 1, 3])[0])),
+            ad.sum_all(ad.mul(ad.split_rows(m, [2, 1, 3])[2], w))), [m])
+        with fresh_tape():
+            before = ad.tape_length()
+            ad.split_rows(m, [2, 1, 3])
+            assert ad.tape_length() == before + 1
 
     def test_sum_rows(self):
         m = randp(4, 3)

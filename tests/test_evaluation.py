@@ -123,11 +123,11 @@ class TestDrivers:
         got = dev_metric(model, [sent], "joint")
         assert abs(got - 0.5 * (fi + srl)) < 1e-12
 
-    def test_dev_metric_joint_encodes_dev_set_once(self):
+    def test_evaluate_srl_runs_backbone_b_once(self):
         model, sent = make_model()
         calls = count_backbone_calls(model)
-        dev_metric(model, [sent, sent], "joint")
-        assert calls == {"a": 1, "b": 1}
+        evaluate_srl(model, [sent, sent])
+        assert calls == {"a": 2, "b": 1}
 
     def test_dev_metric_unknown_task(self):
         model, sent = make_model()
