@@ -10,15 +10,17 @@ backward needs a fresh forward pass.
 Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
-Hot paths are single records with hand-written backwards: ``lstm_sequence``
-(one per LSTM direction over a whole batch of packed sequences),
-``sum_row_groups``, and the CRF ops in ``crf`` built on ``_record``.
+Hot paths are single records with hand-written backwards, each over a
+whole batch: ``lstm_sequence``, ``sum_row_groups`` (path, target and
+span sums), ``bilinear_rows`` (argument scores), and the packed CRF ops
+in ``crf`` built on ``_record``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -157,26 +159,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    out = Tensor(_check(a.data @ x.data, "matvec"))
-
-    def vjp(g):
-        _acc(a, np.outer(g, x.data))
-        _acc(x, a.data.T @ g)
-
-    return _record(out, (a, x), vjp)
-
-
-def vecmat(x: Tensor, a: Tensor) -> Tensor:
-    out = Tensor(_check(x.data @ a.data, "vecmat"))
-
-    def vjp(g):
-        _acc(x, a.data @ g)
-        _acc(a, np.outer(x.data, g))
-
-    return _record(out, (x, a), vjp)
-
-
 def dot(x: Tensor, y: Tensor) -> Tensor:
     out = Tensor(_check(np.dot(x.data, y.data), "dot"))
 
@@ -185,6 +167,30 @@ def dot(x: Tensor, y: Tensor) -> Tensor:
         _acc(y, g * x.data)
 
     return _record(out, (x, y), vjp)
+
+
+def bilinear_rows(x: Tensor, us: Sequence[Tensor], y: Tensor,
+                  x_rows: Sequence[int], y_rows: Sequence[int]) -> Tensor:
+    """out[r, k] = x[x_rows[r]] @ us[k] @ y[y_rows[r]], as one tape op:
+    x goes through each map once, w[:, k] = x @ us[k], and each output
+    row dots a gathered row of w with a gathered row of y."""
+    w = np.stack([x.data @ m.data for m in us], axis=1)  # (m, k, q)
+    yr = y.data[y_rows]
+    out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], yr),
+                        "bilinear_rows"))
+
+    def vjp(g):
+        gw = np.zeros_like(w)
+        np.add.at(gw, x_rows, g[:, :, None] * yr[:, None, :])
+        _acc(x, sum(gw[:, k] @ m.data.T for k, m in enumerate(us)))
+        for k, m in enumerate(us):
+            _acc(m, x.data.T @ gw[:, k])
+        if y.needs_grad:
+            gy = np.zeros_like(y.data)
+            np.add.at(gy, y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]))
+            _acc(y, gy)
+
+    return _record(out, (x, y, *us), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +282,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, parts, vjp)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    out = Tensor(_check(np.stack([r.data for r in rows]), "stack_rows"))
-
-    def vjp(g):
-        for i, r in enumerate(rows):
-            _acc(r, g[i])
-
-    return _record(out, rows, vjp)
-
-
-def stack_cols(cols: Sequence[Tensor]) -> Tensor:
-    out = Tensor(_check(np.stack([c.data for c in cols], axis=1), "stack_cols"))
-
-    def vjp(g):
-        for i, c in enumerate(cols):
-            _acc(c, g[:, i])
-
-    return _record(out, cols, vjp)
-
-
 def split_rows(m: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     """concat's inverse: m's rows cut into parts of the given sizes, as
     one tape op whose backward writes the parts' gradients into one array."""
@@ -316,18 +302,6 @@ def split_rows(m: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     return parts
 
 
-def row(m: Tensor, i: int) -> Tensor:
-    out = Tensor(m.data[i])
-
-    def vjp(g):
-        if m.needs_grad:
-            full = np.zeros_like(m.data)
-            full[i] = g
-            _acc(m, full)
-
-    return _record(out, (m,), vjp)
-
-
 def row_select(m: Tensor, idx: Sequence[int]) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(m.data[idx])
@@ -337,16 +311,6 @@ def row_select(m: Tensor, idx: Sequence[int]) -> Tensor:
             full = np.zeros_like(m.data)
             np.add.at(full, idx, g)
             _acc(m, full)
-
-    return _record(out, (m,), vjp)
-
-
-def sum_rows(m: Tensor) -> Tensor:
-    """Column-wise sum of a matrix: (n, k) -> (k,)."""
-    out = Tensor(_check(m.data.sum(axis=0), "sum_rows"))
-
-    def vjp(g):
-        _acc(m, np.broadcast_to(g, m.data.shape).copy())
 
     return _record(out, (m,), vjp)
 
@@ -370,31 +334,6 @@ def sum_row_groups(m: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
             _acc(m, full[:n])
 
     return _record(out, (m,), vjp)
-
-
-def vec_select(x: Tensor, idx: Sequence[int]) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx])
-
-    def vjp(g):
-        if x.needs_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, idx, g)
-            _acc(x, full)
-
-    return _record(out, (x,), vjp)
-
-
-def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[start:stop].copy())
-
-    def vjp(g):
-        if x.needs_grad:
-            full = np.zeros_like(x.data)
-            full[start:stop] = g
-            _acc(x, full)
-
-    return _record(out, (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -437,16 +376,6 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(_check(y, "sigmoid"))
-
-    def vjp(g):
-        _acc(x, g * y * (1.0 - y))
-
-    return _record(out, (x,), vjp)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
@@ -472,13 +401,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    m = x.data.max()
-    shifted = x.data - m
-    lse = m + np.log(np.exp(shifted).sum())
+    """Over the last axis: a vector, or each row of a matrix."""
+    m = x.data.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
     out = Tensor(_check(x.data - lse, "log_softmax"))
 
     def vjp(g):
-        _acc(x, g - np.exp(out.data) * g.sum())
+        _acc(x, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (x,), vjp)
 
@@ -499,7 +428,44 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused recurrence
+# packed sequences: the fused recurrence and the CRF run on this layout
+
+class Packed:
+    """Sequences of the given lengths (None: one) back to back in n rows,
+    laid out in a zero-padded time-major block (step, sequence, ...),
+    longest first, so those still running at step t are the prefix
+    [:running[t]].  With reverse, each runs right to left in the block."""
+
+    def __init__(self, n: int, lengths: Sequence[int] | None,
+                 reverse: bool = False):
+        self.lengths = [n] if lengths is None else list(lengths)
+        if sum(self.lengths) != n:
+            raise ValueError(f"lengths {self.lengths} do not pack {n} rows")
+        if not self.lengths or min(self.lengths) < 1:
+            raise ValueError("empty sequence")
+        first = list(accumulate(self.lengths[:-1], initial=0))
+        self.order = sorted(range(len(self.lengths)),
+                            key=lambda j: -self.lengths[j])  # column -> seq
+        self.seqs = [(first[j], self.lengths[j]) for j in self.order]
+        self.steps = self.seqs[0][1]
+        ascending = sorted(self.lengths)
+        self.running = [len(ascending) - bisect_right(ascending, t)
+                        for t in range(self.steps + 1)]
+        self.last = ([m - 1 for _, m in self.seqs], range(len(self.seqs)))
+        self._flip = slice(None, None, -1 if reverse else None)
+
+    def to_block(self, rows: np.ndarray) -> np.ndarray:
+        block = np.zeros((self.steps, len(self.seqs)) + rows.shape[1:])
+        for j, (lo, m) in enumerate(self.seqs):
+            block[:m, j] = rows[lo:lo + m][self._flip]
+        return block
+
+    def from_block(self, block: np.ndarray) -> np.ndarray:
+        rows = np.empty((sum(self.lengths),) + block.shape[2:])
+        for j, (lo, m) in enumerate(self.seqs):
+            rows[lo:lo + m] = block[:m, j][self._flip]
+        return rows
+
 
 def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
                   lengths: Sequence[int] | None = None,
@@ -512,48 +478,27 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
     from zero states and, with reverse, runs right to left.  Returns the
     (n, H) hidden states in xw's row order.
 
-    The sequences run in a zero-padded time-major block, longest first,
-    so those still running at step t are a prefix [:k_t] and a step is
-    one (k_t, H) @ wh product.  The hand-written backward pass forms all
-    gate-derivative factors up front and keeps only the dh/dc recurrence
-    in its loop.
+    The sequences run as a Packed block, so a step is one (k, H) @ wh
+    product over the k still running.  The hand-written backward pass
+    forms all gate-derivative factors up front and keeps only the dh/dc
+    recurrence in its loop.
     """
     n, four_h = xw.data.shape
     h = four_h // 4
     if wh.data.shape != (h, four_h):
         raise ValueError(f"wh shape {wh.data.shape} does not match ({h}, {four_h})")
-    lengths = [n] if lengths is None else list(lengths)
-    if sum(lengths) != n or min(lengths, default=0) < 0:
-        raise ValueError(f"lengths {lengths} do not pack {n} rows")
-    # (first row, length) of each sequence, longest first
-    seqs = sorted(zip(accumulate([0] + lengths[:-1]), lengths),
-                  key=lambda s: -s[1])
-    steps = max(lengths, default=0)
-    flip = slice(None, None, -1 if reverse else None)
-
-    def to_block(rows: np.ndarray) -> np.ndarray:
-        block = np.zeros((steps, len(seqs), rows.shape[1]))
-        for j, (lo, m) in enumerate(seqs):
-            block[:m, j] = rows[lo:lo + m][flip]
-        return block
-
-    def from_block(block: np.ndarray) -> np.ndarray:
-        rows = np.empty((n, block.shape[-1]))
-        for j, (lo, m) in enumerate(seqs):
-            rows[lo:lo + m] = block[:m, j][flip]
-        return rows
-
-    xs = to_block(xw.data)
+    packed = Packed(n, lengths, reverse)
+    xs = packed.to_block(xw.data)
     hs = np.zeros(xs.shape[:-1] + (h,))
     # Post-activation gates [i, f, g, o] and cells, kept for a backward.
     keep = _tape().enabled and any(t.needs_grad for t in (xw, wh, b))
     gates, cs = ((np.zeros_like(xs), np.zeros_like(hs)) if keep
                  else (None, None))
     h_prev = c_prev = np.zeros(hs.shape[1:])
-    k = len(seqs)
-    for t in range(steps):
-        while seqs[k - 1][1] <= t:  # only the k longest still run
-            k -= 1
+    k = len(packed.seqs)
+    for t in range(packed.steps):
+        if packed.running[t] < k:  # only the k longest still run
+            k = packed.running[t]
             h_prev, c_prev = h_prev[:k], c_prev[:k]
         raw = xs[t, :k] + h_prev @ wh.data + b.data
         act = 1.0 / (1.0 + np.exp(-raw))
@@ -563,7 +508,7 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
         hs[t, :k] = h_prev
         if keep:
             gates[t, :k], cs[t, :k] = act, c_prev
-    out = Tensor(_check(from_block(hs), "lstm_sequence"))
+    out = Tensor(_check(packed.from_block(hs), "lstm_sequence"))
 
     def vjp(grad_h):
         i, f, g, o = np.split(gates, 4, axis=-1)
@@ -577,18 +522,18 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
                                i * (1.0 - g * g),
                                tc * o * (1.0 - o)], axis=-1)
         dc_from_dh = o * (1.0 - tc * tc)
-        grad_block = to_block(grad_h)
+        grad_block = packed.to_block(grad_h)
         wh_t = wh.data.T
         draws = np.empty_like(xs)
         dh = dc = np.zeros(hs.shape[1:])
-        for t in range(steps - 1, -1, -1):
+        for t in range(packed.steps - 1, -1, -1):
             dh = dh + grad_block[t]
             dc = dc + dh * dc_from_dh[t]
             draw = np.concatenate([dc, dc, dc, dh], axis=-1) * coef[t]
             draws[t] = draw
             dh = draw @ wh_t
             dc = dc * f[t]
-        _acc(xw, from_block(draws))
+        _acc(xw, packed.from_block(draws))
         _acc(wh, h_before.reshape(-1, h).T @ draws.reshape(-1, four_h))
         _acc(b, draws.reshape(-1, four_h).sum(axis=0))
 

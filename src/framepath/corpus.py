@@ -237,14 +237,28 @@ def save_ontology(ontology: Ontology, path: str) -> None:
 # ---------------------------------------------------------------------------
 # corpus IO
 
+def _field(obj, key: str, kind: type, where: str, default=None):
+    """obj[key] (default if given and key is absent), checked to be a kind."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{where}: expected a JSON object, got {obj!r}")
+    if key not in obj and default is None:
+        raise CorpusError(f"{where}: missing field {key!r}")
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise CorpusError(
+            f"{where}: field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _indices(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
 def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sentence:
-    for key in ("tokens", "pos", "tree"):
-        if key not in obj:
-            raise CorpusError(f"{where}: missing field {key!r}")
-    tokens = obj["tokens"]
-    pos = obj["pos"]
+    tokens = _field(obj, "tokens", list, where)
+    pos = _field(obj, "pos", list, where)
     try:
-        tree = parse_bracketed(obj["tree"])
+        tree = parse_bracketed(_field(obj, "tree", str, where))
     except TreeSyntaxError as e:
         raise CorpusError(f"{where}: bad tree: {e}") from e
     if tree.tokens() != tokens:
@@ -261,21 +275,24 @@ def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sen
 
     annotations = []
     n = len(tokens)
-    for a_idx, ann in enumerate(obj.get("annotations", [])):
+    for a_idx, ann in enumerate(_field(obj, "annotations", list, where, [])):
         loc = f"{where}, annotation {a_idx}"
-        for key in ("target", "lu", "frame"):
-            if key not in ann:
-                raise CorpusError(f"{loc}: missing field {key!r}")
-        target = sorted(ann["target"])
-        if not target or target[0] < 0 or target[-1] >= n:
-            raise CorpusError(f"{loc}: bad target indices {ann['target']!r}")
+        target = _field(ann, "target", list, loc)
+        lu, frame = _field(ann, "lu", str, loc), _field(ann, "frame", str, loc)
+        if not (_indices(target) and target and 0 <= min(target)
+                and max(target) < n):
+            raise CorpusError(f"{loc}: bad target indices {target!r}")
+        target = sorted(target)
         if len(set(target)) != len(target):
             raise CorpusError(f"{loc}: duplicate target indices")
         elements = []
         spans_seen: list[tuple[int, int]] = []
-        for el in ann.get("elements", []):
-            if set(el) != {"span", "label"}:
-                raise CorpusError(f"{loc}: element needs span and label, got {el!r}")
+        for el in _field(ann, "elements", list, loc, []):
+            if not (isinstance(el, dict) and set(el) == {"span", "label"}
+                    and _indices(el["span"]) and len(el["span"]) == 2
+                    and isinstance(el["label"], str)):
+                raise CorpusError(f"{loc}: element needs a [start, end] span "
+                                  f"and a label string, got {el!r}")
             start, end = el["span"]
             if not (0 <= start <= end < n):
                 raise CorpusError(f"{loc}: span {el['span']!r} out of range")
@@ -287,24 +304,21 @@ def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sen
             spans_seen.append((start, end))
             elements.append(((start, end), el["label"]))
         if ontology is not None:
-            if ann["lu"] not in ontology.lu_to_frames:
-                raise CorpusError(f"{loc}: unknown lexical unit {ann['lu']!r}")
-            if ann["frame"] not in ontology.lu_to_frames[ann["lu"]]:
+            if lu not in ontology.lu_to_frames:
+                raise CorpusError(f"{loc}: unknown lexical unit {lu!r}")
+            if frame not in ontology.lu_to_frames[lu]:
                 raise CorpusError(
-                    f"{loc}: frame {ann['frame']!r} not licensed by {ann['lu']!r}"
-                )
-            licensed = set(ontology.frame_to_elements[ann["frame"]])
+                    f"{loc}: frame {frame!r} not licensed by {lu!r}")
+            licensed = set(ontology.frame_to_elements[frame])
             for _, label in elements:
                 if label not in licensed:
                     raise CorpusError(
                         f"{loc}: role {label!r} not licensed by frame "
-                        f"{ann['frame']!r}"
+                        f"{frame!r}"
                     )
         elements.sort()
-        annotations.append(
-            FrameAnnotation(target=target, lu=ann["lu"], frame=ann["frame"],
-                            elements=elements)
-        )
+        annotations.append(FrameAnnotation(target=target, lu=lu, frame=frame,
+                                           elements=elements))
     return Sentence(tokens=tokens, pos=pos, tree=tree, annotations=annotations)
 
 

@@ -8,15 +8,17 @@ switched on, as additive -1e4 penalties rather than hard -inf, keeping
 every quantity finite.  Viterbi excludes forbidden openers and bigrams
 outright, so decoding is legal at any emission scale.
 
-log Z and the gold score are one tape op each; log Z's backward pass is
-forward-backward (Sutton & McCallum, An Introduction to CRFs, 2012).
-Viterbi is plain numpy and breaks score ties toward the lower label id
-(argmax returns the first maximum).
+log Z and the gold score are one tape op each over every chain of a
+batch, packed back to back; log Z's backward pass is forward-backward
+(Sutton & McCallum, An Introduction to CRFs, 2012).  Viterbi is plain
+numpy, one chain at a time, and breaks score ties toward the lower label
+id (argmax returns the first maximum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -88,64 +90,89 @@ class LinearChainCrf:
         return (self.start.data + self._start_penalty,
                 self.trans.data + self._trans_penalty)
 
-    def log_partition(self, emissions: Tensor, constrain: bool) -> Tensor:
-        """log Z by the forward algorithm, as one tape op whose backward
-        runs the beta recursion and hands node marginals to emissions,
-        start and end, and edge marginals summed over positions to trans."""
-        n, k = emissions.data.shape
-        if n == 0:
-            raise ValueError("empty sequence")
+    def log_partition(self, emissions: Tensor, constrain: bool,
+                      lengths: Sequence[int] | None = None) -> Tensor:
+        """log Z of each chain packed back to back in emissions (lengths
+        None: one chain, a scalar), by the forward algorithm over an
+        ad.Packed block, as one tape op.  Its backward runs the beta
+        recursion; cells past a chain's end hold -inf, whose exp is an
+        exact zero marginal."""
+        chains = ad.Packed(emissions.data.shape[0], lengths)
         start, trans = self._tables(constrain)
-        x, end = emissions.data, self.end.data
-        alpha = np.empty((n, k))
+        end = self.end.data
+        x = chains.to_block(emissions.data)
+        alpha = np.full(x.shape, -np.inf)
         alpha[0] = start + x[0]
-        for t in range(1, n):
-            alpha[t] = _logsumexp(trans + alpha[t - 1][:, None]) + x[t]
-        log_z = ad._check(_logsumexp(alpha[-1] + end), "crf.log_partition")
+        for t in range(1, chains.steps):
+            m = chains.running[t]
+            alpha[t, :m] = _logsumexp(trans + alpha[t - 1, :m, :, None], 1) \
+                + x[t, :m]
+        log_z = np.empty(len(chains.order))
+        log_z[chains.order] = _logsumexp(alpha[chains.last] + end, 1)
+        ad._check(log_z, "crf.log_partition")
 
         def vjp(g):
-            beta = np.empty((n, k))
-            beta[-1] = end
-            for t in range(n - 2, -1, -1):
-                beta[t] = _logsumexp(trans.T + (x[t + 1] + beta[t + 1])[:, None])
-            nodes = g * np.exp(alpha + beta - log_z)
-            edges = np.exp(alpha[:-1, :, None] + trans
-                           + (x[1:] + beta[1:])[:, None, :] - log_z)
-            ad._acc(emissions, nodes)
-            ad._acc(self.start, nodes[0])
-            ad._acc(self.end, nodes[-1])
-            ad._acc(self.trans, g * edges.sum(axis=0))
+            g, lz = np.reshape(g, -1)[chains.order], log_z[chains.order]
+            beta = np.full(x.shape, -np.inf)
+            for t in range(chains.steps - 1, -1, -1):
+                m, going = chains.running[t], chains.running[t + 1]
+                beta[t, going:m] = end  # chains whose last step is t
+                if going:
+                    beta[t, :going] = _logsumexp(
+                        trans.T + (x[t + 1, :going]
+                                   + beta[t + 1, :going])[:, :, None], 1)
+            nodes = np.exp(alpha + beta - lz[:, None]) * g[:, None]
+            edges = np.exp(alpha[:-1, :, :, None] + trans
+                           + (x[1:] + beta[1:])[:, :, None, :]
+                           - lz[:, None, None])
+            ad._acc(emissions, chains.from_block(nodes))
+            ad._acc(self.start, nodes[0].sum(axis=0))
+            ad._acc(self.end, nodes[chains.last].sum(axis=0))
+            ad._acc(self.trans, np.einsum("c,tcij->ij", g, edges))
 
-        return ad._record(Tensor(log_z),
-                          (emissions, self.start, self.trans, self.end), vjp)
+        out = Tensor(log_z[0] if lengths is None else log_z)
+        return ad._record(out, (emissions, self.start, self.trans, self.end),
+                          vjp)
 
-    def gold_score(self, emissions: Tensor, tags: list[int],
-                   constrain: bool) -> Tensor:
-        """Score of one tag sequence, as one tape op whose backward adds
-        the output gradient onto every gold cell."""
-        n = emissions.data.shape[0]
+    def gold_score(self, emissions: Tensor, tags: Sequence[int],
+                   constrain: bool,
+                   lengths: Sequence[int] | None = None) -> Tensor:
+        """Score of each chain's tag sequence (tags packed like emissions'
+        rows; lengths None: one chain, a scalar), as one tape op whose
+        backward adds each chain's output gradient onto its gold cells."""
+        n, k = emissions.data.shape
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
+        sizes = np.array(ad.Packed(n, lengths).lengths)
         start, trans = self._tables(constrain)
-        cells = [(emissions, (np.arange(n), tags)), (self.start, tags[:1]),
-                 (self.trans, (tags[:-1], tags[1:])), (self.end, tags[-1:])]
-        score = start[tags[0]] + emissions.data[cells[0][1]].sum()
-        score = score + trans[cells[2][1]].sum()  # 0.0 when n == 1
-        score = score + self.end.data[tags[-1]]
+        tags = np.asarray(tags, dtype=np.intp)
+        chain = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.cumsum(sizes) - sizes
+        inner = np.isin(np.arange(n), first, invert=True)  # has a predecessor
+        pairs = tags[:-1][inner[1:]] * k + tags[inner]  # flat trans cells
+        score = (start[tags[first]] + self.end.data[tags[first + sizes - 1]]
+                 + np.bincount(chain, emissions.data[np.arange(n), tags])
+                 + np.bincount(chain[inner], trans.reshape(-1)[pairs],
+                               len(sizes)))
 
         def vjp(g):
-            for param, idx in cells:
-                full = np.zeros_like(param.data)
-                np.add.at(full, idx, g)
-                ad._acc(param, full)
+            g = np.reshape(g, -1)
+            ad._acc(emissions, np.eye(k)[tags] * g[chain, None])
+            ad._acc(self.start, np.bincount(tags[first], g, k))
+            ad._acc(self.end, np.bincount(tags[first + sizes - 1], g, k))
+            ad._acc(self.trans, np.bincount(pairs, g[chain[inner]],
+                                            k * k).reshape(k, k))
 
-        return ad._record(Tensor(ad._check(score, "crf.gold_score")),
-                          [param for param, _ in cells], vjp)
+        out = Tensor(ad._check(score[0] if lengths is None else score,
+                               "crf.gold_score"))
+        return ad._record(out, (emissions, self.start, self.trans, self.end),
+                          vjp)
 
-    def nll(self, emissions: Tensor, tags: list[int], constrain: bool) -> Tensor:
-        """Negative log-likelihood of the tag sequence."""
-        return ad.sub(self.log_partition(emissions, constrain),
-                      self.gold_score(emissions, tags, constrain))
+    def nll(self, emissions: Tensor, tags: Sequence[int], constrain: bool,
+            lengths: Sequence[int] | None = None) -> Tensor:
+        """Negative log-likelihood of each chain's tag sequence."""
+        return ad.sub(self.log_partition(emissions, constrain, lengths),
+                      self.gold_score(emissions, tags, constrain, lengths))
 
     def viterbi(self, emissions: np.ndarray) -> list[int]:
         """Best legal tag sequence (no tape): the scheme's forbidden
@@ -169,9 +196,10 @@ class LinearChainCrf:
         return tags[::-1]
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:  # over axis 0
-    m = a.max(axis=0)
-    return m + np.log(np.exp(a - m).sum(axis=0))
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    lse = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+    return lse.squeeze(axis)
 
 
 def mask_penalty(allowed: np.ndarray) -> np.ndarray:

@@ -38,8 +38,9 @@ def _tally(gold: Sequence[Sequence], pred: Sequence[Sequence]):
 
 
 def span_prf(gold: Sequence[Sequence], pred: Sequence[Sequence]):
-    """P/R/F1 over per-sentence item sets; empty sides score 0, an
-    entirely empty corpus scores 1 on all three."""
+    """P/R/F1 over per-sentence (targets) or per-annotation (labeled
+    role spans) item sets; empty sides score 0, an entirely empty corpus
+    scores 1 on all three."""
     return _prf(*_tally(gold, pred))
 
 
@@ -52,13 +53,15 @@ def fi_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     return sum(g == p for g, p in zip(gold, pred)) / len(gold)
 
 
-def srl_prf(gold: Sequence[Sequence], pred: Sequence[Sequence]):
-    """Same counting as span_prf but per annotation, over labeled spans."""
-    return _prf(*_tally(gold, pred))
-
-
 # ---------------------------------------------------------------------------
 # drivers
+
+def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
+    matched, n_pred, n_gold = _tally(gold, pred)
+    p, r, f1 = _prf(matched, n_pred, n_gold)
+    return {"task": task, "precision": p, "recall": r, "f1": f1,
+            "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
+
 
 def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     gold, pred = [], []
@@ -68,10 +71,7 @@ def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
             enc = model.encode(prep)
             gold.append([tuple(sorted(a.target)) for a in sent.annotations])
             pred.append([tuple(t) for t in model.ti_predict(enc)])
-    matched, n_pred, n_gold = _tally(gold, pred)
-    p, r, f1 = _prf(matched, n_pred, n_gold)
-    return {"task": "ti", "precision": p, "recall": r, "f1": f1,
-            "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
+    return _span_report("ti", gold, pred)
 
 
 def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
@@ -82,9 +82,10 @@ def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
             if not sent.annotations:
                 continue
             enc = model.encode(model.prepare(sent, with_gold=False))
-            for ann in sent.annotations:
-                gold.append(ann.frame)
-                pred.append(model.fi_predict(enc, ann.target, ann.lu))
+            gold.extend(ann.frame for ann in sent.annotations)
+            pred.extend(model.fi_predict(
+                enc, [ann.target for ann in sent.annotations],
+                [ann.lu for ann in sent.annotations]))
     acc = fi_accuracy(gold, pred)
     return {"task": "fi", "accuracy": acc,
             "counts": {"total": len(gold),
@@ -100,17 +101,16 @@ def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
         model.encode_targets([(enc, min(ann.target)) for enc in encs
                               for ann in enc.prep.sentence.annotations])
         for enc in encs:
-            for ann in enc.prep.sentence.annotations:
-                gold.append([(label, s, e) for (s, e), label in ann.elements])
-                spans = model.ai_predict(enc, ann.target, ann.lu, ann.frame)
-                labels = model.ac_predict(enc, ann.target, ann.lu, ann.frame,
-                                          spans)
-                pred.append([(label, s, e)
-                             for (s, e), label in zip(spans, labels)])
-    matched, n_pred, n_gold = _tally(gold, pred)
-    p, r, f1 = _prf(matched, n_pred, n_gold)
-    return {"task": "srl", "precision": p, "recall": r, "f1": f1,
-            "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
+            anns = enc.prep.sentence.annotations
+            gold.extend([(label, s, e) for (s, e), label in ann.elements]
+                        for ann in anns)
+            items = ([ann.target for ann in anns], [ann.lu for ann in anns],
+                     [ann.frame for ann in anns])
+            spans = model.ai_predict(enc, *items)
+            labels = model.ac_predict(enc, *items, spans)
+            pred.extend([(label, s, e) for (s, e), label in zip(sp, lab)]
+                        for sp, lab in zip(spans, labels))
+    return _span_report("srl", gold, pred)
 
 
 EVALUATORS = {"ti": evaluate_ti, "fi": evaluate_fi, "srl": evaluate_srl}

@@ -56,9 +56,6 @@ class ParamStore:
 
     # access ----------------------------------------------------------------
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._entries
-
     def __getitem__(self, path: str) -> Tensor:
         return self._entries[path].tensor
 
@@ -77,9 +74,6 @@ class ParamStore:
 
     def group(self, name: str) -> list[Tensor]:
         return [e.tensor for e in self._entries.values() if e.group == name]
-
-    def n_values(self) -> int:
-        return sum(e.tensor.data.size for e in self._entries.values())
 
     # checkpoint state ------------------------------------------------------
 
@@ -123,8 +117,7 @@ class Embedding:
 
 
 class Linear:
-    """y = x W + b with W stored (in_dim, out_dim); works on vectors and
-    row-batched matrices."""
+    """y = x W + b for every row of x, with W stored (in_dim, out_dim)."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, out_dim: int,
                  *, bias: bool = True, group: str | None = None):
@@ -132,9 +125,6 @@ class Linear:
         self.b = store.zeros(f"{path}.b", (out_dim,)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 1:
-            y = ad.vecmat(x, self.w)
-            return ad.add(y, self.b) if self.b is not None else y
         y = ad.matmul(x, self.w)
         return ad.add_rowvec(y, self.b) if self.b is not None else y
 

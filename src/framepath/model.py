@@ -11,7 +11,7 @@ role-labeling heads.  Both backbones are BiLSTMs whose output is added
 back to e (residual) and layer-normalized, which pins their output width
 to dim(e); config validates the match.
 
-Heads:
+Heads, each one op per layer over every target (or span) it is given:
   TI  linear emissions over O/B/I/C + constrained CRF.
   FI  3-layer leaky-relu stack on the summed target encoding, with
       lexicon-licensed frames only (others get -1e4).
@@ -19,8 +19,10 @@ Heads:
   AC  per-span sums of b, projected and scored against the frame's
       licensed role labels over the span sequence + CRF.
 
-AC trains on gold spans (teacher forcing) and labels AI's predicted
-spans at inference.
+A training batch runs each head and CRF once over all its sentences and
+annotations; prediction runs them once over one sentence's targets.  AC
+trains on gold spans (teacher forcing) and labels AI's predicted spans
+at inference.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,12 +76,8 @@ TASK_LOSSES: dict[str, tuple[str, ...]] = {
 @dataclass
 class PreparedAnnotation:
     target: list[int]
-    lu: str
-    frame: str
     lu_id: int
     frame_id: int
-    frame_penalty: np.ndarray
-    fe_penalty: np.ndarray
     spans: list[tuple[int, int]]
     ai_tags: list[int]
     fe_ids: list[int]
@@ -112,10 +112,7 @@ class SentenceEncoding:
         self._b: dict[int, Tensor] = {}
 
     def _drop(self, t: Tensor) -> Tensor:
-        if self.train and self.model.config.dropout > 0.0:
-            return ad.dropout(t, self.model.config.dropout,
-                              self.model.dropout_rng)
-        return t
+        return self.model._drop(t, self.train)
 
     def _paths(self, ref_node: int) -> Tensor:
         """Path features toward ref_node; zeros without a GCN."""
@@ -207,10 +204,11 @@ class FrameParser:
                                      open_scheme(tuple(vocab.fes)),
                                      group="crf")
 
-        self._frame_penalty = {lu: mask_penalty(ontology.frame_mask(lu))
-                               for lu in ontology.lus}
-        self._fe_penalty = {f: mask_penalty(ontology.fe_mask(f))
-                            for f in ontology.frames}
+        # frame penalties by lu id, role penalties by frame id
+        self._frame_penalty = np.array([mask_penalty(ontology.frame_mask(lu))
+                                        for lu in vocab.lus])
+        self._fe_penalty = np.array([mask_penalty(ontology.fe_mask(f))
+                                     for f in vocab.frames])
 
     # ------------------------------------------------------------------
     # preparation and encoding
@@ -232,12 +230,8 @@ class FrameParser:
             spans = [span for span, _ in ann.elements]
             prep.annotations.append(PreparedAnnotation(
                 target=ann.target,
-                lu=ann.lu,
-                frame=ann.frame,
                 lu_id=self.vocab.lu_id(ann.lu),
                 frame_id=self.vocab.frame_id(ann.frame),
-                frame_penalty=self._frame_penalty[ann.lu],
-                fe_penalty=self._fe_penalty[ann.frame],
                 spans=spans,
                 ai_tags=encode_iob2(spans, n),
                 fe_ids=[self.vocab.fe_id(label) for _, label in ann.elements],
@@ -265,13 +259,79 @@ class FrameParser:
                                                    refs)):
             enc._b[first] = b
 
-    def target_repr(self, enc: SentenceEncoding, target: list[int]) -> Tensor:
-        if not target:
+    # ------------------------------------------------------------------
+    # heads: each runs once over every target it is given
+
+    def _drop(self, t: Tensor, train: bool) -> Tensor:
+        if train and self.config.dropout > 0.0:
+            return ad.dropout(t, self.config.dropout, self.dropout_rng)
+        return t
+
+    def target_rows(self, a: Tensor, targets: list[list[int]]) -> Tensor:
+        """(n_targets, dim) sums of the rows of a each target indexes."""
+        if not all(targets):
             raise ValueError("empty target index set")
-        return ad.sum_rows(ad.row_select(enc.a, sorted(target)))
+        return ad.sum_row_groups(a, [sorted(t) for t in targets])
+
+    def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
+                 ) -> tuple[Tensor, list[int]]:
+        """b of each distinct (encoding, target first index) in pairs,
+        packed back to back, and the row where each pair's block starts."""
+        self.encode_targets(pairs)
+        blocks = {(id(enc), first): enc._b[first] for enc, first in pairs}
+        starts = dict(zip(blocks, accumulate(
+            (len(b.data) for b in blocks.values()), initial=0)))
+        return (ad.concat(list(blocks.values())),
+                [starts[id(enc), first] for enc, first in pairs])
+
+    def frame_scores(self, t: Tensor, lu_ids: list[int],
+                     train: bool = False) -> Tensor:
+        """Frame logits per target row; only the frames its lexical unit
+        licenses stay finite (others get -1e4)."""
+        h1 = self._drop(ad.leaky_relu(self.fi1(t)), train)
+        h2 = self._drop(ad.leaky_relu(self.fi2(h1)), train)
+        return ad.add(self.fi3(h2), ad.tensor(self._frame_penalty[lu_ids]))
+
+    def predicate_rows(self, t: Tensor, lu_ids: list[int],
+                       frame_ids: list[int],
+                       train: bool = False) -> tuple[Tensor, Tensor]:
+        """z = [lu embedding; target rows; frame embedding] per target, and
+        pr, its projection on the predicate side of the bilinear scores."""
+        z = ad.concat_cols([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)])
+        return z, self._drop(ad.tanh(self.ai_v1(z)), train)
+
+    def ai_scores(self, pr: Tensor, b: Tensor, b_first: list[int],
+                  lengths: list[int], train: bool = False) -> Tensor:
+        """(sum of lengths, 3) bilinear O/B/I scores: target j's chain
+        pairs pr[j] with b's rows b_first[j] onwards, lengths[j] of them."""
+        pb = self._drop(ad.tanh(self.ai_v2(b)), train)
+        return ad.bilinear_rows(
+            pr, self.ai_u, pb, np.repeat(np.arange(len(lengths)), lengths),
+            np.concatenate([np.arange(f, f + n)
+                            for f, n in zip(b_first, lengths)]))
+
+    def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
+                    spans: list[list[tuple[int, int]]],
+                    frame_ids: list[int] | None,
+                    train: bool = False) -> Tensor:
+        """(n_spans, n_roles) scores of every target's spans in order, from
+        span sums over b's rows (target j's sentence starts at
+        b_first[j]) next to z[j]; with frame ids, unlicensed roles get
+        -1e4."""
+        owner = [j for j, s in enumerate(spans) for _ in s]
+        r = ad.sum_row_groups(b, [
+            range(b_first[j] + start, b_first[j] + end + 1)
+            for j, s in enumerate(spans) for start, end in s])
+        q = self._drop(ad.tanh(self.ac_y(
+            ad.concat_cols([r, ad.row_select(z, owner)]))), train)
+        emissions = self.ac_emit(q)
+        if frame_ids is None:
+            return emissions
+        return ad.add(emissions, ad.tensor(
+            self._fe_penalty[[frame_ids[j] for j in owner]]))
 
     # ------------------------------------------------------------------
-    # target identification
+    # prediction over one sentence's targets
 
     def ti_emissions(self, enc: SentenceEncoding) -> Tensor:
         return self.ti_emit(enc.a)
@@ -281,153 +341,127 @@ class FrameParser:
             emissions = self.ti_emissions(enc).data
         return decode_iobc(self.ti_crf.viterbi(emissions))
 
-    # ------------------------------------------------------------------
-    # frame identification
-
-    def fi_scores(self, enc: SentenceEncoding, target: list[int],
-                  lu: str) -> Tensor:
-        """Masked frame logits; only the lu's licensed frames stay finite."""
-        if lu not in self._frame_penalty:
-            raise KeyError(f"unknown lexical unit {lu!r}")
-        t = self.target_repr(enc, target)
-        h1 = enc._drop(ad.leaky_relu(self.fi1(t)))
-        h2 = enc._drop(ad.leaky_relu(self.fi2(h1)))
-        logits = self.fi3(h2)
-        return ad.add(logits, ad.tensor(self._frame_penalty[lu]))
-
-    def fi_predict(self, enc: SentenceEncoding, target: list[int],
-                   lu: str) -> str:
+    def fi_predict(self, enc: SentenceEncoding, targets: list[list[int]],
+                   lus: list[str]) -> list[str]:
+        """Each target's best licensed frame.  One target and its lu (a
+        str) give one frame."""
+        if isinstance(lus, str):
+            return self.fi_predict(enc, [targets], [lus])[0]
+        lu_ids = [self.vocab.lu_id(lu) for lu in lus]
         with ad.no_grad():
-            scores = self.fi_scores(enc, target, lu).data
-        scores[self._frame_penalty[lu] < 0.0] = -np.inf  # unlicensed
-        return self.vocab.frames[int(scores.argmax())]
+            scores = self.frame_scores(self.target_rows(enc.a, targets),
+                                       lu_ids).data
+        scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
+        return [self.vocab.frames[k] for k in scores.argmax(axis=1)]
 
-    # ------------------------------------------------------------------
-    # semantic role labeling
+    def _srl_heads(self, enc: SentenceEncoding, targets: list[list[int]],
+                   lus: list[str], frames: list[str]):
+        """z and pr of each target, and target_b's packed b and rows."""
+        z, pr = self.predicate_rows(self.target_rows(enc.a, targets),
+                                    [self.vocab.lu_id(lu) for lu in lus],
+                                    [self.vocab.frame_id(f) for f in frames])
+        return (z, pr, *self.target_b([(enc, min(t)) for t in targets]))
 
-    def predicate_repr(self, enc: SentenceEncoding, target: list[int],
-                       lu_id: int, frame_id: int) -> tuple[Tensor, Tensor]:
-        """z = lu embedding + target encoding + frame embedding; pr is its
-        projection used on the predicate side of the bilinear scores."""
-        t = self.target_repr(enc, target)
-        el = ad.row(self.lu_emb.table, lu_id)
-        ef = ad.row(self.frame_emb.table, frame_id)
-        z = ad.concat([el, t, ef])
-        pr = enc._drop(ad.tanh(self.ai_v1(z)))
-        return z, pr
-
-    def ai_emissions(self, enc: SentenceEncoding, target: list[int],
-                     pr: Tensor) -> Tensor:
-        """(n, 3) bilinear scores: one column per O/B/I label."""
-        b = enc.b(sorted(target)[0])
-        pb = enc._drop(ad.tanh(self.ai_v2(b)))
-        cols = [ad.matvec(pb, ad.vecmat(pr, u)) for u in self.ai_u]
-        return ad.stack_cols(cols)
-
-    def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
-                   frame: str) -> list[tuple[int, int]]:
+    def ai_predict(self, enc: SentenceEncoding, targets: list[list[int]],
+                   lus: list[str], frames: list[str],
+                   ) -> list[list[tuple[int, int]]]:
+        """Each target's argument spans.  One target, lu and frame (strs)
+        give one span list."""
+        if isinstance(lus, str):
+            return self.ai_predict(enc, [targets], [lus], [frames])[0]
+        n = [len(enc.prep.sentence)] * len(targets)
         with ad.no_grad():
-            _, pr = self.predicate_repr(enc, target, self.vocab.lu_id(lu),
-                                        self.vocab.frame_id(frame))
-            emissions = self.ai_emissions(enc, target, pr).data
-        return decode_iob2(self.ai_crf.viterbi(emissions))
+            _, pr, b, b_first = self._srl_heads(enc, targets, lus, frames)
+            emissions = self.ai_scores(pr, b, b_first, n).data
+        return [decode_iob2(self.ai_crf.viterbi(c))
+                for c in emissions.reshape(len(targets), -1, 3)]
 
-    def ac_emissions(self, enc: SentenceEncoding, target: list[int],
-                     z: Tensor, spans: list[tuple[int, int]],
-                     fe_penalty: np.ndarray | None) -> Tensor:
-        """(n_spans, n_roles) scores; penalty masks unlicensed roles."""
-        b = enc.b(sorted(target)[0])
-        rows = []
-        for start, end in spans:
-            r = ad.sum_rows(ad.row_select(b, list(range(start, end + 1))))
-            q = enc._drop(ad.tanh(self.ac_y(ad.concat([r, z]))))
-            rows.append(self.ac_emit(q))
-        emissions = ad.stack_rows(rows)
-        if fe_penalty is not None:
-            emissions = ad.add_rowvec(emissions, ad.tensor(fe_penalty))
-        return emissions
-
-    def ac_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
-                   frame: str, spans: list[tuple[int, int]]) -> list[str]:
-        if not spans:
-            return []
-        penalty = self._fe_penalty[frame]
-        if not np.any(penalty == 0.0):
-            raise ValueError(f"frame {frame!r} licenses no role labels")
+    def ac_predict(self, enc: SentenceEncoding, targets: list[list[int]],
+                   lus: list[str], frames: list[str],
+                   spans: list[list[tuple[int, int]]]) -> list[list[str]]:
+        """Each target's role labels for its spans.  One target, lu,
+        frame (strs) and span list give one label list."""
+        if isinstance(lus, str):
+            return self.ac_predict(enc, [targets], [lus], [frames], [spans])[0]
+        frame_ids = [self.vocab.frame_id(f) for f in frames]
+        for frame, k, s in zip(frames, frame_ids, spans):
+            if s and not np.any(self._fe_penalty[k] == 0.0):
+                raise ValueError(f"frame {frame!r} licenses no role labels")
         with ad.no_grad():
-            z, _ = self.predicate_repr(enc, target, self.vocab.lu_id(lu),
-                                       self.vocab.frame_id(frame))
-            emissions = self.ac_emissions(enc, target, z, spans, penalty).data
-        emissions[:, penalty < 0.0] = -np.inf  # unlicensed roles
-        return [self.vocab.fes[k] for k in self.ac_crf.viterbi(emissions)]
+            z, _, b, b_first = self._srl_heads(enc, targets, lus, frames)
+            emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
+        emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
+                                    for _ in s]] < 0.0] = -np.inf  # unlicensed
+        chains = np.split(emissions, np.cumsum([len(s) for s in spans])[:-1])
+        return [[self.vocab.fes[k] for k in self.ac_crf.viterbi(c)]
+                for c in chains]
 
     # ------------------------------------------------------------------
     # losses
 
-    def _fi_ce(self, enc: SentenceEncoding, pa: PreparedAnnotation) -> Tensor:
-        scores = self.fi_scores(enc, pa.target, pa.lu)
-        picked = ad.vec_select(ad.log_softmax(scores), [pa.frame_id])
-        return ad.mul_scalar(ad.sum_all(picked), -1.0)
-
-    def _srl_nll(self, enc: SentenceEncoding, pa: PreparedAnnotation) -> Tensor:
-        constrain = self.config.constrain_training
-        z, pr = self.predicate_repr(enc, pa.target, pa.lu_id, pa.frame_id)
-        ai = self.ai_crf.nll(self.ai_emissions(enc, pa.target, pr),
-                             pa.ai_tags, constrain)
-        if not pa.spans:
-            return ai
-        emissions = self.ac_emissions(enc, pa.target, z, pa.spans,
-                                      pa.fe_penalty if constrain else None)
-        return ad.add(ai, self.ac_crf.nll(emissions, pa.fe_ids, constrain))
-
-    @staticmethod
-    def _mean(terms: list[Tensor]) -> Tensor:
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-        return ad.mul_scalar(total, 1.0 / len(terms))
-
     def batch_losses(self, preps: list[Prepared], train: bool = False,
                      parts: tuple[str, ...] = ("ti", "fi", "srl"),
                      ) -> dict[str, Tensor]:
-        """Per-part batch-mean losses over one shared encoding pass.
-
-        An unannotated sentence contributes an exact 0 term to the fi and
-        srl means but still counts in their denominators.
-        """
+        """Per-part batch-mean losses, each head and CRF run once over the
+        whole batch.  A sentence's annotations share its 1/B of the fi and
+        srl means; an unannotated sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
-        terms: dict[str, list[Tensor]] = {p: [] for p in parts}
+        constrain = self.config.constrain_training
         encs = self.encode_batch(preps, train)
+        a = ad.concat([enc.a for enc in encs])
+        lengths = [len(prep.sentence) for prep in preps]
+        starts = list(accumulate(lengths, initial=0))
+        items = [(k, pa) for k, prep in enumerate(preps)
+                 for pa in prep.annotations]
+        anns = [pa for _, pa in items]
+        weight = np.array([1.0 / (len(preps) * len(preps[k].annotations))
+                           for k, _ in items])
+        t = self.target_rows(a, [[starts[k] + i for i in pa.target]
+                                 for k, pa in items])
+        out = {}
+        if "ti" in parts:
+            tags = [tag for prep in preps for tag in prep.ti_tags]
+            nll = self.ti_crf.nll(self.ti_emit(a), tags, constrain, lengths)
+            out["ti"] = ad.dot(nll, ad.tensor(np.full(len(preps),
+                                                      1.0 / len(preps))))
+        if "fi" in parts:  # 0 without annotations: every array is empty
+            scores = self.frame_scores(t, [pa.lu_id for pa in anns], train)
+            gold = -weight[:, None] * np.eye(scores.shape[1])[
+                [pa.frame_id for pa in anns]]  # -weight on each gold frame
+            out["fi"] = ad.sum_all(ad.mul(ad.log_softmax(scores),
+                                          ad.tensor(gold)))
         if "srl" in parts:
-            self.encode_targets([(enc, min(pa.target)) for enc in encs
-                                 for pa in enc.prep.annotations])
-        for prep, enc in zip(preps, encs):
-            if "ti" in parts:
-                terms["ti"].append(
-                    self.ti_crf.nll(self.ti_emissions(enc), prep.ti_tags,
-                                    self.config.constrain_training))
-            if "fi" in parts:
-                if prep.annotations:
-                    terms["fi"].append(self._mean(
-                        [self._fi_ce(enc, pa) for pa in prep.annotations]))
-                else:
-                    terms["fi"].append(ad.tensor(np.asarray(0.0)))
-            if "srl" in parts:
-                if prep.annotations:
-                    terms["srl"].append(self._mean(
-                        [self._srl_nll(enc, pa) for pa in prep.annotations]))
-                else:
-                    terms["srl"].append(ad.tensor(np.asarray(0.0)))
-        return {p: self._mean(terms[p]) for p in parts}
+            out["srl"] = ad.tensor(np.asarray(0.0))
+        if "srl" in parts and items:
+            b, b_first = self.target_b([(encs[k], min(pa.target))
+                                        for k, pa in items])
+            n = [lengths[k] for k, _ in items]
+            frame_ids = [pa.frame_id for pa in anns]
+            z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],
+                                        frame_ids, train)
+            ai = self.ai_crf.nll(self.ai_scores(pr, b, b_first, n, train),
+                                 [tag for pa in anns for tag in pa.ai_tags],
+                                 constrain, n)
+            out["srl"] = ad.dot(ai, ad.tensor(weight))
+            spans = [pa.spans for pa in anns]
+            if any(spans):
+                emissions = self.role_scores(
+                    z, b, b_first, spans, frame_ids if constrain else None,
+                    train)
+                ac = self.ac_crf.nll(emissions, [i for pa in anns
+                                                 for i in pa.fe_ids],
+                                     constrain, [len(s) for s in spans if s])
+                out["srl"] = ad.add(out["srl"], ad.dot(ac, ad.tensor(
+                    weight[[bool(s) for s in spans]])))
+        return out
 
     def loss(self, preps: list[Prepared], task: str | None = None,
              train: bool = False) -> Tensor:
+        """The sum of the task's loss parts."""
         task = task or self.config.task
-        parts = self.batch_losses(preps, train, TASK_LOSSES[task])
-        if task == "joint":
-            return ad.add(ad.add(parts["ti"], parts["fi"]), parts["srl"])
-        return parts[task]
+        return reduce(ad.add, self.batch_losses(preps, train,
+                                                TASK_LOSSES[task]).values())
 
     # ------------------------------------------------------------------
     # full pipeline
@@ -436,7 +470,6 @@ class FrameParser:
         """Predict annotations from scratch; returns (annotations, number
         of predicted targets dropped for lacking a known lexical unit)."""
         prep = self.prepare(sent, with_gold=False)
-        out = []
         with ad.fresh_tape(), ad.no_grad():
             enc = self.encode(prep, train=False)
             targets = self.ti_predict(enc)
@@ -444,16 +477,16 @@ class FrameParser:
                     if (key := lu_key(sent.tokens, target, sent.pos))
                     in self.ontology.lu_to_frames]
             dropped = len(targets) - len(kept)
-            self.encode_targets([(enc, min(target)) for target, _ in kept])
-            for target, key in kept:
-                frame = self.fi_predict(enc, target, key)
-                spans = self.ai_predict(enc, target, key, frame)
-                labels = self.ac_predict(enc, target, key, frame, spans)
-                out.append(FrameAnnotation(
-                    target=target, lu=key, frame=frame,
-                    elements=sorted(zip(spans, labels)),
-                ))
-        return out, dropped
+            if not kept:
+                return [], dropped
+            targets, keys = [t for t, _ in kept], [key for _, key in kept]
+            frames = self.fi_predict(enc, targets, keys)
+            spans = self.ai_predict(enc, targets, keys, frames)
+            labels = self.ac_predict(enc, targets, keys, frames, spans)
+        return [FrameAnnotation(target=t, lu=key, frame=f,
+                                elements=sorted(zip(s, lab)))
+                for t, key, f, s, lab in zip(targets, keys, frames, spans,
+                                             labels)], dropped
 
     # ------------------------------------------------------------------
     # parameter selection and persistence

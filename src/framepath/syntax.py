@@ -62,18 +62,6 @@ class ConstTree:
     def tokens(self) -> list[str]:
         return [self.nodes[i].word for i in self.preterminal_order]
 
-    def depth(self) -> int:
-        """Maximum number of edges from the root to any node."""
-        best = 0
-        for node in self.nodes:
-            d = 0
-            cur = node
-            while cur.parent is not None:
-                cur = self.nodes[cur.parent]
-                d += 1
-            best = max(best, d)
-        return best
-
 
 def _tokenize(text: str) -> list[str]:
     out = []
@@ -146,7 +134,10 @@ def parse_bracketed(text: str) -> ConstTree:
             preterminals.append(node_id)
         return node_id
 
-    root = parse_node(None)
+    try:
+        root = parse_node(None)
+    except RecursionError:
+        raise TreeSyntaxError("tree nested too deeply") from None
     if pos != len(toks):
         raise TreeSyntaxError(f"trailing input after tree at token {pos}")
     return ConstTree(nodes=nodes, root_index=root, preterminal_order=preterminals)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -131,9 +132,7 @@ def write_metric_log(path: str, rows: list[dict]) -> None:
 def _objective(model: FrameParser, preps: list[Prepared], task: str,
                penalties) -> tuple[Tensor, dict[str, float]]:
     parts = model.batch_losses(preps, train=True, parts=TASK_LOSSES[task])
-    loss = None
-    for name in TASK_LOSSES[task]:
-        loss = parts[name] if loss is None else ad.add(loss, parts[name])
+    loss = reduce(ad.add, parts.values())
     for tensor, coeff in penalties:
         loss = ad.add(loss, ad.mul_scalar(ad.sum_all(ad.mul(tensor, tensor)),
                                           coeff))

@@ -118,6 +118,18 @@ def test_malformed_corpus_exits_2(workspace, tmp_path):
                  "--corpus", str(broken)]) == 2
 
 
+def test_null_elements_exit_2_naming_the_line(workspace, tmp_path, capsys):
+    record = json.loads(open(workspace["corpus"]).readline())
+    record["annotations"][0]["elements"] = None
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(json.dumps(record) + "\n")
+    assert main(["train", "--corpus", str(broken), "--ontology",
+                 workspace["onto"], "--checkpoint",
+                 str(tmp_path / "model.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{broken}:1, annotation 0: field 'elements'" in err
+
+
 def test_unseen_pos_tag_exits_2_naming_the_line(workspace, tmp_path,
                                                 capsys):
     lines = open(workspace["corpus"]).read().splitlines()

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from framepath.corpus import (
     lu_key,
     save_corpus,
     save_ontology,
+    sentence_to_dict,
+    _sentence_from_dict,
 )
+from framepath.synth import generate
 from framepath.syntax import parse_bracketed
 
 O, B, I, C = 0, 1, 2, 3
@@ -263,6 +268,49 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match=message):
             load_corpus(str(p), make_ontology())
         load_corpus(str(p))  # structurally fine without the ontology
+
+
+    @pytest.mark.parametrize("record", [
+        {"tokens": ["hi"], "pos": ["UH"], "tree": 5},
+        {"tokens": ["hi"], "pos": None, "tree": "(UH hi)"},
+        [1, 2],
+    ])
+    def test_wrong_types_raise_corpus_error(self, record):
+        with pytest.raises(CorpusError, match="f:1: "):
+            _sentence_from_dict(record, "f:1", None)
+
+    def test_mutated_lines_raise_only_corpus_error(self):
+        # Seeded fuzz: one or two values of a valid record swapped for a
+        # value of the wrong type or range, or deleted, load or raise
+        # CorpusError, never anything else.
+        sents, onto = generate(3, 40)
+        records = [sentence_to_dict(s) for s in sents]
+        wrong = [None, 5, -1, 2.5, True, "x", "(", [], {}, [1], [None],
+                 [[0, 1]], [1, 2, 3], {"a": 1}, ["a"], [0.5, 1], [{}], 10**6]
+        rng = random.Random(11)
+        rejected = 0
+        for k in range(4000):
+            record = copy.deepcopy(rng.choice(records))
+            for _ in range(rng.randint(1, 2)):
+                owner, key = rng.choice(list(_slots(record)))
+                if isinstance(owner, dict) and rng.random() < 0.15:
+                    del owner[key]
+                else:
+                    owner[key] = copy.deepcopy(rng.choice(wrong))
+            try:
+                _sentence_from_dict(record, "f:1", onto if k % 2 else None)
+            except CorpusError:
+                rejected += 1
+        assert rejected > 1000
+
+
+def _slots(value):
+    """(container, key) of every value nested in a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield value, key
+        yield from _slots(inner)
 
 
 class TestVocab:

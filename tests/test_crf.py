@@ -8,6 +8,7 @@ from helpers import (
     oracle_viterbi,
 )
 
+from framepath import autodiff as ad
 from framepath.autodiff import backward, fresh_tape, no_grad, param, tensor
 from framepath.crf import (
     LinearChainCrf,
@@ -278,3 +279,83 @@ class TestValidation:
             with fresh_tape(), no_grad():
                 crf.log_partition(tensor(np.zeros((0, 3))), True)
         assert crf.viterbi(np.zeros((0, 3))) == []
+
+
+class TestPackedChains:
+    LENGTHS = [3, 1, 5, 2, 1, 4]  # unsorted, with length-1 chains
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_packed_equals_one_call_per_chain(self, constrain):
+        rng = np.random.default_rng(41)
+        crf = make_crf(iobc_scheme(), seed=4)
+        params = [crf.trans, crf.start, crf.end]
+        n = sum(self.LENGTHS)
+        emissions = param(rng.normal(size=(n, 4)), name="emissions")
+        tags = rng.integers(0, 4, size=n).tolist()
+        weights = rng.normal(size=(2, len(self.LENGTHS)))
+
+        def grads():
+            out = [np.zeros_like(p.data) if p.grad is None else p.grad
+                   for p in [emissions] + params]
+            for p in [emissions] + params:
+                p.grad = None
+            return out
+
+        with fresh_tape():
+            log_z = crf.log_partition(emissions, constrain, self.LENGTHS)
+            gold = crf.gold_score(emissions, tags, constrain, self.LENGTHS)
+            backward(ad.add(ad.dot(log_z, tensor(weights[0])),
+                            ad.dot(gold, tensor(weights[1]))))
+        packed = grads()
+        singles = [np.zeros_like(g) for g in packed]
+        row = 0
+        for c, m in enumerate(self.LENGTHS):
+            part = param(emissions.data[row:row + m])
+            with fresh_tape():
+                one_z = crf.log_partition(part, constrain)
+                one_gold = crf.gold_score(part, tags[row:row + m], constrain)
+                assert one_z.data.shape == one_gold.data.shape == ()
+                assert abs(log_z.data[c] - one_z.item()) < 1e-12
+                assert abs(gold.data[c] - one_gold.item()) < 1e-12
+                backward(ad.add(ad.mul_scalar(one_z, weights[0, c]),
+                                ad.mul_scalar(one_gold, weights[1, c])))
+            singles[0][row:row + m] = part.grad
+            for k, g in enumerate(grads()[1:], start=1):
+                singles[k] += g
+            row += m
+        for got, want in zip(packed, singles):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_packed_marginals_are_enumerated(self, constrain):
+        lengths = [2, 4, 1, 3]
+        rng = np.random.default_rng(43)
+        crf = make_crf(iobc_scheme(), seed=6)
+        emissions = param(rng.normal(size=(sum(lengths), 4)), name="e")
+        with fresh_tape():
+            backward(ad.sum_all(crf.log_partition(emissions, constrain,
+                                                  lengths)))
+        tables = crf_tables(crf, constrain)
+        counts = np.zeros((4, 4))
+        row = 0
+        for m in lengths:
+            chain = emissions.data[row:row + m]
+            seqs, scores = enumerate_sequences(*tables, chain)
+            probs = np.exp(scores - oracle_log_partition(*tables, chain))
+            nodes = np.zeros((m, 4))
+            for seq, p in zip(seqs, probs):
+                nodes[np.arange(m), seq] += p
+                np.add.at(counts, (seq[:-1], seq[1:]), p)
+            np.testing.assert_allclose(emissions.grad[row:row + m], nodes,
+                                       rtol=0, atol=1e-10)
+            row += m
+        np.testing.assert_allclose(crf.trans.grad, counts, rtol=0, atol=1e-10)
+
+    def test_lengths_must_pack_the_rows(self):
+        crf = make_crf(iob2_scheme())
+        emissions = tensor(np.zeros((4, 3)))
+        with fresh_tape(), no_grad():
+            with pytest.raises(ValueError, match="do not pack"):
+                crf.log_partition(emissions, True, [2, 1])
+            with pytest.raises(ValueError, match="empty"):
+                crf.gold_score(emissions, [0] * 4, True, [4, 0])

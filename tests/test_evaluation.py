@@ -8,7 +8,6 @@ from framepath.evaluation import (
     evaluate_ti,
     fi_accuracy,
     span_prf,
-    srl_prf,
 )
 
 from test_model import count_backbone_calls, make_model, make_sentence
@@ -70,14 +69,14 @@ class TestSrlPrf:
     def test_wrong_label_is_miss_and_false_positive(self):
         gold = [[("Agent", 0, 1)]]
         pred = [[("Theme", 0, 1)]]
-        assert srl_prf(gold, pred) == (0.0, 0.0, 0.0)
+        assert span_prf(gold, pred) == (0.0, 0.0, 0.0)
 
     def test_mixed_hand_count(self):
         # 3 gold tuples, 2 predicted, 1 exact match:
         # P = 1/2, R = 1/3, F1 = 2*(1/2)(1/3)/(5/6) = 0.4
         gold = [[("Agent", 0, 1), ("Theme", 3, 4)], [("Agent", 2, 2)]]
         pred = [[("Agent", 0, 1), ("Agent", 3, 4)], []]
-        p, r, f1 = srl_prf(gold, pred)
+        p, r, f1 = span_prf(gold, pred)
         assert p == 0.5
         assert abs(r - 1 / 3) < 1e-12
         assert abs(f1 - 0.4) < 1e-12
@@ -85,7 +84,7 @@ class TestSrlPrf:
     def test_cross_annotation_match_not_counted(self):
         gold = [[("Agent", 0, 1)], []]
         pred = [[], [("Agent", 0, 1)]]
-        assert srl_prf(gold, pred)[2] == 0.0
+        assert span_prf(gold, pred)[2] == 0.0
 
 
 class TestDrivers:

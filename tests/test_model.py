@@ -11,6 +11,7 @@ from framepath.config import Config
 from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
 from framepath.evaluation import evaluate_fi, evaluate_srl
 from framepath.model import FrameParser
+from framepath.synth import generate
 from framepath.syntax import parse_bracketed
 
 from helpers import assert_grads_ok
@@ -117,6 +118,24 @@ def count_backbone_calls(model) -> dict[str, int]:
     return calls
 
 
+def fi_scores(model, enc, target, lu) -> np.ndarray:
+    """Masked frame logits of one target, from the batched heads."""
+    return model.frame_scores(model.target_rows(enc.a, [target]),
+                              [model.vocab.lu_id(lu)]).data[0]
+
+
+def predicate_repr(model, enc, target, lu_id, frame_id):
+    """z and pr of one target: (1, dim) rows from the batched heads."""
+    return model.predicate_rows(model.target_rows(enc.a, [target]), [lu_id],
+                                [frame_id])
+
+
+def ai_emissions(model, enc, target, pr):
+    """(n, 3) bilinear scores of one target, from the batched heads."""
+    return model.ai_scores(pr, enc.b(min(target)), [0],
+                           [len(enc.prep.sentence)])
+
+
 def zero_params(model, prefix):
     for path, entry in model.store.entries():
         if path.startswith(prefix):
@@ -188,7 +207,7 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.target_repr(enc, [3]).data
+            t = model.target_rows(enc.a, [[3]]).data[0]
             assert np.array_equal(t, enc.a.data[3])
 
     def test_discontiguous_sum_and_order(self):
@@ -196,8 +215,8 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.target_repr(enc, [2, 4]).data
-            rev = model.target_repr(enc, [4, 2]).data
+            t = model.target_rows(enc.a, [[2, 4]]).data[0]
+            rev = model.target_rows(enc.a, [[4, 2]]).data[0]
             assert np.allclose(t, enc.a.data[2] + enc.a.data[4], atol=1e-12)
             assert np.array_equal(t, rev)
 
@@ -207,7 +226,7 @@ class TestTargetRepr:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             with pytest.raises(ValueError):
-                model.target_repr(enc, [])
+                model.target_rows(enc.a, [[]])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +246,7 @@ class TestFrameId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            scores = model.fi_scores(enc, [2], "run.v").data
+            scores = fi_scores(model, enc, [2], "run.v")
         probs = np.exp(scores - scores.max())
         probs /= probs.sum()
         allowed = model.ontology.frame_mask("run.v")
@@ -238,7 +257,7 @@ class TestFrameId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            scores = model.fi_scores(enc, [2], "run.v").data
+            scores = fi_scores(model, enc, [2], "run.v")
         log_probs = scores - np.log(np.exp(scores - scores.max()).sum()) \
             - scores.max()
         probs = np.exp(log_probs)
@@ -252,7 +271,7 @@ class TestFrameId:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             with pytest.raises(KeyError):
-                model.fi_scores(enc, [2], "fly.v")
+                fi_scores(model, enc, [2], "fly.v")
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +284,9 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, pr = model.predicate_repr(enc, [2], 0, 0)
-        assert z.data.shape == (c.lu_dim + model.e_dim + c.frame_dim,)
-        assert pr.data.shape == (c.ai_pr_dim,)
+            z, pr = predicate_repr(model, enc, [2], 0, 0)
+        assert z.data.shape == (1, c.lu_dim + model.e_dim + c.frame_dim)
+        assert pr.data.shape == (1, c.ai_pr_dim)
         assert np.all(np.abs(pr.data) < 1.0)
 
     def test_zero_v1_zeroes_emissions(self):
@@ -276,8 +295,8 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            _, pr = model.predicate_repr(enc, [2], 0, 0)
-            emissions = model.ai_emissions(enc, [2], pr).data
+            _, pr = predicate_repr(model, enc, [2], 0, 0)
+            emissions = ai_emissions(model, enc, [2], pr).data
         assert np.array_equal(emissions, np.zeros((5, 3)))
 
     def test_bilinear_matches_double_loop(self):
@@ -285,15 +304,15 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            _, pr = model.predicate_repr(enc, [2], 1, 2)
-            emissions = model.ai_emissions(enc, [2], pr).data
+            _, pr = predicate_repr(model, enc, [2], 1, 2)
+            emissions = ai_emissions(model, enc, [2], pr).data
             b = enc.b(2).data
         v2w = model.store["srl.ai.v2.w"].data
         v2b = model.store["srl.ai.v2.b"].data
         pb = np.tanh(b @ v2w + v2b)
         for i in range(5):
             for k in range(3):
-                want = float(pr.data @ model.ai_u[k].data @ pb[i])
+                want = float(pr.data[0] @ model.ai_u[k].data @ pb[i])
                 assert abs(emissions[i, k] - want) < 1e-10
 
     def test_predicted_spans_disjoint_sorted(self):
@@ -334,16 +353,16 @@ class TestArgClass:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, _ = model.predicate_repr(enc, [2], 1, 2)
-            emissions = model.ac_emissions(enc, [2], z, [(3, 3), (0, 1)],
-                                           None).data
+            z, _ = predicate_repr(model, enc, [2], 1, 2)
+            emissions = model.role_scores(z, enc.b(2), [0],
+                                          [[(3, 3), (0, 1)]], None).data
             b = enc.b(2).data
         yw = model.store["srl.ac.y.w"].data
         yb = model.store["srl.ac.y.b"].data
         ew = model.store["srl.ac.emit.w"].data
         eb = model.store["srl.ac.emit.b"].data
         for row, r in zip(emissions, [b[3], b[0] + b[1]]):
-            q = np.tanh(np.concatenate([r, z.data]) @ yw + yb)
+            q = np.tanh(np.concatenate([r, z.data[0]]) @ yw + yb)
             assert np.allclose(row, q @ ew + eb, atol=1e-10)
 
     def test_empty_span_list(self):
@@ -479,6 +498,39 @@ class TestPackedBatch:
         for k, grad in enumerate(packed_grads):
             mean = np.mean([grads[k] for _, grads in singles], axis=0)
             np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-10)
+
+    def test_tape_size_of_a_fixed_joint_batch(self):
+        # Each head and CRF records once per batch, not per annotation:
+        # 213 records for these 8 sentences (828 with per-annotation heads).
+        sentences, ontology = generate(101, 80)
+        model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
+                            ontology)
+        preps = [model.prepare(s) for s in sentences[:8]]
+        with ad.fresh_tape():
+            model.loss(preps, "joint")
+            assert ad.tape_length() <= 213
+
+    def test_batched_predictions_equal_one_target_calls(self):
+        # corpus[2] pairs a target with roles and one without any
+        model, corpus = make_corpus_model()
+        with ad.fresh_tape(), ad.no_grad():
+            for sent in corpus[:3]:
+                enc = model.encode(model.prepare(sent, with_gold=False))
+                anns = sent.annotations
+                targets = [a.target for a in anns]
+                lus = [a.lu for a in anns]
+                frames = model.fi_predict(enc, targets, lus)
+                assert frames == [model.fi_predict(enc, t, lu)
+                                  for t, lu in zip(targets, lus)]
+                spans = model.ai_predict(enc, targets, lus, frames)
+                assert spans == [model.ai_predict(enc, t, lu, f)
+                                 for t, lu, f in zip(targets, lus, frames)]
+                gold = [[span for span, _ in a.elements] for a in anns]
+                for each in (spans, gold):
+                    labels = model.ac_predict(enc, targets, lus, frames, each)
+                    assert labels == [
+                        model.ac_predict(enc, t, lu, f, s)
+                        for t, lu, f, s in zip(targets, lus, frames, each)]
 
     def test_one_backbone_pass_per_batch(self):
         model, corpus = make_corpus_model()

@@ -91,10 +91,6 @@ class TestParse:
         tree = parse_bracketed("(S (VP (VB go)))")
         assert [n.label for n in tree.nodes] == ["S", "VP", "VB"]
 
-    def test_depth(self):
-        assert parse_bracketed(SAMPLE).depth() == 3
-        assert parse_bracketed("(UH hi)").depth() == 0
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -112,6 +108,25 @@ class TestParse:
     def test_malformed_raises(self, bad):
         with pytest.raises(TreeSyntaxError):
             parse_bracketed(bad)
+
+    def test_random_bracket_strings_raise_only_tree_syntax_error(self):
+        # Seeded fuzz: short strings over brackets, labels and blanks, and
+        # every tenth one nested thousands deep, parse or raise
+        # TreeSyntaxError, never anything else.
+        rng = np.random.default_rng(17)
+        pieces = ["(", ")", " ", "S", "NP", "x", "\n", "()", "(NN a)"]
+        parsed = 0
+        for k in range(3000):
+            text = "".join(rng.choice(pieces, size=rng.integers(0, 25)))
+            if k % 10 == 0:
+                depth = int(rng.integers(1, 5000))
+                text = "(A " * depth + text + ")" * depth
+            try:
+                parse_bracketed(text)
+                parsed += 1
+            except TreeSyntaxError:
+                pass
+        assert parsed > 0
 
     def test_token_node_out_of_range(self):
         tree = parse_bracketed(SAMPLE)

@@ -12,6 +12,14 @@ from framepath.corpus import (
 from framepath.synth import generate, make_ontology
 
 
+def depth(tree) -> int:
+    """Maximum number of edges from the root to any node."""
+    def up(k):
+        parent = tree.nodes[k].parent
+        return 0 if parent is None else 1 + up(parent)
+    return max(up(k) for k in range(len(tree.nodes)))
+
+
 def constituent_spans(tree):
     """Token span (min, max) covered by each node."""
     token_of = {node_id: i for i, node_id in enumerate(tree.preterminal_order)}
@@ -88,7 +96,7 @@ def test_structural_minimums():
     assert any(len(f) >= 2 for f in onto.lu_to_frames.values())
     for s in sents:
         assert 1 <= len(s.annotations) <= 2
-        assert s.tree.depth() <= 5
+        assert depth(s.tree) <= 5
 
 
 def test_attachment_pair_shares_surface_shape():
