@@ -282,26 +282,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, parts, vjp)
 
 
-def split_rows(m: Tensor, sizes: Sequence[int]) -> list[Tensor]:
-    """concat's inverse: m's rows cut into parts of the given sizes, as
-    one tape op whose backward writes the parts' gradients into one array."""
-    parts = [Tensor(m.data[stop - size:stop])
-             for size, stop in zip(sizes, accumulate(sizes))]
-    t = _tape()
-    if t.enabled and m.needs_grad:
-        def vjp(_):
-            if any(p.grad is not None for p in parts):
-                _acc(m, np.concatenate([np.zeros_like(p.data) if p.grad is None
-                                        else p.grad for p in parts]))
-
-        for p in parts:
-            p.needs_grad = True
-        hub = Tensor(0.0)  # its gradient is always set, so backward calls vjp
-        hub.grad = hub.data
-        t.records.append((hub, vjp))
-    return parts
-
-
 def row_select(m: Tensor, idx: Sequence[int]) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(m.data[idx])
@@ -377,24 +357,21 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
-
-    Accepts a vector or a matrix (each row normalized independently).
-    """
+    """Normalize each row of a matrix, then scale and shift."""
     data = x.data
-    mu = data.mean(axis=-1, keepdims=True)
-    var = data.var(axis=-1, keepdims=True)
+    mu = data.mean(axis=1, keepdims=True)
+    var = data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (data - mu) * inv
     out = Tensor(_check(xhat * gain.data + bias.data, "layer_norm"))
-    k = data.shape[-1]
+    k = data.shape[1]
 
     def vjp(g):
-        _acc(gain, (g * xhat).sum(axis=0) if data.ndim == 2 else g * xhat)
-        _acc(bias, g.sum(axis=0) if data.ndim == 2 else g)
+        _acc(gain, (g * xhat).sum(axis=0))
+        _acc(bias, g.sum(axis=0))
         gd = g * gain.data
-        term = gd - gd.mean(axis=-1, keepdims=True) \
-            - xhat * (gd * xhat).sum(axis=-1, keepdims=True) / k
+        term = gd - gd.mean(axis=1, keepdims=True) \
+            - xhat * (gd * xhat).sum(axis=1, keepdims=True) / k
         _acc(x, inv * term)
 
     return _record(out, (x, gain, bias), vjp)

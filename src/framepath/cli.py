@@ -114,15 +114,8 @@ def _load_model_and_corpus(args) -> tuple[FrameParser, list]:
     """Load --checkpoint and --corpus; the first sentence with a POS tag or
     constituent label outside the model's vocabulary raises with file:line."""
     model = FrameParser.load(args.checkpoint)
-    sentences = load_corpus(args.corpus, ontology=model.ontology)
-    with open(args.corpus) as fh:
-        lines = [k for k, line in enumerate(fh, start=1) if line.strip()]
-    for lineno, sent in zip(lines, sentences):
-        try:
-            model.prepare(sent, with_gold=False)
-        except KeyError as e:
-            raise CorpusError(f"{args.corpus}:{lineno}: {e.args[0]}") from e
-    return model, sentences
+    return model, load_corpus(args.corpus, ontology=model.ontology,
+                              vocab=model.vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +137,9 @@ def cmd_train(args) -> int:
     config = _config_from_args(args)
     ontology = load_ontology(args.ontology)
     sentences = load_corpus(args.corpus, ontology=ontology)
-    dev = load_corpus(args.dev, ontology=ontology) if args.dev else sentences
     vocab = build_vocab(sentences, ontology)
+    dev = (load_corpus(args.dev, ontology=ontology, vocab=vocab) if args.dev
+           else sentences)
     model = FrameParser(config, vocab, ontology)
     result = train(model, sentences, dev, log_path=args.log)
     model.save(args.checkpoint)

@@ -24,11 +24,7 @@ UNK = "<unk>"
 
 # Tag ids for target spans (O outside, B begin, I inside, C continuation
 # of a discontinuous target after a gap).
-TI_TAGS = ("O", "B", "I", "C")
 O, B, I, C = 0, 1, 2, 3
-
-# Tag ids for argument spans (plain begin/inside, no discontinuity).
-AI_TAGS = ("O", "B", "I")
 
 
 class CorpusError(ValueError):
@@ -319,6 +315,10 @@ def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sen
         elements.sort()
         annotations.append(FrameAnnotation(target=target, lu=lu, frame=frame,
                                            elements=elements))
+    try:  # targets that overlap or interleave have no target tagging
+        encode_iobc([ann.target for ann in annotations], n)
+    except ValueError as e:
+        raise CorpusError(f"{where}: {e}") from e
     return Sentence(tokens=tokens, pos=pos, tree=tree, annotations=annotations)
 
 
@@ -341,11 +341,13 @@ def sentence_to_dict(sent: Sentence) -> dict:
     }
 
 
-def load_corpus(path: str, ontology: Ontology | None = None) -> list[Sentence]:
+def load_corpus(path: str, ontology: Ontology | None = None,
+                vocab: Vocab | None = None) -> list[Sentence]:
     """Read a JSONL corpus; errors carry the 1-based line number.
 
     With an ontology, annotations are checked against it (known lexical
-    units, licensed frames and roles).
+    units, licensed frames and roles); with a vocab, every POS tag and
+    constituent label must be in it.
     """
     sentences = []
     with open(path) as fh:
@@ -357,7 +359,16 @@ def load_corpus(path: str, ontology: Ontology | None = None) -> list[Sentence]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            sentences.append(_sentence_from_dict(obj, f"{path}:{lineno}", ontology))
+            sent = _sentence_from_dict(obj, f"{path}:{lineno}", ontology)
+            if vocab is not None:
+                try:
+                    for tag in sent.pos:
+                        vocab.pos_id(tag)
+                    for node in sent.tree.nodes:
+                        vocab.label_id(node.label)
+                except KeyError as e:
+                    raise CorpusError(f"{path}:{lineno}: {e.args[0]}") from e
+            sentences.append(sent)
     return sentences
 
 

@@ -40,10 +40,9 @@ class ParamStore:
     # initializer shorthands ------------------------------------------------
 
     def glorot(self, path: str, fan_in: int, fan_out: int, *,
-               shape: tuple[int, ...] | None = None, decay: bool = True,
-               group: str | None = None) -> Tensor:
+               decay: bool = True, group: str | None = None) -> Tensor:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        values = self.rng.uniform(-limit, limit, shape or (fan_in, fan_out))
+        values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
         return self.add(path, values, decay=decay, group=group)
 
     def zeros(self, path: str, shape, *, decay: bool = False,
@@ -119,14 +118,12 @@ class Embedding:
 class Linear:
     """y = x W + b for every row of x, with W stored (in_dim, out_dim)."""
 
-    def __init__(self, store: ParamStore, path: str, in_dim: int, out_dim: int,
-                 *, bias: bool = True, group: str | None = None):
-        self.w = store.glorot(f"{path}.w", in_dim, out_dim, group=group)
-        self.b = store.zeros(f"{path}.b", (out_dim,)) if bias else None
+    def __init__(self, store: ParamStore, path: str, in_dim: int, out_dim: int):
+        self.w = store.glorot(f"{path}.w", in_dim, out_dim)
+        self.b = store.zeros(f"{path}.b", (out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        return ad.add_rowvec(y, self.b) if self.b is not None else y
+        return ad.add_rowvec(ad.matmul(x, self.w), self.b)
 
 
 class LayerNorm:

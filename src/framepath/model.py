@@ -96,8 +96,8 @@ class Prepared:
 
 
 class SentenceEncoding:
-    """Holds e and a for a sentence (a set by FrameParser.encode_batch),
-    and b per target first-index, since annotations often share targets."""
+    """e and (from FrameParser.encode) a for one sentence, plus b per
+    target first index: a prediction-only cache encode_targets fills."""
 
     def __init__(self, model: "FrameParser", prep: Prepared, train: bool):
         self.model = model
@@ -123,21 +123,18 @@ class SentenceEncoding:
                                  config.path_include_endpoints)
 
     def b(self, target_first: int) -> Tensor:
-        if target_first not in self._b:
-            self.model.encode_targets([(self, target_first)])
+        self.model.encode_targets([(self, target_first)])
         return self._b[target_first]
 
 
-def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> list[Tensor]:
-    """LN(BiLSTM([e; path features]) + e) for each (encoding, reference
-    node) in refs, with one pass over their packed rows."""
-    if not refs:
-        return []
+def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> Tensor:
+    """LN(BiLSTM([e; path features]) + e) of each (encoding, reference
+    node) in refs, in one pass; their rows stay packed back to back."""
     lengths = [enc.e.data.shape[0] for enc, _ in refs]
     e = ad.concat([enc.e for enc, _ in refs])
     paths = ad.concat([enc._paths(ref) for enc, ref in refs])
     raw = lstm(ad.concat_cols([e, paths]), lengths)
-    return ad.split_rows(norm(ad.add(refs[0][0]._drop(raw), e)), lengths)
+    return norm(ad.add(refs[0][0]._drop(raw), e))
 
 
 class FrameParser:
@@ -239,25 +236,25 @@ class FrameParser:
         return prep
 
     def encode(self, prep: Prepared, train: bool = False) -> SentenceEncoding:
-        return self.encode_batch([prep], train)[0]
-
-    def encode_batch(self, preps: list[Prepared],
-                     train: bool = False) -> list[SentenceEncoding]:
-        encs = [SentenceEncoding(self, prep, train) for prep in preps]
-        refs = [(enc, enc.prep.sentence.tree.root_index) for enc in encs]
-        for enc, a in zip(encs, _backbone(self.lstm_a, self.ln_a, refs)):
-            enc.a = a
-        return encs
+        enc = SentenceEncoding(self, prep, train)
+        enc.a = _backbone(self.lstm_a, self.ln_a,
+                          [(enc, prep.sentence.tree.root_index)])
+        return enc
 
     def encode_targets(self, pairs: list[tuple[SentenceEncoding, int]]):
-        """Fill b for each (encoding, target first-index) not cached yet."""
-        todo = {(id(enc), first): (enc, first) for enc, first in pairs
-                if first not in enc._b}.values()
-        refs = [(enc, enc.prep.sentence.tree.token_node(first))
-                for enc, first in todo]
-        for (enc, first), b in zip(todo, _backbone(self.lstm_b, self.ln_b,
-                                                   refs)):
-            enc._b[first] = b
+        """Cache b for each (encoding, target first index) not cached yet,
+        with one backbone-B pass under no_grad: the cache serves prediction
+        only, and no gradient flows through it."""
+        todo = [(enc, first) for enc, first in pairs if first not in enc._b]
+        if not todo:
+            return
+        with ad.no_grad():
+            b = _backbone(self.lstm_b, self.ln_b, [
+                (enc, enc.prep.sentence.tree.token_node(first))
+                for enc, first in todo]).data
+        ends = list(accumulate(len(enc.prep.sentence) for enc, _ in todo))
+        for (enc, first), rows in zip(todo, np.split(b, ends[:-1])):
+            enc._b[first] = ad.tensor(rows)
 
     # ------------------------------------------------------------------
     # heads: each runs once over every target it is given
@@ -275,14 +272,12 @@ class FrameParser:
 
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
                  ) -> tuple[Tensor, list[int]]:
-        """b of each distinct (encoding, target first index) in pairs,
-        packed back to back, and the row where each pair's block starts."""
+        """Cached b of each (encoding, target first index) in pairs, packed
+        back to back, and the row where each pair's block starts."""
         self.encode_targets(pairs)
-        blocks = {(id(enc), first): enc._b[first] for enc, first in pairs}
-        starts = dict(zip(blocks, accumulate(
-            (len(b.data) for b in blocks.values()), initial=0)))
-        return (ad.concat(list(blocks.values())),
-                [starts[id(enc), first] for enc, first in pairs])
+        blocks = [enc._b[first].data for enc, first in pairs]
+        return (ad.tensor(np.concatenate(blocks)),
+                list(accumulate(map(len, blocks), initial=0)))
 
     def frame_scores(self, t: Tensor, lu_ids: list[int],
                      train: bool = False) -> Tensor:
@@ -408,8 +403,9 @@ class FrameParser:
         if not preps:
             raise ValueError("empty batch")
         constrain = self.config.constrain_training
-        encs = self.encode_batch(preps, train)
-        a = ad.concat([enc.a for enc in encs])
+        encs = [SentenceEncoding(self, prep, train) for prep in preps]
+        a = _backbone(self.lstm_a, self.ln_a, [
+            (enc, enc.prep.sentence.tree.root_index) for enc in encs])
         lengths = [len(prep.sentence) for prep in preps]
         starts = list(accumulate(lengths, initial=0))
         items = [(k, pa) for k, prep in enumerate(preps)
@@ -417,8 +413,9 @@ class FrameParser:
         anns = [pa for _, pa in items]
         weight = np.array([1.0 / (len(preps) * len(preps[k].annotations))
                            for k, _ in items])
-        t = self.target_rows(a, [[starts[k] + i for i in pa.target]
-                                 for k, pa in items])
+        if "fi" in parts or "srl" in parts:
+            t = self.target_rows(a, [[starts[k] + i for i in pa.target]
+                                     for k, pa in items])
         out = {}
         if "ti" in parts:
             tags = [tag for prep in preps for tag in prep.ti_tags]
@@ -434,9 +431,11 @@ class FrameParser:
         if "srl" in parts:
             out["srl"] = ad.tensor(np.asarray(0.0))
         if "srl" in parts and items:
-            b, b_first = self.target_b([(encs[k], min(pa.target))
-                                        for k, pa in items])
+            b = _backbone(self.lstm_b, self.ln_b, [
+                (encs[k], preps[k].sentence.tree.token_node(min(pa.target)))
+                for k, pa in items])
             n = [lengths[k] for k, _ in items]
+            b_first = list(accumulate(n, initial=0))
             frame_ids = [pa.frame_id for pa in anns]
             z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],
                                         frame_ids, train)
@@ -526,13 +525,26 @@ class FrameParser:
 
     @classmethod
     def load(cls, path: str) -> "FrameParser":
+        """The model saved at path; a file that is not JSON, or an entry
+        that does not decode, raises CorpusError naming the path."""
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as e:
+                raise CorpusError(f"{path}: invalid JSON: {e}") from e
         for key in ("config", "vocab", "ontology", "params"):
             if not isinstance(doc, dict) or key not in doc:
                 raise CorpusError(f"{path}: checkpoint has no {key!r} entry")
-        model = cls(config_from_dict(doc["config"]),
-                    Vocab.from_dict(doc["vocab"]),
-                    Ontology(**doc["ontology"]))
-        model.store.load_state(doc["params"])
+
+        def decode(key, build):
+            try:
+                return build(doc[key])
+            except (ValueError, LookupError, TypeError, AttributeError) as e:
+                raise CorpusError(f"{path}: bad checkpoint {key}: {e}") from e
+
+        config = decode("config", config_from_dict)
+        ontology = decode("ontology", lambda d: Ontology(**d))
+        model = decode("vocab", lambda d: cls(config, Vocab.from_dict(d),
+                                              ontology))
+        decode("params", model.store.load_state)
         return model

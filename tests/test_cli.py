@@ -130,21 +130,92 @@ def test_null_elements_exit_2_naming_the_line(workspace, tmp_path, capsys):
     assert f"{broken}:1, annotation 0: field 'elements'" in err
 
 
-def test_unseen_pos_tag_exits_2_naming_the_line(workspace, tmp_path,
-                                                capsys):
-    lines = open(workspace["corpus"]).read().splitlines()
-    record = json.loads(lines[1])
+def with_unseen_pos(line: str) -> str:
+    """The corpus line with its first POS tag (and preterminal) set to XX."""
+    record = json.loads(line)
     record["pos"][0] = "XX"
     old = record["tree"].split()[2]          # "(NNP" or similar
     record["tree"] = record["tree"].replace(old, "(XX", 1)
+    return json.dumps(record)
+
+
+def test_unseen_pos_tag_exits_2_naming_the_line(workspace, tmp_path,
+                                                capsys):
+    lines = open(workspace["corpus"]).read().splitlines()
     unseen = tmp_path / "unseen.jsonl"
     # A blank line first: the reported line is the file's, not the index.
-    unseen.write_text("\n".join(["", lines[0], json.dumps(record)]) + "\n")
+    unseen.write_text("\n".join(["", lines[0], with_unseen_pos(lines[1])])
+                      + "\n")
     for command in ("predict", "eval"):
         assert main([command, "--checkpoint", workspace["ckpt"],
                      "--corpus", str(unseen)]) == 2
         err = capsys.readouterr().err
         assert f"{unseen}:3:" in err and "'XX'" in err
+
+
+def test_train_dev_with_unseen_pos_tag_exits_2_before_training(
+        workspace, tmp_path, capsys):
+    lines = open(workspace["corpus"]).read().splitlines()
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text("\n".join([lines[0], with_unseen_pos(lines[1])]) + "\n")
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--corpus", workspace["corpus"], "--ontology",
+                 workspace["onto"], "--dev", str(dev), "--checkpoint",
+                 str(ckpt), "--log", str(tmp_path / "log.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{dev}:2: part of speech 'XX' not in training vocabulary" in err
+    assert not ckpt.exists() and not (tmp_path / "log.csv").exists()
+
+
+@pytest.mark.parametrize("targets, message", [
+    ("duplicate", "overlapping targets at indices"),
+    ([[0, 2], [1, 3]], "interleaved discontinuous targets"),
+], ids=["duplicate", "interleaved"])
+def test_untaggable_targets_exit_2_naming_the_line(workspace, tmp_path,
+                                                   capsys, targets, message):
+    record = next(r for r in map(json.loads, open(workspace["corpus"]))
+                  if len(r["tokens"]) >= 4 and r["annotations"])
+    ann = record["annotations"][0]
+    record["annotations"] = ([ann, ann] if targets == "duplicate" else
+                             [dict(ann, target=t, elements=[])
+                              for t in targets])
+    corpus = tmp_path / "targets.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    assert main(["train", "--corpus", str(corpus), "--ontology",
+                 workspace["onto"], "--checkpoint",
+                 str(tmp_path / "model.json")]) == 2
+    assert f"{corpus}:1: {message}" in capsys.readouterr().err
+
+
+def _set_first_param_shape(doc):
+    doc["params"][next(iter(doc["params"]))]["shape"] = [1, 1]
+
+
+@pytest.mark.parametrize("entry, corrupt", [
+    ("params", lambda doc: doc.update(params={})),
+    ("params", _set_first_param_shape),
+    ("vocab", lambda doc: doc.update(vocab={})),
+    ("vocab", lambda doc: doc.update(vocab=3)),
+    ("ontology", lambda doc: doc.update(ontology={"lu_to_frames": {}})),
+    ("config", lambda doc: doc["config"].update(lstm_hidden=0)),
+    (None, None),  # not JSON at all
+], ids=["empty-params", "wrong-shape", "empty-vocab", "vocab-not-object",
+        "ontology-without-roles", "invalid-config", "not-json"])
+def test_malformed_checkpoint_exits_2_naming_the_file(
+        workspace, tmp_path, capsys, entry, corrupt):
+    ckpt = tmp_path / "bad.json"
+    if corrupt is None:
+        ckpt.write_text("this is not json\n")
+    else:
+        doc = json.load(open(workspace["ckpt"]))
+        corrupt(doc)
+        ckpt.write_text(json.dumps(doc))
+    want = (f"{ckpt}: bad checkpoint {entry}:" if entry
+            else f"{ckpt}: invalid JSON")
+    for command in ("eval", "predict"):
+        assert main([command, "--checkpoint", str(ckpt),
+                     "--corpus", workspace["corpus"]]) == 2
+        assert want in capsys.readouterr().err
 
 
 def test_incomplete_checkpoint_exits_2(workspace, tmp_path, capsys):

@@ -85,6 +85,19 @@ class TestIobc:
             tags = encode_iobc(targets, n)
             assert decode_iobc(tags) == sorted(targets)
 
+    def test_decoded_targets_always_reencode(self):
+        # Corpora written by `framepath predict` hold decoded targets
+        # (some dropped for lacking a lexical unit), and loading checks
+        # every sentence's targets with encode_iobc: any decoded set, or
+        # subset of one, must encode and decode back to itself.
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            targets = decode_iobc(rng.integers(0, 4, n).tolist())
+            kept = [t for t in targets if rng.random() < 0.5]
+            for chosen in (targets, kept):
+                assert decode_iobc(encode_iobc(chosen, n)) == chosen
+
     def test_decode_stray_i_starts_target(self):
         assert decode_iobc([O, I, I, O]) == [[1, 2]]
 

@@ -106,12 +106,6 @@ class TestSimpleLayers:
                                    for i in range(5)])
         assert np.allclose(batched, rows, atol=1e-12)
 
-    def test_linear_no_bias(self):
-        s = store()
-        lin = Linear(s, "lin", 3, 2, bias=False)
-        assert lin.b is None
-        assert lin(tensor(np.zeros(3))).data.tolist() == [0.0, 0.0]
-
     def test_layer_norm_params_registered(self):
         s = store()
         ln = LayerNorm(s, "ln", 4)
