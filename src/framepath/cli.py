@@ -25,7 +25,7 @@ from .corpus import (
     save_ontology,
     sentence_to_dict,
 )
-from .evaluation import evaluate, evaluate_fi, evaluate_srl
+from .evaluation import evaluate
 from .model import TASK_LOSSES, FrameParser
 from .syntax import TreeSyntaxError
 from .training import TrainingError, train
@@ -89,11 +89,10 @@ def build_parser() -> _Parser:
     ep = sub.add_parser("eval", help="evaluate a checkpoint")
     ep.add_argument("--checkpoint", required=True)
     ep.add_argument("--corpus", required=True)
-    ep.add_argument("--task", choices=["ti", "fi", "srl", "joint"])
-    ep.add_argument("--gold-targets", action="store_true",
-                    help="frame accuracy over gold targets")
-    ep.add_argument("--gold-frames", action="store_true",
-                    help="role F1 over gold targets and frames")
+    ep.add_argument("--task", choices=["ti", "fi", "srl", "joint"],
+                    help="fi: frame accuracy on gold targets; srl: role F1 "
+                         "on gold targets and frames (default: the "
+                         "checkpoint's task)")
     ep.add_argument("--report", help="write the JSON report here")
 
     pp = sub.add_parser("predict", help="parse a corpus end to end")
@@ -126,6 +125,9 @@ def cmd_synth(args) -> int:
     if args.n_sentences < 1:
         print("need at least one sentence", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("seed must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     sentences, ontology = generate(args.seed, args.n_sentences)
     save_corpus(sentences, args.corpus)
     save_ontology(ontology, args.ontology)
@@ -151,13 +153,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, sentences = _load_model_and_corpus(args)
-    task = args.task or model.config.task
-    if args.gold_frames:
-        reports = [evaluate_srl(model, sentences)]
-    elif args.gold_targets:
-        reports = [evaluate_fi(model, sentences)]
-    else:
-        reports = evaluate(model, sentences, task)
+    reports = evaluate(model, sentences, args.task or model.config.task)
     text = json.dumps(reports, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w") as fh:
@@ -242,8 +238,8 @@ def main(argv=None) -> int:
     except (ConfigError,) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, TreeSyntaxError, FileNotFoundError,
-            json.JSONDecodeError, TrainingError) as e:
+    except (CorpusError, TreeSyntaxError, OSError, json.JSONDecodeError,
+            TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,6 +10,7 @@ start from, and every other key must match a known field exactly
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 TASKS = ("ti", "fi", "srl", "joint")
@@ -57,9 +58,6 @@ class Config:
     # behavior
     task: str = "joint"
     use_gcn: bool = True
-    gcn_mean_aggregation: bool = False
-    path_include_endpoints: bool = True
-    constrain_training: bool = True
     stop_metric: float | None = None
 
     def validate(self) -> "Config":
@@ -71,6 +69,12 @@ class Config:
         for name in dims:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if 2 * self.lstm_hidden != self.token_dim + self.pos_dim:
@@ -122,9 +126,18 @@ PRESETS: dict[str, dict] = {
 
 _FIELDS = {f.name for f in fields(Config)}
 
+# Former fields, each fixed at the one value the model still implements;
+# older configs and checkpoints may name them only with that value.
+RETIRED = {"gcn_mean_aggregation": False, "path_include_endpoints": True,
+           "constrain_training": True}
+
 
 def config_from_dict(data: dict) -> Config:
     data = dict(data)
+    for key, kept in RETIRED.items():
+        if key in data and data.pop(key) is not kept:
+            raise ConfigError(f"{key} is retired; only {json.dumps(kept)} "
+                              "is accepted")
     preset = data.pop("preset", "desk")
     if preset not in PRESETS:
         raise ConfigError(
@@ -143,7 +156,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also a file that is not UTF-8
                 raise ConfigError(f"{path}: invalid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -215,7 +215,7 @@ def load_ontology(path: str) -> Ontology:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also a file that is not UTF-8
             raise CorpusError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(data, dict) or set(data) != {"lu_to_frames", "frame_to_elements"}:
         raise CorpusError(
@@ -350,25 +350,26 @@ def load_corpus(path: str, ontology: Ontology | None = None,
     constituent label must be in it.
     """
     sentences = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
+            obj = json.loads(line)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}") from e
+        sent = _sentence_from_dict(obj, f"{path}:{lineno}", ontology)
+        if vocab is not None:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            sent = _sentence_from_dict(obj, f"{path}:{lineno}", ontology)
-            if vocab is not None:
-                try:
-                    for tag in sent.pos:
-                        vocab.pos_id(tag)
-                    for node in sent.tree.nodes:
-                        vocab.label_id(node.label)
-                except KeyError as e:
-                    raise CorpusError(f"{path}:{lineno}: {e.args[0]}") from e
-            sentences.append(sent)
+                for tag in sent.pos:
+                    vocab.pos_id(tag)
+                for node in sent.tree.nodes:
+                    vocab.label_id(node.label)
+            except KeyError as e:
+                raise CorpusError(f"{path}:{lineno}: {e.args[0]}") from e
+        sentences.append(sent)
     return sentences
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import Embedding, LayerNorm, Linear, ParamStore
@@ -26,17 +24,12 @@ def _identity(t: Tensor) -> Tensor:
 
 
 class TreeGcn:
-    """Stack of graph-convolution layers: H' = LN(relu(A H W + b)).
-
-    With mean_aggregation the adjacency rows are normalized by the node's
-    1 + child count, turning the sum over sources into a mean.
-    """
+    """Stack of graph-convolution layers: H' = LN(relu(A H W + b)), with A
+    summing each node and its children."""
 
     def __init__(self, store: ParamStore, path: str, n_labels: int,
-                 emb_dim: int, hidden: int, layers: int = 2,
-                 mean_aggregation: bool = False):
+                 emb_dim: int, hidden: int, layers: int = 2):
         self.emb = Embedding(store, f"{path}.emb", n_labels, emb_dim)
-        self.mean_aggregation = mean_aggregation
         self.hidden = hidden
         self.layers = []
         width = emb_dim
@@ -46,12 +39,6 @@ class TreeGcn:
             self.layers.append((lin, norm))
             width = hidden
 
-    def adjacency(self, tree: ConstTree) -> np.ndarray:
-        a = build_adjacency(tree)
-        if self.mean_aggregation:
-            a = a / a.sum(axis=1, keepdims=True)
-        return a
-
     def __call__(self, tree: ConstTree, label_ids: Sequence[int],
                  drop: Drop = _identity) -> Tensor:
         """Representations for every tree node, shape (n_nodes, hidden)."""
@@ -60,7 +47,7 @@ class TreeGcn:
     def layer_outputs(self, tree: ConstTree, label_ids: Sequence[int],
                       drop: Drop = _identity) -> list[Tensor]:
         """[H0, H1, ..., HL] with H0 the label embedding rows."""
-        a = ad.tensor(self.adjacency(tree))
+        a = ad.tensor(build_adjacency(tree))
         h = self.emb(label_ids)
         out = [h]
         for lin, norm in self.layers:
@@ -70,18 +57,15 @@ class TreeGcn:
         return out
 
 
-def path_sum_features(tree: ConstTree, h: Tensor, ref_node: int,
-                      include_endpoints: bool = True) -> Tensor:
+def path_sum_features(tree: ConstTree, h: Tensor, ref_node: int) -> Tensor:
     """Per-token path features, shape (n_tokens, feature dim).
 
     Row i sums the node representations along the tree path from token
-    i's preterminal to ref_node.  Without endpoints the two path ends are
-    dropped; a path with nothing left between them contributes zeros.
+    i's preterminal to ref_node, both ends included.
     """
-    groups = tree.path_groups.get((ref_node, include_endpoints))
+    groups = tree.path_groups.get(ref_node)
     if groups is None:
-        keep = slice(None) if include_endpoints else slice(1, -1)
-        groups = tree.path_groups[ref_node, include_endpoints] = [
-            tree_path(tree, tree.token_node(tok), ref_node)[keep]
+        groups = tree.path_groups[ref_node] = [
+            tree_path(tree, tree.token_node(tok), ref_node)
             for tok in range(tree.n_tokens)]
     return ad.sum_row_groups(h, groups)

@@ -58,21 +58,8 @@ class ParamStore:
     def __getitem__(self, path: str) -> Tensor:
         return self._entries[path].tensor
 
-    def paths(self) -> list[str]:
-        return list(self._entries)
-
     def entries(self) -> Iterable[tuple[str, ParamEntry]]:
         return self._entries.items()
-
-    def tensors(self, prefixes: Sequence[str] | None = None) -> list[Tensor]:
-        """All parameters, or those whose path starts with a given prefix."""
-        if prefixes is None:
-            return [e.tensor for e in self._entries.values()]
-        return [e.tensor for path, e in self._entries.items()
-                if any(path.startswith(p) for p in prefixes)]
-
-    def group(self, name: str) -> list[Tensor]:
-        return [e.tensor for e in self._entries.values() if e.group == name]
 
     # checkpoint state ------------------------------------------------------
 

@@ -97,7 +97,8 @@ class Prepared:
 
 class SentenceEncoding:
     """e and (from FrameParser.encode) a for one sentence, plus b per
-    target first index: a prediction-only cache encode_targets fills."""
+    target first index: a prediction-only cache encode_targets fills and
+    target_b reads."""
 
     def __init__(self, model: "FrameParser", prep: Prepared, train: bool):
         self.model = model
@@ -119,12 +120,7 @@ class SentenceEncoding:
         config, tree = self.model.config, self.prep.sentence.tree
         if self.h is None:
             return ad.tensor(np.zeros((tree.n_tokens, config.gcn_dim)))
-        return path_sum_features(tree, self.h, ref_node,
-                                 config.path_include_endpoints)
-
-    def b(self, target_first: int) -> Tensor:
-        self.model.encode_targets([(self, target_first)])
-        return self._b[target_first]
+        return path_sum_features(tree, self.h, ref_node)
 
 
 def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> Tensor:
@@ -162,8 +158,7 @@ class FrameParser:
         self.gcn = None
         if c.use_gcn:
             self.gcn = TreeGcn(self.store, "gcn", len(vocab.labels),
-                               c.gcn_emb_dim, c.gcn_dim, c.gcn_layers,
-                               c.gcn_mean_aggregation)
+                               c.gcn_emb_dim, c.gcn_dim, c.gcn_layers)
         in_dim = e_dim + c.gcn_dim
         self.lstm_a = BiLstm(self.store, "enc.a.lstm", in_dim, c.lstm_hidden,
                              c.lstm_layers)
@@ -307,33 +302,26 @@ class FrameParser:
 
     def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
                     spans: list[list[tuple[int, int]]],
-                    frame_ids: list[int] | None,
-                    train: bool = False) -> Tensor:
+                    frame_ids: list[int], train: bool = False) -> Tensor:
         """(n_spans, n_roles) scores of every target's spans in order, from
         span sums over b's rows (target j's sentence starts at
-        b_first[j]) next to z[j]; with frame ids, unlicensed roles get
-        -1e4."""
+        b_first[j]) next to z[j]; roles target j's frame does not license
+        get -1e4."""
         owner = [j for j, s in enumerate(spans) for _ in s]
         r = ad.sum_row_groups(b, [
             range(b_first[j] + start, b_first[j] + end + 1)
             for j, s in enumerate(spans) for start, end in s])
         q = self._drop(ad.tanh(self.ac_y(
             ad.concat_cols([r, ad.row_select(z, owner)]))), train)
-        emissions = self.ac_emit(q)
-        if frame_ids is None:
-            return emissions
-        return ad.add(emissions, ad.tensor(
+        return ad.add(self.ac_emit(q), ad.tensor(
             self._fe_penalty[[frame_ids[j] for j in owner]]))
 
     # ------------------------------------------------------------------
     # prediction over one sentence's targets
 
-    def ti_emissions(self, enc: SentenceEncoding) -> Tensor:
-        return self.ti_emit(enc.a)
-
     def ti_predict(self, enc: SentenceEncoding) -> list[list[int]]:
         with ad.no_grad():
-            emissions = self.ti_emissions(enc).data
+            emissions = self.ti_emit(enc.a).data
         return decode_iobc(self.ti_crf.viterbi(emissions))
 
     def fi_predict(self, enc: SentenceEncoding, targets: list[list[int]],
@@ -402,7 +390,6 @@ class FrameParser:
         srl means; an unannotated sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
-        constrain = self.config.constrain_training
         encs = [SentenceEncoding(self, prep, train) for prep in preps]
         a = _backbone(self.lstm_a, self.ln_a, [
             (enc, enc.prep.sentence.tree.root_index) for enc in encs])
@@ -419,7 +406,7 @@ class FrameParser:
         out = {}
         if "ti" in parts:
             tags = [tag for prep in preps for tag in prep.ti_tags]
-            nll = self.ti_crf.nll(self.ti_emit(a), tags, constrain, lengths)
+            nll = self.ti_crf.nll(self.ti_emit(a), tags, True, lengths)
             out["ti"] = ad.dot(nll, ad.tensor(np.full(len(preps),
                                                       1.0 / len(preps))))
         if "fi" in parts:  # 0 without annotations: every array is empty
@@ -441,16 +428,15 @@ class FrameParser:
                                         frame_ids, train)
             ai = self.ai_crf.nll(self.ai_scores(pr, b, b_first, n, train),
                                  [tag for pa in anns for tag in pa.ai_tags],
-                                 constrain, n)
+                                 True, n)
             out["srl"] = ad.dot(ai, ad.tensor(weight))
             spans = [pa.spans for pa in anns]
             if any(spans):
-                emissions = self.role_scores(
-                    z, b, b_first, spans, frame_ids if constrain else None,
-                    train)
+                emissions = self.role_scores(z, b, b_first, spans, frame_ids,
+                                             train)
                 ac = self.ac_crf.nll(emissions, [i for pa in anns
                                                  for i in pa.fe_ids],
-                                     constrain, [len(s) for s in spans if s])
+                                     True, [len(s) for s in spans if s])
                 out["srl"] = ad.add(out["srl"], ad.dot(ac, ad.tensor(
                     weight[[bool(s) for s in spans]])))
         return out

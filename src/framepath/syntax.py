@@ -40,7 +40,7 @@ class ConstTree:
     nodes: list[Node]
     root_index: int
     preterminal_order: list[int]
-    # token paths per (reference node, endpoints kept), built on first use
+    # token paths per reference node, built on first use
     path_groups: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:

@@ -82,7 +82,7 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
         out("")
 
         out("== target identification ==")
-        emissions = model.ti_emissions(enc)
+        emissions = model.ti_emit(enc.a)
         lines.extend(_matrix("emissions over O/B/I/C", emissions.data,
                              token_names))
         tags = model.ti_crf.viterbi(emissions.data)
@@ -105,8 +105,9 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
             if model.gcn is not None:
                 lines.extend(_path_lines(tree, ref))
             out("")
-            lines.extend(_matrix("b = LN(BiLSTM(e, p_l) + e)",
-                                 enc.b(first).data, token_names))
+            b, _ = model.target_b([(enc, first)])
+            lines.extend(_matrix("b = LN(BiLSTM(e, p_l) + e)", b.data,
+                                 token_names))
             out("")
 
     return "\n".join(lines) + "\n"

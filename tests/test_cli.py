@@ -52,7 +52,7 @@ def test_eval_report(workspace, capsys):
 
 def test_eval_gold_targets_reports_accuracy_only(workspace, capsys):
     assert main(["eval", "--checkpoint", workspace["ckpt"],
-                 "--corpus", workspace["corpus"], "--gold-targets"]) == 0
+                 "--corpus", workspace["corpus"], "--task", "fi"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report) == 1
     assert report[0]["task"] == "fi"
@@ -62,7 +62,7 @@ def test_eval_gold_targets_reports_accuracy_only(workspace, capsys):
 
 def test_eval_gold_frames_reports_srl(workspace, capsys):
     assert main(["eval", "--checkpoint", workspace["ckpt"],
-                 "--corpus", workspace["corpus"], "--gold-frames"]) == 0
+                 "--corpus", workspace["corpus"], "--task", "srl"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report[0]["task"] == "srl"
 
@@ -243,3 +243,89 @@ def test_no_gcn_flag_drops_gcn_params(workspace, tmp_path):
                  "--max-epochs", "1", "--no-gcn"]) == 0
     params = json.load(open(ckpt))["params"]
     assert not any(p.startswith("gcn.") for p in params)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("role", ["corpus", "ontology", "config",
+                                  "checkpoint"])
+def test_unreadable_input_exits_with_its_code(workspace, tmp_path, capsys,
+                                              role, kind):
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe")
+    train = ["train", "--corpus", workspace["corpus"],
+             "--checkpoint", str(tmp_path / "model.json")]
+    argv = {
+        "corpus": ["eval", "--checkpoint", workspace["ckpt"],
+                   "--corpus", str(bad)],
+        "ontology": train + ["--ontology", str(bad)],
+        "config": train + ["--ontology", workspace["onto"],
+                           "--config", str(bad)],
+        "checkpoint": ["predict", "--checkpoint", str(bad),
+                       "--corpus", workspace["corpus"]],
+    }[role]
+    # a config that does not decode is a configuration (usage) error
+    want = 1 if (role, kind) == ("config", "not-utf8") else 2
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    assert (f"{bad}:1:" if (role, kind) == ("corpus", "not-utf8")
+            else str(bad)) in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_path_that_is_a_directory_exits_2(workspace, tmp_path,
+                                                    capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["train", "--corpus", workspace["corpus"],
+                 "--ontology", workspace["onto"], "--checkpoint",
+                 str(target), "--task", "ti", "--max-epochs", "1"]) == 2
+    assert str(target) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "-1", "--corpus", "c.jsonl", "--ontology", "o.json"],
+    ["gradcheck", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+], ids=["synth-seed", "gradcheck-seed", "train-seed", "train-lr-nan",
+        "train-lr-inf"])
+def test_negative_seed_and_non_finite_float_exit_1(workspace, tmp_path,
+                                                  capsys, argv):
+    if argv[0] == "train":
+        argv = argv + ["--corpus", workspace["corpus"],
+                       "--ontology", workspace["onto"],
+                       "--checkpoint", str(tmp_path / "model.json")]
+    else:
+        argv = [str(tmp_path / a) if a.endswith((".json", ".jsonl")) else a
+                for a in argv]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("retired, value, code", [
+    ("gcn_mean_aggregation", False, 0),
+    ("gcn_mean_aggregation", True, 2),
+    ("path_include_endpoints", False, 2),
+    ("constrain_training", False, 2),
+])
+def test_checkpoint_with_retired_key(workspace, tmp_path, capsys, retired,
+                                     value, code):
+    doc = json.load(open(workspace["ckpt"]))
+    doc["config"].update(gcn_mean_aggregation=False,
+                         path_include_endpoints=True,
+                         constrain_training=True)
+    doc["config"][retired] = value
+    ckpt = tmp_path / "old.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--corpus", workspace["corpus"]]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"{ckpt}: bad checkpoint config: {retired}" in err
+

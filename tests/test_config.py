@@ -1,8 +1,16 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from framepath.config import Config, ConfigError, config_from_dict, load_config
+
+# Former fields that older configs and checkpoints still carry, at the
+# only value the model implements.
+RETIRED = {"gcn_mean_aggregation": False, "path_include_endpoints": True,
+           "constrain_training": True}
 
 
 def test_desk_defaults_valid():
@@ -45,6 +53,12 @@ def test_override_beats_preset():
     {"scheduler_factor": 0.0},
     {"beta1": 1.0},
     {"weight_decay": -1.0},
+    {"seed": -1},
+    {"lr": float("nan")},
+    {"lr": float("inf")},
+    {"grad_clip": float("inf")},
+    {"stop_metric": float("nan")},
+    {"batch_size": float("inf")},
 ])
 def test_invalid_values_rejected(bad):
     with pytest.raises(ConfigError):
@@ -77,3 +91,31 @@ def test_round_trip_through_dict():
     cfg = Config(seed=9, task="srl", use_gcn=False)
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_retired_keys_accepted_at_their_old_value(tmp_path):
+    old = {**Config(seed=3, task="srl").to_dict(), **RETIRED}
+    assert config_from_dict(old) == Config(seed=3, task="srl")
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(old))
+    assert load_config(str(p)) == Config(seed=3, task="srl")
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_retired_key_rejected_at_another_value(key, tmp_path):
+    for value in (not RETIRED[key], int(RETIRED[key]), None):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({key: not RETIRED[key]}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(p))
+
+
+def test_configuration_doc_lists_every_field_once():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
+    names = []
+    for line in doc.read_text().splitlines():
+        if line.startswith("| `"):  # a table row naming fields
+            names += re.findall(r"`(\w+)`", line.split("|")[1])
+    assert sorted(names) == sorted(f.name for f in fields(Config))

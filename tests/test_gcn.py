@@ -12,13 +12,17 @@ from framepath.autodiff import (
 )
 from framepath.gcn import TreeGcn, path_sum_features
 from framepath.layers import ParamStore
-from framepath.syntax import parse_bracketed, tree_path
+from framepath.syntax import build_adjacency, parse_bracketed, tree_path
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
 
 def store(seed=0):
     return ParamStore(np.random.default_rng(seed))
+
+
+def params(s):
+    return [e.tensor for _, e in s.entries()]
 
 
 def assert_grads_ok(loss, params, tol=1e-4):
@@ -70,7 +74,7 @@ class TestTreeGcn:
         with fresh_tape(), no_grad():
             got = gcn(tree, ids).data
 
-        a = gcn.adjacency(tree)
+        a = build_adjacency(tree)
         h0 = gcn.emb.table.data[ids]
         pre = a @ h0 @ s["gcn.l0.w"].data + s["gcn.l0.b"].data
         act = np.maximum(pre, 0.0)
@@ -87,15 +91,6 @@ class TestTreeGcn:
         with fresh_tape(), no_grad():
             h = gcn(tree, list(range(8)))
         assert h.shape == (8, 6)
-
-    def test_mean_aggregation_normalizes_rows(self):
-        s = store(3)
-        tree = parse_bracketed(SAMPLE)
-        gcn = TreeGcn(s, "gcn", 8, 3, 4, mean_aggregation=True)
-        a = gcn.adjacency(tree)
-        assert np.allclose(a.sum(axis=1), 1.0)
-        # Node 0 (S) has two children: weights 1/3 on itself and each child.
-        assert np.isclose(a[0, 0], 1 / 3)
 
     def test_receptive_field_is_descendants_within_layer_count(self):
         # Messages flow child -> parent only.  Perturbing the label
@@ -138,7 +133,7 @@ class TestTreeGcn:
         gcn = TreeGcn(s, "gcn", n_labels=5, emb_dim=3, hidden=3, layers=2)
         assert_grads_ok(
             lambda: ad.sum_all(ad.tanh(gcn(tree, [0, 1, 2, 3, 4]))),
-            s.tensors())
+            params(s))
 
     def test_dropout_hook_is_applied(self):
         s = store(6)
@@ -173,27 +168,17 @@ class TestPathSumFeatures:
         want = h.data[[6, 5, 3, 4]].sum(axis=0)
         assert np.allclose(feats[2], want, atol=1e-12)
 
-    def test_endpoints_excluded(self):
-        tree = parse_bracketed(SAMPLE)
-        h = tensor(np.random.default_rng(2).normal(size=(8, 4)))
-        with fresh_tape(), no_grad():
-            feats = path_sum_features(tree, h, tree.token_node(1),
-                                      include_endpoints=False).data
-        assert np.allclose(feats[2], h.data[[5, 3]].sum(axis=0), atol=1e-12)
-        # Self path with endpoints stripped leaves nothing.
-        assert np.array_equal(feats[1], np.zeros(4))
-
     def test_paths_built_once_per_tree_and_reference(self, monkeypatch):
         tree = parse_bracketed(SAMPLE)
         h = tensor(np.random.default_rng(3).normal(size=(len(tree), 4)))
         with fresh_tape(), no_grad():
-            first = path_sum_features(tree, h, 4, False).data
+            first = path_sum_features(tree, h, 4).data
 
             def unused(*args):
                 raise AssertionError("path rebuilt")
 
             monkeypatch.setattr("framepath.gcn.tree_path", unused)
-            again = path_sum_features(tree, h, 4, False).data
+            again = path_sum_features(tree, h, 4).data
         assert np.array_equal(first, again)
 
     def test_matches_bruteforce_on_random_trees(self):
@@ -220,7 +205,7 @@ class TestPathSumFeatures:
             p = path_sum_features(tree, h, tree.root_index)
             return ad.sum_all(ad.tanh(p))
 
-        assert_grads_ok(loss, s.tensors())
+        assert_grads_ok(loss, params(s))
 
 
 class TestSumRowGroups:
@@ -244,15 +229,14 @@ class TestSumRowGroups:
             [m])
 
     def test_adjacent_nodes_without_endpoints(self):
-        # Token 1 (VBD, node 4) to its parent VP (node 3): stripping both
-        # endpoints leaves an empty path, so the row is zero and no
-        # gradient flows back through it.
-        tree = parse_bracketed(SAMPLE)
+        # A group with no rows in it (a path between adjacent nodes with
+        # both ends left out) sums to a zero row, and no gradient flows
+        # back through that row.
         h = param(np.random.default_rng(11).normal(size=(8, 4)), name="h")
         with fresh_tape():
-            feats = path_sum_features(tree, h, 3, include_endpoints=False)
-            assert np.array_equal(feats.data[1], np.zeros(4))
-            weights = np.zeros((tree.n_tokens, 4))
+            sums = ad.sum_row_groups(h, [[4, 3], [], [6, 5, 3]])
+            assert np.array_equal(sums.data[1], np.zeros(4))
+            weights = np.zeros((3, 4))
             weights[1] = 1.0
-            backward(ad.sum_all(ad.mul(feats, tensor(weights))))
+            backward(ad.sum_all(ad.mul(sums, tensor(weights))))
         assert np.array_equal(h.grad, np.zeros((8, 4)))

@@ -19,12 +19,16 @@ def store(seed=0):
     return ParamStore(np.random.default_rng(seed))
 
 
+def params(s):
+    return [e.tensor for _, e in s.entries()]
+
+
 class TestParamStore:
     def test_paths_ordered_and_unique(self):
         s = store()
         s.zeros("a", (2,))
         s.zeros("b.w", (2, 2))
-        assert s.paths() == ["a", "b.w"]
+        assert [p for p, _ in s.entries()] == ["a", "b.w"]
         with pytest.raises(ValueError, match="duplicate"):
             s.zeros("a", (3,))
 
@@ -33,15 +37,17 @@ class TestParamStore:
         ta = s.zeros("enc.a", (1,))
         tb = s.zeros("enc.b", (1,))
         tc = s.zeros("head.c", (1,))
-        assert s.tensors(["enc."]) == [ta, tb]
-        assert s.tensors() == [ta, tb, tc]
-        assert s.tensors(["head."]) == [tc]
+        # entries keep registration order under any path-prefix filter
+        assert [e.tensor for p, e in s.entries()
+                if p.startswith("enc.")] == [ta, tb]
+        assert params(s) == [ta, tb, tc]
 
     def test_groups(self):
         s = store()
-        u = s.glorot("u0", 3, 3, group="bilinear")
+        s.glorot("u0", 3, 3, group="bilinear")
         s.glorot("w", 3, 3)
-        assert s.group("bilinear") == [u]
+        groups = {path: e.group for path, e in s.entries()}
+        assert groups == {"u0": "bilinear", "w": None}
 
     def test_decay_flags(self):
         s = store()
@@ -110,7 +116,7 @@ class TestSimpleLayers:
         s = store()
         ln = LayerNorm(s, "ln", 4)
         assert np.array_equal(ln.gain.data, np.ones(4))
-        assert {"ln.gain", "ln.bias"} <= set(s.paths())
+        assert {"ln.gain", "ln.bias"} <= {p for p, _ in s.entries()}
 
 
 class TestLstm:
@@ -141,9 +147,8 @@ class TestLstm:
         s = store(7)
         cell = LstmDirection(s, "dir", 2, 2)
         x = tensor(np.random.default_rng(2).normal(size=(3, 2)))
-        params = s.tensors()
         max_rel, report = grad_check(
-            lambda: ad.sum_all(ad.tanh(cell(x))), params)
+            lambda: ad.sum_all(ad.tanh(cell(x))), params(s))
         assert max_rel < 1e-5, report[0]
 
     def test_bilstm_shape_and_gradients(self):
@@ -153,7 +158,7 @@ class TestLstm:
         x = tensor(np.random.default_rng(3).normal(size=(4, 3)))
         with fresh_tape(), no_grad():
             assert net(x).shape == (4, 4)
-        max_rel, report = grad_check(lambda: ad.sum_all(net(x)), s.tensors())
+        max_rel, report = grad_check(lambda: ad.sum_all(net(x)), params(s))
         assert max_rel < 1e-5, report[0]
 
     def test_backward_half_sees_future(self):

@@ -130,9 +130,18 @@ def predicate_repr(model, enc, target, lu_id, frame_id):
                                 [frame_id])
 
 
+def b_rows(model, enc, first):
+    """Backbone-B rows of the target whose first index is first."""
+    return model.target_b([(enc, first)])[0]
+
+
+def paths(model):
+    return [p for p, _ in model.store.entries()]
+
+
 def ai_emissions(model, enc, target, pr):
     """(n, 3) bilinear scores of one target, from the batched heads."""
-    return model.ai_scores(pr, enc.b(min(target)), [0],
+    return model.ai_scores(pr, b_rows(model, enc, min(target)), [0],
                            [len(enc.prep.sentence)])
 
 
@@ -171,11 +180,11 @@ class TestEncoding:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            first = enc.b(2)
-            again = enc.b(2)
-            other = enc.b(1)
-        assert first is again
-        assert other is not first
+            first = b_rows(model, enc, 2)
+            again = b_rows(model, enc, 2)
+            other = b_rows(model, enc, 1)
+        assert np.array_equal(first.data, again.data)
+        assert not np.array_equal(other.data, first.data)
         assert len(calls) == 2
 
     def test_tree_change_changes_a(self):
@@ -192,7 +201,7 @@ class TestEncoding:
 
     def test_no_gcn_zero_paths_same_dims(self):
         model, sent = make_model(use_gcn=False)
-        assert not any(p.startswith("gcn.") for p in model.store.paths())
+        assert not any(p.startswith("gcn.") for p in paths(model))
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
@@ -306,7 +315,7 @@ class TestArgId:
             enc = model.encode(prep)
             _, pr = predicate_repr(model, enc, [2], 1, 2)
             emissions = ai_emissions(model, enc, [2], pr).data
-            b = enc.b(2).data
+            b = b_rows(model, enc, 2).data
         v2w = model.store["srl.ai.v2.w"].data
         v2b = model.store["srl.ai.v2.b"].data
         pb = np.tanh(b @ v2w + v2b)
@@ -354,16 +363,18 @@ class TestArgClass:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             z, _ = predicate_repr(model, enc, [2], 1, 2)
-            emissions = model.role_scores(z, enc.b(2), [0],
-                                          [[(3, 3), (0, 1)]], None).data
-            b = enc.b(2).data
+            b = b_rows(model, enc, 2)
+            emissions = model.role_scores(z, b, [0], [[(3, 3), (0, 1)]],
+                                          [2]).data
+            b = b.data
         yw = model.store["srl.ac.y.w"].data
         yb = model.store["srl.ac.y.b"].data
         ew = model.store["srl.ac.emit.w"].data
         eb = model.store["srl.ac.emit.b"].data
         for row, r in zip(emissions, [b[3], b[0] + b[1]]):
             q = np.tanh(np.concatenate([r, z.data[0]]) @ yw + yb)
-            assert np.allclose(row, q @ ew + eb, atol=1e-10)
+            assert np.allclose(row, q @ ew + eb + model._fe_penalty[2],
+                               atol=1e-10)
 
     def test_empty_span_list(self):
         model, sent = make_model()
@@ -403,7 +414,7 @@ class TestLosses:
         with ad.fresh_tape(), ad.no_grad():
             loss = float(model.loss([prep], "ti").data)
             enc = model.encode(prep)
-            direct = float(model.ti_crf.nll(model.ti_emissions(enc),
+            direct = float(model.ti_crf.nll(model.ti_emit(enc.a),
                                             [0] * 5, True).data)
         assert abs(loss - direct) < 1e-12
 
@@ -556,10 +567,11 @@ class TestPackedBatch:
                 for prep, enc in zip(preps, packed):
                     alone = model.encode(prep)
                     for first in (0, 2):
-                        assert not enc.b(first).needs_grad
-                        np.testing.assert_allclose(enc.b(first).data,
-                                                   alone.b(first).data,
-                                                   rtol=0, atol=1e-12)
+                        assert not enc._b[first].needs_grad
+                        np.testing.assert_allclose(
+                            b_rows(model, enc, first).data,
+                            b_rows(model, alone, first).data,
+                            rtol=0, atol=1e-12)
 
     def test_parse_matches_one_target_at_a_time(self):
         model, corpus = make_corpus_model()
@@ -611,7 +623,7 @@ class TestLegalAtScale:
 class TestTrainableSets:
     def test_prefix_partitions(self):
         model, _ = make_model()
-        all_paths = set(model.store.paths())
+        all_paths = set(paths(model))
         joint = {p for p, _ in model.trainable_entries("joint")}
         assert joint == all_paths
         ti = {p for p, _ in model.trainable_entries("ti")}
@@ -664,8 +676,8 @@ class TestCheckpoint:
         path = str(tmp_path / "model.json")
         model.save(path)
         clone = FrameParser.load(path)
-        assert clone.store.paths() == model.store.paths()
-        for p in model.store.paths():
+        assert paths(clone) == paths(model)
+        for p in paths(model):
             assert np.array_equal(clone.store[p].data, model.store[p].data), p
         prep_a = model.prepare(sent)
         prep_b = clone.prepare(sent)
