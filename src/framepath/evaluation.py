@@ -94,22 +94,18 @@ def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
 
 def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Labeled-span P/R/F1 with gold targets and gold frames."""
-    gold, pred = [], []
     with ad.fresh_tape(), ad.no_grad():
         encs = [model.encode(model.prepare(sent, with_gold=False))
                 for sent in sentences if sent.annotations]
-        model.encode_targets([(enc, min(ann.target)) for enc in encs
-                              for ann in enc.prep.sentence.annotations])
-        for enc in encs:
-            anns = enc.prep.sentence.annotations
-            gold.extend([(label, s, e) for (s, e), label in ann.elements]
-                        for ann in anns)
-            items = ([ann.target for ann in anns], [ann.lu for ann in anns],
-                     [ann.frame for ann in anns])
-            spans = model.ai_predict(enc, *items)
-            labels = model.ac_predict(enc, *items, spans)
-            pred.extend([(label, s, e) for (s, e), label in zip(sp, lab)]
-                        for sp, lab in zip(spans, labels))
+        pairs = [(enc, ann) for enc in encs
+                 for ann in enc.prep.sentence.annotations]
+        spans, labels = model.srl_predict(
+            [enc for enc, _ in pairs], [ann.target for _, ann in pairs],
+            [ann.lu for _, ann in pairs], [ann.frame for _, ann in pairs])
+    gold = [[(label, s, e) for (s, e), label in ann.elements]
+            for _, ann in pairs]
+    pred = [[(label, s, e) for (s, e), label in zip(sp, lab)]
+            for sp, lab in zip(spans, labels)]
     return _span_report("srl", gold, pred)
 
 

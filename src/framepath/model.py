@@ -20,9 +20,9 @@ Heads, each one op per layer over every target (or span) it is given:
       licensed role labels over the span sequence + CRF.
 
 A training batch runs each head and CRF once over all its sentences and
-annotations; prediction runs them once over one sentence's targets.  AC
-trains on gold spans (teacher forcing) and labels AI's predicted spans
-at inference.
+annotations; role prediction runs each srl head once over every target
+it is given, across sentences.  AC trains on gold spans (teacher
+forcing) and labels AI's predicted spans at inference.
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ class Prepared:
 
 
 class SentenceEncoding:
-    """e and (from FrameParser.encode) a for one sentence, plus b per
-    target first index: a prediction-only cache encode_targets fills and
-    target_b reads."""
+    """e and (from FrameParser.encode) a for one sentence."""
 
     def __init__(self, model: "FrameParser", prep: Prepared, train: bool):
         self.model = model
@@ -110,7 +108,6 @@ class SentenceEncoding:
         self.e = ad.concat_cols([tok, pos])
         self.h = (model.gcn(tree, prep.label_ids, drop=self._drop)
                   if model.gcn is not None else None)
-        self._b: dict[int, Tensor] = {}
 
     def _drop(self, t: Tensor) -> Tensor:
         return self.model._drop(t, self.train)
@@ -236,21 +233,6 @@ class FrameParser:
                           [(enc, prep.sentence.tree.root_index)])
         return enc
 
-    def encode_targets(self, pairs: list[tuple[SentenceEncoding, int]]):
-        """Cache b for each (encoding, target first index) not cached yet,
-        with one backbone-B pass under no_grad: the cache serves prediction
-        only, and no gradient flows through it."""
-        todo = [(enc, first) for enc, first in pairs if first not in enc._b]
-        if not todo:
-            return
-        with ad.no_grad():
-            b = _backbone(self.lstm_b, self.ln_b, [
-                (enc, enc.prep.sentence.tree.token_node(first))
-                for enc, first in todo]).data
-        ends = list(accumulate(len(enc.prep.sentence) for enc, _ in todo))
-        for (enc, first), rows in zip(todo, np.split(b, ends[:-1])):
-            enc._b[first] = ad.tensor(rows)
-
     # ------------------------------------------------------------------
     # heads: each runs once over every target it is given
 
@@ -267,12 +249,14 @@ class FrameParser:
 
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
                  ) -> tuple[Tensor, list[int]]:
-        """Cached b of each (encoding, target first index) in pairs, packed
-        back to back, and the row where each pair's block starts."""
-        self.encode_targets(pairs)
-        blocks = [enc._b[first].data for enc, first in pairs]
-        return (ad.tensor(np.concatenate(blocks)),
-                list(accumulate(map(len, blocks), initial=0)))
+        """b of each (encoding, target first index) in pairs, from one
+        backbone-B pass with the rows packed back to back, and the row
+        where each pair's block starts."""
+        b = _backbone(self.lstm_b, self.ln_b, [
+            (enc, enc.prep.sentence.tree.token_node(first))
+            for enc, first in pairs])
+        return b, list(accumulate((len(enc.prep.sentence) for enc, _ in pairs),
+                                  initial=0))
 
     def frame_scores(self, t: Tensor, lu_ids: list[int],
                      train: bool = False) -> Tensor:
@@ -317,7 +301,7 @@ class FrameParser:
             self._fe_penalty[[frame_ids[j] for j in owner]]))
 
     # ------------------------------------------------------------------
-    # prediction over one sentence's targets
+    # prediction
 
     def ti_predict(self, enc: SentenceEncoding) -> list[list[int]]:
         with ad.no_grad():
@@ -337,47 +321,59 @@ class FrameParser:
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
         return [self.vocab.frames[k] for k in scores.argmax(axis=1)]
 
-    def _srl_heads(self, enc: SentenceEncoding, targets: list[list[int]],
-                   lus: list[str], frames: list[str]):
-        """z and pr of each target, and target_b's packed b and rows."""
-        z, pr = self.predicate_rows(self.target_rows(enc.a, targets),
-                                    [self.vocab.lu_id(lu) for lu in lus],
+    def _arguments(self, encs: list[SentenceEncoding],
+                   targets: list[list[int]], lus: list[str],
+                   frames: list[str], spans=None):
+        """Each target's argument spans, found by the ai head unless given,
+        with z and target_b's packed b and rows to label them; target j
+        belongs to encs[j], and each op runs once over every target."""
+        b, b_first = self.target_b([(enc, min(target))
+                                    for enc, target in zip(encs, targets)])
+        t = self.target_rows(ad.concat([enc.a for enc in encs]), [
+            [first + i for i in target]
+            for first, target in zip(b_first, targets)])
+        z, pr = self.predicate_rows(t, [self.vocab.lu_id(lu) for lu in lus],
                                     [self.vocab.frame_id(f) for f in frames])
-        return (z, pr, *self.target_b([(enc, min(t)) for t in targets]))
+        if spans is None:
+            emissions = self.ai_scores(pr, b, b_first, np.diff(b_first)).data
+            spans = [decode_iob2(self.ai_crf.viterbi(c))
+                     for c in np.split(emissions, b_first[1:-1])]
+        return spans, z, b, b_first
 
-    def ai_predict(self, enc: SentenceEncoding, targets: list[list[int]],
-                   lus: list[str], frames: list[str],
-                   ) -> list[list[tuple[int, int]]]:
-        """Each target's argument spans.  One target, lu and frame (strs)
-        give one span list."""
-        if isinstance(lus, str):
-            return self.ai_predict(enc, [targets], [lus], [frames])[0]
-        n = [len(enc.prep.sentence)] * len(targets)
-        with ad.no_grad():
-            _, pr, b, b_first = self._srl_heads(enc, targets, lus, frames)
-            emissions = self.ai_scores(pr, b, b_first, n).data
-        return [decode_iob2(self.ai_crf.viterbi(c))
-                for c in emissions.reshape(len(targets), -1, 3)]
-
-    def ac_predict(self, enc: SentenceEncoding, targets: list[list[int]],
-                   lus: list[str], frames: list[str],
-                   spans: list[list[tuple[int, int]]]) -> list[list[str]]:
-        """Each target's role labels for its spans.  One target, lu,
-        frame (strs) and span list give one label list."""
-        if isinstance(lus, str):
-            return self.ac_predict(enc, [targets], [lus], [frames], [spans])[0]
+    def srl_predict(self, encs: list[SentenceEncoding],
+                    targets: list[list[int]], lus: list[str],
+                    frames: list[str],
+                    spans: list[list[tuple[int, int]]] | None = None,
+                    ) -> tuple[list[list[tuple[int, int]]], list[list[str]]]:
+        """Each target's argument spans and their role labels, target j
+        belonging to encs[j]: the ai head finds the spans unless they are
+        given, and the ac head labels them."""
+        if not targets:
+            return [], []
         frame_ids = [self.vocab.frame_id(f) for f in frames]
-        for frame, k, s in zip(frames, frame_ids, spans):
-            if s and not np.any(self._fe_penalty[k] == 0.0):
-                raise ValueError(f"frame {frame!r} licenses no role labels")
         with ad.no_grad():
-            z, _, b, b_first = self._srl_heads(enc, targets, lus, frames)
+            spans, z, b, b_first = self._arguments(encs, targets, lus, frames,
+                                                   spans)
+            for frame, k, s in zip(frames, frame_ids, spans):
+                if s and not np.any(self._fe_penalty[k] == 0.0):
+                    raise ValueError(f"frame {frame!r} licenses no role labels")
             emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
         chains = np.split(emissions, np.cumsum([len(s) for s in spans])[:-1])
-        return [[self.vocab.fes[k] for k in self.ac_crf.viterbi(c)]
-                for c in chains]
+        return spans, [[self.vocab.fes[k] for k in self.ac_crf.viterbi(c)]
+                       for c in chains]
+
+    def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
+                   frame: str) -> list[tuple[int, int]]:
+        """One target's argument spans."""
+        with ad.no_grad():
+            return self._arguments([enc], [target], [lu], [frame])[0][0]
+
+    def ac_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
+                   frame: str, spans: list[tuple[int, int]]) -> list[str]:
+        """Role labels of one target's spans."""
+        return self.srl_predict([enc], [target], [lu], [frame], [spans])[1][0]
 
     # ------------------------------------------------------------------
     # losses
@@ -418,11 +414,9 @@ class FrameParser:
         if "srl" in parts:
             out["srl"] = ad.tensor(np.asarray(0.0))
         if "srl" in parts and items:
-            b = _backbone(self.lstm_b, self.ln_b, [
-                (encs[k], preps[k].sentence.tree.token_node(min(pa.target)))
-                for k, pa in items])
+            b, b_first = self.target_b([(encs[k], min(pa.target))
+                                        for k, pa in items])
             n = [lengths[k] for k, _ in items]
-            b_first = list(accumulate(n, initial=0))
             frame_ids = [pa.frame_id for pa in anns]
             z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],
                                         frame_ids, train)
@@ -462,12 +456,10 @@ class FrameParser:
                     if (key := lu_key(sent.tokens, target, sent.pos))
                     in self.ontology.lu_to_frames]
             dropped = len(targets) - len(kept)
-            if not kept:
-                return [], dropped
             targets, keys = [t for t, _ in kept], [key for _, key in kept]
             frames = self.fi_predict(enc, targets, keys)
-            spans = self.ai_predict(enc, targets, keys, frames)
-            labels = self.ac_predict(enc, targets, keys, frames, spans)
+            spans, labels = self.srl_predict([enc] * len(targets), targets,
+                                             keys, frames)
         return [FrameAnnotation(target=t, lu=key, frame=f,
                                 elements=sorted(zip(s, lab)))
                 for t, key, f, s, lab in zip(targets, keys, frames, spans,

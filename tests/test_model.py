@@ -167,16 +167,9 @@ class TestEncoding:
         expected = (e - mu) / np.sqrt(var + 1e-5)
         assert np.allclose(a, expected, atol=1e-12)
 
-    def test_b_cache_shared_by_first_index(self):
+    def test_target_b_depends_on_first_index(self):
         model, sent = make_model()
-        calls = []
-        inner = model.lstm_b
-
-        def counting(x, lengths=None):
-            calls.append(1)
-            return inner(x, lengths)
-
-        model.lstm_b = counting
+        calls = count_backbone_calls(model)
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
@@ -185,7 +178,7 @@ class TestEncoding:
             other = b_rows(model, enc, 1)
         assert np.array_equal(first.data, again.data)
         assert not np.array_equal(other.data, first.data)
-        assert len(calls) == 2
+        assert calls == {"a": 1, "b": 3}  # one pass per call, nothing kept
 
     def test_tree_change_changes_a(self):
         model, sent = make_model()
@@ -523,27 +516,32 @@ class TestPackedBatch:
             model.loss(preps, "joint")
             assert ad.tape_length() == 209
 
-    def test_batched_predictions_equal_one_target_calls(self):
+    def test_srl_predict_equals_one_target_calls(self):
         # corpus[2] pairs a target with roles and one without any
         model, corpus = make_corpus_model()
         with ad.fresh_tape(), ad.no_grad():
+            encs, targets, lus, frames = [], [], [], []
             for sent in corpus[:3]:
                 enc = model.encode(model.prepare(sent, with_gold=False))
                 anns = sent.annotations
-                targets = [a.target for a in anns]
-                lus = [a.lu for a in anns]
-                frames = model.fi_predict(enc, targets, lus)
-                assert frames == [model.fi_predict(enc, t, lu)
-                                  for t, lu in zip(targets, lus)]
-                spans = model.ai_predict(enc, targets, lus, frames)
-                assert spans == [model.ai_predict(enc, t, lu, f)
-                                 for t, lu, f in zip(targets, lus, frames)]
-                gold = [[span for span, _ in a.elements] for a in anns]
-                for each in (spans, gold):
-                    labels = model.ac_predict(enc, targets, lus, frames, each)
-                    assert labels == [
-                        model.ac_predict(enc, t, lu, f, s)
-                        for t, lu, f, s in zip(targets, lus, frames, each)]
+                each = model.fi_predict(enc, [a.target for a in anns],
+                                        [a.lu for a in anns])
+                assert each == [model.fi_predict(enc, a.target, a.lu)
+                                for a in anns]
+                encs += [enc] * len(anns)
+                targets += [a.target for a in anns]
+                lus += [a.lu for a in anns]
+                frames += each
+            items = list(zip(encs, targets, lus, frames))
+            spans, labels = model.srl_predict(encs, targets, lus, frames)
+            assert spans == [model.ai_predict(*item) for item in items]
+            assert labels == [model.ac_predict(*item, s)
+                              for item, s in zip(items, spans)]
+            gold = [[span for span, _ in a.elements]
+                    for sent in corpus[:3] for a in sent.annotations]
+            assert model.srl_predict(encs, targets, lus, frames, gold) == (
+                gold, [model.ac_predict(*item, s)
+                       for item, s in zip(items, gold)])
 
     def test_one_backbone_pass_per_batch(self):
         model, corpus = make_corpus_model()
@@ -553,25 +551,23 @@ class TestPackedBatch:
             model.batch_losses(preps)
         assert calls == {"a": 1, "b": 1}
 
-    def test_encode_targets_matches_one_target_at_a_time(self):
+    def test_target_b_matches_one_target_at_a_time(self):
         model, corpus = make_corpus_model()
         preps = [model.prepare(s) for s in corpus[:3]]
+        pairs = [(model.encode(prep), first) for prep in preps
+                 for first in (0, 2)]
+        calls = count_backbone_calls(model)
         with ad.fresh_tape():
-            packed = [model.encode(prep) for prep in preps]
-            before = ad.tape_length()
-            model.encode_targets([(enc, first) for enc in packed
-                                  for first in (0, 2)])
-            # the cache serves prediction: no records, no gradient path
-            assert ad.tape_length() == before
-            with ad.no_grad():
-                for prep, enc in zip(preps, packed):
-                    alone = model.encode(prep)
-                    for first in (0, 2):
-                        assert not enc._b[first].needs_grad
-                        np.testing.assert_allclose(
-                            b_rows(model, enc, first).data,
-                            b_rows(model, alone, first).data,
-                            rtol=0, atol=1e-12)
+            b, b_first = model.target_b(pairs)
+            assert b.needs_grad  # training reads b through the same call
+        assert calls["b"] == 1
+        assert b_first == list(np.cumsum([0] + [len(enc.prep.sentence)
+                                                for enc, _ in pairs]))
+        with ad.fresh_tape(), ad.no_grad():
+            for (enc, first), lo, hi in zip(pairs, b_first, b_first[1:]):
+                np.testing.assert_allclose(b.data[lo:hi],
+                                           b_rows(model, enc, first).data,
+                                           rtol=0, atol=1e-12)
 
     def test_parse_matches_one_target_at_a_time(self):
         model, corpus = make_corpus_model()
@@ -580,9 +576,41 @@ class TestPackedBatch:
         packed = [model.parse(s) for s in corpus]
         assert calls == {"a": len(corpus), "b": len(corpus)}
         assert max(len(anns) for anns, _ in packed) == 3
-        inner = model.encode_targets
-        model.encode_targets = lambda pairs: [inner([p]) for p in pairs]
+        inner = model.target_b
+
+        def one_at_a_time(pairs):
+            rows = [inner([pair])[0] for pair in pairs]
+            return ad.concat(rows), list(np.cumsum(
+                [0] + [r.data.shape[0] for r in rows]))
+
+        model.target_b = one_at_a_time
         assert [model.parse(s) for s in corpus] == packed
+
+    def test_role_prediction_runs_each_srl_head_once(self):
+        model, corpus = make_corpus_model()
+        model.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
+        names = ("target_b", "target_rows", "predicate_rows", "ai_scores",
+                 "role_scores")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            inner = getattr(model, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            setattr(model, name, counting)
+        lstm = count_backbone_calls(model)
+        anns, _ = model.parse(corpus[2])
+        assert len(anns) == 3
+        # frame identification makes the second target_rows call
+        assert calls == {**dict.fromkeys(names, 1), "target_rows": 2}
+        assert lstm == {"a": 1, "b": 1}
+        calls.update(dict.fromkeys(names, 0))
+        lstm.update(a=0, b=0)
+        evaluate_srl(model, corpus)
+        assert calls == dict.fromkeys(names, 1)
+        assert lstm == {"a": 3, "b": 1}
 
     def test_evaluation_matches_one_sentence_at_a_time(self):
         model, corpus = make_corpus_model()
