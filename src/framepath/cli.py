@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -137,6 +138,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
+    for path in filter(None, (args.checkpoint, args.log)):  # not after training
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{path}: parent directory does not exist")
     ontology = load_ontology(args.ontology)
     sentences = load_corpus(args.corpus, ontology=ontology)
     vocab = build_vocab(sentences, ontology)

@@ -37,13 +37,6 @@ def _tally(gold: Sequence[Sequence], pred: Sequence[Sequence]):
     return matched, n_pred, n_gold
 
 
-def span_prf(gold: Sequence[Sequence], pred: Sequence[Sequence]):
-    """P/R/F1 over per-sentence (targets) or per-annotation (labeled
-    role spans) item sets; empty sides score 0, an entirely empty corpus
-    scores 1 on all three."""
-    return _prf(*_tally(gold, pred))
-
-
 def fi_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     if len(gold) != len(pred):
         raise ValueError(
@@ -57,6 +50,9 @@ def fi_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
 # drivers
 
 def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
+    """P/R/F1 and counts over per-sentence (targets) or per-annotation
+    (labeled role spans) item sets; an empty side scores 0, an entirely
+    empty corpus scores 1 on all three."""
     matched, n_pred, n_gold = _tally(gold, pred)
     p, r, f1 = _prf(matched, n_pred, n_gold)
     return {"task": task, "precision": p, "recall": r, "f1": f1,

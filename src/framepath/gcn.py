@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import Embedding, LayerNorm, Linear, ParamStore
-from .syntax import ConstTree, build_adjacency, tree_path
+from .syntax import ConstTree, build_adjacency
 
 Drop = Callable[[Tensor], Tensor]
 
@@ -30,7 +30,6 @@ class TreeGcn:
     def __init__(self, store: ParamStore, path: str, n_labels: int,
                  emb_dim: int, hidden: int, layers: int = 2):
         self.emb = Embedding(store, f"{path}.emb", n_labels, emb_dim)
-        self.hidden = hidden
         self.layers = []
         width = emb_dim
         for k in range(layers):
@@ -63,9 +62,4 @@ def path_sum_features(tree: ConstTree, h: Tensor, ref_node: int) -> Tensor:
     Row i sums the node representations along the tree path from token
     i's preterminal to ref_node, both ends included.
     """
-    groups = tree.path_groups.get(ref_node)
-    if groups is None:
-        groups = tree.path_groups[ref_node] = [
-            tree_path(tree, tree.token_node(tok), ref_node)
-            for tok in range(tree.n_tokens)]
-    return ad.sum_row_groups(h, groups)
+    return ad.sum_row_groups(h, tree.token_paths(ref_node))

@@ -132,7 +132,6 @@ class LstmDirection:
     """
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int):
-        self.hidden = hidden
         self.wx = store.glorot(f"{path}.wx", in_dim, 4 * hidden)
         self.wh = store.glorot(f"{path}.wh", hidden, 4 * hidden)
         b = np.zeros(4 * hidden)

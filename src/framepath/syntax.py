@@ -40,8 +40,8 @@ class ConstTree:
     nodes: list[Node]
     root_index: int
     preterminal_order: list[int]
-    # token paths per reference node, built on first use
-    path_groups: dict = field(default_factory=dict, repr=False, compare=False)
+    _token_paths: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -61,6 +61,15 @@ class ConstTree:
 
     def tokens(self) -> list[str]:
         return [self.nodes[i].word for i in self.preterminal_order]
+
+    def token_paths(self, ref_node: int) -> list[list[int]]:
+        """tree_path from each token's preterminal to ref_node, built on
+        first use for each reference node and kept."""
+        if ref_node not in self._token_paths:
+            self._token_paths[ref_node] = [
+                tree_path(self, node, ref_node)
+                for node in self.preterminal_order]
+        return self._token_paths[ref_node]
 
 
 def _tokenize(text: str) -> list[str]:

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Sentence
 from .model import FrameParser
-from .syntax import serialize, tree_path
+from .syntax import serialize
 
 
 def _matrix(title: str, values: np.ndarray, row_names=None) -> list[str]:
@@ -29,8 +29,7 @@ def _matrix(title: str, values: np.ndarray, row_names=None) -> list[str]:
 
 def _path_lines(tree, ref_node: int) -> list[str]:
     lines = []
-    for tok in range(tree.n_tokens):
-        nodes = tree_path(tree, tree.token_node(tok), ref_node)
+    for tok, nodes in enumerate(tree.token_paths(ref_node)):
         labels = " -> ".join(tree.nodes[i].label for i in nodes)
         plural = "node" if len(nodes) == 1 else "nodes"
         lines.append(f"  token {tok} ({tree.tokens()[tok]}): "

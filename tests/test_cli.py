@@ -275,14 +275,40 @@ def test_unreadable_input_exits_with_its_code(workspace, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def never_train(*args, **kwargs):
+    raise AssertionError("training started")
+
+
 def test_checkpoint_path_that_is_a_directory_exits_2(workspace, tmp_path,
-                                                    capsys):
+                                                    capsys, monkeypatch):
+    monkeypatch.setattr("framepath.cli.train", never_train)
     target = tmp_path / "taken"
     target.mkdir()
     assert main(["train", "--corpus", workspace["corpus"],
                  "--ontology", workspace["onto"], "--checkpoint",
                  str(target), "--task", "ti", "--max-epochs", "1"]) == 2
-    assert str(target) in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert str(target) in err
+    assert "best dev metric" not in out  # refused before any epoch ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("flag,name", [
+    ("--log", "taken"),
+    ("--checkpoint", "missing/dir/model.json"),
+], ids=["log-directory", "checkpoint-missing-parent"])
+def test_unusable_output_path_exits_2_before_training(
+        workspace, tmp_path, capsys, monkeypatch, flag, name):
+    monkeypatch.setattr("framepath.cli.train", never_train)
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / name)
+    outputs = {"--checkpoint": str(tmp_path / "model.json"), flag: path}
+    argv = ["train", "--corpus", workspace["corpus"], "--ontology",
+            workspace["onto"], "--task", "ti", "--max-epochs", "1"]
+    for key, value in outputs.items():
+        argv += [key, value]
+    assert main(argv) == 2
+    assert path in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 

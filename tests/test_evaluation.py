@@ -1,53 +1,59 @@
 import pytest
 
 from framepath.evaluation import (
+    _span_report,
     dev_metric,
     evaluate,
     evaluate_fi,
     evaluate_srl,
     evaluate_ti,
     fi_accuracy,
-    span_prf,
 )
 
 from test_model import count_backbone_calls, make_model, make_sentence
 
 
+def report_prf(gold, pred):
+    """P/R/F1 of the report evaluate_ti and evaluate_srl return."""
+    report = _span_report("srl", gold, pred)
+    return report["precision"], report["recall"], report["f1"]
+
+
 class TestSpanPrf:
     def test_perfect(self):
         gold = [[(0,)], [(1, 2), (4,)]]
-        assert span_prf(gold, [list(g) for g in gold]) == (1.0, 1.0, 1.0)
+        assert report_prf(gold, [list(g) for g in gold]) == (1.0, 1.0, 1.0)
 
     def test_empty_pred_nonempty_gold(self):
-        assert span_prf([[(0,)]], [[]]) == (0.0, 0.0, 0.0)
+        assert report_prf([[(0,)]], [[]]) == (0.0, 0.0, 0.0)
 
     def test_empty_gold_nonempty_pred(self):
-        p, r, f1 = span_prf([[]], [[(0,)]])
+        p, r, f1 = report_prf([[]], [[(0,)]])
         assert (p, r, f1) == (0.0, 0.0, 0.0)
 
     def test_both_empty_corpus(self):
-        assert span_prf([[], []], [[], []]) == (1.0, 1.0, 1.0)
+        assert report_prf([[], []], [[], []]) == (1.0, 1.0, 1.0)
 
     def test_half_right(self):
         # 2 gold; pred has 1 correct and 1 spurious
         gold = [[(0,), (2, 3)]]
         pred = [[(0,), (4,)]]
-        p, r, f1 = span_prf(gold, pred)
+        p, r, f1 = report_prf(gold, pred)
         assert (p, r, f1) == (0.5, 0.5, 0.5)
 
     def test_sentence_order_invariance(self):
         gold = [[(0,)], [(1,)], []]
         pred = [[(0,)], [], [(2,)]]
-        a = span_prf(gold, pred)
-        b = span_prf(gold[::-1], pred[::-1])
+        a = report_prf(gold, pred)
+        b = report_prf(gold[::-1], pred[::-1])
         assert a == b
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            span_prf([[]], [[], []])
+            report_prf([[]], [[], []])
 
     def test_f1_bounds(self):
-        p, r, f1 = span_prf([[(0,), (1,)], [(2,)]], [[(0,)], [(5,), (2,)]])
+        p, r, f1 = report_prf([[(0,), (1,)], [(2,)]], [[(0,)], [(5,), (2,)]])
         assert 0.0 <= f1 <= max(p, r) <= 1.0
 
 
@@ -69,14 +75,14 @@ class TestSrlPrf:
     def test_wrong_label_is_miss_and_false_positive(self):
         gold = [[("Agent", 0, 1)]]
         pred = [[("Theme", 0, 1)]]
-        assert span_prf(gold, pred) == (0.0, 0.0, 0.0)
+        assert report_prf(gold, pred) == (0.0, 0.0, 0.0)
 
     def test_mixed_hand_count(self):
         # 3 gold tuples, 2 predicted, 1 exact match:
         # P = 1/2, R = 1/3, F1 = 2*(1/2)(1/3)/(5/6) = 0.4
         gold = [[("Agent", 0, 1), ("Theme", 3, 4)], [("Agent", 2, 2)]]
         pred = [[("Agent", 0, 1), ("Agent", 3, 4)], []]
-        p, r, f1 = span_prf(gold, pred)
+        p, r, f1 = report_prf(gold, pred)
         assert p == 0.5
         assert abs(r - 1 / 3) < 1e-12
         assert abs(f1 - 0.4) < 1e-12
@@ -84,7 +90,7 @@ class TestSrlPrf:
     def test_cross_annotation_match_not_counted(self):
         gold = [[("Agent", 0, 1)], []]
         pred = [[], [("Agent", 0, 1)]]
-        assert span_prf(gold, pred)[2] == 0.0
+        assert report_prf(gold, pred)[2] == 0.0
 
 
 class TestDrivers:

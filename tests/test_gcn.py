@@ -177,7 +177,7 @@ class TestPathSumFeatures:
             def unused(*args):
                 raise AssertionError("path rebuilt")
 
-            monkeypatch.setattr("framepath.gcn.tree_path", unused)
+            monkeypatch.setattr("framepath.syntax.tree_path", unused)
             again = path_sum_features(tree, h, 4).data
         assert np.array_equal(first, again)
 

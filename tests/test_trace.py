@@ -2,6 +2,7 @@ import re
 
 from framepath.config import Config
 from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
+from framepath import syntax
 from framepath.model import FrameParser
 from framepath.syntax import parse_bracketed
 from framepath.trace import generate_trace
@@ -33,6 +34,23 @@ def test_regeneration_byte_identical():
     sent, onto = possession_example()
     model = FrameParser(small_config(), build_vocab([sent], onto), onto)
     assert generate_trace(model, sent) == generate_trace(model, sent)
+
+
+def test_token_paths_built_once_per_reference(monkeypatch):
+    # the path features and the path listing share the tree's memo
+    sent, onto = possession_example()
+    model = FrameParser(small_config(), build_vocab([sent], onto), onto)
+    built = []
+
+    def counting(tree, i, j, inner=syntax.tree_path):
+        built.append((i, j))
+        return inner(tree, i, j)
+
+    monkeypatch.setattr(syntax, "tree_path", counting)
+    generate_trace(model, sent)
+    refs = [sent.tree.root_index, sent.tree.token_node(1)]
+    assert sorted(built) == sorted((node, ref) for ref in refs
+                                   for node in sent.tree.preterminal_order)
 
 
 def test_one_token_sentence_lists_l_plus_one_h_matrices():
