@@ -12,7 +12,6 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 def load_tracer() -> types.ModuleType:
     module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
     return module
 
