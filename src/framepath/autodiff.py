@@ -11,9 +11,10 @@ Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
 Hot paths are single records with hand-written backwards, each over a
-whole batch: ``lstm_sequence``, ``sum_row_groups`` (path, target and
-span sums), ``bilinear_rows`` (argument scores), and the packed CRF ops
-in ``crf`` built on ``_record``.
+whole batch: ``lstm_sequence``, ``sum_row_groups`` (graph-convolution,
+path, target and span sums), ``bilinear_rows`` (argument scores), and the
+packed CRF ops in ``crf`` built on ``_record``.  Their backward scatters
+go through ``scatter_rows``, one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -174,21 +175,22 @@ def bilinear_rows(x: Tensor, us: Sequence[Tensor], y: Tensor,
     """out[r, k] = x[x_rows[r]] @ us[k] @ y[y_rows[r]], as one tape op:
     x goes through each map once, w[:, k] = x @ us[k], and each output
     row dots a gathered row of w with a gathered row of y."""
+    x_rows = np.asarray(x_rows, dtype=np.intp)
+    y_rows = np.asarray(y_rows, dtype=np.intp)
     w = np.stack([x.data @ m.data for m in us], axis=1)  # (m, k, q)
     yr = y.data[y_rows]
     out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], yr),
                         "bilinear_rows"))
 
     def vjp(g):
-        gw = np.zeros_like(w)
-        np.add.at(gw, x_rows, g[:, :, None] * yr[:, None, :])
+        gw = scatter_rows(x_rows, (g[:, :, None] * yr[:, None, :]).reshape(
+            len(g), -1), len(w)).reshape(w.shape)
         _acc(x, sum(gw[:, k] @ m.data.T for k, m in enumerate(us)))
         for k, m in enumerate(us):
             _acc(m, x.data.T @ gw[:, k])
         if y.needs_grad:
-            gy = np.zeros_like(y.data)
-            np.add.at(gy, y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]))
-            _acc(y, gy)
+            _acc(y, scatter_rows(y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]),
+                                 len(y.data)))
 
     return _record(out, (x, y, *us), vjp)
 
@@ -288,30 +290,45 @@ def row_select(m: Tensor, idx: Sequence[int]) -> Tensor:
 
     def vjp(g):
         if m.needs_grad:
-            full = np.zeros_like(m.data)
-            np.add.at(full, idx, g)
-            _acc(m, full)
+            _acc(m, scatter_rows(idx, g, len(m.data)))
 
     return _record(out, (m,), vjp)
 
 
-def sum_row_groups(m: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
-    """Row k sums m's rows listed in groups[k], in list order, exactly as
-    ``m.data[group].sum(axis=0)`` does: padding cells index an appended
-    zero row, and adding 0.0 changes no sum.  An empty group gives zeros."""
-    n, dim = m.data.shape
-    idx = np.full((len(groups), max(map(len, groups), default=0)), n,
+def scatter_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, dim) zeros with values[i] added onto row rows[i], in i order:
+    ``np.add.at``'s sums bit for bit, from one ``np.bincount`` over
+    (row, column) keys, which adds its weights in input order."""
+    dim = values.shape[1]
+    keys = rows[:, None] * dim + np.arange(dim)
+    return np.bincount(keys.ravel(), values.ravel(),
+                       minlength=n * dim).reshape(n, dim)
+
+
+def pad_groups(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """groups as one (len(groups), longest) index, -1 past each group's
+    end: the form sum_row_groups sums over."""
+    idx = np.full((len(groups), max(map(len, groups), default=0)), -1,
                   dtype=np.intp)
     for k, group in enumerate(groups):
         idx[k, :len(group)] = group
-    padded = np.concatenate([m.data, np.zeros((1, dim))])
+    return idx
+
+
+def sum_row_groups(m: Tensor, groups: Sequence[Sequence[int]] | np.ndarray,
+                   ) -> Tensor:
+    """Row k sums m's rows listed in groups[k], in list order, exactly as
+    ``m.data[group].sum(axis=0)`` does.  groups may come padded already
+    (pad_groups); a pad cell (-1) indexes an appended zero row, and adding
+    0.0 changes no sum.  An empty group gives zeros."""
+    idx = groups if isinstance(groups, np.ndarray) else pad_groups(groups)
+    padded = np.concatenate([m.data, np.zeros((1, m.data.shape[1]))])
     out = Tensor(_check(padded[idx].sum(axis=1), "sum_row_groups"))
 
     def vjp(g):
         if m.needs_grad:
-            full = np.zeros_like(padded)
-            np.add.at(full, idx, g[:, None, :])
-            _acc(m, full[:n])
+            k, j = np.nonzero(idx >= 0)  # pad cells take no gradient
+            _acc(m, scatter_rows(idx[k, j], g[k], len(m.data)))
 
     return _record(out, (m,), vjp)
 

@@ -19,8 +19,9 @@ Heads, each one op per layer over every target (or span) it is given:
   AC  per-span sums of b, projected and scored against the frame's
       licensed role labels over the span sequence + CRF.
 
-A training batch runs each head and CRF once over all its sentences and
-annotations; role prediction runs each srl head once over every target
+A training batch runs the GCN once over the forest of its trees, the
+path sums once per backbone, and each head and CRF once over all its
+sentences and annotations; role prediction runs each srl head once over every target
 it is given, across sentences.  AC trains on gold spans (teacher
 forcing) and labels AI's predicted spans at inference.
 """
@@ -95,29 +96,47 @@ class Prepared:
     annotations: list[PreparedAnnotation] = field(default_factory=list)
 
 
-class SentenceEncoding:
-    """e and (from FrameParser.encode) a for one sentence."""
+def sum_parts(parts: dict[str, Tensor]) -> Tensor:
+    """The total of batch_losses' parts, added in part order."""
+    return reduce(ad.add, parts.values())
 
-    def __init__(self, model: "FrameParser", prep: Prepared, train: bool):
+
+class SentenceEncoding:
+    """e, the GCN node rows h of the sentence's tree (None without a GCN)
+    and, from FrameParser.encode, a.  Encodings made together share one
+    forest h; this tree's rows start at row h_first."""
+
+    def __init__(self, model: "FrameParser", prep: Prepared, train: bool,
+                 h: Tensor | None, h_first: int):
         self.model = model
         self.prep = prep
         self.train = train
-        tree = prep.sentence.tree
         tok = model.token_emb(prep.token_ids)
         pos = model.pos_emb(prep.pos_ids)
         self.e = ad.concat_cols([tok, pos])
-        self.h = (model.gcn(tree, prep.label_ids, drop=self._drop)
-                  if model.gcn is not None else None)
+        self.h = h
+        self.h_first = h_first
 
     def _drop(self, t: Tensor) -> Tensor:
         return self.model._drop(t, self.train)
 
-    def _paths(self, ref_node: int) -> Tensor:
-        """Path features toward ref_node; zeros without a GCN."""
-        config, tree = self.model.config, self.prep.sentence.tree
-        if self.h is None:
-            return ad.tensor(np.zeros((tree.n_tokens, config.gcn_dim)))
-        return path_sum_features(tree, self.h, ref_node)
+
+def _path_features(refs: list) -> Tensor:
+    """Path features of each (encoding, reference node) in refs, their
+    rows back to back, from one path_sum_features call over the node rows
+    of every forest the encodings come from; zeros without a GCN."""
+    model = refs[0][0].model
+    trees = [enc.prep.sentence.tree for enc, _ in refs]
+    if model.gcn is None:
+        return ad.tensor(np.zeros((sum(t.n_tokens for t in trees),
+                                   model.config.gcn_dim)))
+    hs = list({id(enc.h): enc.h for enc, _ in refs}.values())
+    base = dict(zip(map(id, hs),
+                    accumulate((h.data.shape[0] for h in hs), initial=0)))
+    return path_sum_features(
+        trees, hs[0] if len(hs) == 1 else ad.concat(hs),
+        [ref for _, ref in refs],
+        [base[id(enc.h)] + enc.h_first for enc, _ in refs])
 
 
 def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> Tensor:
@@ -125,8 +144,7 @@ def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> Tensor:
     node) in refs, in one pass; their rows stay packed back to back."""
     lengths = [enc.e.data.shape[0] for enc, _ in refs]
     e = ad.concat([enc.e for enc, _ in refs])
-    paths = ad.concat([enc._paths(ref) for enc, ref in refs])
-    raw = lstm(ad.concat_cols([e, paths]), lengths)
+    raw = lstm(ad.concat_cols([e, _path_features(refs)]), lengths)
     return norm(ad.add(refs[0][0]._drop(raw), e))
 
 
@@ -227,8 +245,22 @@ class FrameParser:
             ))
         return prep
 
+    def _encodings(self, preps: list[Prepared],
+                  train: bool = False) -> list[SentenceEncoding]:
+        """The sentences' encodings without a, their trees run through the
+        GCN as one forest."""
+        h = None
+        if self.gcn is not None:
+            h = self.gcn([prep.sentence.tree for prep in preps],
+                         [i for prep in preps for i in prep.label_ids],
+                         drop=lambda t: self._drop(t, train))
+        firsts = accumulate((len(prep.sentence.tree) for prep in preps),
+                            initial=0)
+        return [SentenceEncoding(self, prep, train, h, first)
+                for prep, first in zip(preps, firsts)]
+
     def encode(self, prep: Prepared, train: bool = False) -> SentenceEncoding:
-        enc = SentenceEncoding(self, prep, train)
+        enc, = self._encodings([prep], train)
         enc.a = _backbone(self.lstm_a, self.ln_a,
                           [(enc, prep.sentence.tree.root_index)])
         return enc
@@ -386,7 +418,7 @@ class FrameParser:
         srl means; an unannotated sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
-        encs = [SentenceEncoding(self, prep, train) for prep in preps]
+        encs = self._encodings(preps, train)
         a = _backbone(self.lstm_a, self.ln_a, [
             (enc, enc.prep.sentence.tree.root_index) for enc in encs])
         lengths = [len(prep.sentence) for prep in preps]
@@ -439,8 +471,7 @@ class FrameParser:
              train: bool = False) -> Tensor:
         """The sum of the task's loss parts."""
         task = task or self.config.task
-        return reduce(ad.add, self.batch_losses(preps, train,
-                                                TASK_LOSSES[task]).values())
+        return sum_parts(self.batch_losses(preps, train, TASK_LOSSES[task]))
 
     # ------------------------------------------------------------------
     # full pipeline

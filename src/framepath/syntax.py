@@ -1,4 +1,5 @@
-"""Constituency trees: bracketed-string parsing, adjacency, and node paths.
+"""Constituency trees: bracketed-string parsing, node paths, and the
+padded row indices the graph convolution and path features sum over.
 
 Trees follow the Penn-Treebank bracketing convention.  Words are stored as
 payloads on their preterminal (POS) nodes and are never graph nodes
@@ -9,6 +10,11 @@ left-to-right order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
+
+from .autodiff import pad_groups
 
 
 class TreeSyntaxError(ValueError):
@@ -40,8 +46,8 @@ class ConstTree:
     nodes: list[Node]
     root_index: int
     preterminal_order: list[int]
-    _token_paths: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _path_index: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -62,14 +68,21 @@ class ConstTree:
     def tokens(self) -> list[str]:
         return [self.nodes[i].word for i in self.preterminal_order]
 
-    def token_paths(self, ref_node: int) -> list[list[int]]:
-        """tree_path from each token's preterminal to ref_node, built on
-        first use for each reference node and kept."""
-        if ref_node not in self._token_paths:
-            self._token_paths[ref_node] = [
+    def path_index(self, ref_node: int) -> np.ndarray:
+        """Row i lists tree_path from token i's preterminal to ref_node,
+        padded with -1 (autodiff.pad_groups); built on first use for each
+        reference node and kept."""
+        if ref_node not in self._path_index:
+            self._path_index[ref_node] = pad_groups([
                 tree_path(self, node, ref_node)
-                for node in self.preterminal_order]
-        return self._token_paths[ref_node]
+                for node in self.preterminal_order])
+        return self._path_index[ref_node]
+
+    @cached_property
+    def family_index(self) -> np.ndarray:
+        """Row k lists node k and then its children, padded with -1: the
+        rows a graph-convolution layer sums into node k."""
+        return pad_groups([[node.id, *node.children] for node in self.nodes])
 
 
 def _tokenize(text: str) -> list[str]:
@@ -163,23 +176,6 @@ def serialize(tree: ConstTree) -> str:
         return f"({node.label} {inner})"
 
     return emit(tree.root_index)
-
-
-def build_adjacency(tree: ConstTree):
-    """Directed adjacency with self-loops, as a dense 0/1 float matrix.
-
-    Row i selects the aggregation sources of node i: itself plus its
-    children (messages travel from children to their parent).
-    """
-    import numpy as np
-
-    n = len(tree.nodes)
-    a = np.zeros((n, n), dtype=np.float64)
-    for node in tree.nodes:
-        a[node.id, node.id] = 1.0
-        for c in node.children:
-            a[node.id, c] = 1.0
-    return a
 
 
 def tree_path(tree: ConstTree, i: int, j: int) -> list[int]:

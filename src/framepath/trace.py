@@ -29,7 +29,8 @@ def _matrix(title: str, values: np.ndarray, row_names=None) -> list[str]:
 
 def _path_lines(tree, ref_node: int) -> list[str]:
     lines = []
-    for tok, nodes in enumerate(tree.token_paths(ref_node)):
+    for tok, row in enumerate(tree.path_index(ref_node)):
+        nodes = row[row >= 0]
         labels = " -> ".join(tree.nodes[i].label for i in nodes)
         plural = "node" if len(nodes) == 1 else "nodes"
         lines.append(f"  token {tok} ({tree.tokens()[tok]}): "

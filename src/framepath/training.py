@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .config import Config
 from .corpus import Sentence
 from .evaluation import dev_metric
 from .layers import ParamEntry
-from .model import TASK_LOSSES, FrameParser, Prepared
+from .model import TASK_LOSSES, FrameParser, Prepared, sum_parts
 
 
 class TrainingError(RuntimeError):
@@ -132,7 +131,7 @@ def write_metric_log(path: str, rows: list[dict]) -> None:
 def _objective(model: FrameParser, preps: list[Prepared], task: str,
                penalties) -> tuple[Tensor, dict[str, float]]:
     parts = model.batch_losses(preps, train=True, parts=TASK_LOSSES[task])
-    loss = reduce(ad.add, parts.values())
+    loss = sum_parts(parts)
     for tensor, coeff in penalties:
         loss = ad.add(loss, ad.mul_scalar(ad.sum_all(ad.mul(tensor, tensor)),
                                           coeff))

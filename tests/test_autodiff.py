@@ -97,6 +97,81 @@ class TestShapeGrads:
         check(lambda: ad.sum_all(ad.tanh(ad.row_select(m, [1, 1, 4]))), [m])
 
 
+class TestScatterRows:
+    """The backward scatters are one np.bincount that must add exactly
+    what np.add.at adds, in the same order."""
+
+    @staticmethod
+    def add_at(rows, values, n):
+        out = np.zeros((n, values.shape[1]))
+        np.add.at(out, rows, values)
+        return out
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_matches_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            rows = rng.integers(0, n, size=int(rng.integers(1, 40)))
+            values = rng.normal(size=(len(rows), dim)) * 10.0 ** rng.integers(
+                -5, 6, size=(len(rows), dim))
+            self.assert_bitwise(ad.scatter_rows(rows, values, n),
+                                self.add_at(rows, values, n))
+
+    def test_repeats_signed_zeros_and_huge_values(self):
+        # Order matters here: 1e300 - 1e300 + 1.0 is 1.0, while adding the
+        # 1.0 first loses it; -0.0 onto an untouched cell stays +0.0.
+        rows = np.array([2, 0, 2, 0, 2, 1, 1, 3], dtype=np.intp)
+        values = np.array([[1e300, -0.0], [-0.0, 1.0], [-1e300, 1e300],
+                           [-0.0, -1e300], [1.0, -1e300], [1e300, 1e300],
+                           [1e300, -0.0], [-0.0, -0.0]])
+        got = ad.scatter_rows(rows, values, 5)
+        self.assert_bitwise(got, self.add_at(rows, values, 5))
+        assert got[2, 0] == 1.0 and got[1, 0] == 2e300
+        assert not np.signbit(got[3]).any() and not got[4].any()
+
+    def test_empty_index(self):
+        rows = np.zeros(0, dtype=np.intp)
+        self.assert_bitwise(ad.scatter_rows(rows, np.zeros((0, 3)), 4),
+                            np.zeros((4, 3)))
+
+    def test_sum_row_groups_backward_skips_pad_cells(self):
+        rng = np.random.default_rng(22)
+        m = param(rng.normal(size=(6, 3)), name="m")
+        groups = [[5, 0, 5], [], [2], [0, 1, 2, 3, 4], [4, 4]]
+        idx = ad.pad_groups(groups)
+        assert (idx == -1).sum() == 25 - sum(map(len, groups))
+        g = rng.normal(size=(len(groups), 3)) * 1e300
+        g[1] = -0.0
+        with fresh_tape():
+            out = ad.sum_row_groups(m, idx)
+            backward(ad.sum_all(ad.mul(out, tensor(g))))
+        want = np.zeros((7, 3))
+        np.add.at(want, idx, g[:, None, :])  # pads land on row -1
+        self.assert_bitwise(m.grad, want[:6])
+
+    def test_bilinear_rows_backward_matches_add_at(self):
+        rng = np.random.default_rng(23)
+        x, y = param(rng.normal(size=(3, 4))), param(rng.normal(size=(5, 2)))
+        us = [param(rng.normal(size=(4, 2))) for _ in range(3)]
+        x_rows, y_rows = [0, 0, 2, 2, 2, 0], [4, 1, 1, 0, 4, 4]
+        g = rng.normal(size=(6, 3))
+        with fresh_tape():
+            out = ad.bilinear_rows(x, us, y, x_rows, y_rows)
+            backward(ad.sum_all(ad.mul(out, tensor(g))))
+        w = np.stack([x.data @ u.data for u in us], axis=1)
+        gw = np.zeros_like(w)
+        np.add.at(gw, x_rows, g[:, :, None] * y.data[y_rows][:, None, :])
+        gy = np.zeros_like(y.data)
+        np.add.at(gy, y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]))
+        self.assert_bitwise(y.grad, gy)
+        self.assert_bitwise(us[1].grad, x.data.T @ gw[:, 1])
+
+
 class TestNonlinearGrads:
     def test_relu(self):
         # Values bounded away from the kink at zero.

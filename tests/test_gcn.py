@@ -12,7 +12,7 @@ from framepath.autodiff import (
 )
 from framepath.gcn import TreeGcn, path_sum_features
 from framepath.layers import ParamStore
-from framepath.syntax import build_adjacency, parse_bracketed, tree_path
+from framepath.syntax import parse_bracketed, tree_path
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
@@ -74,7 +74,9 @@ class TestTreeGcn:
         with fresh_tape(), no_grad():
             got = gcn(tree, ids).data
 
-        a = build_adjacency(tree)
+        a = np.eye(len(tree))  # each node sums itself and its children
+        for node in tree.nodes:
+            a[node.id, node.children] = 1.0
         h0 = gcn.emb.table.data[ids]
         pre = a @ h0 @ s["gcn.l0.w"].data + s["gcn.l0.b"].data
         act = np.maximum(pre, 0.0)
@@ -126,6 +128,18 @@ class TestTreeGcn:
                     else:
                         assert np.array_equal(base[v], moved[v]), (trial, u, v)
         assert in_reach_changed / in_reach_pairs > 0.8
+
+    def test_forest_rows_match_one_tree_at_a_time(self):
+        rng = np.random.default_rng(12)
+        trees = [unique_label_tree(rng) for _ in range(6)]
+        gcn = TreeGcn(store(12), "gcn", n_labels=9, emb_dim=4, hidden=5)
+        ids = [rng.integers(0, 9, size=len(t)).tolist() for t in trees]
+        with fresh_tape(), no_grad():
+            forest = gcn(trees, [i for block in ids for i in block]).data
+            each = [gcn(t, block).data for t, block in zip(trees, ids)]
+        assert forest.shape == (sum(map(len, trees)), 5)
+        np.testing.assert_allclose(forest, np.concatenate(each),
+                                   rtol=0, atol=1e-12)
 
     def test_gradients(self):
         s = store(5)
@@ -194,6 +208,30 @@ class TestPathSumFeatures:
                 nodes = tree_path(tree, tree.token_node(tok), ref)
                 assert np.allclose(feats[tok], h.data[nodes].sum(axis=0),
                                    atol=1e-12)
+
+    def test_forest_matches_one_tree_at_a_time(self):
+        # One op over a forest: tree k's node rows start at firsts[k] and
+        # its token rows follow tree k-1's; a tree may appear twice with
+        # two references, over the same node rows.
+        rng = np.random.default_rng(13)
+        trees = [unique_label_tree(rng, max_nodes=25) for _ in range(5)]
+        hs = [rng.normal(size=(len(t), 4)) for t in trees]
+        firsts = list(np.cumsum([0] + [len(t) for t in trees[:-1]]))
+        blocks = [(k, int(rng.integers(len(trees[k]))))
+                  for k in (3, 0, 4, 1, 2, 0)]
+        with fresh_tape(), no_grad():
+            forest = path_sum_features(
+                [trees[k] for k, _ in blocks], tensor(np.concatenate(hs)),
+                [ref for _, ref in blocks], [firsts[k] for k, _ in blocks]).data
+            each = [path_sum_features(trees[k], tensor(hs[k]), ref).data
+                    for k, ref in blocks]
+            # by default the trees' node rows run back to back
+            in_order = path_sum_features(trees, tensor(np.concatenate(hs)),
+                                         [0] * len(trees)).data
+            one_by_one = [path_sum_features(t, tensor(h), 0).data
+                          for t, h in zip(trees, hs)]
+        assert np.array_equal(forest, np.concatenate(each))
+        assert np.array_equal(in_order, np.concatenate(one_by_one))
 
     def test_gradients_flow_through_paths(self):
         s = store(7)

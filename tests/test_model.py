@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from framepath import autodiff as ad
+from framepath import model as model_module
 from framepath.config import Config
 from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
 from framepath.evaluation import evaluate_fi, evaluate_srl
+from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
 from framepath.synth import generate
 from framepath.syntax import parse_bracketed
@@ -504,17 +506,19 @@ class TestPackedBatch:
             np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-10)
 
     def test_tape_size_of_a_fixed_joint_batch(self):
-        # Each backbone, head and CRF records once per batch, not per
-        # sentence or annotation, and the packed backbone rows go to the
-        # heads uncut: 209 records for these 8 sentences (828 with
-        # per-annotation heads, 213 with the rows cut and rejoined).
+        # The GCN runs once over the batch's forest of trees, each
+        # backbone makes one path-sum op, each head and CRF records once
+        # per batch, not per sentence or annotation, and the packed
+        # backbone rows go to the heads uncut: 114 records for these 8
+        # sentences (209 with one GCN pass per tree and one path sum per
+        # reference, 828 with per-annotation heads).
         sentences, ontology = generate(101, 80)
         model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
                             ontology)
         preps = [model.prepare(s) for s in sentences[:8]]
         with ad.fresh_tape():
             model.loss(preps, "joint")
-            assert ad.tape_length() == 209
+            assert ad.tape_length() == 114
 
     def test_srl_predict_equals_one_target_calls(self):
         # corpus[2] pairs a target with roles and one without any
@@ -550,6 +554,49 @@ class TestPackedBatch:
         with ad.fresh_tape(), ad.no_grad():
             model.batch_losses(preps)
         assert calls == {"a": 1, "b": 1}
+
+    def test_one_gcn_pass_and_one_path_sum_per_backbone(self, monkeypatch):
+        model, corpus = make_corpus_model()
+        preps = [model.prepare(s) for s in corpus]
+        calls = {"gcn": 0, "paths": 0}
+
+        def counted(key, inner):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(TreeGcn, "__call__",
+                            counted("gcn", TreeGcn.__call__))
+        monkeypatch.setattr(model_module, "path_sum_features",
+                            counted("paths", model_module.path_sum_features))
+        with ad.fresh_tape():
+            model.batch_losses(preps, train=True)
+        assert calls == {"gcn": 1, "paths": 2}  # backbone A and backbone B
+
+    def test_target_b_over_separate_encodings_sums_each_tree(self,
+                                                             monkeypatch):
+        # Encodings from separate encode calls each hold their own node
+        # rows; backbone B's one path-sum op runs over them concatenated.
+        model, corpus = make_corpus_model()
+        seen = []
+
+        def keep(*args):
+            out = inner(*args)
+            seen.append(out.data)
+            return out
+
+        inner = model_module.path_sum_features
+        with ad.fresh_tape(), ad.no_grad():
+            encs = [model.encode(model.prepare(s)) for s in corpus[:3]]
+            pairs = [(enc, first) for enc in encs for first in (2, 0)]
+            monkeypatch.setattr(model_module, "path_sum_features", keep)
+            model.target_b(pairs)
+            assert len(seen) == 1
+            each = [inner(enc.prep.sentence.tree, enc.h,
+                          enc.prep.sentence.tree.token_node(first)).data
+                    for enc, first in pairs]
+        assert np.array_equal(seen[0], np.concatenate(each))
 
     def test_target_b_matches_one_target_at_a_time(self):
         model, corpus = make_corpus_model()

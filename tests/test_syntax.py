@@ -4,7 +4,6 @@ import pytest
 from framepath.syntax import (
     ConstTree,
     TreeSyntaxError,
-    build_adjacency,
     parse_bracketed,
     serialize,
     tree_path,
@@ -134,29 +133,28 @@ class TestParse:
             tree.token_node(4)
 
 
-class TestAdjacency:
+class TestFamilyIndex:
     def test_hand_example(self):
         # (A (B b) (C c)): A=0, B=1, C=2.
         tree = parse_bracketed("(A (B b) (C c))")
-        a = build_adjacency(tree)
-        expect = np.array(
-            [[1, 1, 1],
-             [0, 1, 0],
-             [0, 0, 1]], dtype=np.float64)
-        assert np.array_equal(a, expect)
+        expect = np.array([[0, 1, 2],
+                           [1, -1, -1],
+                           [2, -1, -1]])
+        assert np.array_equal(tree.family_index, expect)
 
-    def test_row_sums_are_child_counts_plus_one(self):
+    def test_rows_are_node_then_children(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             tree = random_tree(rng)
-            a = build_adjacency(tree)
-            for node in tree.nodes:
-                assert a[node.id].sum() == len(node.children) + 1
-                assert a[node.id, node.id] == 1.0
+            index = tree.family_index
+            assert index is tree.family_index  # built once per tree
+            for node, row in zip(tree.nodes, index):
+                assert row[row >= 0].tolist() == [node.id, *node.children]
+                assert (row[1 + len(node.children):] == -1).all()
 
     def test_single_node(self):
-        a = build_adjacency(parse_bracketed("(X x)"))
-        assert np.array_equal(a, np.ones((1, 1)))
+        tree = parse_bracketed("(X x)")
+        assert np.array_equal(tree.family_index, [[0]])
 
 
 class TestTreePath:

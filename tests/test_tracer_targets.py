@@ -7,6 +7,12 @@ perfbench/ is imported as a package or written."""
 import types
 from pathlib import Path
 
+from framepath import gcn, model, synth
+from framepath.config import Config
+from framepath.corpus import build_vocab
+from framepath.model import FrameParser
+from framepath.training import train
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -25,3 +31,21 @@ def test_every_traced_attribute_resolves():
         else:
             assert callable(getattr(owner, attr, None)), \
                 f"{owner.__name__}.{attr}"
+
+
+def test_model_binds_path_sum_features_by_name():
+    # The tracer swaps the name in every module holding it; called any
+    # other way, the per-layer syntax metrics would silently read 0.
+    assert model.path_sum_features is gcn.path_sum_features
+
+
+def test_training_records_gcn_and_path_sum_spans():
+    tracing = load_tracer()
+    sentences, ontology = synth.generate(0, 8)
+    parser = FrameParser(Config(max_epochs=1),
+                         build_vocab(sentences, ontology), ontology)
+    tracer = tracing.Tracer()
+    with tracer.active("unit"):
+        train(parser, sentences[:6], sentences[6:])
+    names = {span[0] for span in tracer.spans}
+    assert {"gcn.tree_gcn", "gcn.path_sum"} <= names
