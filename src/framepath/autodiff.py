@@ -11,7 +11,7 @@ Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
 Hot paths are single records with hand-written backwards, each over a
-whole batch: ``lstm_sequence``, ``sum_row_groups`` (graph-convolution,
+whole batch: ``bilstm_layer``, ``sum_row_groups`` (graph-convolution,
 path, target and span sums), ``bilinear_rows`` (argument scores), and the
 packed CRF ops in ``crf`` built on ``_record``.  Their backward scatters
 go through ``scatter_rows``, one ``np.bincount``.
@@ -23,7 +23,6 @@ import math
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -428,87 +427,99 @@ class Packed:
     """Sequences of the given lengths (None: one) back to back in n rows,
     laid out in a zero-padded time-major block (step, sequence, ...),
     longest first, so those still running at step t are the prefix
-    [:running[t]].  With reverse, each runs right to left in the block."""
+    [:running[t]].  Row r sits in cell (step[r], col[r])."""
 
-    def __init__(self, n: int, lengths: Sequence[int] | None,
-                 reverse: bool = False):
+    def __init__(self, n: int, lengths: Sequence[int] | None):
         self.lengths = [n] if lengths is None else list(lengths)
         if sum(self.lengths) != n:
             raise ValueError(f"lengths {self.lengths} do not pack {n} rows")
         if not self.lengths or min(self.lengths) < 1:
             raise ValueError("empty sequence")
-        first = list(accumulate(self.lengths[:-1], initial=0))
         self.order = sorted(range(len(self.lengths)),
                             key=lambda j: -self.lengths[j])  # column -> seq
-        self.seqs = [(first[j], self.lengths[j]) for j in self.order]
-        self.steps = self.seqs[0][1]
+        self.steps = self.lengths[self.order[0]]
         ascending = sorted(self.lengths)
         self.running = [len(ascending) - bisect_right(ascending, t)
                         for t in range(self.steps + 1)]
-        self.last = ([m - 1 for _, m in self.seqs], range(len(self.seqs)))
-        self._flip = slice(None, None, -1 if reverse else None)
+        self.last = ([self.lengths[j] - 1 for j in self.order],
+                     range(len(self.order)))
+        sizes = np.array(self.lengths)
+        col = np.empty(len(sizes), dtype=np.intp)
+        col[self.order] = np.arange(len(sizes))
+        self.col = col.repeat(sizes)
+        self.step = np.arange(n) - (sizes.cumsum() - sizes).repeat(sizes)
 
     def to_block(self, rows: np.ndarray) -> np.ndarray:
-        block = np.zeros((self.steps, len(self.seqs)) + rows.shape[1:])
-        for j, (lo, m) in enumerate(self.seqs):
-            block[:m, j] = rows[lo:lo + m][self._flip]
+        block = np.zeros((self.steps, len(self.order)) + rows.shape[1:])
+        block[self.step, self.col] = rows
         return block
 
     def from_block(self, block: np.ndarray) -> np.ndarray:
-        rows = np.empty((sum(self.lengths),) + block.shape[2:])
-        for j, (lo, m) in enumerate(self.seqs):
-            rows[lo:lo + m] = block[:m, j][self._flip]
-        return rows
+        return block[self.step, self.col]
 
 
-def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
-                  lengths: Sequence[int] | None = None,
-                  reverse: bool = False) -> Tensor:
-    """LSTM passes over packed sequences, as one tape op.
+def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
+                 bwd: tuple[Tensor, Tensor, Tensor],
+                 lengths: Sequence[int] | None = None) -> Tensor:
+    """One bidirectional LSTM layer over packed sequences, as one tape op.
 
-    xw is (n, 4H) holding x_t @ Wx for every step of sequences of the
-    given lengths (None: one), back to back; wh is (H, 4H); b is (4H,)
-    with gate order [input, forget, cell, output].  Each sequence starts
-    from zero states and, with reverse, runs right to left.  Returns the
-    (n, H) hidden states in xw's row order.
+    fwd and bwd are each one direction's (xw, wh, b): xw is (n, 4H)
+    holding x_t @ Wx for every step of sequences of the given lengths
+    (None: one), back to back; wh is (H, 4H); b is (4H,) with gate order
+    [input, forget, cell, output].  Each sequence starts from zero states;
+    fwd runs it left to right and bwd right to left.  Returns the (n, 2H)
+    states [forward | backward] in xw's row order.
 
-    The sequences run as a Packed block, so a step is one (k, H) @ wh
-    product over the k still running.  The hand-written backward pass
-    forms all gate-derivative factors up front and keeps only the dh/dc
-    recurrence in its loop.
+    Both directions share one Packed layout and one (direction, step,
+    sequence, ...) block, bwd's rows flipped in the gather, so a step is
+    one stacked (2, k, H) @ (2, H, 4H) product over the k sequences still
+    running.  The hand-written backward pass forms all gate-derivative
+    factors up front and keeps only the dh/dc recurrence of both
+    directions in its loop, one (2, K, 4H) @ (2, 4H, H) product a step.
     """
-    n, four_h = xw.data.shape
+    n, four_h = fwd[0].data.shape
     h = four_h // 4
-    if wh.data.shape != (h, four_h):
-        raise ValueError(f"wh shape {wh.data.shape} does not match ({h}, {four_h})")
-    packed = Packed(n, lengths, reverse)
-    xs = packed.to_block(xw.data)
+    for xw, wh, _ in (fwd, bwd):
+        if xw.data.shape != (n, four_h) or wh.data.shape != (h, four_h):
+            raise ValueError(f"xw shape {xw.data.shape} and wh shape "
+                             f"{wh.data.shape} do not match ({n}, {four_h}) "
+                             f"and ({h}, {four_h})")
+    packed = Packed(n, lengths)
+    # Each row's step in each direction: bwd runs its sequence mirrored.
+    steps = np.array([packed.step, np.array(packed.lengths).repeat(
+        packed.lengths) - 1 - packed.step]).T
+    cells = (np.arange(2), steps, packed.col[:, None])
+    k = len(packed.order)
+    xs = np.zeros((2, packed.steps, k, four_h))
+    xs[0, steps[:, 0], packed.col] = fwd[0].data
+    xs[1, steps[:, 1], packed.col] = bwd[0].data
+    wh = np.array([fwd[1].data, bwd[1].data])
+    b = np.array([fwd[2].data, bwd[2].data])[:, None]
     hs = np.zeros(xs.shape[:-1] + (h,))
     # Post-activation gates [i, f, g, o] and cells, kept for a backward.
-    keep = _tape().enabled and any(t.needs_grad for t in (xw, wh, b))
+    keep = _tape().enabled and any(t.needs_grad for t in fwd + bwd)
     gates, cs = ((np.zeros_like(xs), np.zeros_like(hs)) if keep
                  else (None, None))
-    h_prev = c_prev = np.zeros(hs.shape[1:])
-    k = len(packed.seqs)
+    h_prev = c_prev = np.zeros((2, k, h))
     for t in range(packed.steps):
         if packed.running[t] < k:  # only the k longest still run
             k = packed.running[t]
-            h_prev, c_prev = h_prev[:k], c_prev[:k]
-        raw = xs[t, :k] + h_prev @ wh.data + b.data
+            h_prev, c_prev = h_prev[:, :k], c_prev[:, :k]
+        raw = xs[:, t, :k] + h_prev @ wh + b
         act = 1.0 / (1.0 + np.exp(-raw))
-        g = act[:, 2 * h:3 * h] = np.tanh(raw[:, 2 * h:3 * h])
-        c_prev = act[:, h:2 * h] * c_prev + act[:, :h] * g
-        h_prev = act[:, 3 * h:] * np.tanh(c_prev)
-        hs[t, :k] = h_prev
+        g = act[..., 2 * h:3 * h] = np.tanh(raw[..., 2 * h:3 * h])
+        c_prev = act[..., h:2 * h] * c_prev + act[..., :h] * g
+        h_prev = act[..., 3 * h:] * np.tanh(c_prev)
+        hs[:, t, :k] = h_prev
         if keep:
-            gates[t, :k], cs[t, :k] = act, c_prev
-    out = Tensor(_check(packed.from_block(hs), "lstm_sequence"))
+            gates[:, t, :k], cs[:, t, :k] = act, c_prev
+    out = Tensor(_check(hs[cells].reshape(n, 2 * h), "bilstm_layer"))
 
     def vjp(grad_h):
         i, f, g, o = np.split(gates, 4, axis=-1)
         tc = np.tanh(cs)
-        c_before = np.concatenate([np.zeros_like(cs[:1]), cs[:-1]])
-        h_before = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]])
+        c_before = np.concatenate([np.zeros_like(cs[:, :1]), cs[:, :-1]], 1)
+        h_before = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], 1)
         # d raw = [dc, dc, dc, dh] * coef, step by step.  Padding cells
         # have all-zero gates, so their coef, and hence draw, is zero.
         coef = np.concatenate([g * i * (1.0 - i),
@@ -516,22 +527,27 @@ def lstm_sequence(xw: Tensor, wh: Tensor, b: Tensor,
                                i * (1.0 - g * g),
                                tc * o * (1.0 - o)], axis=-1)
         dc_from_dh = o * (1.0 - tc * tc)
-        grad_block = packed.to_block(grad_h)
-        wh_t = wh.data.T
+        grad_block = np.zeros_like(hs)
+        grad_block[cells] = grad_h.reshape(n, 2, h)
+        wh_t = wh.transpose(0, 2, 1)
         draws = np.empty_like(xs)
-        dh = dc = np.zeros(hs.shape[1:])
+        dh = dc = np.zeros((2,) + hs.shape[2:])
         for t in range(packed.steps - 1, -1, -1):
-            dh = dh + grad_block[t]
-            dc = dc + dh * dc_from_dh[t]
-            draw = np.concatenate([dc, dc, dc, dh], axis=-1) * coef[t]
-            draws[t] = draw
+            dh = dh + grad_block[:, t]
+            dc = dc + dh * dc_from_dh[:, t]
+            draw = np.multiply(np.concatenate([dc, dc, dc, dh], axis=-1),
+                               coef[:, t], out=draws[:, t])
             dh = draw @ wh_t
-            dc = dc * f[t]
-        _acc(xw, packed.from_block(draws))
-        _acc(wh, h_before.reshape(-1, h).T @ draws.reshape(-1, four_h))
-        _acc(b, draws.reshape(-1, four_h).sum(axis=0))
+            dc = dc * f[:, t]
+        flat = draws.reshape(2, -1, four_h)
+        d_wh = h_before.reshape(2, -1, h).transpose(0, 2, 1) @ flat
+        d_b = flat.sum(axis=1)
+        for d, (xw, wh_d, b_d) in enumerate((fwd, bwd)):
+            _acc(xw, draws[d, steps[:, d], packed.col])
+            _acc(wh_d, d_wh[d])
+            _acc(b_d, d_b[d])
 
-    return _record(out, (xw, wh, b), vjp)
+    return _record(out, fwd + bwd, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ class ConfigError(ValueError):
     pass
 
 
+# The values each field type accepts, as the JSON config spells them: a
+# JSON integer is also a float, and true/false is never a number.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
 @dataclass
 class Config:
     # embedding and encoder dimensions
@@ -61,6 +72,15 @@ class Config:
     stop_metric: float | None = None
 
     def validate(self) -> "Config":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, kind_name = _KINDS[f.type]
+            if (not isinstance(value, kinds)
+                    or isinstance(value, bool) and bool not in kinds):
+                raise ConfigError(f"{f.name} must be {kind_name}, "
+                                  f"got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         dims = ("token_dim", "pos_dim", "gcn_emb_dim", "gcn_dim", "gcn_layers",
                 "lstm_hidden", "lstm_layers", "lu_dim", "frame_dim",
                 "fi_hidden1", "fi_hidden2", "ai_pr_dim", "ai_pb_dim", "ac_dim",
@@ -71,10 +91,6 @@ class Config:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if 2 * self.lstm_hidden != self.token_dim + self.pos_dim:

@@ -123,13 +123,9 @@ class LayerNorm:
 
 
 class LstmDirection:
-    """One LSTM direction with packed gates [i, f, g, o].
-
-    The input projection for every row of a packed batch is a single
-    matmul; the recurrence then runs over all sequences at once, each
-    left to right or, with reverse, right to left.  The forget-gate bias
-    starts at +1 so early training does not erase the cell state.
-    """
+    """One LSTM direction's parameters, gates packed [i, f, g, o]: input
+    map wx, recurrent map wh and bias b.  The forget-gate bias starts at
+    +1 so early training does not erase the cell state."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int):
         self.wx = store.glorot(f"{path}.wx", in_dim, 4 * hidden)
@@ -138,15 +134,12 @@ class LstmDirection:
         b[hidden:2 * hidden] = 1.0
         self.b = store.add(f"{path}.b", b, decay=False)
 
-    def __call__(self, x: Tensor, lengths: Sequence[int] | None = None,
-                 reverse: bool = False) -> Tensor:
-        xw = ad.matmul(x, self.wx)
-        return ad.lstm_sequence(xw, self.wh, self.b, lengths, reverse)
-
 
 class BiLstm:
     """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
-    sequences of the given lengths back to back (None: one sequence)."""
+    sequences of the given lengths back to back (None: one sequence).
+    Each layer is two input-projection matmuls over every row and one
+    ad.bilstm_layer op that steps both directions together."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
                  layers: int = 1):
@@ -165,6 +158,7 @@ class BiLstm:
                  lengths: Sequence[int] | None = None) -> Tensor:
         out = x
         for fwd, bwd in self.layers:
-            out = ad.concat_cols([fwd(out, lengths),
-                                  bwd(out, lengths, reverse=True)])
+            out = ad.bilstm_layer((ad.matmul(out, fwd.wx), fwd.wh, fwd.b),
+                                  (ad.matmul(out, bwd.wx), bwd.wh, bwd.b),
+                                  lengths)
         return out

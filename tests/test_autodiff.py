@@ -340,105 +340,164 @@ class TestTapeMechanics:
             assert np.allclose(results[k], 2.0 * (k + 1))
 
 
-class TestLstmSequence:
-    def test_gradients(self):
-        xw = randp(4, 12, name="xw")
-        wh = randp(3, 12, name="wh")
-        b = randp(12, name="b")
-        w = tensor(RNG.normal(size=(4, 3)))
-        check(lambda: ad.sum_all(ad.mul(ad.lstm_sequence(xw, wh, b), w)),
-              [xw, wh, b], tol=1e-5)
+def lstm_reference(xw, wh, b, lengths):
+    """The gate-by-gate textbook recurrence, left to right from zero
+    states, stepping every sequence of a zero-padded (step, sequence)
+    batch at once: (n, H) hidden states in xw's row order."""
+    hidden = wh.shape[0]
+    first = np.cumsum(lengths) - lengths
+    x = np.zeros((max(lengths), len(lengths), 4 * hidden))
+    for j, (lo, m) in enumerate(zip(first, lengths)):
+        x[:m, j] = xw[lo:lo + m]
+    h = c = np.zeros((len(lengths), hidden))
+    states = []
+    for raw_x in x:
+        raw = raw_x + h @ wh + b
+        i = 1.0 / (1.0 + np.exp(-raw[:, :hidden]))
+        f = 1.0 / (1.0 + np.exp(-raw[:, hidden:2 * hidden]))
+        g = np.tanh(raw[:, 2 * hidden:3 * hidden])
+        o = 1.0 / (1.0 + np.exp(-raw[:, 3 * hidden:]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        states.append(h)
+    return np.vstack([np.array(states)[:m, j] for j, m in enumerate(lengths)])
 
-    def test_length_one(self):
-        xw = randp(1, 8, name="xw")
-        wh = randp(2, 8, name="wh")
-        b = randp(8, name="b")
-        check(lambda: ad.sum_all(ad.lstm_sequence(xw, wh, b)), [xw, wh, b],
-              tol=1e-5)
+
+def reverse_each(rows, lengths):
+    """rows with each sequence's rows in reverse order."""
+    ends = np.cumsum(lengths)
+    return np.vstack([rows[end - m:end][::-1] for m, end in zip(lengths, ends)])
+
+
+def directions(n, hidden):
+    """Random forward and backward (xw, wh, b) for n rows."""
+    return [tuple(randp(*shape, name=f"{d}.{part}") for part, shape in
+                  (("xw", (n, 4 * hidden)), ("wh", (hidden, 4 * hidden)),
+                   ("b", (4 * hidden,))))
+            for d in ("fwd", "bwd")]
+
+
+class TestPacked:
+    def test_cells_sort_sequences_longest_first(self):
+        packed = ad.Packed(6, [2, 3, 1])
+        assert packed.order == [1, 0, 2]
+        assert packed.running == [3, 2, 1, 0]
+        assert packed.step.tolist() == [0, 1, 0, 1, 2, 0]
+        assert packed.col.tolist() == [1, 1, 0, 0, 0, 2]
+
+    def test_block_round_trip(self):
+        rows = RNG.normal(size=(6, 4))
+        packed = ad.Packed(6, [2, 3, 1])
+        block = packed.to_block(rows)
+        assert block.shape == (3, 3, 4)
+        assert np.array_equal(block[2, 1:], np.zeros((2, 4)))  # padding
+        assert np.array_equal(packed.from_block(block), rows)
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [3, 0, 2], []])
+    def test_lengths_must_pack_every_row(self, lengths):
+        with pytest.raises(ValueError):
+            ad.Packed(5, lengths)
+
+
+class TestLstmSequence:
+    """ad.bilstm_layer: both directions of a layer in one op."""
 
     def test_forward_matches_stepwise_reference(self):
-        # The gate-by-gate textbook recurrence; the fused pass applies the
-        # same elementwise formulas, so the states agree bit for bit.
-        xw, wh, b = randp(6, 12), randp(3, 12), randp(12)
-        h, c = np.zeros(3), np.zeros(3)
-        want = []
-        for t in range(6):
-            raw = xw.data[t] + h @ wh.data + b.data
-            i = 1.0 / (1.0 + np.exp(-raw[:3]))
-            f = 1.0 / (1.0 + np.exp(-raw[3:6]))
-            g = np.tanh(raw[6:9])
-            o = 1.0 / (1.0 + np.exp(-raw[9:]))
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            want.append(h)
+        # The fused pass applies the textbook formulas elementwise, so
+        # the forward half equals the loop bit for bit, and the backward
+        # half equals the loop run on each sequence's reversed rows.
+        for lengths in (None, [1], [3, 1, 5, 2, 5]):
+            n = 6 if lengths is None else sum(lengths)
+            fwd, bwd = directions(n, 3)
+            with fresh_tape(), no_grad():
+                got = ad.bilstm_layer(fwd, bwd, lengths).data
+            lengths = lengths or [n]
+            want_f = lstm_reference(fwd[0].data, fwd[1].data, fwd[2].data,
+                                    lengths)
+            want_b = reverse_each(lstm_reference(
+                reverse_each(bwd[0].data, lengths), bwd[1].data,
+                bwd[2].data, lengths), lengths)
+            assert np.array_equal(got[:, :3], want_f), lengths
+            assert np.array_equal(got[:, 3:], want_b), lengths
+
+    def test_reverse_runs_right_to_left(self):
+        # The backward half is the forward half of a layer given each
+        # sequence's rows reversed.
+        lengths = [2, 4, 1]
+        fwd, bwd = directions(7, 2)
+        flipped = (tensor(reverse_each(bwd[0].data, lengths)), *bwd[1:])
         with fresh_tape(), no_grad():
-            got = ad.lstm_sequence(xw, wh, b).data
-        assert np.array_equal(got, np.array(want))
+            got = ad.bilstm_layer(fwd, bwd, lengths).data
+            want = ad.bilstm_layer(flipped, fwd, lengths).data
+        assert np.array_equal(got[:, 2:], reverse_each(want[:, :2], lengths))
+
+    def test_gradients(self):
+        fwd, bwd = directions(4, 3)
+        w = tensor(RNG.normal(size=(4, 6)))
+        check(lambda: ad.sum_all(ad.mul(ad.bilstm_layer(fwd, bwd), w)),
+              [*fwd, *bwd], tol=1e-5)
+
+    def test_length_one(self):
+        fwd, bwd = directions(1, 2)
+        check(lambda: ad.sum_all(ad.bilstm_layer(fwd, bwd)), [*fwd, *bwd],
+              tol=1e-5)
+
+    def test_packed_gradients(self):
+        fwd, bwd = directions(7, 3)
+        w = tensor(RNG.normal(size=(7, 6)))
+        check(lambda: ad.sum_all(ad.mul(
+            ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)), [*fwd, *bwd],
+            tol=1e-5)
 
     def test_zero_inputs_give_zero_states(self):
         # With xw = b = 0 the cell gate tanh(0) = 0 keeps c, and hence h,
-        # at exactly zero for every step.
-        xw = tensor(np.zeros((5, 8)))
-        wh = randp(2, 8)
-        b = tensor(np.zeros(8))
+        # at exactly zero for every step in both directions.
+        zeros = (tensor(np.zeros((5, 8))), randp(2, 8), tensor(np.zeros(8)))
         with fresh_tape(), no_grad():
-            assert np.array_equal(ad.lstm_sequence(xw, wh, b).data,
-                                  np.zeros((5, 2)))
+            out = ad.bilstm_layer(zeros, zeros, [3, 2]).data
+        assert np.array_equal(out, np.zeros((5, 4)))
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="wh shape"):
-            ad.lstm_sequence(randp(3, 8), randp(3, 8), randp(8))
-
-    def test_lengths_must_pack_every_row(self):
-        with pytest.raises(ValueError, match="lengths"):
-            ad.lstm_sequence(randp(5, 8), randp(2, 8), randp(8), [2, 2])
-
-    def test_reverse_runs_right_to_left(self):
-        xw, wh, b = randp(5, 8), randp(2, 8), randp(8)
-        with fresh_tape(), no_grad():
-            got = ad.lstm_sequence(xw, wh, b, reverse=True).data
-            want = ad.lstm_sequence(tensor(xw.data[::-1]), wh, b).data
-        assert np.array_equal(got, want[::-1])
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_packed_matches_one_call_per_sequence(self, reverse):
+    def test_packed_matches_one_call_per_sequence(self):
         # Unsorted mixed lengths, one of them 1: each sequence gets what
-        # its own call gives, in outputs and in all three gradients.
+        # its own call gives, in outputs and in all six gradients.  A
+        # product over several running rows may round differently from
+        # one over a single row, hence the tolerance.
         lengths = [3, 1, 5, 2, 5]
         n = sum(lengths)
-        xw, wh, b = randp(n, 12), randp(3, 12), randp(12)
-        weight = RNG.normal(size=(n, 3))
+        fwd, bwd = directions(n, 3)
+        weight = RNG.normal(size=(n, 6))
+        shared = [fwd[1], fwd[2], bwd[1], bwd[2]]
 
-        def run(x, lens, w):
-            ad.zero_grads([x, wh, b])
+        def run(rows, lens):
+            xs = [param(fwd[0].data[rows]), param(bwd[0].data[rows])]
+            ad.zero_grads(shared)
             with fresh_tape():
-                out = ad.lstm_sequence(x, wh, b, lens, reverse)
-                backward(ad.sum_all(ad.mul(out, tensor(w))))
-            return out.data, x.grad, wh.grad, b.grad
+                out = ad.bilstm_layer((xs[0], *fwd[1:]), (xs[1], *bwd[1:]),
+                                      lens)
+                backward(ad.sum_all(ad.mul(out, tensor(weight[rows]))))
+            return [out.data] + [t.grad for t in xs + shared]
 
-        packed = run(xw, lengths, weight)
-        outs, d_xw, d_wh, d_b = [], [], 0.0, 0.0
-        lo = 0
-        for m in lengths:
-            out, g_x, g_wh, g_b = run(param(xw.data[lo:lo + m]), None,
-                                      weight[lo:lo + m])
-            outs.append(out)
-            d_xw.append(g_x)
-            d_wh, d_b = d_wh + g_wh, d_b + g_b
-            lo += m
-        want = (np.vstack(outs), np.vstack(d_xw), d_wh, d_b)
+        packed = run(slice(None), lengths)
+        ends = np.cumsum(lengths)
+        singles = [run(slice(end - m, end), None)
+                   for m, end in zip(lengths, ends)]
+        want = [np.vstack(parts) for parts in zip(*(s[:3] for s in singles))]
+        want += [sum(s[k] for s in singles) for k in range(3, 7)]
         for got, expected in zip(packed, want):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_packed_gradients(self, reverse):
-        xw = randp(7, 12, name="xw")
-        wh = randp(3, 12, name="wh")
-        b = randp(12, name="b")
-        w = tensor(RNG.normal(size=(7, 3)))
-        check(lambda: ad.sum_all(ad.mul(
-            ad.lstm_sequence(xw, wh, b, [2, 4, 1], reverse), w)),
-            [xw, wh, b], tol=1e-5)
+    def test_shape_mismatch_rejected(self):
+        for wrong in (0, 1):  # either direction
+            pair = directions(3, 2)
+            xw, _, b = pair[wrong]
+            pair[wrong] = (xw, randp(3, 8), b)
+            with pytest.raises(ValueError, match="wh shape"):
+                ad.bilstm_layer(*pair)
+
+    def test_lengths_must_pack_every_row(self):
+        fwd, bwd = directions(5, 2)
+        with pytest.raises(ValueError, match="lengths"):
+            ad.bilstm_layer(fwd, bwd, [2, 2])
 
 
 class TestComposite:

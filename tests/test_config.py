@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from framepath.cli import main
 from framepath.config import Config, ConfigError, config_from_dict, load_config
 
 # Former fields that older configs and checkpoints still carry, at the
@@ -63,6 +64,37 @@ def test_override_beats_preset():
 def test_invalid_values_rejected(bad):
     with pytest.raises(ConfigError):
         config_from_dict(bad)
+
+
+MISTYPED = [{"lstm_hidden": "32"}, {"dropout": "0.1"}, {"seed": 2.5},
+            {"batch_size": 2.5}, {"use_gcn": "false"}]
+
+
+@pytest.mark.parametrize("bad", MISTYPED + [
+    {"max_epochs": True}, {"lr": False}, {"stop_metric": True}, {"task": 1}])
+def test_mistyped_values_rejected_naming_the_key(bad):
+    [key] = bad  # true/false is never a number
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(bad)
+
+
+def test_json_integers_load_into_float_fields():
+    cfg = config_from_dict({"lr": 1, "stop_metric": 0, "dropout": 0})
+    assert (cfg.lr, cfg.stop_metric, cfg.dropout) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("bad", MISTYPED)
+def test_cli_reports_a_mistyped_config_value(bad, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(bad))
+    # The config is read first, so the missing data files never matter.
+    assert main(["train", "--config", str(p), "--corpus",
+                 str(tmp_path / "corpus.jsonl"), "--ontology",
+                 str(tmp_path / "ontology.json"), "--checkpoint",
+                 str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {next(iter(bad))} must be" in err
+    assert "Traceback" not in err
 
 
 def test_load_config_file_and_overrides(tmp_path):

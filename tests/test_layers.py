@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -122,11 +123,12 @@ class TestSimpleLayers:
 class TestLstm:
     def test_single_step_matches_hand_computation(self):
         s = store(5)
-        cell = LstmDirection(s, "dir", 2, 3)
+        net = BiLstm(s, "lstm", 2, 3)
+        fwd = net.layers[0][0]
         x = np.random.default_rng(1).normal(size=(1, 2))
         with fresh_tape(), no_grad():
-            h = cell(tensor(x)).data[0]
-        gates = x[0] @ cell.wx.data + cell.b.data
+            h = net(tensor(x)).data[0, :3]  # forward half
+        gates = x[0] @ fwd.wx.data + fwd.b.data
 
         def sig(v):
             return 1 / (1 + np.exp(-v))
@@ -144,12 +146,30 @@ class TestLstm:
         assert np.array_equal(cell.b.data[8:], np.zeros(8))
 
     def test_direction_gradients(self):
+        # Through the forward half of a one-layer BiLstm, only the
+        # forward direction's parameters get a gradient.
         s = store(7)
-        cell = LstmDirection(s, "dir", 2, 2)
+        net = BiLstm(s, "lstm", 2, 2)
         x = tensor(np.random.default_rng(2).normal(size=(3, 2)))
+        forward_half = tensor(np.repeat([[1.0, 1.0, 0.0, 0.0]], 3, axis=0))
         max_rel, report = grad_check(
-            lambda: ad.sum_all(ad.tanh(cell(x))), params(s))
+            lambda: ad.sum_all(ad.mul(ad.tanh(net(x)), forward_half)),
+            params(s))
         assert max_rel < 1e-5, report[0]
+        assert all(p.startswith("lstm.l0.fwd.")
+                   for p, _, analytic, _, _ in report if analytic != 0.0)
+
+    def test_one_recurrence_op_per_layer(self):
+        # Each layer records its two input projections and one op that
+        # steps both directions together.
+        s = store(3)
+        net = BiLstm(s, "lstm", 3, 2, layers=3)
+        x = tensor(np.random.default_rng(8).normal(size=(5, 3)))
+        with fresh_tape():
+            net(x, [2, 3])
+            ops = Counter(vjp.__qualname__.split(".")[0]
+                          for _, vjp in ad._tape().records)
+        assert ops == {"matmul": 6, "bilstm_layer": 3}
 
     def test_bilstm_shape_and_gradients(self):
         s = store(9)

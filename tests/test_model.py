@@ -507,18 +507,20 @@ class TestPackedBatch:
 
     def test_tape_size_of_a_fixed_joint_batch(self):
         # The GCN runs once over the batch's forest of trees, each
-        # backbone makes one path-sum op, each head and CRF records once
-        # per batch, not per sentence or annotation, and the packed
-        # backbone rows go to the heads uncut: 114 records for these 8
-        # sentences (209 with one GCN pass per tree and one path sum per
-        # reference, 828 with per-annotation heads).
+        # backbone makes one path-sum op and one recurrence op per BiLSTM
+        # layer, each head and CRF records once per batch, not per
+        # sentence or annotation, and the packed backbone rows go to the
+        # heads uncut: 106 records for these 8 sentences (114 with one
+        # recurrence op per direction and a column join per layer, 209
+        # with one GCN pass per tree and one path sum per reference, 828
+        # with per-annotation heads).
         sentences, ontology = generate(101, 80)
         model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
                             ontology)
         preps = [model.prepare(s) for s in sentences[:8]]
         with ad.fresh_tape():
             model.loss(preps, "joint")
-            assert ad.tape_length() == 114
+            assert ad.tape_length() == 106
 
     def test_srl_predict_equals_one_target_calls(self):
         # corpus[2] pairs a target with roles and one without any

@@ -7,6 +7,8 @@ perfbench/ is imported as a package or written."""
 import types
 from pathlib import Path
 
+import pytest
+
 from framepath import gcn, model, synth
 from framepath.config import Config
 from framepath.corpus import build_vocab
@@ -39,7 +41,8 @@ def test_model_binds_path_sum_features_by_name():
     assert model.path_sum_features is gcn.path_sum_features
 
 
-def test_training_records_gcn_and_path_sum_spans():
+@pytest.fixture(scope="module")
+def traced_training_spans() -> set[str]:
     tracing = load_tracer()
     sentences, ontology = synth.generate(0, 8)
     parser = FrameParser(Config(max_epochs=1),
@@ -47,5 +50,14 @@ def test_training_records_gcn_and_path_sum_spans():
     tracer = tracing.Tracer()
     with tracer.active("unit"):
         train(parser, sentences[:6], sentences[6:])
-    names = {span[0] for span in tracer.spans}
-    assert {"gcn.tree_gcn", "gcn.path_sum"} <= names
+    return {span[0] for span in tracer.spans}
+
+
+def test_training_records_gcn_and_path_sum_spans(traced_training_spans):
+    assert {"gcn.tree_gcn", "gcn.path_sum"} <= traced_training_spans
+
+
+def test_training_records_both_backbone_spans(traced_training_spans):
+    # The tracer tells backbone A from B by the name of the first layer's
+    # forward input map; if that layout moved, every span would read B.
+    assert {"layers.bilstm_a", "layers.bilstm_b"} <= traced_training_spans
