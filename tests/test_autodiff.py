@@ -442,12 +442,35 @@ class TestLstmSequence:
         check(lambda: ad.sum_all(ad.bilstm_layer(fwd, bwd)), [*fwd, *bwd],
               tol=1e-5)
 
-    def test_packed_gradients(self):
+    def test_packed_gradients_both_halves(self):
         fwd, bwd = directions(7, 3)
         w = tensor(RNG.normal(size=(7, 6)))
         check(lambda: ad.sum_all(ad.mul(
             ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)), [*fwd, *bwd],
             tol=1e-5)
+
+    @pytest.mark.parametrize("backward_half", [False, True])
+    def test_packed_gradients(self, backward_half):
+        # A loss that reads one direction's half of the output: that
+        # direction's gradients pass the check through the packed
+        # recurrence, and the other direction's, which the stacked steps
+        # must keep apart, are exactly zero.
+        fwd, bwd = directions(7, 3)
+        weight = RNG.normal(size=(7, 6))
+        unread = slice(0, 3) if backward_half else slice(3, 6)
+        weight[:, unread] = 0.0
+        w = tensor(weight)
+        check(lambda: ad.sum_all(ad.mul(
+            ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)), [*fwd, *bwd],
+            tol=1e-5)
+        with fresh_tape():
+            backward(ad.sum_all(ad.mul(
+                ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)))
+            read, unread = (bwd, fwd) if backward_half else (fwd, bwd)
+            for t in read:
+                assert np.all(np.any(t.grad, axis=-1)), t.name
+            for t in unread:
+                assert not np.any(t.grad), t.name
 
     def test_zero_inputs_give_zero_states(self):
         # With xw = b = 0 the cell gate tanh(0) = 0 keeps c, and hence h,
@@ -457,12 +480,15 @@ class TestLstmSequence:
             out = ad.bilstm_layer(zeros, zeros, [3, 2]).data
         assert np.array_equal(out, np.zeros((5, 4)))
 
-    def test_packed_matches_one_call_per_sequence(self):
-        # Unsorted mixed lengths, one of them 1: each sequence gets what
-        # its own call gives, in outputs and in all six gradients.  A
-        # product over several running rows may round differently from
-        # one over a single row, hence the tolerance.
-        lengths = [3, 1, 5, 2, 5]
+    @pytest.mark.parametrize("reversed_order", [False, True])
+    def test_packed_matches_one_call_per_sequence(self, reversed_order):
+        # Unsorted mixed lengths, one of them 1, given in either order so
+        # the tied longest two and the short ones land in other columns:
+        # each sequence gets what its own call gives, in outputs and in
+        # all six gradients.  A product over several running rows may
+        # round differently from one over a single row, hence the
+        # tolerance.
+        lengths = [5, 2, 5, 1, 3] if reversed_order else [3, 1, 5, 2, 5]
         n = sum(lengths)
         fwd, bwd = directions(n, 3)
         weight = RNG.normal(size=(n, 6))
