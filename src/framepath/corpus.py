@@ -174,6 +174,12 @@ class Ontology:
     lus: list[str] = field(init=False)
 
     def __post_init__(self):
+        for name in ("lu_to_frames", "frame_to_elements"):
+            mapping = getattr(self, name)
+            if not isinstance(mapping, dict) or not all(
+                    isinstance(v, list) and all(isinstance(x, str) for x in v)
+                    for v in mapping.values()):
+                raise CorpusError(f"{name} must map names to lists of strings")
         self.lu_to_frames = {k: sorted(set(v)) for k, v in self.lu_to_frames.items()}
         self.frame_to_elements = {
             k: sorted(set(v)) for k, v in self.frame_to_elements.items()
@@ -186,23 +192,20 @@ class Ontology:
                     raise CorpusError(
                         f"lexical unit {lu!r} references unknown frame {f!r}"
                     )
+        for frame, roles in self.frame_to_elements.items():
+            if not roles:
+                raise CorpusError(f"frame {frame!r} licenses no roles")
         self.frames = sorted(self.frame_to_elements)
         self.fes = sorted({e for v in self.frame_to_elements.values() for e in v})
         self.lus = sorted(self.lu_to_frames)
 
     def frame_mask(self, lu: str) -> np.ndarray:
         """Boolean vector over the frame inventory: frames licensed by lu."""
-        if lu not in self.lu_to_frames:
-            raise KeyError(f"unknown lexical unit {lu!r}")
-        allowed = set(self.lu_to_frames[lu])
-        return np.array([f in allowed for f in self.frames], dtype=bool)
+        return np.isin(self.frames, self.lu_to_frames[lu])
 
     def fe_mask(self, frame: str) -> np.ndarray:
         """Boolean vector over the role inventory: roles licensed by frame."""
-        if frame not in self.frame_to_elements:
-            raise KeyError(f"unknown frame {frame!r}")
-        allowed = set(self.frame_to_elements[frame])
-        return np.array([e in allowed for e in self.fes], dtype=bool)
+        return np.isin(self.fes, self.frame_to_elements[frame])
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +224,10 @@ def load_ontology(path: str) -> Ontology:
         raise CorpusError(
             f"{path}: expected keys lu_to_frames and frame_to_elements"
         )
-    return Ontology(data["lu_to_frames"], data["frame_to_elements"])
+    try:
+        return Ontology(data["lu_to_frames"], data["frame_to_elements"])
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e
 
 
 def save_ontology(ontology: Ontology, path: str) -> None:

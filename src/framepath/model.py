@@ -20,10 +20,11 @@ Heads, each one op per layer over every target (or span) it is given:
       licensed role labels over the span sequence + CRF.
 
 A training batch runs the GCN once over the forest of its trees, the
-path sums once per backbone, and each head and CRF once over all its
-sentences and annotations; role prediction runs each srl head once over every target
-it is given, across sentences.  AC trains on gold spans (teacher
-forcing) and labels AI's predicted spans at inference.
+embedding lookups and path sums once per backbone, and each head and
+CRF once over all its sentences and annotations; role prediction runs
+each srl head once over every target it is given, across sentences.
+AC trains on gold spans (teacher forcing) and labels AI's predicted
+spans at inference.
 """
 
 from __future__ import annotations
@@ -101,51 +102,16 @@ def sum_parts(parts: dict[str, Tensor]) -> Tensor:
     return reduce(ad.add, parts.values())
 
 
+@dataclass(eq=False)  # compared and hashed by identity, as tensors are
 class SentenceEncoding:
-    """e, the GCN node rows h of the sentence's tree (None without a GCN)
-    and, from FrameParser.encode, a.  Encodings made together share one
-    forest h; this tree's rows start at row h_first."""
+    """The GCN node rows h of the sentence's tree (None without a GCN)
+    and, from FrameParser.encode, backbone A's rows a.  Encodings made
+    together share one forest h; this tree's rows start at row h_first."""
 
-    def __init__(self, model: "FrameParser", prep: Prepared, train: bool,
-                 h: Tensor | None, h_first: int):
-        self.model = model
-        self.prep = prep
-        self.train = train
-        tok = model.token_emb(prep.token_ids)
-        pos = model.pos_emb(prep.pos_ids)
-        self.e = ad.concat_cols([tok, pos])
-        self.h = h
-        self.h_first = h_first
-
-    def _drop(self, t: Tensor) -> Tensor:
-        return self.model._drop(t, self.train)
-
-
-def _path_features(refs: list) -> Tensor:
-    """Path features of each (encoding, reference node) in refs, their
-    rows back to back, from one path_sum_features call over the node rows
-    of every forest the encodings come from; zeros without a GCN."""
-    model = refs[0][0].model
-    trees = [enc.prep.sentence.tree for enc, _ in refs]
-    if model.gcn is None:
-        return ad.tensor(np.zeros((sum(t.n_tokens for t in trees),
-                                   model.config.gcn_dim)))
-    hs = list({id(enc.h): enc.h for enc, _ in refs}.values())
-    base = dict(zip(map(id, hs),
-                    accumulate((h.data.shape[0] for h in hs), initial=0)))
-    return path_sum_features(
-        trees, hs[0] if len(hs) == 1 else ad.concat(hs),
-        [ref for _, ref in refs],
-        [base[id(enc.h)] + enc.h_first for enc, _ in refs])
-
-
-def _backbone(lstm: BiLstm, norm: LayerNorm, refs: list) -> Tensor:
-    """LN(BiLSTM([e; path features]) + e) of each (encoding, reference
-    node) in refs, in one pass; their rows stay packed back to back."""
-    lengths = [enc.e.data.shape[0] for enc, _ in refs]
-    e = ad.concat([enc.e for enc, _ in refs])
-    raw = lstm(ad.concat_cols([e, _path_features(refs)]), lengths)
-    return norm(ad.add(refs[0][0]._drop(raw), e))
+    prep: Prepared
+    h: Tensor | None
+    h_first: int
+    a: Tensor | None = None
 
 
 class FrameParser:
@@ -256,14 +222,47 @@ class FrameParser:
                          drop=lambda t: self._drop(t, train))
         firsts = accumulate((len(prep.sentence.tree) for prep in preps),
                             initial=0)
-        return [SentenceEncoding(self, prep, train, h, first)
+        return [SentenceEncoding(prep, h, first)
                 for prep, first in zip(preps, firsts)]
 
     def encode(self, prep: Prepared, train: bool = False) -> SentenceEncoding:
         enc, = self._encodings([prep], train)
-        enc.a = _backbone(self.lstm_a, self.ln_a,
-                          [(enc, prep.sentence.tree.root_index)])
+        enc.a = self._backbone(self.lstm_a, self.ln_a,
+                               [(enc, prep.sentence.tree.root_index)], train)
         return enc
+
+    def embed(self, preps: list[Prepared]) -> Tensor:
+        """e = [token embedding; POS embedding] of the sentences' tokens,
+        their rows back to back, from one lookup per table."""
+        return ad.concat_cols([
+            self.token_emb([i for prep in preps for i in prep.token_ids]),
+            self.pos_emb([i for prep in preps for i in prep.pos_ids])])
+
+    def _path_features(self, refs: list) -> Tensor:
+        """Path features of each (encoding, reference node) in refs, their
+        rows back to back, from one path_sum_features call over the node
+        rows of every forest the encodings come from; zeros without a
+        GCN."""
+        trees = [enc.prep.sentence.tree for enc, _ in refs]
+        if self.gcn is None:
+            return ad.tensor(np.zeros((sum(t.n_tokens for t in trees),
+                                       self.config.gcn_dim)))
+        hs = list({id(enc.h): enc.h for enc, _ in refs}.values())
+        base = dict(zip(map(id, hs),
+                        accumulate((h.data.shape[0] for h in hs), initial=0)))
+        return path_sum_features(
+            trees, hs[0] if len(hs) == 1 else ad.concat(hs),
+            [ref for _, ref in refs],
+            [base[id(enc.h)] + enc.h_first for enc, _ in refs])
+
+    def _backbone(self, lstm: BiLstm, norm: LayerNorm, refs: list,
+                  train: bool) -> Tensor:
+        """LN(BiLSTM([e; path features]) + e) of each (encoding, reference
+        node) in refs, in one pass; their rows stay packed back to back."""
+        e = self.embed([enc.prep for enc, _ in refs])
+        raw = lstm(ad.concat_cols([e, self._path_features(refs)]),
+                   [len(enc.prep.sentence) for enc, _ in refs])
+        return norm(ad.add(self._drop(raw, train), e))
 
     # ------------------------------------------------------------------
     # heads: each runs once over every target it is given
@@ -280,13 +279,13 @@ class FrameParser:
         return ad.sum_row_groups(a, [sorted(t) for t in targets])
 
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
-                 ) -> tuple[Tensor, list[int]]:
+                 train: bool = False) -> tuple[Tensor, list[int]]:
         """b of each (encoding, target first index) in pairs, from one
         backbone-B pass with the rows packed back to back, and the row
         where each pair's block starts."""
-        b = _backbone(self.lstm_b, self.ln_b, [
+        b = self._backbone(self.lstm_b, self.ln_b, [
             (enc, enc.prep.sentence.tree.token_node(first))
-            for enc, first in pairs])
+            for enc, first in pairs], train)
         return b, list(accumulate((len(enc.prep.sentence) for enc, _ in pairs),
                                   initial=0))
 
@@ -353,25 +352,6 @@ class FrameParser:
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
         return [self.vocab.frames[k] for k in scores.argmax(axis=1)]
 
-    def _arguments(self, encs: list[SentenceEncoding],
-                   targets: list[list[int]], lus: list[str],
-                   frames: list[str], spans=None):
-        """Each target's argument spans, found by the ai head unless given,
-        with z and target_b's packed b and rows to label them; target j
-        belongs to encs[j], and each op runs once over every target."""
-        b, b_first = self.target_b([(enc, min(target))
-                                    for enc, target in zip(encs, targets)])
-        t = self.target_rows(ad.concat([enc.a for enc in encs]), [
-            [first + i for i in target]
-            for first, target in zip(b_first, targets)])
-        z, pr = self.predicate_rows(t, [self.vocab.lu_id(lu) for lu in lus],
-                                    [self.vocab.frame_id(f) for f in frames])
-        if spans is None:
-            emissions = self.ai_scores(pr, b, b_first, np.diff(b_first)).data
-            spans = [decode_iob2(self.ai_crf.viterbi(c))
-                     for c in np.split(emissions, b_first[1:-1])]
-        return spans, z, b, b_first
-
     def srl_predict(self, encs: list[SentenceEncoding],
                     targets: list[list[int]], lus: list[str],
                     frames: list[str],
@@ -379,16 +359,24 @@ class FrameParser:
                     ) -> tuple[list[list[tuple[int, int]]], list[list[str]]]:
         """Each target's argument spans and their role labels, target j
         belonging to encs[j]: the ai head finds the spans unless they are
-        given, and the ac head labels them."""
+        given, and the ac head labels them.  Each op runs once over every
+        target."""
         if not targets:
             return [], []
         frame_ids = [self.vocab.frame_id(f) for f in frames]
         with ad.no_grad():
-            spans, z, b, b_first = self._arguments(encs, targets, lus, frames,
-                                                   spans)
-            for frame, k, s in zip(frames, frame_ids, spans):
-                if s and not np.any(self._fe_penalty[k] == 0.0):
-                    raise ValueError(f"frame {frame!r} licenses no role labels")
+            b, b_first = self.target_b([(enc, min(target))
+                                        for enc, target in zip(encs, targets)])
+            t = self.target_rows(ad.concat([enc.a for enc in encs]), [
+                [first + i for i in target]
+                for first, target in zip(b_first, targets)])
+            z, pr = self.predicate_rows(
+                t, [self.vocab.lu_id(lu) for lu in lus], frame_ids)
+            if spans is None:
+                emissions = self.ai_scores(pr, b, b_first,
+                                           np.diff(b_first)).data
+                spans = [decode_iob2(self.ai_crf.viterbi(c))
+                         for c in np.split(emissions, b_first[1:-1])]
             emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
@@ -399,8 +387,7 @@ class FrameParser:
     def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
                    frame: str) -> list[tuple[int, int]]:
         """One target's argument spans."""
-        with ad.no_grad():
-            return self._arguments([enc], [target], [lu], [frame])[0][0]
+        return self.srl_predict([enc], [target], [lu], [frame])[0][0]
 
     def ac_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
                    frame: str, spans: list[tuple[int, int]]) -> list[str]:
@@ -419,8 +406,8 @@ class FrameParser:
         if not preps:
             raise ValueError("empty batch")
         encs = self._encodings(preps, train)
-        a = _backbone(self.lstm_a, self.ln_a, [
-            (enc, enc.prep.sentence.tree.root_index) for enc in encs])
+        a = self._backbone(self.lstm_a, self.ln_a, [
+            (enc, enc.prep.sentence.tree.root_index) for enc in encs], train)
         lengths = [len(prep.sentence) for prep in preps]
         starts = list(accumulate(lengths, initial=0))
         items = [(k, pa) for k, prep in enumerate(preps)
@@ -447,7 +434,7 @@ class FrameParser:
             out["srl"] = ad.tensor(np.asarray(0.0))
         if "srl" in parts and items:
             b, b_first = self.target_b([(encs[k], min(pa.target))
-                                        for k, pa in items])
+                                        for k, pa in items], train)
             n = [lengths[k] for k, _ in items]
             frame_ids = [pa.frame_id for pa in anns]
             z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],

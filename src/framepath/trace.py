@@ -74,8 +74,8 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
         out("")
 
         out("== backbone A ==")
-        lines.extend(_matrix("e (token + pos embeddings)", enc.e.data,
-                             token_names))
+        lines.extend(_matrix("e (token + pos embeddings)",
+                             model.embed([prep]).data, token_names))
         out("")
         lines.extend(_matrix("a = LN(BiLSTM(e, p_root) + e)", enc.a.data,
                              token_names))

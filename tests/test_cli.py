@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -355,3 +356,56 @@ def test_checkpoint_with_retired_key(workspace, tmp_path, capsys, retired,
     if code:
         assert f"{ckpt}: bad checkpoint config: {retired}" in err
 
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(lu_to_frames=[]),
+     "lu_to_frames must map names to lists of strings"),
+    (lambda doc: doc["frame_to_elements"].update(Motion="xy"),
+     "frame_to_elements must map names to lists of strings"),
+    (lambda doc: doc["frame_to_elements"].update(Motion=["Mover", 3]),
+     "frame_to_elements must map names to lists of strings"),
+    (lambda doc: doc["lu_to_frames"].update({"go.v": ["Nope"]}),
+     "lexical unit 'go.v' references unknown frame 'Nope'"),
+    (lambda doc: doc["frame_to_elements"].update(Motion=[]),
+     "frame 'Motion' licenses no roles"),
+], ids=["map-not-object", "string-for-list", "non-string-role",
+        "unknown-frame", "frame-without-roles"])
+def test_malformed_ontology_exits_2_naming_the_file(
+        workspace, tmp_path, capsys, monkeypatch, mutate, message):
+    monkeypatch.setattr("framepath.cli.train", never_train)
+    doc = json.load(open(workspace["onto"]))
+    mutate(doc)
+    onto = tmp_path / "onto.json"
+    onto.write_text(json.dumps(doc))
+    assert main(["train", "--corpus", workspace["corpus"], "--ontology",
+                 str(onto), "--checkpoint", str(tmp_path / "model.json"),
+                 "--task", "ti", "--max-epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {onto}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-checks", "0"],
+    ["--max-checks", "-5"],
+    ["--tolerance", "nan"],
+    ["--tolerance", "inf"],
+    ["--tolerance", "0"],
+    ["--tolerance", "-0.0001"],
+], ids=["max-checks-0", "max-checks-negative", "tolerance-nan",
+        "tolerance-inf", "tolerance-0", "tolerance-negative"])
+def test_gradcheck_bad_limits_exit_1(capsys, flags):
+    assert main(["gradcheck"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any check ran
+    assert "--max-checks" in err
+
+
+def test_gradcheck_exit_code_follows_printed_status(capsys):
+    # Nothing is below the smallest positive float but an exact zero,
+    # so some task fails; the exit code must say so.
+    assert main(["gradcheck", "--max-checks", "5",
+                 "--tolerance", "5e-324"]) == 3
+    statuses = re.findall(r"\[(ok|FAIL)\]", capsys.readouterr().out)
+    assert len(statuses) == 4 and "FAIL" in statuses

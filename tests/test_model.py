@@ -162,8 +162,7 @@ class TestEncoding:
         zero_params(model, "enc.a.lstm")
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
-            enc = model.encode(prep)
-            e, a = enc.e.data, enc.a.data
+            e, a = model.embed([prep]).data, model.encode(prep).a.data
         mu = e.mean(axis=1, keepdims=True)
         var = e.var(axis=1, keepdims=True)
         expected = (e - mu) / np.sqrt(var + 1e-5)
@@ -510,17 +509,18 @@ class TestPackedBatch:
         # backbone makes one path-sum op and one recurrence op per BiLSTM
         # layer, each head and CRF records once per batch, not per
         # sentence or annotation, and the packed backbone rows go to the
-        # heads uncut: 106 records for these 8 sentences (114 with one
-        # recurrence op per direction and a column join per layer, 209
-        # with one GCN pass per tree and one path sum per reference, 828
-        # with per-annotation heads).
+        # heads uncut, and each backbone pass looks up its embeddings once:
+        # 86 records for these 8 sentences (106 with three embedding ops
+        # per sentence, 114 with one recurrence op per direction and a
+        # column join per layer, 209 with one GCN pass per tree and one
+        # path sum per reference, 828 with per-annotation heads).
         sentences, ontology = generate(101, 80)
         model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
                             ontology)
         preps = [model.prepare(s) for s in sentences[:8]]
         with ad.fresh_tape():
             model.loss(preps, "joint")
-            assert ad.tape_length() == 106
+            assert ad.tape_length() == 86
 
     def test_srl_predict_equals_one_target_calls(self):
         # corpus[2] pairs a target with roles and one without any

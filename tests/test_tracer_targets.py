@@ -42,7 +42,7 @@ def test_model_binds_path_sum_features_by_name():
 
 
 @pytest.fixture(scope="module")
-def traced_training_spans() -> set[str]:
+def traced_training() -> dict:
     tracing = load_tracer()
     sentences, ontology = synth.generate(0, 8)
     parser = FrameParser(Config(max_epochs=1),
@@ -50,14 +50,23 @@ def traced_training_spans() -> set[str]:
     tracer = tracing.Tracer()
     with tracer.active("unit"):
         train(parser, sentences[:6], sentences[6:])
-    return {span[0] for span in tracer.spans}
+    return {"spans": {span[0] for span in tracer.spans},
+            "metrics": tracing.layer_metrics(tracer)}
 
 
-def test_training_records_gcn_and_path_sum_spans(traced_training_spans):
-    assert {"gcn.tree_gcn", "gcn.path_sum"} <= traced_training_spans
+def test_training_records_gcn_and_path_sum_spans(traced_training):
+    assert {"gcn.tree_gcn", "gcn.path_sum"} <= traced_training["spans"]
 
 
-def test_training_records_both_backbone_spans(traced_training_spans):
+def test_training_records_both_backbone_spans(traced_training):
     # The tracer tells backbone A from B by the name of the first layer's
     # forward input map; if that layout moved, every span would read B.
-    assert {"layers.bilstm_a", "layers.bilstm_b"} <= traced_training_spans
+    assert {"layers.bilstm_a", "layers.bilstm_b"} <= traced_training["spans"]
+
+
+def test_joint_dev_metric_encodes_each_dev_sentence_twice(traced_training):
+    # The benchmark's own test pins this figure; it counts
+    # FrameParser.encode calls under dev_metric, so an evaluator that
+    # stops calling encode once per annotated dev sentence breaks it.
+    metrics = traced_training["metrics"]
+    assert metrics["evaluation.encodes_per_dev_sentence"] == 2.0
