@@ -23,6 +23,7 @@ import math
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,9 +124,12 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp) -> Tensor:
     t = _tape()
-    if t.enabled and any(i.needs_grad for i in inputs):
-        out.needs_grad = True
-        t.records.append((out, vjp))
+    if t.enabled:
+        for i in inputs:  # any() over a generator costs more, per op
+            if i.needs_grad:
+                out.needs_grad = True
+                t.records.append((out, vjp))
+                break
     return out
 
 
@@ -373,14 +377,16 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of a matrix, then scale and shift."""
+    """Normalize each row of a matrix, then scale and shift.  The mean
+    and variance are the reductions and divisions np.mean and np.var run,
+    without their Python wrappers, so every bit matches theirs."""
     data = x.data
-    mu = data.mean(axis=1, keepdims=True)
-    var = data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (data - mu) * inv
-    out = Tensor(_check(xhat * gain.data + bias.data, "layer_norm"))
     k = data.shape[1]
+    d = data - np.add.reduce(data, axis=1, keepdims=True) / k
+    var = np.add.reduce(d * d, axis=1, keepdims=True) / k
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = d * inv
+    out = Tensor(_check(xhat * gain.data + bias.data, "layer_norm"))
 
     def vjp(g):
         _acc(gain, (g * xhat).sum(axis=0))
@@ -449,6 +455,15 @@ class Packed:
         self.col = col.repeat(sizes)
         self.step = np.arange(n) - (sizes.cumsum() - sizes).repeat(sizes)
 
+    @cached_property
+    def mirrored(self) -> tuple[np.ndarray, tuple]:
+        """Each row's step in both directions, the second running its
+        sequence mirrored, as (n, 2) steps; and the cells (direction,
+        step, col) that index a two-direction block in row order."""
+        steps = np.array([self.step, np.array(self.lengths).repeat(
+            self.lengths) - 1 - self.step]).T
+        return steps, (np.arange(2), steps, self.col[:, None])
+
     def to_block(self, rows: np.ndarray) -> np.ndarray:
         block = np.zeros((self.steps, len(self.order)) + rows.shape[1:])
         block[self.step, self.col] = rows
@@ -460,12 +475,13 @@ class Packed:
 
 def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
                  bwd: tuple[Tensor, Tensor, Tensor],
-                 lengths: Sequence[int] | None = None) -> Tensor:
+                 lengths: Sequence[int] | Packed | None = None) -> Tensor:
     """One bidirectional LSTM layer over packed sequences, as one tape op.
 
     fwd and bwd are each one direction's (xw, wh, b): xw is (n, 4H)
     holding x_t @ Wx for every step of sequences of the given lengths
-    (None: one), back to back; wh is (H, 4H); b is (4H,) with gate order
+    (None: one; or their Packed layout, which the layers of a stack
+    share), back to back; wh is (H, 4H); b is (4H,) with gate order
     [input, forget, cell, output].  Each sequence starts from zero states;
     fwd runs it left to right and bwd right to left.  Returns the (n, 2H)
     states [forward | backward] in xw's row order.
@@ -484,11 +500,11 @@ def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
             raise ValueError(f"xw shape {xw.data.shape} and wh shape "
                              f"{wh.data.shape} do not match ({n}, {four_h}) "
                              f"and ({h}, {four_h})")
-    packed = Packed(n, lengths)
-    # Each row's step in each direction: bwd runs its sequence mirrored.
-    steps = np.array([packed.step, np.array(packed.lengths).repeat(
-        packed.lengths) - 1 - packed.step]).T
-    cells = (np.arange(2), steps, packed.col[:, None])
+    packed = (lengths if isinstance(lengths, Packed)
+              else Packed(n, lengths))
+    if len(packed.step) != n:
+        raise ValueError(f"lengths {packed.lengths} do not pack {n} rows")
+    steps, cells = packed.mirrored  # bwd runs each sequence mirrored
     k = len(packed.order)
     xs = np.zeros((2, packed.steps, k, four_h))
     xs[0, steps[:, 0], packed.col] = fwd[0].data

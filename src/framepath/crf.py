@@ -148,7 +148,8 @@ class LinearChainCrf:
         tags = np.asarray(tags, dtype=np.intp)
         chain = np.repeat(np.arange(len(sizes)), sizes)
         first = np.cumsum(sizes) - sizes
-        inner = np.isin(np.arange(n), first, invert=True)  # has a predecessor
+        inner = np.ones(n, dtype=bool)  # has a predecessor
+        inner[first] = False
         pairs = tags[:-1][inner[1:]] * k + tags[inner]  # flat trans cells
         score = (start[tags[first]] + self.end.data[tags[first + sizes - 1]]
                  + np.bincount(chain, emissions.data[np.arange(n), tags])
@@ -177,22 +178,22 @@ class LinearChainCrf:
     def viterbi(self, emissions: np.ndarray) -> list[int]:
         """Best legal tag sequence (no tape): the scheme's forbidden
         openers and bigrams score -inf, not a finite penalty."""
-        n, k = emissions.shape
+        n = len(emissions)
         if n == 0:
             return []
         start = np.where(self.scheme.allowed_start, self.start.data, -np.inf)
         trans = np.where(self.scheme.allowed_transition, self.trans.data,
                          -np.inf)
         score = start + emissions[0]
-        back = np.zeros((n, k), dtype=np.intp)
+        back = []  # per step, each label's best predecessor
         for t in range(1, n):
             total = score[:, None] + trans
-            back[t] = total.argmax(axis=0)
-            score = total[back[t], np.arange(k)] + emissions[t]
-        score = score + self.end.data
-        tags = [int(score.argmax())]
-        for t in range(n - 1, 0, -1):
-            tags.append(int(back[t][tags[-1]]))
+            back.append(total.argmax(axis=0).tolist())
+            # max is the very element argmax picks, the first maximum
+            score = total.max(axis=0) + emissions[t]
+        tags = [int((score + self.end.data).argmax())]
+        for best in reversed(back):
+            tags.append(best[tags[-1]])
         return tags[::-1]
 
 

@@ -71,6 +71,9 @@ class ParamStore:
         }
 
     def load_state(self, state: dict) -> None:
+        """Set every parameter from state (path -> shape and flat values);
+        a missing or extra path, a wrong shape or a non-finite value
+        raises ValueError naming it."""
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
@@ -86,8 +89,10 @@ class ParamStore:
                     f"{path}: shape {shape} does not match "
                     f"{entry.tensor.data.shape}"
                 )
-            entry.tensor.data = np.array(rec["values"],
-                                         dtype=np.float64).reshape(shape)
+            values = np.array(rec["values"], dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: non-finite value (NaN or inf)")
+            entry.tensor.data = values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,8 @@ class BiLstm:
     """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
     sequences of the given lengths back to back (None: one sequence).
     Each layer is two input-projection matmuls over every row and one
-    ad.bilstm_layer op that steps both directions together."""
+    ad.bilstm_layer op that steps both directions together; the layers
+    share one ad.Packed layout of the sequences."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
                  layers: int = 1):
@@ -157,8 +163,9 @@ class BiLstm:
     def __call__(self, x: Tensor,
                  lengths: Sequence[int] | None = None) -> Tensor:
         out = x
+        packed = ad.Packed(len(x.data), lengths)
         for fwd, bwd in self.layers:
             out = ad.bilstm_layer((ad.matmul(out, fwd.wx), fwd.wh, fwd.b),
                                   (ad.matmul(out, bwd.wx), bwd.wh, bwd.b),
-                                  lengths)
+                                  packed)
         return out

@@ -39,32 +39,48 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # rows the update is written through, as long as the largest entry;
+    # shared by all entries, so it costs no memory per parameter
+    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 def adam_step(state: AdamState, entries: Sequence[tuple[str, ParamEntry]]):
-    """One update over (path, entry) pairs; every entry must carry a grad."""
+    """One update over (path, entry) pairs; every entry must carry a grad.
+
+    Each entry updates in place, through its moments and two rows of
+    work space, in the textbook expression's order: m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g, theta -= lr*(m/(1-b1**t)) /
+    (sqrt(v/(1-b2**t)) + eps), then theta -= (lr*wd)*theta if it decays.
+    Every bit matches the out-of-place form, with no temporaries."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    decay = state.lr * state.weight_decay
     for path, entry in entries:
         g = entry.tensor.grad
         if g is None:
             raise TrainingError(f"parameter {path!r} has no gradient")
+        theta = entry.tensor.data
         m = state.m.get(path)
         if m is None:
-            m = state.m[path] = np.zeros_like(entry.tensor.data)
-            state.v[path] = np.zeros_like(entry.tensor.data)
+            m = state.m[path] = np.zeros_like(theta)
+            state.v[path] = np.zeros_like(theta)
+        if theta.size > state.work.shape[1]:
+            state.work = np.empty((2, theta.size))
         v = state.v[path]
+        s, d = state.work[:, :theta.size].reshape((2,) + theta.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        theta = entry.tensor.data
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(1.0 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.sqrt(np.divide(v, c2, out=d), out=d)
+        d += state.eps
+        np.multiply(state.lr, np.divide(m, c1, out=s), out=s)
+        theta -= np.divide(s, d, out=s)
         if entry.decay and state.weight_decay > 0.0:
-            theta -= state.lr * state.weight_decay * theta
+            theta -= np.multiply(decay, theta, out=s)
 
 
 def clip_global_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
@@ -150,6 +166,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     preps = [model.prepare(s) for s in train_sentences]
     entries = model.trainable_entries(task)
     tensors = [e.tensor for _, e in entries]
+    params = [e.tensor for _, e in model.store.entries()]
     penalties = model.penalty_terms(task)
     state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
@@ -157,7 +174,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
                              cfg.scheduler_factor, cfg.scheduler_threshold)
     best_metric = -np.inf
     best_epoch = 0
-    best_state: dict | None = None
+    best_params: list[np.ndarray] | None = None
     stall = 0
     rows: list[dict] = []
     order = np.arange(len(preps))
@@ -204,7 +221,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best_state = model.store.state()
+            best_params = [p.data.copy() for p in params]
         if metric > sched.best + cfg.scheduler_threshold:
             stall = 0
         else:
@@ -215,8 +232,9 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
         if stall >= cfg.early_stop_patience:
             break
 
-    if best_state is not None:
-        model.store.load_state(best_state)
+    if best_params is not None:
+        for p, best in zip(params, best_params):
+            np.copyto(p.data, best)
     if log_path is not None:
         write_metric_log(log_path, rows)
     return TrainResult(best_metric=float(best_metric), best_epoch=best_epoch,

@@ -202,6 +202,18 @@ class TestNonlinearGrads:
         assert np.allclose(y.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(y.var(axis=1), 1.0, atol=1e-4)
 
+    def test_layer_norm_equals_mean_var_expression(self):
+        # Bit for bit, on rows of mixed scale and a constant row.
+        data = RNG.normal(size=(15, 32)) * np.logspace(-3, 3, 15)[:, None]
+        data[4] = 2.5
+        gain, bias = RNG.normal(size=32), RNG.normal(size=32)
+        with fresh_tape(), no_grad():
+            got = ad.layer_norm(tensor(data), tensor(gain), tensor(bias))
+        mu = data.mean(axis=1, keepdims=True)
+        var = data.var(axis=1, keepdims=True)
+        want = (data - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+        assert np.array_equal(got.data, want)
+
     def test_log_softmax(self):
         x = randp(5)
         w = tensor(RNG.normal(size=5))
@@ -522,8 +534,24 @@ class TestLstmSequence:
 
     def test_lengths_must_pack_every_row(self):
         fwd, bwd = directions(5, 2)
-        with pytest.raises(ValueError, match="lengths"):
-            ad.bilstm_layer(fwd, bwd, [2, 2])
+        for lengths in ([2, 2], ad.Packed(4, [2, 2])):
+            with pytest.raises(ValueError, match="lengths"):
+                ad.bilstm_layer(fwd, bwd, lengths)
+
+    def test_given_layout_equals_lengths(self):
+        # A layout built once and shared by the layers of a stack gives
+        # each layer what its lengths give, outputs and gradients.
+        fwd, bwd = directions(7, 3)
+        w = tensor(RNG.normal(size=(7, 6)))
+        got = []
+        for lengths in ([2, 4, 1], ad.Packed(7, [2, 4, 1])):
+            ad.zero_grads([*fwd, *bwd])
+            with fresh_tape():
+                out = ad.bilstm_layer(fwd, bwd, lengths)
+                backward(ad.sum_all(ad.mul(out, w)))
+            got.append([out.data] + [t.grad for t in (*fwd, *bwd)])
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
 
 
 class TestComposite:

@@ -112,6 +112,22 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["train", "--corpus", "c.jsonl", "--batch-size", "abc"],
+     "framepath train: error: argument --batch-size: invalid int value: "
+     "'abc'"),
+    # argparse reads -1e-4 as an option, not a negative number
+    (["gradcheck", "--tolerance", "-1e-4"],
+     "framepath gradcheck: error: argument --tolerance: expected one "
+     "argument"),
+], ids=["batch-size-not-int", "tolerance-read-as-option"])
+def test_usage_error_prints_the_reason_after_the_usage(capsys, argv, reason):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: framepath {argv[0]}")
+    assert err.endswith(reason + "\n")
+
+
 def test_malformed_corpus_exits_2(workspace, tmp_path):
     broken = tmp_path / "broken.jsonl"
     broken.write_text('{"tokens": ["a"], "pos": ["DT"]}\n')
@@ -217,6 +233,22 @@ def test_malformed_checkpoint_exits_2_naming_the_file(
         assert main([command, "--checkpoint", str(ckpt),
                      "--corpus", workspace["corpus"]]) == 2
         assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_checkpoint_value_exits_2_naming_the_entry(
+        workspace, tmp_path, capsys, value):
+    doc = json.load(open(workspace["ckpt"]))
+    doc["params"]["enc.a.ln.gain"]["values"][3] = value
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))  # writes NaN, Infinity, -Infinity
+    for command in ("eval", "predict"):
+        assert main([command, "--checkpoint", str(ckpt),
+                     "--corpus", workspace["corpus"]]) == 2
+        assert (f"{ckpt}: bad checkpoint params: enc.a.ln.gain: non-finite"
+                in capsys.readouterr().err)
 
 
 def test_incomplete_checkpoint_exits_2(workspace, tmp_path, capsys):

@@ -33,6 +33,25 @@ def make_crf(scheme, seed=0, randomize=True):
     return crf
 
 
+def reference_viterbi(crf, emissions):
+    """The decoder as first written: a back-pointer table, each step's
+    scores gathered at the argmax cells."""
+    n, k = emissions.shape
+    start = np.where(crf.scheme.allowed_start, crf.start.data, -np.inf)
+    trans = np.where(crf.scheme.allowed_transition, crf.trans.data, -np.inf)
+    score = start + emissions[0]
+    back = np.zeros((n, k), dtype=np.intp)
+    for t in range(1, n):
+        total = score[:, None] + trans
+        back[t] = total.argmax(axis=0)
+        score = total[back[t], np.arange(k)] + emissions[t]
+    score = score + crf.end.data
+    tags = [int(score.argmax())]
+    for t in range(n - 1, 0, -1):
+        tags.append(int(back[t][tags[-1]]))
+    return tags[::-1]
+
+
 class TestSchemes:
     def test_iobc_structure(self):
         s = iobc_scheme()
@@ -179,6 +198,29 @@ class TestConstraints:
     def test_ties_break_toward_lower_label_id(self):
         crf = make_crf(iob2_scheme(), seed=0, randomize=False)
         assert crf.viterbi(np.zeros((4, 3))) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("scheme", [
+        iobc_scheme(), iob2_scheme(),
+        open_scheme(tuple(f"T{i}" for i in range(10)))],
+        ids=["iobc", "iob2", "open10"])
+    def test_viterbi_equals_reference_loop_with_ties(self, scheme):
+        # Small integer scores make equal paths common, so this pins the
+        # tie-breaking of every step and of the backtrack, also where
+        # -inf masks leave a label no legal path.
+        rng = np.random.default_rng(23)
+        crf = make_crf(scheme, randomize=False)
+        k = scheme.n_labels
+        for trial in range(150):
+            crf.trans.data = rng.integers(-2, 3, (k, k)).astype(float)
+            crf.start.data = rng.integers(-2, 3, k).astype(float)
+            crf.end.data = rng.integers(-2, 3, k).astype(float)
+            n = int(rng.integers(1, 13))
+            emissions = rng.integers(-3, 4, (n, k)).astype(float)
+            blocked = rng.random((n, k)) < 0.2
+            blocked[:, 0] = False  # keep a legal path open
+            emissions[blocked] = -np.inf
+            assert crf.viterbi(emissions) == reference_viterbi(
+                crf, emissions), trial
 
     def test_emission_mask_blocks_labels(self):
         crf = make_crf(open_scheme(("A", "B", "C")), seed=8, randomize=False)

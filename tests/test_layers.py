@@ -77,6 +77,9 @@ class TestParamStore:
             s.load_state({})
         with pytest.raises(ValueError, match="shape"):
             s.load_state({"a": {"shape": [3], "values": [0, 0, 0]}})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="a: non-finite"):
+                s.load_state({"a": {"shape": [2], "values": [0, bad]}})
 
     def test_glorot_limits(self):
         s = store(1)
@@ -170,6 +173,20 @@ class TestLstm:
             ops = Counter(vjp.__qualname__.split(".")[0]
                           for _, vjp in ad._tape().records)
         assert ops == {"matmul": 6, "bilstm_layer": 3}
+
+    def test_layers_share_one_packed_layout(self, monkeypatch):
+        built = []
+        init = ad.Packed.__init__
+
+        def counting(packed, *args):
+            built.append(args)
+            init(packed, *args)
+
+        monkeypatch.setattr(ad.Packed, "__init__", counting)
+        net = BiLstm(store(3), "lstm", 3, 2, layers=3)
+        with fresh_tape():
+            net(tensor(np.random.default_rng(8).normal(size=(5, 3))), [2, 3])
+        assert built == [(5, [2, 3])]
 
     def test_bilstm_shape_and_gradients(self):
         s = store(9)

@@ -64,6 +64,14 @@ def test_training_records_both_backbone_spans(traced_training):
     assert {"layers.bilstm_a", "layers.bilstm_b"} <= traced_training["spans"]
 
 
+def test_training_records_optimizer_and_decoder_spans(traced_training):
+    # The benchmark's training.adam_step_s, training.clip_s and
+    # crf.viterbi_s read these spans; a training loop or an evaluator
+    # that reached the same work under other names would zero them.
+    assert {"training.adam_step", "training.clip",
+            "crf.viterbi"} <= traced_training["spans"]
+
+
 def test_joint_dev_metric_encodes_each_dev_sentence_twice(traced_training):
     # The benchmark's own test pins this figure; it counts
     # FrameParser.encode calls under dev_metric, so an evaluator that

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framepath import autodiff as ad
+from framepath import training
 from framepath.layers import ParamEntry
 from framepath.training import (
     AdamState,
@@ -73,6 +74,37 @@ class TestAdamStep:
             v_hat = v / (1 - 0.999 ** step)
             theta -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(t.data, theta, atol=1e-15)
+
+    @pytest.mark.parametrize("lr, weight_decay", [(0.01, 0.0), (0.1, 3.0)])
+    def test_matches_textbook_expression_bit_for_bit(self, lr, weight_decay):
+        # Weights small next to the steps, and a large decay, so a last
+        # bit that any reordering moves is not rounded away in theta.
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,)}  # b is decay-exempt
+        theta0 = {p: 1e-3 * rng.normal(size=shape)
+                  for p, shape in shapes.items()}
+        grads = [{p: rng.normal(size=shape) for p, shape in shapes.items()}
+                 for _ in range(5)]
+        live = {p: entry_of(theta0[p].copy(), decay=p == "w", name=p)
+                for p in shapes}
+        state = AdamState(lr=lr, weight_decay=weight_decay)
+        for g in grads:
+            for p, (t, _) in live.items():
+                t.grad = g[p].copy()
+            adam_step(state, [entry for _, entry in live.values()])
+
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for p in shapes:
+            theta, m, v = theta0[p].copy(), 0.0, 0.0
+            for step, g in enumerate(grads, start=1):
+                m = b1 * m + (1.0 - b1) * g[p]
+                v = b2 * v + (1.0 - b2) * g[p] * g[p]
+                m_hat = m / (1.0 - b1 ** step)
+                v_hat = v / (1.0 - b2 ** step)
+                theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+                if p == "w" and weight_decay > 0.0:
+                    theta = theta - lr * weight_decay * theta
+            assert np.array_equal(live[p][0].data, theta), p
 
     def test_decay_shrinks_only_decay_entries(self):
         a, ea = entry_of([10.0], decay=True, name="a")
@@ -186,6 +218,27 @@ class TestTrainLoop:
         assert all(row["dev_metric"] <= best for row in result.log_rows)
         from framepath.evaluation import dev_metric as dm
         assert dm(model, [sent], "ti") == pytest.approx(best)
+
+    def test_parameters_end_at_their_best_epoch_values(self, monkeypatch):
+        # A scripted dev metric peaks at epoch 2 of 4, and train() is run
+        # twice on one model, so a snapshot that aliased the live arrays,
+        # or one kept from the first call, would show.
+        seen = []
+
+        def scripted(model, dev, task):
+            seen.append({p: e.tensor.data.copy()
+                         for p, e in model.store.entries()})
+            return [0.1, 0.5, 0.3, 0.2][(len(seen) - 1) % 4]
+
+        monkeypatch.setattr(training, "dev_metric", scripted)
+        model, sent = make_model(max_epochs=4, task="joint")
+        for call in range(2):
+            result = train(model, [sent, make_sentence()], [sent])
+            assert result.best_epoch == 2
+            best, last = seen[4 * call + 1], seen[4 * call + 3]
+            for path, entry in model.store.entries():
+                assert np.array_equal(entry.tensor.data, best[path]), path
+            assert any(not np.array_equal(best[p], last[p]) for p in best)
 
     def test_empty_corpus_rejected(self):
         model, _ = make_model()
