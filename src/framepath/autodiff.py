@@ -11,10 +11,10 @@ Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
 Hot paths are single records with hand-written backwards, each over a
-whole batch: ``bilstm_layer``, ``sum_row_groups`` (graph-convolution,
-path, target and span sums), ``bilinear_rows`` (argument scores), and the
-packed CRF ops in ``crf`` built on ``_record``.  Their backward scatters
-go through ``scatter_rows``, one ``np.bincount``.
+whole batch: ``bilstm_layer`` over a ``Packed`` layout, ``sum_row_groups``
+(graph-convolution, path, target and span sums), ``bilinear_rows``
+(argument scores), and the packed CRF ops in ``crf``.  Their backward
+scatters go through ``scatter_rows``, one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -174,26 +174,23 @@ def dot(x: Tensor, y: Tensor) -> Tensor:
 
 
 def bilinear_rows(x: Tensor, us: Sequence[Tensor], y: Tensor,
-                  x_rows: Sequence[int], y_rows: Sequence[int]) -> Tensor:
-    """out[r, k] = x[x_rows[r]] @ us[k] @ y[y_rows[r]], as one tape op:
-    x goes through each map once, w[:, k] = x @ us[k], and each output
-    row dots a gathered row of w with a gathered row of y."""
+                  x_rows: Sequence[int]) -> Tensor:
+    """out[r, k] = x[x_rows[r]] @ us[k] @ y[r], as one tape op: x goes
+    through each map once, w[:, k] = x @ us[k], and each output row dots
+    a gathered row of w with its row of y."""
     x_rows = np.asarray(x_rows, dtype=np.intp)
-    y_rows = np.asarray(y_rows, dtype=np.intp)
     w = np.stack([x.data @ m.data for m in us], axis=1)  # (m, k, q)
-    yr = y.data[y_rows]
-    out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], yr),
+    out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], y.data),
                         "bilinear_rows"))
 
     def vjp(g):
-        gw = scatter_rows(x_rows, (g[:, :, None] * yr[:, None, :]).reshape(
+        gw = scatter_rows(x_rows, (g[:, :, None] * y.data[:, None, :]).reshape(
             len(g), -1), len(w)).reshape(w.shape)
         _acc(x, sum(gw[:, k] @ m.data.T for k, m in enumerate(us)))
         for k, m in enumerate(us):
             _acc(m, x.data.T @ gw[:, k])
         if y.needs_grad:
-            _acc(y, scatter_rows(y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]),
-                                 len(y.data)))
+            _acc(y, np.einsum("rk,rkq->rq", g, w[x_rows]))
 
     return _record(out, (x, y, *us), vjp)
 
@@ -260,29 +257,14 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # primitives: shape and indexing
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    out = Tensor(_check(np.concatenate([p.data for p in parts]), "concat"))
-    sizes = [p.data.shape[0] for p in parts]
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    out = Tensor(_check(np.concatenate([p.data for p in parts], axis=axis),
+                        "concat"))
 
     def vjp(g):
-        off = 0
-        for p, size in zip(parts, sizes):
-            _acc(p, g[off:off + size])
-            off += size
-
-    return _record(out, parts, vjp)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    out = Tensor(_check(np.concatenate([p.data for p in parts], axis=1),
-                        "concat_cols"))
-    widths = [p.data.shape[1] for p in parts]
-
-    def vjp(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _acc(p, g[:, off:off + w])
-            off += w
+        ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
+        for p, piece in zip(parts, np.split(g, ends, axis=axis)):
+            _acc(p, piece)
 
     return _record(out, parts, vjp)
 
@@ -429,6 +411,16 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # packed sequences: the fused recurrence and the CRF run on this layout
 
+def chain_lengths(n: int, lengths: Sequence[int] | None) -> list[int]:
+    """lengths (None: one sequence) as a list, checked to pack n rows."""
+    lengths = [n] if lengths is None else list(lengths)
+    if sum(lengths) != n:
+        raise ValueError(f"lengths {lengths} do not pack {n} rows")
+    if not lengths or min(lengths) < 1:
+        raise ValueError("empty sequence")
+    return lengths
+
+
 class Packed:
     """Sequences of the given lengths (None: one) back to back in n rows,
     laid out in a zero-padded time-major block (step, sequence, ...),
@@ -436,11 +428,7 @@ class Packed:
     [:running[t]].  Row r sits in cell (step[r], col[r])."""
 
     def __init__(self, n: int, lengths: Sequence[int] | None):
-        self.lengths = [n] if lengths is None else list(lengths)
-        if sum(self.lengths) != n:
-            raise ValueError(f"lengths {self.lengths} do not pack {n} rows")
-        if not self.lengths or min(self.lengths) < 1:
-            raise ValueError("empty sequence")
+        self.lengths = chain_lengths(n, lengths)
         self.order = sorted(range(len(self.lengths)),
                             key=lambda j: -self.lengths[j])  # column -> seq
         self.steps = self.lengths[self.order[0]]
@@ -474,17 +462,15 @@ class Packed:
 
 
 def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
-                 bwd: tuple[Tensor, Tensor, Tensor],
-                 lengths: Sequence[int] | Packed | None = None) -> Tensor:
+                 bwd: tuple[Tensor, Tensor, Tensor], packed: Packed) -> Tensor:
     """One bidirectional LSTM layer over packed sequences, as one tape op.
 
     fwd and bwd are each one direction's (xw, wh, b): xw is (n, 4H)
-    holding x_t @ Wx for every step of sequences of the given lengths
-    (None: one; or their Packed layout, which the layers of a stack
-    share), back to back; wh is (H, 4H); b is (4H,) with gate order
-    [input, forget, cell, output].  Each sequence starts from zero states;
-    fwd runs it left to right and bwd right to left.  Returns the (n, 2H)
-    states [forward | backward] in xw's row order.
+    holding x_t @ Wx for every step of the sequences packed lays out
+    (one Packed, shared by the layers of a stack); wh is (H, 4H); b is
+    (4H,) with gate order [input, forget, cell, output].  Each sequence
+    starts from zero states; fwd runs it left to right and bwd right to
+    left.  Returns the (n, 2H) states [forward | backward] in xw's rows.
 
     Both directions share one Packed layout and one (direction, step,
     sequence, ...) block, bwd's rows flipped in the gather, so a step is
@@ -500,8 +486,6 @@ def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
             raise ValueError(f"xw shape {xw.data.shape} and wh shape "
                              f"{wh.data.shape} do not match ({n}, {four_h}) "
                              f"and ({h}, {four_h})")
-    packed = (lengths if isinstance(lengths, Packed)
-              else Packed(n, lengths))
     if len(packed.step) != n:
         raise ValueError(f"lengths {packed.lengths} do not pack {n} rows")
     steps, cells = packed.mirrored  # bwd runs each sequence mirrored

@@ -1,4 +1,4 @@
-"""Corpus containers, JSONL IO, tag codecs, ontology, and vocabularies.
+"""Corpus containers, JSONL IO, the tag codec, ontology, and vocabularies.
 
 A corpus file holds one JSON object per line:
 
@@ -7,7 +7,8 @@ A corpus file holds one JSON object per line:
                       "elements": [{"span": [0, 0], "label": "Agent"}]}]}
 
 Spans are inclusive [start, end] token index pairs.  Targets are sorted
-token index lists and may be discontinuous.
+token index lists and may be discontinuous.  One O/B/I/C codec tags
+both; spans use its O/B/I subset, the IOB2 chunk tags.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Sentence:
 
 
 # ---------------------------------------------------------------------------
-# tag codecs
+# tag codec
 
 def encode_iobc(targets: Sequence[Sequence[int]], n: int) -> list[int]:
     """Tag a sentence of length n with its target index sets.
@@ -109,43 +110,6 @@ def decode_iobc(tags: Sequence[int]) -> list[list[int]]:
                 cur = [i]
                 targets.append(cur)
     return sorted(targets)
-
-
-def encode_iob2(spans: Sequence[tuple[int, int]], n: int) -> list[int]:
-    """Tag a sentence of length n with contiguous [start, end] spans."""
-    tags = [0] * n
-    last_end = -1
-    for start, end in sorted(spans):
-        if not (0 <= start <= end < n):
-            raise ValueError(f"span ({start}, {end}) out of range for n={n}")
-        if start <= last_end:
-            raise ValueError(f"overlapping span ({start}, {end})")
-        tags[start] = 1
-        for i in range(start + 1, end + 1):
-            tags[i] = 2
-        last_end = end
-    return tags
-
-
-def decode_iob2(tags: Sequence[int]) -> list[tuple[int, int]]:
-    """Recover sorted spans from a tag sequence; a stray I opens a span."""
-    spans: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, tag in enumerate(tags):
-        if tag == 1:
-            if start is not None:
-                spans.append((start, i - 1))
-            start = i
-        elif tag == 2:
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                spans.append((start, i - 1))
-                start = None
-    if start is not None:
-        spans.append((start, len(tags) - 1))
-    return spans
 
 
 def lu_key(tokens: Sequence[str], target: Sequence[int], pos: Sequence[str]) -> str:

@@ -143,7 +143,7 @@ class LinearChainCrf:
         n, k = emissions.data.shape
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
-        sizes = np.array(ad.Packed(n, lengths).lengths)
+        sizes = np.array(ad.chain_lengths(n, lengths))
         start, trans = self._tables(constrain)
         tags = np.asarray(tags, dtype=np.intp)
         chain = np.repeat(np.arange(len(sizes)), sizes)

@@ -17,6 +17,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+class CheckpointMismatch(ValueError):
+    """A parameter the store's checkpoint lacks or shapes otherwise."""
+
+
 @dataclass
 class ParamEntry:
     tensor: Tensor
@@ -25,12 +29,24 @@ class ParamEntry:
 
 
 class ParamStore:
-    def __init__(self, rng: np.random.Generator):
+    """Parameters by path.  Given a checkpoint's shapes (path -> tuple),
+    each path and shape is checked against them before values are drawn."""
+
+    def __init__(self, rng: np.random.Generator,
+                 shapes: dict[str, tuple] | None = None):
         self.rng = rng
+        self._shapes = shapes
         self._entries: dict[str, ParamEntry] = {}
+
+    def _expect(self, path: str, shape: tuple) -> None:
+        if self._shapes is not None and self._shapes.get(path) != shape:
+            raise CheckpointMismatch(f"{path}: shape "
+                                     f"{self._shapes.get(path, 'missing')} "
+                                     f"does not match {shape}")
 
     def add(self, path: str, values: np.ndarray, *, decay: bool = True,
             group: str | None = None) -> Tensor:
+        self._expect(path, np.shape(values))
         if path in self._entries:
             raise ValueError(f"duplicate parameter path {path!r}")
         t = ad.param(np.asarray(values, dtype=np.float64), name=path)
@@ -41,6 +57,7 @@ class ParamStore:
 
     def glorot(self, path: str, fan_in: int, fan_out: int, *,
                decay: bool = True, group: str | None = None) -> Tensor:
+        self._expect(path, (fan_in, fan_out))
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
         return self.add(path, values, decay=decay, group=group)
@@ -50,6 +67,7 @@ class ParamStore:
         return self.add(path, np.zeros(shape), decay=decay, group=group)
 
     def embedding(self, path: str, n: int, dim: int) -> Tensor:
+        self._expect(path, (n, dim))
         values = self.rng.normal(0.0, 1.0 / np.sqrt(dim), (n, dim))
         return self.add(path, values, decay=False)
 

@@ -46,15 +46,14 @@ from .corpus import (
     Ontology,
     Sentence,
     Vocab,
-    decode_iob2,
     decode_iobc,
-    encode_iob2,
     encode_iobc,
     lu_key,
 )
 from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, mask_penalty, open_scheme
 from .gcn import TreeGcn, path_sum_features
-from .layers import BiLstm, Embedding, LayerNorm, Linear, ParamStore
+from .layers import (BiLstm, CheckpointMismatch, Embedding, LayerNorm,
+                     Linear, ParamStore)
 
 N_AI_LABELS = 3  # O, B, I
 
@@ -115,7 +114,8 @@ class SentenceEncoding:
 
 
 class FrameParser:
-    def __init__(self, config: Config, vocab: Vocab, ontology: Ontology):
+    def __init__(self, config: Config, vocab: Vocab, ontology: Ontology,
+                 shapes: dict[str, tuple] | None = None):
         config.validate()
         if (vocab.frames != ontology.frames or vocab.fes != ontology.fes
                 or vocab.lus != ontology.lus):
@@ -125,7 +125,7 @@ class FrameParser:
         self.vocab = vocab
         self.ontology = ontology
         streams = np.random.SeedSequence(config.seed).spawn(3)
-        self.store = ParamStore(np.random.default_rng(streams[0]))
+        self.store = ParamStore(np.random.default_rng(streams[0]), shapes)
         self.shuffle_rng = np.random.default_rng(streams[1])
         self.dropout_rng = np.random.default_rng(streams[2])
 
@@ -206,7 +206,7 @@ class FrameParser:
                 lu_id=self.vocab.lu_id(ann.lu),
                 frame_id=self.vocab.frame_id(ann.frame),
                 spans=spans,
-                ai_tags=encode_iob2(spans, n),
+                ai_tags=encode_iobc([range(s, e + 1) for s, e in spans], n),
                 fe_ids=[self.vocab.fe_id(label) for _, label in ann.elements],
             ))
         return prep
@@ -234,9 +234,9 @@ class FrameParser:
     def embed(self, preps: list[Prepared]) -> Tensor:
         """e = [token embedding; POS embedding] of the sentences' tokens,
         their rows back to back, from one lookup per table."""
-        return ad.concat_cols([
+        return ad.concat([
             self.token_emb([i for prep in preps for i in prep.token_ids]),
-            self.pos_emb([i for prep in preps for i in prep.pos_ids])])
+            self.pos_emb([i for prep in preps for i in prep.pos_ids])], axis=1)
 
     def _path_features(self, refs: list) -> Tensor:
         """Path features of each (encoding, reference node) in refs, their
@@ -260,7 +260,7 @@ class FrameParser:
         """LN(BiLSTM([e; path features]) + e) of each (encoding, reference
         node) in refs, in one pass; their rows stay packed back to back."""
         e = self.embed([enc.prep for enc, _ in refs])
-        raw = lstm(ad.concat_cols([e, self._path_features(refs)]),
+        raw = lstm(ad.concat([e, self._path_features(refs)], axis=1),
                    [len(enc.prep.sentence) for enc, _ in refs])
         return norm(ad.add(self._drop(raw, train), e))
 
@@ -302,18 +302,17 @@ class FrameParser:
                        train: bool = False) -> tuple[Tensor, Tensor]:
         """z = [lu embedding; target rows; frame embedding] per target, and
         pr, its projection on the predicate side of the bilinear scores."""
-        z = ad.concat_cols([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)])
+        z = ad.concat([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)],
+                      axis=1)
         return z, self._drop(ad.tanh(self.ai_v1(z)), train)
 
     def ai_scores(self, pr: Tensor, b: Tensor, b_first: list[int],
-                  lengths: list[int], train: bool = False) -> Tensor:
-        """(sum of lengths, 3) bilinear O/B/I scores: target j's chain
-        pairs pr[j] with b's rows b_first[j] onwards, lengths[j] of them."""
+                  train: bool = False) -> Tensor:
+        """(len(b), 3) bilinear O/B/I scores: target j's chain pairs pr[j]
+        with b's rows b_first[j] to b_first[j + 1]."""
         pb = self._drop(ad.tanh(self.ai_v2(b)), train)
-        return ad.bilinear_rows(
-            pr, self.ai_u, pb, np.repeat(np.arange(len(lengths)), lengths),
-            np.concatenate([np.arange(f, f + n)
-                            for f, n in zip(b_first, lengths)]))
+        return ad.bilinear_rows(pr, self.ai_u, pb, np.repeat(
+            np.arange(len(b_first) - 1), np.diff(b_first)))
 
     def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
                     spans: list[list[tuple[int, int]]],
@@ -327,7 +326,7 @@ class FrameParser:
             range(b_first[j] + start, b_first[j] + end + 1)
             for j, s in enumerate(spans) for start, end in s])
         q = self._drop(ad.tanh(self.ac_y(
-            ad.concat_cols([r, ad.row_select(z, owner)]))), train)
+            ad.concat([r, ad.row_select(z, owner)], axis=1))), train)
         return ad.add(self.ac_emit(q), ad.tensor(
             self._fe_penalty[[frame_ids[j] for j in owner]]))
 
@@ -373,10 +372,11 @@ class FrameParser:
             z, pr = self.predicate_rows(
                 t, [self.vocab.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
-                emissions = self.ai_scores(pr, b, b_first,
-                                           np.diff(b_first)).data
-                spans = [decode_iob2(self.ai_crf.viterbi(c))
-                         for c in np.split(emissions, b_first[1:-1])]
+                emissions = self.ai_scores(pr, b, b_first).data
+                # O/B/I tags only, so every decoded index set is a span
+                spans = [[(run[0], run[-1]) for run in decode_iobc(
+                    self.ai_crf.viterbi(c))]
+                    for c in np.split(emissions, b_first[1:-1])]
             emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
@@ -439,7 +439,7 @@ class FrameParser:
             frame_ids = [pa.frame_id for pa in anns]
             z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],
                                         frame_ids, train)
-            ai = self.ai_crf.nll(self.ai_scores(pr, b, b_first, n, train),
+            ai = self.ai_crf.nll(self.ai_scores(pr, b, b_first, train),
                                  [tag for pa in anns for tag in pa.ai_tags],
                                  True, n)
             out["srl"] = ad.dot(ai, ad.tensor(weight))
@@ -536,11 +536,15 @@ class FrameParser:
             try:
                 return build(doc[key])
             except (ValueError, LookupError, TypeError, AttributeError) as e:
+                if isinstance(e, CheckpointMismatch):  # met building the model
+                    key = "params"
                 raise CorpusError(f"{path}: bad checkpoint {key}: {e}") from e
 
         config = decode("config", config_from_dict)
         ontology = decode("ontology", lambda d: Ontology(**d))
+        shapes = decode("params", lambda d: {
+            name: tuple(rec["shape"]) for name, rec in d.items()})
         model = decode("vocab", lambda d: cls(config, Vocab.from_dict(d),
-                                              ontology))
+                                              ontology, shapes))
         decode("params", model.store.load_state)
         return model

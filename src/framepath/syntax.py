@@ -9,6 +9,7 @@ left-to-right order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,23 +87,7 @@ class ConstTree:
 
 
 def _tokenize(text: str) -> list[str]:
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+    return re.findall(r"[()]|[^\s()]+", text)
 
 
 def parse_bracketed(text: str) -> ConstTree:

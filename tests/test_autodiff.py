@@ -38,19 +38,19 @@ class TestLinearAlgebraGrads:
         check(lambda: ad.dot(x, y), [x, y])
 
     def test_bilinear_rows(self):
-        # rows pair x's rows with y's, repeats included, so both sides
-        # accumulate gradients from several output rows
+        # output row r pairs x's row x_rows[r], repeats included, so x
+        # accumulates gradients from several output rows, with y's row r
         x, y = randp(3, 4, name="x"), randp(5, 2, name="y")
         us = [randp(4, 2, name=f"u{k}") for k in range(3)]
-        x_rows, y_rows = [0, 0, 2, 1, 2], [4, 1, 1, 0, 3]
+        x_rows = [0, 0, 2, 1, 2]
         with fresh_tape(), no_grad():
-            out = ad.bilinear_rows(x, us, y, x_rows, y_rows).data
-        for r, (i, j) in enumerate(zip(x_rows, y_rows)):
+            out = ad.bilinear_rows(x, us, y, x_rows).data
+        for r, i in enumerate(x_rows):
             for k, u in enumerate(us):
-                assert abs(out[r, k] - x.data[i] @ u.data @ y.data[j]) < 1e-12
+                assert abs(out[r, k] - x.data[i] @ u.data @ y.data[r]) < 1e-12
         w = tensor(RNG.normal(size=(5, 3)))
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilinear_rows(x, us, y, x_rows, y_rows), w)), [x, y, *us])
+            ad.bilinear_rows(x, us, y, x_rows), w)), [x, y, *us])
 
     def test_dot_grad_is_other_vector(self):
         x, y = randp(4), randp(4)
@@ -87,7 +87,7 @@ class TestShapeGrads:
 
     def test_concat_cols(self):
         ms = [randp(3, 2), randp(3, 4)]
-        check(lambda: ad.sum_all(ad.tanh(ad.concat_cols(ms))), ms)
+        check(lambda: ad.sum_all(ad.tanh(ad.concat(ms, axis=1))), ms)
 
     def test_row_and_row_select(self):
         m = randp(5, 3)
@@ -156,19 +156,17 @@ class TestScatterRows:
 
     def test_bilinear_rows_backward_matches_add_at(self):
         rng = np.random.default_rng(23)
-        x, y = param(rng.normal(size=(3, 4))), param(rng.normal(size=(5, 2)))
+        x, y = param(rng.normal(size=(3, 4))), param(rng.normal(size=(6, 2)))
         us = [param(rng.normal(size=(4, 2))) for _ in range(3)]
-        x_rows, y_rows = [0, 0, 2, 2, 2, 0], [4, 1, 1, 0, 4, 4]
+        x_rows = [0, 0, 2, 2, 2, 0]
         g = rng.normal(size=(6, 3))
         with fresh_tape():
-            out = ad.bilinear_rows(x, us, y, x_rows, y_rows)
+            out = ad.bilinear_rows(x, us, y, x_rows)
             backward(ad.sum_all(ad.mul(out, tensor(g))))
         w = np.stack([x.data @ u.data for u in us], axis=1)
         gw = np.zeros_like(w)
-        np.add.at(gw, x_rows, g[:, :, None] * y.data[y_rows][:, None, :])
-        gy = np.zeros_like(y.data)
-        np.add.at(gy, y_rows, np.einsum("rk,rkq->rq", g, w[x_rows]))
-        self.assert_bitwise(y.grad, gy)
+        np.add.at(gw, x_rows, g[:, :, None] * y.data[:, None, :])
+        self.assert_bitwise(y.grad, np.einsum("rk,rkq->rq", g, w[x_rows]))
         self.assert_bitwise(us[1].grad, x.data.T @ gw[:, 1])
 
 
@@ -422,7 +420,7 @@ class TestLstmSequence:
             n = 6 if lengths is None else sum(lengths)
             fwd, bwd = directions(n, 3)
             with fresh_tape(), no_grad():
-                got = ad.bilstm_layer(fwd, bwd, lengths).data
+                got = ad.bilstm_layer(fwd, bwd, ad.Packed(n, lengths)).data
             lengths = lengths or [n]
             want_f = lstm_reference(fwd[0].data, fwd[1].data, fwd[2].data,
                                     lengths)
@@ -438,28 +436,31 @@ class TestLstmSequence:
         lengths = [2, 4, 1]
         fwd, bwd = directions(7, 2)
         flipped = (tensor(reverse_each(bwd[0].data, lengths)), *bwd[1:])
+        packed = ad.Packed(7, lengths)
         with fresh_tape(), no_grad():
-            got = ad.bilstm_layer(fwd, bwd, lengths).data
-            want = ad.bilstm_layer(flipped, fwd, lengths).data
+            got = ad.bilstm_layer(fwd, bwd, packed).data
+            want = ad.bilstm_layer(flipped, fwd, packed).data
         assert np.array_equal(got[:, 2:], reverse_each(want[:, :2], lengths))
 
     def test_gradients(self):
         fwd, bwd = directions(4, 3)
         w = tensor(RNG.normal(size=(4, 6)))
-        check(lambda: ad.sum_all(ad.mul(ad.bilstm_layer(fwd, bwd), w)),
+        check(lambda: ad.sum_all(ad.mul(
+            ad.bilstm_layer(fwd, bwd, ad.Packed(4, None)), w)),
               [*fwd, *bwd], tol=1e-5)
 
     def test_length_one(self):
         fwd, bwd = directions(1, 2)
-        check(lambda: ad.sum_all(ad.bilstm_layer(fwd, bwd)), [*fwd, *bwd],
-              tol=1e-5)
+        packed = ad.Packed(1, None)
+        check(lambda: ad.sum_all(ad.bilstm_layer(fwd, bwd, packed)),
+              [*fwd, *bwd], tol=1e-5)
 
     def test_packed_gradients_both_halves(self):
         fwd, bwd = directions(7, 3)
         w = tensor(RNG.normal(size=(7, 6)))
+        packed = ad.Packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)), [*fwd, *bwd],
-            tol=1e-5)
+            ad.bilstm_layer(fwd, bwd, packed), w)), [*fwd, *bwd], tol=1e-5)
 
     @pytest.mark.parametrize("backward_half", [False, True])
     def test_packed_gradients(self, backward_half):
@@ -472,12 +473,12 @@ class TestLstmSequence:
         unread = slice(0, 3) if backward_half else slice(3, 6)
         weight[:, unread] = 0.0
         w = tensor(weight)
+        packed = ad.Packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)), [*fwd, *bwd],
-            tol=1e-5)
+            ad.bilstm_layer(fwd, bwd, packed), w)), [*fwd, *bwd], tol=1e-5)
         with fresh_tape():
             backward(ad.sum_all(ad.mul(
-                ad.bilstm_layer(fwd, bwd, [2, 4, 1]), w)))
+                ad.bilstm_layer(fwd, bwd, packed), w)))
             read, unread = (bwd, fwd) if backward_half else (fwd, bwd)
             for t in read:
                 assert np.all(np.any(t.grad, axis=-1)), t.name
@@ -489,7 +490,7 @@ class TestLstmSequence:
         # at exactly zero for every step in both directions.
         zeros = (tensor(np.zeros((5, 8))), randp(2, 8), tensor(np.zeros(8)))
         with fresh_tape(), no_grad():
-            out = ad.bilstm_layer(zeros, zeros, [3, 2]).data
+            out = ad.bilstm_layer(zeros, zeros, ad.Packed(5, [3, 2])).data
         assert np.array_equal(out, np.zeros((5, 4)))
 
     @pytest.mark.parametrize("reversed_order", [False, True])
@@ -511,7 +512,7 @@ class TestLstmSequence:
             ad.zero_grads(shared)
             with fresh_tape():
                 out = ad.bilstm_layer((xs[0], *fwd[1:]), (xs[1], *bwd[1:]),
-                                      lens)
+                                      ad.Packed(len(xs[0].data), lens))
                 backward(ad.sum_all(ad.mul(out, tensor(weight[rows]))))
             return [out.data] + [t.grad for t in xs + shared]
 
@@ -530,28 +531,12 @@ class TestLstmSequence:
             xw, _, b = pair[wrong]
             pair[wrong] = (xw, randp(3, 8), b)
             with pytest.raises(ValueError, match="wh shape"):
-                ad.bilstm_layer(*pair)
+                ad.bilstm_layer(*pair, ad.Packed(3, None))
 
     def test_lengths_must_pack_every_row(self):
         fwd, bwd = directions(5, 2)
-        for lengths in ([2, 2], ad.Packed(4, [2, 2])):
-            with pytest.raises(ValueError, match="lengths"):
-                ad.bilstm_layer(fwd, bwd, lengths)
-
-    def test_given_layout_equals_lengths(self):
-        # A layout built once and shared by the layers of a stack gives
-        # each layer what its lengths give, outputs and gradients.
-        fwd, bwd = directions(7, 3)
-        w = tensor(RNG.normal(size=(7, 6)))
-        got = []
-        for lengths in ([2, 4, 1], ad.Packed(7, [2, 4, 1])):
-            ad.zero_grads([*fwd, *bwd])
-            with fresh_tape():
-                out = ad.bilstm_layer(fwd, bwd, lengths)
-                backward(ad.sum_all(ad.mul(out, w)))
-            got.append([out.data] + [t.grad for t in (*fwd, *bwd)])
-        for a, b in zip(*got):
-            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="lengths"):
+            ad.bilstm_layer(fwd, bwd, ad.Packed(4, [2, 2]))
 
 
 class TestComposite:

@@ -1,11 +1,22 @@
+import copy
 import hashlib
 import json
+import random
 import re
+from collections import Counter
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from framepath.cli import main
-from framepath.corpus import load_corpus, load_ontology
+from framepath.config import Config
+from framepath.corpus import build_vocab, load_corpus, load_ontology, save_corpus
+from framepath.layers import ParamStore
+from framepath.model import FrameParser
+from framepath.synth import generate
+
+from helpers import WRONG_VALUES, json_slots
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +273,85 @@ def test_incomplete_checkpoint_exits_2(workspace, tmp_path, capsys):
                      "--corpus", workspace["corpus"]]) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: checkpoint has no '{drop or 'config'}' entry" in err
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """An untrained joint checkpoint with every dimension 4, and a
+    one-sentence corpus."""
+    root = tmp_path_factory.mktemp("tiny")
+    sentences, ontology = generate(3, 1)
+    config = Config(**dict.fromkeys(
+        [f.name for f in fields(Config) if f.name.endswith("_dim")]
+        + ["fi_hidden1", "fi_hidden2", "lstm_hidden"], 4))
+    ckpt, corpus = root / "model.json", root / "corpus.jsonl"
+    FrameParser(config, build_vocab(sentences, ontology), ontology).save(
+        str(ckpt))
+    save_corpus(sentences, str(corpus))
+    shapes = [rec["shape"] for rec in json.loads(ckpt.read_text())["params"]
+              .values()]
+    return {"text": ckpt.read_text(), "corpus": str(corpus),
+            "count": len(shapes), "size": max(map(np.prod, shapes))}
+
+
+def _predict(tiny, doc, tmp_path):
+    ckpt = tmp_path / "mutated.json"
+    ckpt.write_text(json.dumps(doc))  # writes NaN, Infinity, -Infinity
+    return ckpt, main(["predict", "--checkpoint", str(ckpt), "--corpus",
+                       tiny["corpus"], "--out", str(tmp_path / "out.jsonl")])
+
+
+def test_mutated_checkpoints_exit_0_or_2(tiny, tmp_path, capsys):
+    # Seeded fuzz: one or two values of the checkpoint's config, vocab,
+    # ontology or params swapped for a value of the wrong type or range,
+    # or deleted; predict succeeds or exits 2, and raises nothing.
+    rng = random.Random(13)
+    wrong = WRONG_VALUES + [float("nan"), float("inf"), float("-inf")]
+    codes = Counter()
+    for _ in range(300):
+        doc = json.loads(tiny["text"])
+        for _ in range(rng.randint(1, 2)):
+            entry = rng.choice(["config", "vocab", "ontology", "params"])
+            owner, key = rng.choice(list(json_slots(doc[entry])))
+            if isinstance(owner, dict) and rng.random() < 0.15:
+                del owner[key]
+            else:
+                owner[key] = copy.deepcopy(rng.choice(wrong))
+        codes[_predict(tiny, doc, tmp_path)[1]] += 1
+        capsys.readouterr()
+    assert set(codes) == {0, 2}, codes
+
+
+# Integer config fields that shape no parameter.
+UNSHAPED = {"batch_size", "max_epochs", "scheduler_patience",
+            "early_stop_patience", "seed"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Config)
+                                  if f.type == "int"])
+def test_huge_config_value_is_rejected_before_drawing(
+        tiny, tmp_path, capsys, monkeypatch, name):
+    # A layer count or dimension of 10**6 is rejected, naming the file
+    # and the entry, before the model draws a parameter the checkpoint
+    # does not hold, or one bigger than any it holds.
+    add = ParamStore.add
+    drawn = []
+
+    def checked_add(store, path, values, **kwargs):
+        drawn.append(path)
+        assert np.size(values) <= tiny["size"], path
+        assert len(drawn) <= tiny["count"], path
+        return add(store, path, values, **kwargs)
+
+    monkeypatch.setattr(ParamStore, "add", checked_add)
+    doc = json.loads(tiny["text"])
+    doc["config"][name] = 10**6
+    ckpt, code = _predict(tiny, doc, tmp_path)
+    if name in UNSHAPED:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"{ckpt}: bad checkpoint " in capsys.readouterr().err
 
 
 def test_gradcheck_exits_0():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 
@@ -12,9 +13,7 @@ from framepath.corpus import (
     Sentence,
     Vocab,
     build_vocab,
-    decode_iob2,
     decode_iobc,
-    encode_iob2,
     encode_iobc,
     load_corpus,
     load_ontology,
@@ -26,6 +25,8 @@ from framepath.corpus import (
 )
 from framepath.synth import generate
 from framepath.syntax import parse_bracketed
+
+from helpers import WRONG_VALUES, decode_iob2, encode_iob2, json_slots
 
 O, B, I, C = 0, 1, 2, 3
 
@@ -124,37 +125,71 @@ class TestIobc:
             encode_iobc([[5]], 5)
 
 
+def encode_spans(spans, n):
+    """Argument-span tags, as FrameParser.prepare makes them."""
+    return encode_iobc([range(s, e + 1) for s, e in spans], n)
+
+
+def decode_spans(tags):
+    """Spans of O/B/I tags, as FrameParser.srl_predict reads them."""
+    return [(t[0], t[-1]) for t in decode_iobc(tags)]
+
+
+def random_spans(rng, n):
+    """Sorted disjoint spans of a sentence of length n, adjacent ones
+    included."""
+    spans = []
+    i = 0
+    while i < n:
+        end = min(i + int(rng.integers(0, 3)), n - 1)
+        if rng.random() < 0.6:
+            spans.append((i, end))
+        i = end + int(rng.integers(1, 3))
+    return spans
+
+
 class TestIob2:
+    """Argument spans are tagged with the O/B/I subset of the IOBC codec."""
+
     def test_encode(self):
-        assert encode_iob2([(1, 2), (4, 4)], 6) == [0, 1, 2, 0, 1, 0]
+        assert encode_spans([(1, 2), (4, 4)], 6) == [0, 1, 2, 0, 1, 0]
 
     def test_adjacent_spans_stay_separate(self):
-        tags = encode_iob2([(0, 1), (2, 2)], 3)
+        tags = encode_spans([(0, 1), (2, 2)], 3)
         assert tags == [1, 2, 1]
-        assert decode_iob2(tags) == [(0, 1), (2, 2)]
+        assert decode_spans(tags) == [(0, 1), (2, 2)]
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 15))
-            spans = []
-            i = 0
-            while i < n:
-                end = min(i + int(rng.integers(0, 3)), n - 1)
-                if rng.random() < 0.6:
-                    spans.append((i, end))
-                i = end + int(rng.integers(1, 3))
-            assert decode_iob2(encode_iob2(spans, n)) == spans
+            spans = random_spans(rng, n)
+            assert decode_spans(encode_spans(spans, n)) == spans
 
     def test_stray_i_opens_span(self):
-        assert decode_iob2([0, 2, 2, 0]) == [(1, 2)]
+        assert decode_spans([0, 2, 2, 0]) == [(1, 2)]
 
     def test_span_runs_to_sentence_end(self):
-        assert decode_iob2([0, 1, 2]) == [(1, 2)]
+        assert decode_spans([0, 1, 2]) == [(1, 2)]
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            encode_iob2([(0, 2), (2, 3)], 5)
+            encode_spans([(0, 2), (2, 3)], 5)
+
+    def test_span_reading_equals_iob2_decoder_on_every_sequence(self):
+        for n in range(9):
+            for tags in itertools.product(range(3), repeat=n):
+                assert decode_spans(tags) == decode_iob2(tags), tags
+
+    def test_span_tags_equal_iob2_encoder(self):
+        cases = [([(1, 2), (4, 4)], 6), ([(0, 1), (2, 2)], 3),
+                 ([(1, 2)], 4), ([(1, 2)], 3), ([], 4), ([(0, 4)], 5)]
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(1, 15))
+            cases.append((random_spans(rng, n), n))
+        for spans, n in cases:
+            assert encode_spans(spans, n) == encode_iob2(spans, n), spans
 
 
 class TestLuKey:
@@ -298,32 +333,21 @@ class TestCorpusIO:
         # CorpusError, never anything else.
         sents, onto = generate(3, 40)
         records = [sentence_to_dict(s) for s in sents]
-        wrong = [None, 5, -1, 2.5, True, "x", "(", [], {}, [1], [None],
-                 [[0, 1]], [1, 2, 3], {"a": 1}, ["a"], [0.5, 1], [{}], 10**6]
         rng = random.Random(11)
         rejected = 0
         for k in range(4000):
             record = copy.deepcopy(rng.choice(records))
             for _ in range(rng.randint(1, 2)):
-                owner, key = rng.choice(list(_slots(record)))
+                owner, key = rng.choice(list(json_slots(record)))
                 if isinstance(owner, dict) and rng.random() < 0.15:
                     del owner[key]
                 else:
-                    owner[key] = copy.deepcopy(rng.choice(wrong))
+                    owner[key] = copy.deepcopy(rng.choice(WRONG_VALUES))
             try:
                 _sentence_from_dict(record, "f:1", onto if k % 2 else None)
             except CorpusError:
                 rejected += 1
         assert rejected > 1000
-
-
-def _slots(value):
-    """(container, key) of every value nested in a JSON value."""
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, inner in items:
-        yield value, key
-        yield from _slots(inner)
 
 
 class TestVocab:

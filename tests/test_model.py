@@ -143,8 +143,8 @@ def paths(model):
 
 def ai_emissions(model, enc, target, pr):
     """(n, 3) bilinear scores of one target, from the batched heads."""
-    return model.ai_scores(pr, b_rows(model, enc, min(target)), [0],
-                           [len(enc.prep.sentence)])
+    return model.ai_scores(pr, b_rows(model, enc, min(target)),
+                           [0, len(enc.prep.sentence)])
 
 
 def zero_params(model, prefix):

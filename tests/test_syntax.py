@@ -1,13 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
 from framepath.syntax import (
     ConstTree,
     TreeSyntaxError,
+    _tokenize,
     parse_bracketed,
     serialize,
     tree_path,
 )
+
+from helpers import tokenize_loop
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
@@ -79,6 +84,25 @@ class TestParse:
         assert serialize(parse_bracketed(squashed)) == SAMPLE
         spread = SAMPLE.replace(" ", "\n ")
         assert serialize(parse_bracketed(spread)) == SAMPLE
+
+    def test_tokenizer_equals_character_loop(self):
+        # Every code point but the surrogates, each between two letters,
+        # splits the text exactly where str.isspace() says it does.
+        text = "x".join(chr(c) for c in range(sys.maxunicode + 1)
+                        if not 0xD800 <= c < 0xE000)
+        assert _tokenize(text) == tokenize_loop(text)
+        # Seeded: strings over brackets, letters and Unicode blanks, next
+        # to look-alikes that are not blanks (zero width space, word
+        # joiner, U+180E, ideographic full stop).
+        rng = np.random.default_rng(19)
+        alphabet = list("()Sx.-\\'\"") + [
+            " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+            "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u200a",
+            "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+            "\u200b", "\u2060", "\u180e", "\u3002", "\ufeff", "\u00e9"]
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet, size=rng.integers(0, 30)))
+            assert _tokenize(text) == tokenize_loop(text), repr(text)
 
     def test_single_preterminal_tree(self):
         tree = parse_bracketed("(UH hello)")

@@ -4,6 +4,9 @@ benchmark; this test catches it in the test suite.  perfbench/tracer.py
 is read as source and executed in a fresh namespace, so nothing under
 perfbench/ is imported as a package or written."""
 
+import ast
+import importlib
+import importlib.util
 import types
 from pathlib import Path
 
@@ -33,6 +36,24 @@ def test_every_traced_attribute_resolves():
         else:
             assert callable(getattr(owner, attr, None)), \
                 f"{owner.__name__}.{attr}"
+
+
+def test_every_perfbench_import_resolves():
+    # The benchmark's modules import framepath names at their top; a
+    # deleted or renamed name would break every workload before it runs.
+    imported = 0
+    for path in sorted(TRACER.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "framepath"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert (hasattr(module, alias.name) or importlib.util.find_spec(
+                    f"{node.module}.{alias.name}")), \
+                    f"{path.name}: from {node.module} import {alias.name}"
+                imported += 1
+    assert imported
 
 
 def test_model_binds_path_sum_features_by_name():
