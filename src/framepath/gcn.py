@@ -40,14 +40,13 @@ def _forest_index(blocks: Sequence[np.ndarray], firsts: Sequence[int],
     up by firsts[k], and pads stay -1."""
     if len(blocks) == 1 and firsts[0] == 0:
         return blocks[0]
-    out = np.full((sum(map(len, blocks)), max(b.shape[1] for b in blocks)),
-                  -1, dtype=np.intp)
-    row = 0
-    for block, first in zip(blocks, firsts, strict=True):
-        out[row:row + len(block), :block.shape[1]] = np.where(
-            block < 0, -1, block + first)
-        row += len(block)
-    return out
+    heights = [len(b) for b in blocks]
+    widths = [b.shape[1] for b in blocks]
+    out = np.full((sum(heights), max(widths)), -1, dtype=np.intp)
+    out[np.arange(max(widths)) < np.repeat(widths, heights)[:, None]] = (
+        np.concatenate([b.ravel() for b in blocks]))
+    shift = np.repeat(np.asarray(firsts, dtype=np.intp), heights)[:, None]
+    return np.where(out < 0, -1, out + shift)
 
 
 class TreeGcn:

@@ -8,6 +8,8 @@ decay), for checkpoints (path -> values), and for gradient checking.
 
 from __future__ import annotations
 
+import base64
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,16 +84,21 @@ class ParamStore:
     # checkpoint state ------------------------------------------------------
 
     def state(self) -> dict:
+        """path -> shape and values, the values as the base64 of the
+        parameter's row-major little-endian float64 bytes."""
         return {
             path: {"shape": list(e.tensor.data.shape),
-                   "values": e.tensor.data.reshape(-1).tolist()}
+                   "values": base64.b64encode(e.tensor.data.astype(
+                       "<f8", copy=False).tobytes()).decode("ascii")}
             for path, e in self._entries.items()
         }
 
     def load_state(self, state: dict) -> None:
-        """Set every parameter from state (path -> shape and flat values);
-        a missing or extra path, a wrong shape or a non-finite value
-        raises ValueError naming it."""
+        """Set every parameter from state (path -> shape and values, as
+        state() writes them or as a flat list of numbers); a missing or
+        extra path, a wrong shape, values that do not decode to exactly
+        that many numbers, or a non-finite value raises ValueError
+        naming it."""
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
@@ -100,17 +107,59 @@ class ParamStore:
                 f"unexpected {sorted(extra)}"
             )
         for path, entry in self._entries.items():
-            rec = state[path]
-            shape = tuple(rec["shape"])
-            if shape != entry.tensor.data.shape:
-                raise ValueError(
-                    f"{path}: shape {shape} does not match "
-                    f"{entry.tensor.data.shape}"
-                )
-            values = np.array(rec["values"], dtype=np.float64)
-            if not np.isfinite(values).all():
-                raise ValueError(f"{path}: non-finite value (NaN or inf)")
-            entry.tensor.data = values.reshape(shape)
+            with _naming(path):
+                entry.tensor.data = _decode(state[path],
+                                            entry.tensor.data.shape)
+
+
+def state_shapes(state: dict) -> dict[str, tuple]:
+    """path -> shape of every entry of a checkpoint's params; an entry
+    with no shape list raises ValueError naming it."""
+    shapes = {}
+    for path, rec in state.items():
+        with _naming(path):
+            shapes[path] = tuple(rec["shape"])
+    return shapes
+
+
+@contextmanager
+def _naming(path: str):
+    """Re-raise what decoding a checkpoint entry raises as a ValueError
+    that starts with its path (OverflowError: an integer too large for
+    a float64)."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValueError(f"{path}: no {e} key") from e
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
+def _decode(rec: dict, shape: tuple) -> np.ndarray:
+    """The float64 array of the given shape that a checkpoint entry
+    holds: base64 of its row-major little-endian float64 bytes, or (the
+    older spelling) a flat list of JSON numbers."""
+    if (got := tuple(rec["shape"])) != shape:
+        raise ValueError(f"shape {got} does not match {shape}")
+    values, size = rec["values"], int(np.prod(shape))
+    if isinstance(values, str):
+        try:
+            raw = base64.b64decode(values, validate=True)
+        except ValueError as e:
+            raise ValueError(f"values are not base64: {e}") from e
+        if len(raw) != 8 * size:
+            raise ValueError(f"{len(raw)} bytes, expected {8 * size}")
+        flat = np.frombuffer(raw, "<f8").astype(np.float64)
+    elif isinstance(values, list) and set(map(type, values)) <= {int, float}:
+        if len(values) != size:
+            raise ValueError(f"{len(values)} values, expected {size}")
+        flat = np.array(values, dtype=np.float64)
+    else:
+        raise ValueError("values must be a base64 string or a flat list "
+                         "of numbers")
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite value (NaN or inf)")
+    return flat.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .corpus import (
 from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, mask_penalty, open_scheme
 from .gcn import TreeGcn, path_sum_features
 from .layers import (BiLstm, CheckpointMismatch, Embedding, LayerNorm,
-                     Linear, ParamStore)
+                     Linear, ParamStore, state_shapes)
 
 N_AI_LABELS = 3  # O, B, I
 
@@ -542,8 +542,7 @@ class FrameParser:
 
         config = decode("config", config_from_dict)
         ontology = decode("ontology", lambda d: Ontology(**d))
-        shapes = decode("params", lambda d: {
-            name: tuple(rec["shape"]) for name, rec in d.items()})
+        shapes = decode("params", state_shapes)
         model = decode("vocab", lambda d: cls(config, Vocab.from_dict(d),
                                               ontology, shapes))
         decode("params", model.store.load_state)

@@ -2,8 +2,9 @@
 
 The CRF oracle scores every one of the K^n tag sequences explicitly, so
 dynamic programming results can be checked against exhaustive truth.
-The span codec and tokenizer oracles are the loops the package replaced
-with its one O/B/I/C codec and one regular expression.
+The span codec, tokenizer and forest-index oracles are the loops the
+package replaced with its one O/B/I/C codec, one regular expression and
+one vectorized shift.
 """
 
 import itertools
@@ -130,4 +131,19 @@ def tokenize_loop(text):
             cur.append(ch)
     if cur:
         out.append("".join(cur))
+    return out
+
+
+def forest_index_loop(blocks, firsts):
+    """Padded row indices (pad -1) stacked block after block, block k's
+    entries moved up by firsts[k]: one slice write per block."""
+    if len(blocks) == 1 and firsts[0] == 0:
+        return blocks[0]
+    out = np.full((sum(map(len, blocks)), max(b.shape[1] for b in blocks)),
+                  -1, dtype=np.intp)
+    row = 0
+    for block, first in zip(blocks, firsts, strict=True):
+        out[row:row + len(block), :block.shape[1]] = np.where(
+            block < 0, -1, block + first)
+        row += len(block)
     return out

@@ -1,8 +1,10 @@
+import base64
 import copy
 import hashlib
 import json
 import random
 import re
+import string
 from collections import Counter
 from dataclasses import fields
 
@@ -246,20 +248,60 @@ def test_malformed_checkpoint_exits_2_naming_the_file(
         assert want in capsys.readouterr().err
 
 
+def _unpack(values: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(values), "<f8").copy()
+
+
+def _pack(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _as_number_lists(doc):
+    """doc with every parameter's values spelled as a JSON number list,
+    the way checkpoints were written before the base64 encoding."""
+    for rec in doc["params"].values():
+        rec["values"] = _unpack(rec["values"]).tolist()
+    return doc
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    float("-inf")],
                          ids=["NaN", "Infinity", "-Infinity"])
 def test_non_finite_checkpoint_value_exits_2_naming_the_entry(
         workspace, tmp_path, capsys, value):
-    doc = json.load(open(workspace["ckpt"]))
-    doc["params"]["enc.a.ln.gain"]["values"][3] = value
+    # Spelled in a number list (JSON's NaN, Infinity, -Infinity), and
+    # packed in the base64 bytes.
+    lists = _as_number_lists(json.load(open(workspace["ckpt"])))
+    lists["params"]["enc.a.ln.gain"]["values"][3] = value
+    packed = json.load(open(workspace["ckpt"]))
+    packed["params"]["enc.a.ln.gain"]["values"] = _pack(
+        np.array(lists["params"]["enc.a.ln.gain"]["values"]))
     ckpt = tmp_path / "bad.json"
-    ckpt.write_text(json.dumps(doc))  # writes NaN, Infinity, -Infinity
-    for command in ("eval", "predict"):
-        assert main([command, "--checkpoint", str(ckpt),
-                     "--corpus", workspace["corpus"]]) == 2
-        assert (f"{ckpt}: bad checkpoint params: enc.a.ln.gain: non-finite"
-                in capsys.readouterr().err)
+    for doc in (lists, packed):
+        ckpt.write_text(json.dumps(doc))
+        for command in ("eval", "predict"):
+            assert main([command, "--checkpoint", str(ckpt),
+                         "--corpus", workspace["corpus"]]) == 2
+            assert (f"{ckpt}: bad checkpoint params: enc.a.ln.gain: "
+                    "non-finite" in capsys.readouterr().err)
+
+
+def test_checkpoint_of_number_lists_evaluates_and_predicts_the_same(
+        workspace, tmp_path, capsys):
+    # Checkpoints written before the base64 encoding still load, to the
+    # same bits.
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps(
+        _as_number_lists(json.load(open(workspace["ckpt"])))))
+    outputs = []
+    for ckpt in (workspace["ckpt"], str(lists)):
+        out = tmp_path / "pred.jsonl"
+        assert main(["predict", "--checkpoint", ckpt,
+                     "--corpus", workspace["corpus"], "--out", str(out)]) == 0
+        assert main(["eval", "--checkpoint", ckpt,
+                     "--corpus", workspace["corpus"], "--task", "joint"]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_incomplete_checkpoint_exits_2(workspace, tmp_path, capsys):
@@ -301,10 +343,24 @@ def _predict(tiny, doc, tmp_path):
                        tiny["corpus"], "--out", str(tmp_path / "out.jsonl")])
 
 
+B64 = string.ascii_letters + string.digits + "+/"
+
+# Edits of a base64 values string v at position i.
+PACKED_MUTATIONS = {
+    "truncated": lambda v, i, rng: v[:i],
+    "padding dropped": lambda v, i, rng: v.rstrip("="),
+    "non-alphabet character": lambda v, i, rng: (
+        v[:i] + rng.choice("!-_=. \n*é") + v[i:]),
+    "character flipped": lambda v, i, rng: (
+        v[:i] + rng.choice(B64.replace(v[i], "")) + v[i + 1:]),
+}
+
+
 def test_mutated_checkpoints_exit_0_or_2(tiny, tmp_path, capsys):
     # Seeded fuzz: one or two values of the checkpoint's config, vocab,
     # ontology or params swapped for a value of the wrong type or range,
-    # or deleted; predict succeeds or exits 2, and raises nothing.
+    # or deleted; then one parameter's base64 values string edited.
+    # predict succeeds or exits 2, and raises nothing.
     rng = random.Random(13)
     wrong = WRONG_VALUES + [float("nan"), float("inf"), float("-inf")]
     codes = Counter()
@@ -317,9 +373,22 @@ def test_mutated_checkpoints_exit_0_or_2(tiny, tmp_path, capsys):
                 del owner[key]
             else:
                 owner[key] = copy.deepcopy(rng.choice(wrong))
-        codes[_predict(tiny, doc, tmp_path)[1]] += 1
+        codes["slot", _predict(tiny, doc, tmp_path)[1]] += 1
         capsys.readouterr()
-    assert set(codes) == {0, 2}, codes
+    for name, mutate in PACKED_MUTATIONS.items():
+        for _ in range(40):
+            doc = json.loads(tiny["text"])
+            path = rng.choice(sorted(doc["params"]))
+            values = doc["params"][path]["values"]
+            doc["params"][path]["values"] = mutate(
+                values, rng.randrange(len(values)), rng)
+            ckpt, code = _predict(tiny, doc, tmp_path)
+            codes[name, code] += 1
+            err = capsys.readouterr().err
+            if code == 2:  # a rejected edit names its parameter
+                assert f"{ckpt}: bad checkpoint params: {path}: " in err, \
+                    (name, path)
+    assert {code for *_, code in codes} == {0, 2}, codes
 
 
 # Integer config fields that shape no parameter.

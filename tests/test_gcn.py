@@ -10,9 +10,11 @@ from framepath.autodiff import (
     param,
     tensor,
 )
-from framepath.gcn import TreeGcn, path_sum_features
+from framepath.gcn import TreeGcn, _forest_index, path_sum_features
 from framepath.layers import ParamStore
 from framepath.syntax import parse_bracketed, tree_path
+
+from helpers import forest_index_loop
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
@@ -232,6 +234,21 @@ class TestPathSumFeatures:
                           for t, h in zip(trees, hs)]
         assert np.array_equal(forest, np.concatenate(each))
         assert np.array_equal(in_order, np.concatenate(one_by_one))
+
+    def test_forest_index_matches_one_slice_write_per_tree(self):
+        # Seeded random forests: ragged widths, rows padded with -1 from
+        # any column on, blocks without rows, and any row offsets.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            blocks = []
+            for _ in range(rng.integers(1, 7)):
+                height, width = rng.integers(0, 6), rng.integers(1, 8)
+                ends = rng.integers(1, width + 1, size=(height, 1))
+                blocks.append(np.where(np.arange(width) >= ends, -1,
+                                       rng.integers(0, 30, (height, width))))
+            firsts = rng.integers(0, 3, size=len(blocks)) * rng.integers(50)
+            assert np.array_equal(_forest_index(blocks, list(firsts)),
+                                  forest_index_loop(blocks, list(firsts)))
 
     def test_gradients_flow_through_paths(self):
         s = store(7)

@@ -1,3 +1,4 @@
+import base64
 import json
 from collections import Counter
 
@@ -70,16 +71,63 @@ class TestParamStore:
         assert np.array_equal(s2["w"].data, s["w"].data)
         assert np.array_equal(s2["e"].data, s["e"].data)
 
+    def test_state_roundtrip_is_bit_exact_at_the_float64_extremes(self):
+        s = store()
+        extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308])
+        s.add("a", extremes.reshape(2, 2))
+        state = json.loads(json.dumps(s.state()))
+        assert isinstance(state["a"]["values"], str)
+        s["a"].data = np.zeros((2, 2))
+        s.load_state(state)
+        assert s["a"].data.tobytes() == extremes.tobytes()  # keeps -0.0
+        assert s["a"].data.flags.writeable
+
+    def test_state_values_are_little_endian_float64_bytes(self):
+        s = store()
+        s.add("w", np.arange(6.0).reshape(2, 3))
+        raw = base64.b64decode(s.state()["w"]["values"])
+        assert raw == np.arange(6.0).astype("<f8").tobytes()
+
     def test_load_state_rejects_mismatch(self):
         s = store()
         s.zeros("a", (2,))
         with pytest.raises(ValueError, match="parameter mismatch"):
             s.load_state({})
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="a: shape"):
             s.load_state({"a": {"shape": [3], "values": [0, 0, 0]}})
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="a: non-finite"):
                 s.load_state({"a": {"shape": [2], "values": [0, bad]}})
+            packed = base64.b64encode(np.array([0.0, bad]).tobytes())
+            with pytest.raises(ValueError, match="a: non-finite"):
+                s.load_state({"a": {"shape": [2],
+                                    "values": packed.decode("ascii")}})
+        two = base64.b64encode(np.zeros(2).tobytes()).decode("ascii")
+        malformed = [
+            [[0], [0]],             # nested
+            [0],                    # one value short
+            [0, 0, 0],              # one value long
+            ["a", 0],               # not numbers
+            [True, 0],
+            [None, 0],
+            [10**400, 0],           # beyond float64
+            5,                      # neither a list nor a string
+            {"0": 0},
+            two[:-4],               # one value short
+            two + base64.b64encode(bytes(8)).decode("ascii"),
+            two[:-1],               # padding dropped
+            two[:3] + "!" + two[3:],  # not in the alphabet
+            two[:3] + "\n" + two[3:],
+            "é" + two,              # not ASCII
+        ]
+        for values in malformed:
+            with pytest.raises(ValueError, match="^a: "):
+                s.load_state({"a": {"shape": [2], "values": values}})
+        for rec in ({"shape": [2]}, {"values": two}, [2], None):
+            with pytest.raises(ValueError, match="^a: "):
+                s.load_state({"a": rec})
+        assert np.array_equal(s["a"].data, np.zeros(2))
 
     def test_glorot_limits(self):
         s = store(1)

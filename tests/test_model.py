@@ -763,6 +763,13 @@ class TestCheckpoint:
             lb = float(clone.loss([prep_b], "joint").data)
         assert la == lb
 
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        model, _ = make_model()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(str(first))
+        FrameParser.load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_failed_save_leaves_old_checkpoint(self, tmp_path, monkeypatch):
         model, _ = make_model()
         path = tmp_path / "model.json"
@@ -788,3 +795,4 @@ class TestCheckpoint:
         assert set(doc) == {"config", "vocab", "ontology", "params"}
         some = doc["params"]["emb.token"]
         assert set(some) == {"shape", "values"}
+        assert isinstance(some["values"], str)  # base64 float64 bytes
