@@ -30,15 +30,14 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "needs_grad", "name")
+    __slots__ = ("data", "grad", "needs_grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, needs_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        # needs_grad marks tensors on a path from a parameter: gradients
-        # are only accumulated where it is set.
-        self.needs_grad = requires_grad
+        # needs_grad marks parameters and tensors on a path from one:
+        # gradients are only accumulated where it is set.
+        self.needs_grad = needs_grad
         self.name = name
 
     @property
@@ -49,17 +48,17 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        flag = ", requires_grad" if self.requires_grad else ""
+        flag = ", needs_grad" if self.needs_grad else ""
         return f"Tensor({self.name or 'anon'}, shape={self.data.shape}{flag})"
 
 
 def tensor(data, name: str = "") -> Tensor:
     """Constant tensor: participates in math, never receives a gradient."""
-    return Tensor(data, requires_grad=False, name=name)
+    return Tensor(data, name=name)
 
 
 def param(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, needs_grad=True, name=name)
 
 
 class _Tape:

@@ -14,7 +14,7 @@ both; spans use its O/B/I subset, the IOB2 chunk tags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -369,62 +369,52 @@ class Vocab:
     lus: list[str]
 
     def __post_init__(self):
-        if self.tokens[0] != UNK:
+        self._ids = {}
+        for f in fields(self):
+            table = getattr(self, f.name)
+            if not isinstance(table, list) or not all(
+                    isinstance(s, str) for s in table):
+                raise ValueError(f"{f.name} must be a list of strings")
+            self._ids[f.name] = {s: i for i, s in enumerate(table)}
+            if len(self._ids[f.name]) != len(table):
+                raise ValueError(f"duplicate entries in {f.name} vocabulary")
+        if self.tokens[:1] != [UNK]:
             raise ValueError(f"tokens[0] must be {UNK!r}")
-        self._token = {t: i for i, t in enumerate(self.tokens)}
-        self._pos = {p: i for i, p in enumerate(self.pos)}
-        self._label = {l: i for i, l in enumerate(self.labels)}
-        self._frame = {f: i for i, f in enumerate(self.frames)}
-        self._fe = {e: i for i, e in enumerate(self.fes)}
-        self._lu = {u: i for i, u in enumerate(self.lus)}
-        for name, table in [("tokens", self._token), ("pos", self._pos),
-                            ("labels", self._label), ("frames", self._frame),
-                            ("fes", self._fe), ("lus", self._lu)]:
-            if len(table) != len(getattr(self, name)):
-                raise ValueError(f"duplicate entries in {name} vocabulary")
 
     def token_id(self, token: str) -> int:
-        return self._token.get(token, 0)
+        return self._ids["tokens"].get(token, 0)
 
     def pos_id(self, tag: str) -> int:
-        if tag not in self._pos:
+        if tag not in self._ids["pos"]:
             raise KeyError(f"part of speech {tag!r} not in training vocabulary")
-        return self._pos[tag]
+        return self._ids["pos"][tag]
 
     def label_id(self, label: str) -> int:
-        if label not in self._label:
+        if label not in self._ids["labels"]:
             raise KeyError(f"constituent label {label!r} not in training vocabulary")
-        return self._label[label]
+        return self._ids["labels"][label]
 
     def frame_id(self, frame: str) -> int:
-        if frame not in self._frame:
+        if frame not in self._ids["frames"]:
             raise KeyError(f"unknown frame {frame!r}")
-        return self._frame[frame]
+        return self._ids["frames"][frame]
 
     def fe_id(self, fe: str) -> int:
-        if fe not in self._fe:
+        if fe not in self._ids["fes"]:
             raise KeyError(f"unknown role label {fe!r}")
-        return self._fe[fe]
+        return self._ids["fes"][fe]
 
     def lu_id(self, lu: str) -> int:
-        if lu not in self._lu:
+        if lu not in self._ids["lus"]:
             raise KeyError(f"unknown lexical unit {lu!r}")
-        return self._lu[lu]
+        return self._ids["lus"][lu]
 
     def to_dict(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "pos": self.pos,
-            "labels": self.labels,
-            "frames": self.frames,
-            "fes": self.fes,
-            "lus": self.lus,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocab":
-        return cls(**{k: list(data[k]) for k in
-                      ("tokens", "pos", "labels", "frames", "fes", "lus")})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def build_vocab(sentences: Sequence[Sentence], ontology: Ontology) -> Vocab:

@@ -9,7 +9,7 @@ decay), for checkpoints (path -> values), and for gradient checking.
 from __future__ import annotations
 
 import base64
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,27 +31,36 @@ class ParamEntry:
 
 
 class ParamStore:
-    """Parameters by path.  Given a checkpoint's shapes (path -> tuple),
-    each path and shape is checked against them before values are drawn."""
+    """Parameters by path.  Given a checkpoint's decoded arrays (path ->
+    float64 array, from decode_state), each parameter's path and shape
+    are checked against its saved array, which it takes: nothing is
+    drawn."""
 
     def __init__(self, rng: np.random.Generator,
-                 shapes: dict[str, tuple] | None = None):
+                 saved: dict[str, np.ndarray] | None = None):
         self.rng = rng
-        self._shapes = shapes
+        self._saved = saved
         self._entries: dict[str, ParamEntry] = {}
 
-    def _expect(self, path: str, shape: tuple) -> None:
-        if self._shapes is not None and self._shapes.get(path) != shape:
-            raise CheckpointMismatch(f"{path}: shape "
-                                     f"{self._shapes.get(path, 'missing')} "
-                                     f"does not match {shape}")
+    def _saved_as(self, path: str, shape: tuple) -> np.ndarray | None:
+        """The saved array of path (None without a checkpoint); a
+        missing path or another shape raises CheckpointMismatch."""
+        if self._saved is None:
+            return None
+        saved = self._saved.get(path)
+        if saved is None or saved.shape != shape:
+            got = "missing" if saved is None else saved.shape
+            raise CheckpointMismatch(f"{path}: shape {got} does not match "
+                                     f"{shape}")
+        return saved
 
     def add(self, path: str, values: np.ndarray, *, decay: bool = True,
             group: str | None = None) -> Tensor:
-        self._expect(path, np.shape(values))
+        saved = self._saved_as(path, np.shape(values))
         if path in self._entries:
             raise ValueError(f"duplicate parameter path {path!r}")
-        t = ad.param(np.asarray(values, dtype=np.float64), name=path)
+        t = ad.param(np.asarray(values if saved is None else saved,
+                                dtype=np.float64), name=path)
         self._entries[path] = ParamEntry(t, decay, group)
         return t
 
@@ -59,9 +68,10 @@ class ParamStore:
 
     def glorot(self, path: str, fan_in: int, fan_out: int, *,
                decay: bool = True, group: str | None = None) -> Tensor:
-        self._expect(path, (fan_in, fan_out))
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
+        values = self._saved_as(path, (fan_in, fan_out))
+        if values is None:
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
         return self.add(path, values, decay=decay, group=group)
 
     def zeros(self, path: str, shape, *, decay: bool = False,
@@ -69,8 +79,9 @@ class ParamStore:
         return self.add(path, np.zeros(shape), decay=decay, group=group)
 
     def embedding(self, path: str, n: int, dim: int) -> Tensor:
-        self._expect(path, (n, dim))
-        values = self.rng.normal(0.0, 1.0 / np.sqrt(dim), (n, dim))
+        values = self._saved_as(path, (n, dim))
+        if values is None:
+            values = self.rng.normal(0.0, 1.0 / np.sqrt(dim), (n, dim))
         return self.add(path, values, decay=False)
 
     # access ----------------------------------------------------------------
@@ -93,55 +104,39 @@ class ParamStore:
             for path, e in self._entries.items()
         }
 
-    def load_state(self, state: dict) -> None:
-        """Set every parameter from state (path -> shape and values, as
-        state() writes them or as a flat list of numbers); a missing or
-        extra path, a wrong shape, values that do not decode to exactly
-        that many numbers, or a non-finite value raises ValueError
-        naming it."""
-        missing = set(self._entries) - set(state)
-        extra = set(state) - set(self._entries)
-        if missing or extra:
-            raise ValueError(
-                f"parameter mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
-        for path, entry in self._entries.items():
-            with _naming(path):
-                entry.tensor.data = _decode(state[path],
-                                            entry.tensor.data.shape)
+
+def decode_state(params) -> dict[str, np.ndarray]:
+    """path -> float64 array of every entry of a checkpoint's params, as
+    state() writes them or with values as a flat list of JSON numbers.
+    Raises ValueError for params that is not an object and, naming the
+    entry, for a shape that is not a list of non-negative integers,
+    values that do not decode to exactly that many numbers (an integer
+    beyond float64's range included), or a non-finite value."""
+    if not isinstance(params, dict):
+        raise ValueError("not an object of parameters by path")
+    saved = {}
+    for path, rec in params.items():
+        try:
+            saved[path] = _decode(rec)
+        except KeyError as e:
+            raise ValueError(f"{path}: no {e} key") from e
+        except (ValueError, OverflowError) as e:
+            raise ValueError(f"{path}: {e}") from e
+    return saved
 
 
-def state_shapes(state: dict) -> dict[str, tuple]:
-    """path -> shape of every entry of a checkpoint's params; an entry
-    with no shape list raises ValueError naming it."""
-    shapes = {}
-    for path, rec in state.items():
-        with _naming(path):
-            shapes[path] = tuple(rec["shape"])
-    return shapes
-
-
-@contextmanager
-def _naming(path: str):
-    """Re-raise what decoding a checkpoint entry raises as a ValueError
-    that starts with its path (OverflowError: an integer too large for
-    a float64)."""
-    try:
-        yield
-    except KeyError as e:
-        raise ValueError(f"{path}: no {e} key") from e
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ValueError(f"{path}: {e}") from e
-
-
-def _decode(rec: dict, shape: tuple) -> np.ndarray:
-    """The float64 array of the given shape that a checkpoint entry
-    holds: base64 of its row-major little-endian float64 bytes, or (the
-    older spelling) a flat list of JSON numbers."""
-    if (got := tuple(rec["shape"])) != shape:
-        raise ValueError(f"shape {got} does not match {shape}")
-    values, size = rec["values"], int(np.prod(shape))
+def _decode(rec) -> np.ndarray:
+    """The float64 array a checkpoint entry holds: base64 of its
+    row-major little-endian float64 bytes, or (the older spelling) a
+    flat list of JSON numbers."""
+    if not isinstance(rec, dict):
+        raise ValueError("not an object with a shape and values")
+    shape, values = rec["shape"], rec["values"]
+    if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative "
+                         "integers")
+    size = math.prod(shape)
     if isinstance(values, str):
         try:
             raw = base64.b64decode(values, validate=True)
@@ -168,7 +163,6 @@ def _decode(rec: dict, shape: tuple) -> np.ndarray:
 class Embedding:
     def __init__(self, store: ParamStore, path: str, n: int, dim: int):
         self.table = store.embedding(path, n, dim)
-        self.dim = dim
 
     def __call__(self, ids: Sequence[int]) -> Tensor:
         return ad.row_select(self.table, ids)
@@ -225,7 +219,6 @@ class BiLstm:
             bwd = LstmDirection(store, f"{path}.l{k}.bwd", width, hidden)
             self.layers.append((fwd, bwd))
             width = 2 * hidden
-        self.out_dim = width
 
     def __call__(self, x: Tensor,
                  lengths: Sequence[int] | None = None) -> Tensor:

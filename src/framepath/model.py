@@ -53,7 +53,7 @@ from .corpus import (
 from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, mask_penalty, open_scheme
 from .gcn import TreeGcn, path_sum_features
 from .layers import (BiLstm, CheckpointMismatch, Embedding, LayerNorm,
-                     Linear, ParamStore, state_shapes)
+                     Linear, ParamStore, decode_state)
 
 N_AI_LABELS = 3  # O, B, I
 
@@ -115,7 +115,7 @@ class SentenceEncoding:
 
 class FrameParser:
     def __init__(self, config: Config, vocab: Vocab, ontology: Ontology,
-                 shapes: dict[str, tuple] | None = None):
+                 saved: dict[str, np.ndarray] | None = None):
         config.validate()
         if (vocab.frames != ontology.frames or vocab.fes != ontology.fes
                 or vocab.lus != ontology.lus):
@@ -125,7 +125,7 @@ class FrameParser:
         self.vocab = vocab
         self.ontology = ontology
         streams = np.random.SeedSequence(config.seed).spawn(3)
-        self.store = ParamStore(np.random.default_rng(streams[0]), shapes)
+        self.store = ParamStore(np.random.default_rng(streams[0]), saved)
         self.shuffle_rng = np.random.default_rng(streams[1])
         self.dropout_rng = np.random.default_rng(streams[2])
 
@@ -521,8 +521,10 @@ class FrameParser:
 
     @classmethod
     def load(cls, path: str) -> "FrameParser":
-        """The model saved at path; a file that is not JSON, or an entry
-        that does not decode, raises CorpusError naming the path."""
+        """The model saved at path, built once from its decoded params
+        (nothing is drawn); a file that is not JSON, an entry that does
+        not decode, or a parameter the model does not take raises
+        CorpusError naming the path."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -542,8 +544,10 @@ class FrameParser:
 
         config = decode("config", config_from_dict)
         ontology = decode("ontology", lambda d: Ontology(**d))
-        shapes = decode("params", state_shapes)
+        saved = decode("params", decode_state)
         model = decode("vocab", lambda d: cls(config, Vocab.from_dict(d),
-                                              ontology, shapes))
-        decode("params", model.store.load_state)
+                                              ontology, saved))
+        if extra := saved.keys() - dict(model.store.entries()):
+            raise CorpusError(f"{path}: bad checkpoint params: unexpected "
+                              f"parameters {sorted(extra)}")
         return model

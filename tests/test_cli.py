@@ -226,10 +226,19 @@ def _set_first_param_shape(doc):
     ("params", _set_first_param_shape),
     ("vocab", lambda doc: doc.update(vocab={})),
     ("vocab", lambda doc: doc.update(vocab=3)),
+    ("vocab", lambda doc: doc["vocab"].update(
+        pos=list(range(len(doc["vocab"]["pos"]))))),
+    ("vocab", lambda doc: doc["vocab"].update(labels="NPSV")),
+    ("vocab", lambda doc: doc["vocab"]["tokens"].append(["x"])),
+    ("vocab", lambda doc: doc["vocab"].update(tokens=[])),
+    ("params", lambda doc: doc.update(params=[1])),
+    ("params", lambda doc: doc.update(params="x")),
     ("ontology", lambda doc: doc.update(ontology={"lu_to_frames": {}})),
     ("config", lambda doc: doc["config"].update(lstm_hidden=0)),
     (None, None),  # not JSON at all
 ], ids=["empty-params", "wrong-shape", "empty-vocab", "vocab-not-object",
+        "pos-ids-not-strings", "labels-a-string", "list-in-tokens",
+        "no-tokens", "params-a-list", "params-a-string",
         "ontology-without-roles", "invalid-config", "not-json"])
 def test_malformed_checkpoint_exits_2_naming_the_file(
         workspace, tmp_path, capsys, entry, corrupt):
@@ -245,7 +254,9 @@ def test_malformed_checkpoint_exits_2_naming_the_file(
     for command in ("eval", "predict"):
         assert main([command, "--checkpoint", str(ckpt),
                      "--corpus", workspace["corpus"]]) == 2
-        assert want in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert want in err
+        assert "attribute" not in err  # names no Python internals
 
 
 def _unpack(values: str) -> np.ndarray:
@@ -389,6 +400,30 @@ def test_mutated_checkpoints_exit_0_or_2(tiny, tmp_path, capsys):
                 assert f"{ckpt}: bad checkpoint params: {path}: " in err, \
                     (name, path)
     assert {code for *_, code in codes} == {0, 2}, codes
+
+
+# A parameter's shape spelled with something other than non-negative
+# JSON integers.
+SHAPE_MUTATIONS = {
+    "float": lambda shape: [float(shape[0])] + shape[1:],
+    "true": lambda shape: [True] + shape,  # a leading dimension of 1
+    "negative": lambda shape: [-1] + shape[1:],
+    "string": lambda shape: [str(shape[0])] + shape[1:],
+    "nested": lambda shape: [shape],
+}
+
+
+@pytest.mark.parametrize("mutate", SHAPE_MUTATIONS.values(),
+                         ids=SHAPE_MUTATIONS)
+def test_checkpoint_shape_of_non_integers_exits_2_naming_the_parameter(
+        tiny, tmp_path, capsys, mutate):
+    for path in json.loads(tiny["text"])["params"]:
+        doc = json.loads(tiny["text"])
+        doc["params"][path]["shape"] = mutate(doc["params"][path]["shape"])
+        ckpt, code = _predict(tiny, doc, tmp_path)
+        assert code == 2, path
+        assert (f"{ckpt}: bad checkpoint params: {path}: shape "
+                in capsys.readouterr().err), path
 
 
 # Integer config fields that shape no parameter.

@@ -383,3 +383,15 @@ class TestVocab:
         with pytest.raises(ValueError, match="duplicate"):
             Vocab(tokens=["<unk>", "a", "a"], pos=[], labels=[],
                   frames=[], fes=[], lus=[])
+
+    @pytest.mark.parametrize("table, value, reason", [
+        ("pos", [0, 1], "pos must be a list of strings"),
+        ("labels", "NPSV", "labels must be a list of strings"),
+        ("tokens", ["<unk>", ["x"]], "tokens must be a list of strings"),
+        ("tokens", [], r"tokens\[0\] must be '<unk>'"),
+    ], ids=["pos-ids", "labels-a-string", "list-in-tokens", "no-tokens"])
+    def test_tables_must_be_lists_of_strings(self, table, value, reason):
+        tables = dict(tokens=["<unk>"], pos=[], labels=[], frames=[],
+                      fes=[], lus=[])
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            Vocab(**{**tables, table: value})

@@ -9,11 +9,13 @@ from framepath import autodiff as ad
 from framepath.autodiff import backward, fresh_tape, grad_check, no_grad, tensor
 from framepath.layers import (
     BiLstm,
+    CheckpointMismatch,
     Embedding,
     LayerNorm,
     Linear,
     LstmDirection,
     ParamStore,
+    decode_state,
 )
 
 
@@ -64,10 +66,9 @@ class TestParamStore:
         s.glorot("w", 7, 5)
         s.embedding("e", 11, 3)
         state = json.loads(json.dumps(s.state()))
-        s2 = store(99)  # different init, then overwritten by load
-        s2.glorot("w", 7, 5)
+        s2 = ParamStore(np.random.default_rng(99), decode_state(state))
+        s2.glorot("w", 7, 5)  # takes the saved values, draws nothing
         s2.embedding("e", 11, 3)
-        s2.load_state(state)
         assert np.array_equal(s2["w"].data, s["w"].data)
         assert np.array_equal(s2["e"].data, s["e"].data)
 
@@ -78,10 +79,10 @@ class TestParamStore:
         s.add("a", extremes.reshape(2, 2))
         state = json.loads(json.dumps(s.state()))
         assert isinstance(state["a"]["values"], str)
-        s["a"].data = np.zeros((2, 2))
-        s.load_state(state)
-        assert s["a"].data.tobytes() == extremes.tobytes()  # keeps -0.0
-        assert s["a"].data.flags.writeable
+        s2 = ParamStore(np.random.default_rng(0), decode_state(state))
+        s2.zeros("a", (2, 2))
+        assert s2["a"].data.tobytes() == extremes.tobytes()  # keeps -0.0
+        assert s2["a"].data.flags.writeable
 
     def test_state_values_are_little_endian_float64_bytes(self):
         s = store()
@@ -89,20 +90,35 @@ class TestParamStore:
         raw = base64.b64decode(s.state()["w"]["values"])
         assert raw == np.arange(6.0).astype("<f8").tobytes()
 
-    def test_load_state_rejects_mismatch(self):
-        s = store()
-        s.zeros("a", (2,))
-        with pytest.raises(ValueError, match="parameter mismatch"):
-            s.load_state({})
-        with pytest.raises(ValueError, match="a: shape"):
-            s.load_state({"a": {"shape": [3], "values": [0, 0, 0]}})
+    def test_build_rejects_a_missing_or_reshaped_parameter(self):
+        saved = {"a": np.zeros(3)}
+        builds = {
+            "zeros": lambda s, path: s.zeros(path, (2,)),
+            "add": lambda s, path: s.add(path, np.ones(2)),
+            "glorot": lambda s, path: s.glorot(path, 1, 2),
+            "embedding": lambda s, path: s.embedding(path, 1, 2),
+        }
+        for name, build in builds.items():
+            s = ParamStore(np.random.default_rng(0), saved)
+            with pytest.raises(CheckpointMismatch, match="^b: shape missing"):
+                build(s, "b")
+            with pytest.raises(CheckpointMismatch,
+                               match=r"^a: shape \(3,\) does not match"):
+                build(s, "a")
+            assert not list(s.entries()), name
+
+    def test_decode_state_rejects_malformed_entries(self):
+        def decode(rec):
+            return decode_state({"a": rec})
+
+        with pytest.raises(ValueError, match="not an object of parameters"):
+            decode_state([{"shape": [2], "values": [0, 0]}])
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="a: non-finite"):
-                s.load_state({"a": {"shape": [2], "values": [0, bad]}})
+            with pytest.raises(ValueError, match="^a: non-finite"):
+                decode({"shape": [2], "values": [0, bad]})
             packed = base64.b64encode(np.array([0.0, bad]).tobytes())
-            with pytest.raises(ValueError, match="a: non-finite"):
-                s.load_state({"a": {"shape": [2],
-                                    "values": packed.decode("ascii")}})
+            with pytest.raises(ValueError, match="^a: non-finite"):
+                decode({"shape": [2], "values": packed.decode("ascii")})
         two = base64.b64encode(np.zeros(2).tobytes()).decode("ascii")
         malformed = [
             [[0], [0]],             # nested
@@ -123,11 +139,16 @@ class TestParamStore:
         ]
         for values in malformed:
             with pytest.raises(ValueError, match="^a: "):
-                s.load_state({"a": {"shape": [2], "values": values}})
+                decode({"shape": [2], "values": values})
         for rec in ({"shape": [2]}, {"values": two}, [2], None):
             with pytest.raises(ValueError, match="^a: "):
-                s.load_state({"a": rec})
-        assert np.array_equal(s["a"].data, np.zeros(2))
+                decode(rec)
+        for shape in ([2.0], [True, 2], [-2], ["2"], [[2]], 2, "2", None,
+                      [2**40, 2**40]):
+            with pytest.raises(ValueError, match="^a: "):
+                decode({"shape": shape, "values": two})
+        assert np.array_equal(decode({"shape": [2], "values": two})["a"],
+                              np.zeros(2))
 
     def test_glorot_limits(self):
         s = store(1)
@@ -239,10 +260,9 @@ class TestLstm:
     def test_bilstm_shape_and_gradients(self):
         s = store(9)
         net = BiLstm(s, "lstm", 3, 2, layers=2)
-        assert net.out_dim == 4
         x = tensor(np.random.default_rng(3).normal(size=(4, 3)))
         with fresh_tape(), no_grad():
-            assert net(x).shape == (4, 4)
+            assert net(x).shape == (4, 2 * 2)  # width 2 * hidden
         max_rel, report = grad_check(lambda: ad.sum_all(net(x)), params(s))
         assert max_rel < 1e-5, report[0]
 

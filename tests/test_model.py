@@ -9,7 +9,8 @@ import pytest
 from framepath import autodiff as ad
 from framepath import model as model_module
 from framepath.config import Config
-from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
+from framepath.corpus import (CorpusError, FrameAnnotation, Ontology,
+                              Sentence, build_vocab)
 from framepath.evaluation import evaluate_fi, evaluate_srl
 from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
@@ -796,3 +797,37 @@ class TestCheckpoint:
         some = doc["params"]["emb.token"]
         assert set(some) == {"shape", "values"}
         assert isinstance(some["values"], str)  # base64 float64 bytes
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model, _ = make_model()
+        path = str(tmp_path / "model.json")
+        model.save(path)
+
+        class NoDraws(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("drew from uniform")
+
+            def normal(self, *args, **kwargs):
+                raise AssertionError("drew from normal")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: NoDraws(np.random.PCG64(seed)))
+        with pytest.raises(AssertionError, match="drew"):  # the patch bites
+            FrameParser(model.config, model.vocab, model.ontology)
+        clone = FrameParser.load(path)
+        assert paths(clone) == paths(model)
+        for p in paths(model):
+            assert np.array_equal(clone.store[p].data, model.store[p].data), p
+
+    def test_load_rejects_a_parameter_the_model_does_not_take(
+            self, tmp_path):
+        model, _ = make_model()
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        doc = json.loads(path.read_text())
+        doc["params"]["head.extra"] = doc["params"]["emb.pos"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match=(
+                r"model.json: bad checkpoint params: unexpected "
+                r"parameters \['head.extra'\]$")):
+            FrameParser.load(str(path))
