@@ -124,12 +124,20 @@ def lu_key(tokens: Sequence[str], target: Sequence[int], pos: Sequence[str]) -> 
     return f"{words}.{coarse.get(first_pos[:1], first_pos[:1].lower())}"
 
 
+def _id(ids: dict[str, int], key: str, unknown: str) -> int:
+    """ids[key]; a key not in ids raises KeyError(unknown.format(key))."""
+    if key not in ids:
+        raise KeyError(unknown.format(key))
+    return ids[key]
+
+
 # ---------------------------------------------------------------------------
 # ontology
 
 @dataclass
 class Ontology:
-    """Lexicon mapping lexical units to frames and frames to role labels."""
+    """Lexicon mapping lexical units to frames and frames to role labels;
+    it owns the frame, role and lexical-unit inventories and their ids."""
 
     lu_to_frames: dict[str, list[str]]
     frame_to_elements: dict[str, list[str]]
@@ -162,6 +170,24 @@ class Ontology:
         self.frames = sorted(self.frame_to_elements)
         self.fes = sorted({e for v in self.frame_to_elements.values() for e in v})
         self.lus = sorted(self.lu_to_frames)
+        self._ids = {name: {s: i for i, s in enumerate(getattr(self, name))}
+                     for name in ("frames", "fes", "lus")}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Ontology":
+        if not isinstance(data, dict) or set(data) != {"lu_to_frames",
+                                                       "frame_to_elements"}:
+            raise CorpusError("expected keys lu_to_frames and frame_to_elements")
+        return cls(data["lu_to_frames"], data["frame_to_elements"])
+
+    def frame_id(self, frame: str) -> int:
+        return _id(self._ids["frames"], frame, "unknown frame {!r}")
+
+    def fe_id(self, fe: str) -> int:
+        return _id(self._ids["fes"], fe, "unknown role label {!r}")
+
+    def lu_id(self, lu: str) -> int:
+        return _id(self._ids["lus"], lu, "unknown lexical unit {!r}")
 
     def frame_mask(self, lu: str) -> np.ndarray:
         """Boolean vector over the frame inventory: frames licensed by lu."""
@@ -184,12 +210,8 @@ def load_ontology(path: str) -> Ontology:
             data = json.load(fh)
         except ValueError as e:  # also a file that is not UTF-8
             raise CorpusError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(data, dict) or set(data) != {"lu_to_frames", "frame_to_elements"}:
-        raise CorpusError(
-            f"{path}: expected keys lu_to_frames and frame_to_elements"
-        )
     try:
-        return Ontology(data["lu_to_frames"], data["frame_to_elements"])
+        return Ontology.from_dict(data)
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e
 
@@ -354,9 +376,11 @@ def save_corpus(sentences: Sequence[Sentence], path: str) -> None:
 
 @dataclass
 class Vocab:
-    """Deterministic string-to-id tables shared by model and checkpoints.
+    """Deterministic string-to-id tables of what a training corpus
+    closes, shared by model and checkpoints (the ontology owns the frame,
+    role and lexical-unit tables).
 
-    tokens[0] is the unknown-word entry; every other table is closed
+    tokens[0] is the unknown-word entry; the other tables are closed
     (an unseen part of speech or constituent label is an error, since its
     embedding was never trained).
     """
@@ -364,9 +388,6 @@ class Vocab:
     tokens: list[str]
     pos: list[str]
     labels: list[str]
-    frames: list[str]
-    fes: list[str]
-    lus: list[str]
 
     def __post_init__(self):
         self._ids = {}
@@ -385,40 +406,30 @@ class Vocab:
         return self._ids["tokens"].get(token, 0)
 
     def pos_id(self, tag: str) -> int:
-        if tag not in self._ids["pos"]:
-            raise KeyError(f"part of speech {tag!r} not in training vocabulary")
-        return self._ids["pos"][tag]
+        return _id(self._ids["pos"], tag,
+                   "part of speech {!r} not in training vocabulary")
 
     def label_id(self, label: str) -> int:
-        if label not in self._ids["labels"]:
-            raise KeyError(f"constituent label {label!r} not in training vocabulary")
-        return self._ids["labels"][label]
-
-    def frame_id(self, frame: str) -> int:
-        if frame not in self._ids["frames"]:
-            raise KeyError(f"unknown frame {frame!r}")
-        return self._ids["frames"][frame]
-
-    def fe_id(self, fe: str) -> int:
-        if fe not in self._ids["fes"]:
-            raise KeyError(f"unknown role label {fe!r}")
-        return self._ids["fes"][fe]
-
-    def lu_id(self, lu: str) -> int:
-        if lu not in self._ids["lus"]:
-            raise KeyError(f"unknown lexical unit {lu!r}")
-        return self._ids["lus"][lu]
+        return _id(self._ids["labels"], label,
+                   "constituent label {!r} not in training vocabulary")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocab":
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        """Other keys (older checkpoints' frame, role and lu tables) are
+        not read."""
+        try:
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
+        except KeyError as e:
+            raise ValueError(f"no {e} table") from e
 
 
 def build_vocab(sentences: Sequence[Sentence], ontology: Ontology) -> Vocab:
-    """Closed vocabularies from a training corpus plus its ontology."""
+    """Closed vocabularies from a training corpus.  The ontology is not
+    read; the argument stays only for the benchmark harness, which passes
+    it, and goes when that harness next changes."""
     tokens: set[str] = set()
     pos: set[str] = set()
     labels: set[str] = set()
@@ -430,7 +441,4 @@ def build_vocab(sentences: Sequence[Sentence], ontology: Ontology) -> Vocab:
         tokens=[UNK] + sorted(tokens),
         pos=sorted(pos),
         labels=sorted(labels),
-        frames=list(ontology.frames),
-        fes=list(ontology.fes),
-        lus=list(ontology.lus),
     )

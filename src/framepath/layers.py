@@ -19,10 +19,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-class CheckpointMismatch(ValueError):
-    """A parameter the store's checkpoint lacks or shapes otherwise."""
-
-
 @dataclass
 class ParamEntry:
     tensor: Tensor
@@ -44,14 +40,13 @@ class ParamStore:
 
     def _saved_as(self, path: str, shape: tuple) -> np.ndarray | None:
         """The saved array of path (None without a checkpoint); a
-        missing path or another shape raises CheckpointMismatch."""
+        missing path or another shape raises ValueError."""
         if self._saved is None:
             return None
         saved = self._saved.get(path)
         if saved is None or saved.shape != shape:
             got = "missing" if saved is None else saved.shape
-            raise CheckpointMismatch(f"{path}: shape {got} does not match "
-                                     f"{shape}")
+            raise ValueError(f"{path}: shape {got} does not match {shape}")
         return saved
 
     def add(self, path: str, values: np.ndarray, *, decay: bool = True,
@@ -105,15 +100,13 @@ class ParamStore:
         }
 
 
-def decode_state(params) -> dict[str, np.ndarray]:
+def decode_state(params: dict) -> dict[str, np.ndarray]:
     """path -> float64 array of every entry of a checkpoint's params, as
     state() writes them or with values as a flat list of JSON numbers.
-    Raises ValueError for params that is not an object and, naming the
-    entry, for a shape that is not a list of non-negative integers,
-    values that do not decode to exactly that many numbers (an integer
-    beyond float64's range included), or a non-finite value."""
-    if not isinstance(params, dict):
-        raise ValueError("not an object of parameters by path")
+    Raises ValueError naming the entry for a shape that is not a list of
+    non-negative integers, values that do not decode to exactly that many
+    numbers (an integer beyond float64's range included), or a non-finite
+    value."""
     saved = {}
     for path, rec in params.items():
         try:

@@ -52,8 +52,8 @@ from .corpus import (
 )
 from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, mask_penalty, open_scheme
 from .gcn import TreeGcn, path_sum_features
-from .layers import (BiLstm, CheckpointMismatch, Embedding, LayerNorm,
-                     Linear, ParamStore, decode_state)
+from .layers import (BiLstm, Embedding, LayerNorm, Linear, ParamStore,
+                     decode_state)
 
 N_AI_LABELS = 3  # O, B, I
 
@@ -117,10 +117,6 @@ class FrameParser:
     def __init__(self, config: Config, vocab: Vocab, ontology: Ontology,
                  saved: dict[str, np.ndarray] | None = None):
         config.validate()
-        if (vocab.frames != ontology.frames or vocab.fes != ontology.fes
-                or vocab.lus != ontology.lus):
-            raise ValueError("vocab frame/role/lu inventories do not match "
-                             "the ontology")
         self.config = config
         self.vocab = vocab
         self.ontology = ontology
@@ -154,12 +150,12 @@ class FrameParser:
 
         self.fi1 = Linear(self.store, "fi.l1", e_dim, c.fi_hidden1)
         self.fi2 = Linear(self.store, "fi.l2", c.fi_hidden1, c.fi_hidden2)
-        self.fi3 = Linear(self.store, "fi.l3", c.fi_hidden2, len(vocab.frames))
+        self.fi3 = Linear(self.store, "fi.l3", c.fi_hidden2, len(ontology.frames))
 
-        self.lu_emb = Embedding(self.store, "srl.emb.lu", len(vocab.lus),
+        self.lu_emb = Embedding(self.store, "srl.emb.lu", len(ontology.lus),
                                 c.lu_dim)
         self.frame_emb = Embedding(self.store, "srl.emb.frame",
-                                   len(vocab.frames), c.frame_dim)
+                                   len(ontology.frames), c.frame_dim)
         z_dim = c.lu_dim + e_dim + c.frame_dim
         self.ai_v1 = Linear(self.store, "srl.ai.v1", z_dim, c.ai_pr_dim)
         self.ai_v2 = Linear(self.store, "srl.ai.v2", e_dim, c.ai_pb_dim)
@@ -172,16 +168,16 @@ class FrameParser:
                                      group="crf")
         self.ac_y = Linear(self.store, "srl.ac.y", e_dim + z_dim, c.ac_dim)
         self.ac_emit = Linear(self.store, "srl.ac.emit", c.ac_dim,
-                              len(vocab.fes))
+                              len(ontology.fes))
         self.ac_crf = LinearChainCrf(self.store, "srl.ac.crf",
-                                     open_scheme(tuple(vocab.fes)),
+                                     open_scheme(tuple(ontology.fes)),
                                      group="crf")
 
         # frame penalties by lu id, role penalties by frame id
         self._frame_penalty = np.array([mask_penalty(ontology.frame_mask(lu))
-                                        for lu in vocab.lus])
+                                        for lu in ontology.lus])
         self._fe_penalty = np.array([mask_penalty(ontology.fe_mask(f))
-                                     for f in vocab.frames])
+                                     for f in ontology.frames])
 
     # ------------------------------------------------------------------
     # preparation and encoding
@@ -203,11 +199,11 @@ class FrameParser:
             spans = [span for span, _ in ann.elements]
             prep.annotations.append(PreparedAnnotation(
                 target=ann.target,
-                lu_id=self.vocab.lu_id(ann.lu),
-                frame_id=self.vocab.frame_id(ann.frame),
+                lu_id=self.ontology.lu_id(ann.lu),
+                frame_id=self.ontology.frame_id(ann.frame),
                 spans=spans,
                 ai_tags=encode_iobc([range(s, e + 1) for s, e in spans], n),
-                fe_ids=[self.vocab.fe_id(label) for _, label in ann.elements],
+                fe_ids=[self.ontology.fe_id(label) for _, label in ann.elements],
             ))
         return prep
 
@@ -344,12 +340,12 @@ class FrameParser:
         str) give one frame."""
         if isinstance(lus, str):
             return self.fi_predict(enc, [targets], [lus])[0]
-        lu_ids = [self.vocab.lu_id(lu) for lu in lus]
+        lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
             scores = self.frame_scores(self.target_rows(enc.a, targets),
                                        lu_ids).data
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
-        return [self.vocab.frames[k] for k in scores.argmax(axis=1)]
+        return [self.ontology.frames[k] for k in scores.argmax(axis=1)]
 
     def srl_predict(self, encs: list[SentenceEncoding],
                     targets: list[list[int]], lus: list[str],
@@ -362,7 +358,7 @@ class FrameParser:
         target."""
         if not targets:
             return [], []
-        frame_ids = [self.vocab.frame_id(f) for f in frames]
+        frame_ids = [self.ontology.frame_id(f) for f in frames]
         with ad.no_grad():
             b, b_first = self.target_b([(enc, min(target))
                                         for enc, target in zip(encs, targets)])
@@ -370,7 +366,7 @@ class FrameParser:
                 [first + i for i in target]
                 for first, target in zip(b_first, targets)])
             z, pr = self.predicate_rows(
-                t, [self.vocab.lu_id(lu) for lu in lus], frame_ids)
+                t, [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
                 emissions = self.ai_scores(pr, b, b_first).data
                 # O/B/I tags only, so every decoded index set is a span
@@ -381,7 +377,7 @@ class FrameParser:
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
         chains = np.split(emissions, np.cumsum([len(s) for s in spans])[:-1])
-        return spans, [[self.vocab.fes[k] for k in self.ac_crf.viterbi(c)]
+        return spans, [[self.ontology.fes[k] for k in self.ac_crf.viterbi(c)]
                        for c in chains]
 
     def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
@@ -522,9 +518,9 @@ class FrameParser:
     @classmethod
     def load(cls, path: str) -> "FrameParser":
         """The model saved at path, built once from its decoded params
-        (nothing is drawn); a file that is not JSON, an entry that does
-        not decode, or a parameter the model does not take raises
-        CorpusError naming the path."""
+        (nothing is drawn); a file that is not JSON, an entry that is not
+        a JSON object or does not decode, or a parameter the model does
+        not take raises CorpusError naming the path."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -533,20 +529,22 @@ class FrameParser:
         for key in ("config", "vocab", "ontology", "params"):
             if not isinstance(doc, dict) or key not in doc:
                 raise CorpusError(f"{path}: checkpoint has no {key!r} entry")
+            if not isinstance(doc[key], dict):
+                raise CorpusError(f"{path}: bad checkpoint {key}: not a JSON "
+                                  "object")
 
-        def decode(key, build):
+        def decode(key, build, *args):
             try:
-                return build(doc[key])
+                return build(*args)
             except (ValueError, LookupError, TypeError, AttributeError) as e:
-                if isinstance(e, CheckpointMismatch):  # met building the model
-                    key = "params"
                 raise CorpusError(f"{path}: bad checkpoint {key}: {e}") from e
 
-        config = decode("config", config_from_dict)
-        ontology = decode("ontology", lambda d: Ontology(**d))
-        saved = decode("params", decode_state)
-        model = decode("vocab", lambda d: cls(config, Vocab.from_dict(d),
-                                              ontology, saved))
+        config = decode("config", config_from_dict, doc["config"])
+        vocab = decode("vocab", Vocab.from_dict, doc["vocab"])
+        ontology = decode("ontology", Ontology.from_dict, doc["ontology"])
+        saved = decode("params", decode_state, doc["params"])
+        # only a parameter the saved arrays lack or shape otherwise can fail
+        model = decode("params", cls, config, vocab, ontology, saved)
         if extra := saved.keys() - dict(model.store.entries()):
             raise CorpusError(f"{path}: bad checkpoint params: unexpected "
                               f"parameters {sorted(extra)}")

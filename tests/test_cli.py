@@ -13,7 +13,8 @@ import pytest
 
 from framepath.cli import main
 from framepath.config import Config
-from framepath.corpus import build_vocab, load_corpus, load_ontology, save_corpus
+from framepath.corpus import (Ontology, build_vocab, load_corpus, load_ontology,
+                              save_corpus)
 from framepath.layers import ParamStore
 from framepath.model import FrameParser
 from framepath.synth import generate
@@ -221,6 +222,16 @@ def _set_first_param_shape(doc):
     doc["params"][next(iter(doc["params"]))]["shape"] = [1, 1]
 
 
+def _set(entry, value):
+    return lambda doc: doc.update({entry: value})
+
+
+NOT_OBJECTS = {f"{entry}-{kind}-not-object": (entry, _set(entry, value))
+               for entry in ("config", "vocab", "ontology", "params")
+               for kind, value in (("list", [1]), ("string", "x"),
+                                   ("null", None))}
+
+
 @pytest.mark.parametrize("entry, corrupt", [
     ("params", lambda doc: doc.update(params={})),
     ("params", _set_first_param_shape),
@@ -236,10 +247,16 @@ def _set_first_param_shape(doc):
     ("ontology", lambda doc: doc.update(ontology={"lu_to_frames": {}})),
     ("config", lambda doc: doc["config"].update(lstm_hidden=0)),
     (None, None),  # not JSON at all
+    *NOT_OBJECTS.values(),
+    ("ontology", lambda doc: doc["ontology"].pop("frame_to_elements")),
+    ("ontology", lambda doc: doc["ontology"].update(extra={})),
+    ("vocab", lambda doc: doc["vocab"].pop("tokens")),
 ], ids=["empty-params", "wrong-shape", "empty-vocab", "vocab-not-object",
         "pos-ids-not-strings", "labels-a-string", "list-in-tokens",
         "no-tokens", "params-a-list", "params-a-string",
-        "ontology-without-roles", "invalid-config", "not-json"])
+        "ontology-without-roles", "invalid-config", "not-json",
+        *NOT_OBJECTS, "ontology-missing-key", "ontology-extra-key",
+        "vocab-without-tokens"])
 def test_malformed_checkpoint_exits_2_naming_the_file(
         workspace, tmp_path, capsys, entry, corrupt):
     ckpt = tmp_path / "bad.json"
@@ -256,7 +273,33 @@ def test_malformed_checkpoint_exits_2_naming_the_file(
                      "--corpus", workspace["corpus"]]) == 2
         err = capsys.readouterr().err
         assert want in err
-        assert "attribute" not in err  # names no Python internals
+        for internal in ("attribute", "argument", "indices",
+                         "sequence element", "object is not"):
+            assert internal not in err  # names no Python internals
+
+
+def test_six_table_vocab_checkpoint_gives_the_same_output(workspace,
+                                                          tmp_path, capsys):
+    """Checkpoints once held the ontology's frame, role and lexical-unit
+    tables in their vocab too; those are not read, so the model is the
+    one the same checkpoint saved again holds."""
+    doc = json.load(open(workspace["ckpt"]))
+    onto = Ontology.from_dict(doc["ontology"])
+    doc["vocab"].update(frames=onto.frames, fes=onto.fes, lus=onto.lus)
+    older, again = tmp_path / "older.json", tmp_path / "again.json"
+    older.write_text(json.dumps(doc))
+    FrameParser.load(str(older)).save(str(again))
+    assert sorted(json.load(open(again))["vocab"]) == ["labels", "pos",
+                                                       "tokens"]
+    outputs = []
+    for ckpt in (older, again):
+        pred = tmp_path / f"{ckpt.stem}.jsonl"
+        assert main(["predict", "--checkpoint", str(ckpt), "--corpus",
+                     workspace["corpus"], "--out", str(pred)]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus",
+                     workspace["corpus"], "--task", "joint"]) == 0
+        outputs.append((pred.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def _unpack(values: str) -> np.ndarray:

@@ -220,6 +220,20 @@ class TestOntology:
             ont.frame_mask("fly.v")
         with pytest.raises(KeyError):
             ont.fe_mask("Motion")
+        with pytest.raises(KeyError, match="unknown frame 'Motion'"):
+            ont.frame_id("Motion")
+        with pytest.raises(KeyError, match="unknown role label 'Mover'"):
+            ont.fe_id("Mover")
+        with pytest.raises(KeyError, match="unknown lexical unit 'fly.v'"):
+            ont.lu_id("fly.v")
+
+    def test_ids_follow_the_sorted_inventories(self):
+        ont = make_ontology()
+        assert ont.lus == ["put.v", "try.v"]
+        assert [ont.frame_id(f) for f in ont.frames] == [0, 1]
+        assert [ont.fe_id(e) for e in ont.fes] == [0, 1, 2]
+        assert [ont.lu_id(lu) for lu in ont.lus] == [0, 1]
+        assert ont.frame_id("Placing") == 1 and ont.fe_id("Theme") == 2
 
     def test_lu_with_unknown_frame_rejected(self):
         with pytest.raises(CorpusError, match="unknown frame"):
@@ -242,6 +256,16 @@ class TestOntology:
         p.write_text('{"lu_to_frames": {}}')
         with pytest.raises(CorpusError, match="expected keys"):
             load_ontology(str(p))
+
+    @pytest.mark.parametrize("data", [
+        {"lu_to_frames": {}},
+        {"lu_to_frames": {}, "frame_to_elements": {}, "extra": {}},
+        [], None,
+    ], ids=["missing", "extra", "list", "null"])
+    def test_from_dict_needs_exactly_the_two_keys(self, data):
+        with pytest.raises(CorpusError, match="^expected keys lu_to_frames "
+                                              "and frame_to_elements$"):
+            Ontology.from_dict(data)
 
 
 class TestCorpusIO:
@@ -358,7 +382,6 @@ class TestVocab:
         assert vocab.pos == ["DT", "NN", "PRP", "VBD"]
         # Node labels cover interior constituents and preterminals alike.
         assert vocab.labels == ["DT", "NN", "NP", "PRP", "S", "VBD", "VP"]
-        assert vocab.frames == ["Attempt", "Placing"]
 
     def test_unknown_token_maps_to_unk(self):
         vocab = build_vocab([make_sentence()], make_ontology())
@@ -371,18 +394,25 @@ class TestVocab:
             vocab.pos_id("XX")
         with pytest.raises(KeyError):
             vocab.label_id("SBAR")
-        with pytest.raises(KeyError):
-            vocab.frame_id("Motion")
 
     def test_dict_roundtrip(self):
         vocab = build_vocab([make_sentence()], make_ontology())
         again = Vocab.from_dict(vocab.to_dict())
         assert again == vocab
 
+    def test_from_dict_ignores_extra_tables_and_names_a_missing_one(self):
+        vocab = build_vocab([make_sentence()], make_ontology())
+        ont = make_ontology()
+        older = {**vocab.to_dict(), "frames": ont.frames, "fes": ont.fes,
+                 "lus": ont.lus}  # the six tables older checkpoints hold
+        assert Vocab.from_dict(older) == vocab
+        del older["tokens"]
+        with pytest.raises(ValueError, match="^no 'tokens' table$"):
+            Vocab.from_dict(older)
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Vocab(tokens=["<unk>", "a", "a"], pos=[], labels=[],
-                  frames=[], fes=[], lus=[])
+            Vocab(tokens=["<unk>", "a", "a"], pos=[], labels=[])
 
     @pytest.mark.parametrize("table, value, reason", [
         ("pos", [0, 1], "pos must be a list of strings"),
@@ -391,7 +421,6 @@ class TestVocab:
         ("tokens", [], r"tokens\[0\] must be '<unk>'"),
     ], ids=["pos-ids", "labels-a-string", "list-in-tokens", "no-tokens"])
     def test_tables_must_be_lists_of_strings(self, table, value, reason):
-        tables = dict(tokens=["<unk>"], pos=[], labels=[], frames=[],
-                      fes=[], lus=[])
+        tables = dict(tokens=["<unk>"], pos=[], labels=[])
         with pytest.raises(ValueError, match=f"^{reason}$"):
             Vocab(**{**tables, table: value})

@@ -9,7 +9,6 @@ from framepath import autodiff as ad
 from framepath.autodiff import backward, fresh_tape, grad_check, no_grad, tensor
 from framepath.layers import (
     BiLstm,
-    CheckpointMismatch,
     Embedding,
     LayerNorm,
     Linear,
@@ -100,9 +99,9 @@ class TestParamStore:
         }
         for name, build in builds.items():
             s = ParamStore(np.random.default_rng(0), saved)
-            with pytest.raises(CheckpointMismatch, match="^b: shape missing"):
+            with pytest.raises(ValueError, match="^b: shape missing"):
                 build(s, "b")
-            with pytest.raises(CheckpointMismatch,
+            with pytest.raises(ValueError,
                                match=r"^a: shape \(3,\) does not match"):
                 build(s, "a")
             assert not list(s.entries()), name
@@ -111,8 +110,6 @@ class TestParamStore:
         def decode(rec):
             return decode_state({"a": rec})
 
-        with pytest.raises(ValueError, match="not an object of parameters"):
-            decode_state([{"shape": [2], "values": [0, 0]}])
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="^a: non-finite"):
                 decode({"shape": [2], "values": [0, bad]})

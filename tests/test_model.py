@@ -124,7 +124,7 @@ def count_backbone_calls(model) -> dict[str, int]:
 def fi_scores(model, enc, target, lu) -> np.ndarray:
     """Masked frame logits of one target, from the batched heads."""
     return model.frame_scores(model.target_rows(enc.a, [target]),
-                              [model.vocab.lu_id(lu)]).data[0]
+                              [model.ontology.lu_id(lu)]).data[0]
 
 
 def predicate_repr(model, enc, target, lu_id, frame_id):
@@ -737,15 +737,6 @@ class TestPipeline:
             for (s, e), label in ann.elements:
                 assert 0 <= s <= e < len(sent)
                 assert label in licensed
-
-    def test_vocab_ontology_mismatch_rejected(self):
-        onto = make_ontology()
-        sent = make_sentence()
-        vocab = build_vocab([sent], onto)
-        other = Ontology(lu_to_frames={"run.v": ["Motion"]},
-                         frame_to_elements={"Motion": ["Mover"]})
-        with pytest.raises(ValueError):
-            FrameParser(tiny_config(), vocab, other)
 
 
 class TestCheckpoint:

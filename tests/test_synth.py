@@ -129,7 +129,9 @@ def test_vocab_buildable():
     sents, onto = generate(19, 40)
     v = build_vocab(sents, onto)
     assert v.tokens[0] == "<unk>"
-    assert set(v.frames) == set(onto.frames)
+    assert set(v.pos) == {p for s in sents for p in s.pos}
+    assert [onto.frame_id(f) for f in onto.frames] == list(
+        range(len(onto.frames)))
 
 
 def test_bad_n_rejected():

@@ -7,6 +7,7 @@ perfbench/ is imported as a package or written."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -54,6 +55,51 @@ def test_every_perfbench_import_resolves():
                     f"{path.name}: from {node.module} import {alias.name}"
                 imported += 1
     assert imported
+
+
+def _imported(module: str, name: str):
+    """What `from module import name` binds."""
+    found = getattr(importlib.import_module(module), name, None)
+    return found if found is not None else importlib.import_module(
+        f"{module}.{name}")
+
+
+def test_every_perfbench_call_binds_to_its_signature():
+    # A framepath name the benchmark calls, or an attribute of one (a
+    # module function, a classmethod), must still take the arguments it
+    # is given: dropping build_vocab's second argument, say, would break
+    # every workload while the import test above still passed.
+    checked = 0
+    for path in sorted(TRACER.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.asname or alias.name: _imported(node.module, alias.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 and node.module.split(".")[0] == "framepath"
+                 for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, where = node.func, f"{path.name}:{node.lineno}"
+            if isinstance(func, ast.Name) and func.id in names:
+                callee = names[func.id]
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)
+                  and func.value.id in names):
+                callee = getattr(names[func.value.id], func.attr, None)
+                assert callee is not None, f"{where}: {ast.unparse(func)}"
+            else:
+                continue
+            if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                continue  # the argument count is not known statically
+            try:
+                inspect.signature(callee).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as e:
+                pytest.fail(f"{where}: {ast.unparse(node)}: {e}")
+            checked += 1
+    assert checked
 
 
 def test_model_binds_path_sum_features_by_name():
