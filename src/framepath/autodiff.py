@@ -3,9 +3,12 @@
 Everything is float64 numpy.  Each primitive computes its value eagerly,
 verifies the result is finite, and (when recording is enabled and some
 input wants a gradient) appends a record to the thread-local tape.
-``backward`` replays the tape in reverse, accumulating vector-Jacobian
-products into ``Tensor.grad``, and clears the tape afterwards: a second
-backward needs a fresh forward pass.
+``backward`` drains the tape in reverse, accumulating vector-Jacobian
+products into ``Tensor.grad``.  It pops each record before running its
+vjp, so the closure and the forward arrays it holds are freed once
+consumed, and drops each recorded output's gradient once passed on: only
+leaves (parameters) keep ``.grad``, and a second backward needs a fresh
+forward pass.
 
 Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
@@ -133,15 +136,19 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjp) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(tensor) into .grad along the recorded tape."""
+    """Accumulate d(root)/d(leaf) into each leaf's .grad, draining the tape
+    as it goes: each record is dropped before its vjp runs and each
+    recorded output's gradient once it is passed on, so the forward arrays
+    and intermediate gradients live no longer than reverse mode needs."""
     if root.data.ndim != 0:
         raise ValueError(f"backward needs a scalar, got shape {root.data.shape}")
-    t = _tape()
+    records = _tape().records
     root.grad = np.ones_like(root.data)
-    for out, vjp in reversed(t.records):
-        if out.grad is not None:
-            vjp(out.grad)
-    t.records.clear()
+    while records:
+        out, vjp = records.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            vjp(g)
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -381,8 +388,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    """Over the last axis: a vector, or each row of a matrix."""
-    m = x.data.max(axis=-1, keepdims=True)
+    """Over the last axis: a vector, or each row of a matrix (which may
+    be empty, as a model without frames scores no frame)."""
+    m = x.data.max(axis=-1, keepdims=True, initial=-np.inf)
     lse = m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
     out = Tensor(_check(x.data - lse, "log_softmax"))
 
@@ -529,7 +537,7 @@ def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
         grad_block = np.zeros_like(hs)
         grad_block[cells] = grad_h.reshape(n, 2, h)
         wh_t = wh.transpose(0, 2, 1)
-        draws = np.empty_like(xs)
+        draws = np.empty_like(gates)
         dh = dc = np.zeros((2,) + hs.shape[2:])
         for t in range(packed.steps - 1, -1, -1):
             dh = dh + grad_block[:, t]

@@ -428,8 +428,9 @@ class Vocab:
 
 def build_vocab(sentences: Sequence[Sentence], ontology: Ontology) -> Vocab:
     """Closed vocabularies from a training corpus.  The ontology is not
-    read; the argument stays only for the benchmark harness, which passes
-    it, and goes when that harness next changes."""
+    read: it owns the frame, role and lexical-unit inventories itself.
+    The argument stays because callers pass it, the acceptance tests
+    and the benchmark harness among them."""
     tokens: set[str] = set()
     pos: set[str] = set()
     labels: set[str] = set()

@@ -173,11 +173,14 @@ class FrameParser:
                                      open_scheme(tuple(ontology.fes)),
                                      group="crf")
 
-        # frame penalties by lu id, role penalties by frame id
+        # frame penalties by lu id, role penalties by frame id; the shapes
+        # stay two-dimensional when the lexicon is empty
         self._frame_penalty = np.array([mask_penalty(ontology.frame_mask(lu))
-                                        for lu in ontology.lus])
+                                        for lu in ontology.lus]).reshape(
+            len(ontology.lus), len(ontology.frames))
         self._fe_penalty = np.array([mask_penalty(ontology.fe_mask(f))
-                                     for f in ontology.frames])
+                                     for f in ontology.frames]).reshape(
+            len(ontology.frames), len(ontology.fes))
 
     # ------------------------------------------------------------------
     # preparation and encoding
@@ -340,6 +343,8 @@ class FrameParser:
         str) give one frame."""
         if isinstance(lus, str):
             return self.fi_predict(enc, [targets], [lus])[0]
+        if not targets:
+            return []
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
             scores = self.frame_scores(self.target_rows(enc.a, targets),

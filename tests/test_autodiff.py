@@ -15,6 +15,10 @@ from framepath.autodiff import (
     tape_length,
     tensor,
 )
+from framepath.config import Config
+from framepath.corpus import build_vocab
+from framepath.model import FrameParser
+from framepath.synth import generate
 
 RNG = np.random.default_rng(1234)
 
@@ -211,6 +215,14 @@ class TestNonlinearGrads:
         var = data.var(axis=1, keepdims=True)
         want = (data - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
         assert np.array_equal(got.data, want)
+
+    def test_log_softmax_of_no_columns(self):
+        # A model without frames scores its targets over no frames.
+        x = param(np.zeros((0, 0)))
+        with fresh_tape():
+            out = ad.log_softmax(x)
+            backward(ad.sum_all(out))
+        assert out.shape == (0, 0) and x.grad.shape == (0, 0)
 
     def test_log_softmax(self):
         x = randp(5)
@@ -557,3 +569,43 @@ class TestComposite:
         x = randp(3)
         grad_check(lambda: ad.dot(x, x), [x])
         assert x.grad is None
+
+
+class TestTapeLifetime:
+    def test_only_leaves_keep_grads_after_a_model_backward(self):
+        sentences, ontology = generate(2, 6)
+        model = FrameParser(
+            Config(token_dim=6, pos_dim=2, gcn_emb_dim=4, gcn_dim=4,
+                   lstm_hidden=4, lu_dim=3, frame_dim=3, fi_hidden1=5,
+                   fi_hidden2=4, ai_pr_dim=4, ai_pb_dim=4, ac_dim=4),
+            build_vocab(sentences, ontology), ontology)
+        preps = [model.prepare(s) for s in sentences]
+        with fresh_tape():
+            loss = model.loss(preps, "joint", train=True)
+            produced = [out for out, _ in ad._tape().records]
+            backward(loss)
+            assert tape_length() == 0
+        assert loss in produced
+        assert all(t.grad is None for t in produced)
+        for path, entry in model.store.entries():
+            assert entry.tensor.grad is not None, path
+
+    def test_tape_drains_as_backward_runs(self):
+        # A probe recorded first runs its vjp last, when every record
+        # after it has been dropped, and so has its own.
+        x = randp(3)
+        seen = []
+        with fresh_tape():
+            probe = ad._record(Tensor(x.data.copy()), (x,),
+                               lambda g: seen.append(tape_length()))
+            backward(ad.sum_all(ad.tanh(ad.mul_scalar(probe, 2.0))))
+        assert seen == [0]
+
+    def test_bilstm_backward_does_not_hold_its_input_block(self):
+        fwd, bwd = directions(5, 2)
+        with fresh_tape():
+            ad.bilstm_layer(fwd, bwd, ad.Packed(5, [3, 2]))
+            _, vjp = ad._tape().records[-1]
+        free = vjp.__code__.co_freevars
+        assert "gates" in free  # what it does keep is visible here
+        assert "xs" not in free

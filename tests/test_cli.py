@@ -678,3 +678,120 @@ def test_gradcheck_exit_code_follows_printed_status(capsys):
                  "--tolerance", "5e-324"]) == 3
     statuses = re.findall(r"\[(ok|FAIL)\]", capsys.readouterr().out)
     assert len(statuses) == 4 and "FAIL" in statuses
+
+
+@pytest.fixture(scope="module")
+def lexicon(tmp_path_factory):
+    """A one-epoch joint config with every dimension 4, a four-sentence
+    synth corpus with and without its annotations, and its ontology."""
+    root = tmp_path_factory.mktemp("lexicon")
+    sentences, ontology = generate(3, 4)
+    config = root / "config.json"
+    config.write_text(json.dumps(dict.fromkeys(
+        [f.name for f in fields(Config) if f.name.endswith("_dim")]
+        + ["fi_hidden1", "fi_hidden2", "lstm_hidden"], 4)
+        | {"task": "joint", "max_epochs": 1}))
+    corpus, bare = root / "corpus.jsonl", root / "bare.jsonl"
+    save_corpus(sentences, str(corpus))
+    for sent in sentences:
+        sent.annotations = []
+    save_corpus(sentences, str(bare))
+    return {"config": str(config), "corpora": [str(corpus), str(bare)],
+            "ontology": ontology.to_dict()}
+
+
+def _train_predict_eval(lexicon, doc, corpus, tmp_path,
+                        tasks=("joint",)) -> list[int]:
+    """Exit codes of train on doc as the ontology, then (if it trained)
+    predict and eval of each task on the same corpus."""
+    onto, ckpt = tmp_path / "onto.json", tmp_path / "model.json"
+    onto.write_text(json.dumps(doc))
+    ckpt.unlink(missing_ok=True)
+    codes = [main(["train", "--corpus", corpus, "--ontology", str(onto),
+                   "--checkpoint", str(ckpt), "--config", lexicon["config"]])]
+    if codes[0] == 0:
+        codes.append(main(["predict", "--checkpoint", str(ckpt), "--corpus",
+                           corpus, "--out", str(tmp_path / "out.jsonl")]))
+        codes += [main(["eval", "--checkpoint", str(ckpt), "--corpus", corpus,
+                        "--task", task]) for task in tasks]
+    return codes
+
+
+@pytest.mark.parametrize("frames", [True, False],
+                         ids=["frames-kept", "no-frames"])
+def test_empty_lexicon_trains_and_predicts_no_targets(lexicon, tmp_path,
+                                                      capsys, frames):
+    doc = {"lu_to_frames": {}, "frame_to_elements":
+           lexicon["ontology"]["frame_to_elements"] if frames else {}}
+    codes = _train_predict_eval(lexicon, doc, lexicon["corpora"][1], tmp_path,
+                                tasks=("ti", "fi", "srl", "joint"))
+    assert codes == [0] * 6
+    predicted = load_corpus(str(tmp_path / "out.jsonl"))
+    assert len(predicted) == 4
+    assert not any(sent.annotations for sent in predicted)
+    assert "unknown lexical units" in capsys.readouterr().err
+
+
+def _drop_frame(doc, rng):
+    frame = rng.choice(sorted(doc["frame_to_elements"]))
+    del doc["frame_to_elements"][frame]
+    if rng.random() < 0.5:  # also from every lexical unit, or leave dangling
+        for lu, frames in list(doc["lu_to_frames"].items()):
+            if frame in frames:
+                frames.remove(frame)
+                if not frames and rng.random() < 0.5:
+                    del doc["lu_to_frames"][lu]
+
+
+def _truncate_roles(doc, rng):
+    roles = doc["frame_to_elements"][rng.choice(sorted(
+        doc["frame_to_elements"]))]
+    del roles[rng.randrange(len(roles)):]
+
+
+def _extra_frame(doc, rng):
+    doc["frame_to_elements"]["Extra"] = ["Extra_role"] + rng.sample(
+        sorted({r for roles in doc["frame_to_elements"].values()
+                for r in roles}), 1)
+    if rng.random() < 0.5:
+        doc["lu_to_frames"][rng.choice(sorted(doc["lu_to_frames"]))].append(
+            "Extra")
+
+
+# Edits that keep the ontology's JSON types: each leaves either a
+# smaller, a larger or an inconsistent lexicon.
+ONTOLOGY_EDITS = {
+    "lexical units emptied": lambda doc, rng: doc["lu_to_frames"].clear(),
+    "frames emptied": lambda doc, rng: doc["frame_to_elements"].clear(),
+    "both emptied": lambda doc, rng: (doc["lu_to_frames"].clear(),
+                                      doc["frame_to_elements"].clear()),
+    "lexical unit dropped": lambda doc, rng: doc["lu_to_frames"].pop(
+        rng.choice(sorted(doc["lu_to_frames"]))),
+    "frame dropped": _drop_frame,
+    "role list truncated": _truncate_roles,
+    "extra frame": _extra_frame,
+}
+
+
+def test_mutated_ontologies_exit_0_or_2(lexicon, tmp_path, capsys):
+    # Seeded fuzz: a slot of the ontology swapped for a value of the
+    # wrong type or range, or one edit that keeps its types, each on the
+    # annotated and the annotation-free corpus.  train, then predict
+    # and eval of what it saved, succeed or exit 2, and raise nothing.
+    rng = random.Random(16)
+    codes = Counter()
+    for case in range(60):
+        doc = copy.deepcopy(lexicon["ontology"])
+        if case % 2:
+            name = "slot"
+            owner, key = rng.choice(list(json_slots(doc)))
+            owner[key] = copy.deepcopy(rng.choice(WRONG_VALUES))
+        else:
+            name = rng.choice(sorted(ONTOLOGY_EDITS))
+            ONTOLOGY_EDITS[name](doc, rng)
+        for corpus in lexicon["corpora"]:
+            run = _train_predict_eval(lexicon, doc, corpus, tmp_path)
+            assert set(run) <= {0, 2}, (name, doc, corpus, run)
+            codes[name, tuple(run)] += 1
+            capsys.readouterr()
+    assert {run for _, run in codes} >= {(2,), (0, 0, 0)}, codes
