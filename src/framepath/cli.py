@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,18 +45,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_args(p: _Parser) -> None:
+def _add_model_args(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", choices=["desk", "full"])
-    p.add_argument("--task", choices=["ti", "fi", "srl", "joint"])
     p.add_argument("--seed", type=int)
+    p.add_argument("--no-gcn", action="store_true",
+                   help="replace path features with zero vectors")
+
+
+def _add_training_args(p: _Parser) -> None:
+    _add_model_args(p)
+    p.add_argument("--task", choices=["ti", "fi", "srl", "joint"])
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
     p.add_argument("--dropout", type=float)
     p.add_argument("--stop-metric", type=float, dest="stop_metric")
-    p.add_argument("--no-gcn", action="store_true",
-                   help="replace path features with zero vectors")
 
 
 def _config_from_args(args) -> "Config":
@@ -86,7 +91,7 @@ def build_parser() -> _Parser:
     tp.add_argument("--dev", help="dev corpus (defaults to the train corpus)")
     tp.add_argument("--checkpoint", required=True, help="output model path")
     tp.add_argument("--log", help="metric log CSV path")
-    _add_config_args(tp)
+    _add_training_args(tp)
 
     ep = sub.add_parser("eval", help="evaluate a checkpoint")
     ep.add_argument("--checkpoint", required=True)
@@ -104,7 +109,7 @@ def build_parser() -> _Parser:
 
     gp = sub.add_parser("gradcheck",
                         help="finite-difference check of every loss")
-    _add_config_args(gp)
+    _add_model_args(gp)
     gp.add_argument("--tolerance", type=float, default=1e-4)
     gp.add_argument("--max-checks", type=int, default=800, dest="max_checks",
                     help="probe at most this many values per task")
@@ -117,6 +122,17 @@ def _load_model_and_corpus(args) -> tuple[FrameParser, list]:
     model = FrameParser.load(args.checkpoint)
     return model, load_corpus(args.corpus, ontology=model.ontology,
                               vocab=model.vocab)
+
+
+@contextmanager
+def _checkpoint_overflow(checkpoint: str):
+    """Report a FloatingPointError raised in the block, which finite
+    parameters that overflow a forward pass cause, as a data error
+    naming the checkpoint."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise CorpusError(f"{checkpoint}: parameters overflow: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +176,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, sentences = _load_model_and_corpus(args)
-    reports = evaluate(model, sentences, args.task or model.config.task)
+    with _checkpoint_overflow(args.checkpoint):
+        reports = evaluate(model, sentences, args.task or model.config.task)
     text = json.dumps(reports, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w") as fh:
@@ -175,7 +192,8 @@ def cmd_predict(args) -> int:
     dropped_total = 0
     try:
         for sent in sentences:
-            annotations, dropped = model.parse(sent)
+            with _checkpoint_overflow(args.checkpoint):
+                annotations, dropped = model.parse(sent)
             dropped_total += dropped
             # Emit corpus-format records so predictions reload as a corpus.
             sent.annotations = annotations

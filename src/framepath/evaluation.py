@@ -60,30 +60,31 @@ def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
 
 
 def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
-    gold, pred = [], []
     with ad.fresh_tape(), ad.no_grad():
-        for sent in sentences:
-            prep = model.prepare(sent, with_gold=False)
-            enc = model.encode(prep)
-            gold.append([tuple(sorted(a.target)) for a in sent.annotations])
-            pred.append([tuple(t) for t in model.ti_predict(enc)])
+        pred = [[tuple(t) for t in model.ti_predict(model.encode(
+            model.prepare(sent, with_gold=False)))] for sent in sentences]
+    gold = [[tuple(sorted(a.target)) for a in sent.annotations]
+            for sent in sentences]
     return _span_report("ti", gold, pred)
+
+
+def _gold_items(model: FrameParser, sentences: Sequence[Sentence]):
+    """Every gold annotation and its sentence's encoding, as two lists,
+    from one encode per annotated sentence."""
+    encs = [model.encode(model.prepare(sent, with_gold=False))
+            for sent in sentences if sent.annotations]
+    return [enc for enc in encs for _ in enc.prep.sentence.annotations], [
+        ann for enc in encs for ann in enc.prep.sentence.annotations]
 
 
 def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Frame accuracy over gold targets and gold lexical units."""
-    gold, pred = [], []
     with ad.fresh_tape(), ad.no_grad():
-        for sent in sentences:
-            if not sent.annotations:
-                continue
-            enc = model.encode(model.prepare(sent, with_gold=False))
-            gold.extend(ann.frame for ann in sent.annotations)
-            pred.extend(model.fi_predict(
-                enc, [ann.target for ann in sent.annotations],
-                [ann.lu for ann in sent.annotations]))
-    acc = fi_accuracy(gold, pred)
-    return {"task": "fi", "accuracy": acc,
+        encs, anns = _gold_items(model, sentences)
+        pred = model.fi_predict(encs, [a.target for a in anns],
+                                [a.lu for a in anns])
+    gold = [a.frame for a in anns]
+    return {"task": "fi", "accuracy": fi_accuracy(gold, pred),
             "counts": {"total": len(gold),
                        "correct": sum(g == p for g, p in zip(gold, pred))}}
 
@@ -91,15 +92,11 @@ def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
 def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Labeled-span P/R/F1 with gold targets and gold frames."""
     with ad.fresh_tape(), ad.no_grad():
-        encs = [model.encode(model.prepare(sent, with_gold=False))
-                for sent in sentences if sent.annotations]
-        pairs = [(enc, ann) for enc in encs
-                 for ann in enc.prep.sentence.annotations]
+        encs, anns = _gold_items(model, sentences)
         spans, labels = model.srl_predict(
-            [enc for enc, _ in pairs], [ann.target for _, ann in pairs],
-            [ann.lu for _, ann in pairs], [ann.frame for _, ann in pairs])
-    gold = [[(label, s, e) for (s, e), label in ann.elements]
-            for _, ann in pairs]
+            encs, [a.target for a in anns], [a.lu for a in anns],
+            [a.frame for a in anns])
+    gold = [[(label, s, e) for (s, e), label in a.elements] for a in anns]
     pred = [[(label, s, e) for (s, e), label in zip(sp, lab)]
             for sp, lab in zip(spans, labels)]
     return _span_report("srl", gold, pred)
@@ -116,16 +113,17 @@ def evaluate(model: FrameParser, sentences: Sequence[Sentence],
     return [EVALUATORS[task](model, sentences)]
 
 
+# task -> the (evaluator, report key) pairs whose mean is its dev metric
+DEV_METRICS = {"ti": [(evaluate_ti, "f1")], "fi": [(evaluate_fi, "accuracy")],
+               "srl": [(evaluate_srl, "f1")],
+               "joint": [(evaluate_fi, "accuracy"), (evaluate_srl, "f1")]}
+
+
 def dev_metric(model: FrameParser, sentences: Sequence[Sentence],
                task: str) -> float:
     """The scalar the scheduler and early stopping watch (higher = better)."""
-    if task == "ti":
-        return evaluate_ti(model, sentences)["f1"]
-    if task == "fi":
-        return evaluate_fi(model, sentences)["accuracy"]
-    if task == "srl":
-        return evaluate_srl(model, sentences)["f1"]
-    if task == "joint":
-        return 0.5 * (evaluate_fi(model, sentences)["accuracy"]
-                      + evaluate_srl(model, sentences)["f1"])
-    raise ValueError(f"unknown task {task!r}")
+    if task not in DEV_METRICS:
+        raise ValueError(f"unknown task {task!r}")
+    parts = DEV_METRICS[task]
+    return sum(evaluator(model, sentences)[key]
+               for evaluator, key in parts) / len(parts)

@@ -277,6 +277,15 @@ class FrameParser:
             raise ValueError("empty target index set")
         return ad.sum_row_groups(a, [sorted(t) for t in targets])
 
+    def encoded_target_rows(self, encs: list[SentenceEncoding],
+                            targets: list[list[int]]) -> Tensor:
+        """target_rows of each target j over encs[j].a."""
+        firsts = accumulate((len(enc.prep.sentence) for enc in encs),
+                            initial=0)
+        return self.target_rows(ad.concat([enc.a for enc in encs]), [
+            [first + i for i in target]
+            for first, target in zip(firsts, targets)])
+
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
                  train: bool = False) -> tuple[Tensor, list[int]]:
         """b of each (encoding, target first index) in pairs, from one
@@ -296,22 +305,21 @@ class FrameParser:
         h2 = self._drop(ad.leaky_relu(self.fi2(h1)), train)
         return ad.add(self.fi3(h2), ad.tensor(self._frame_penalty[lu_ids]))
 
-    def predicate_rows(self, t: Tensor, lu_ids: list[int],
-                       frame_ids: list[int],
-                       train: bool = False) -> tuple[Tensor, Tensor]:
-        """z = [lu embedding; target rows; frame embedding] per target, and
-        pr, its projection on the predicate side of the bilinear scores."""
+    def srl_heads(self, encs: list[SentenceEncoding],
+                  targets: list[list[int]], t: Tensor, lu_ids: list[int],
+                  frame_ids: list[int], train: bool = False):
+        """The role-labeling body training and prediction share, target j
+        belonging to encs[j] with target rows t[j]: z = [lu embedding; t;
+        frame embedding], its projection pr, target_b's b and b_first, and
+        the (len(b), 3) O/B/I scores pairing pr[j] with target j's b rows."""
+        b, b_first = self.target_b([(enc, min(target)) for enc, target
+                                    in zip(encs, targets)], train)
         z = ad.concat([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)],
                       axis=1)
-        return z, self._drop(ad.tanh(self.ai_v1(z)), train)
-
-    def ai_scores(self, pr: Tensor, b: Tensor, b_first: list[int],
-                  train: bool = False) -> Tensor:
-        """(len(b), 3) bilinear O/B/I scores: target j's chain pairs pr[j]
-        with b's rows b_first[j] to b_first[j + 1]."""
+        pr = self._drop(ad.tanh(self.ai_v1(z)), train)
         pb = self._drop(ad.tanh(self.ai_v2(b)), train)
-        return ad.bilinear_rows(pr, self.ai_u, pb, np.repeat(
-            np.arange(len(b_first) - 1), np.diff(b_first)))
+        owner = np.repeat(np.arange(len(targets)), np.diff(b_first))
+        return z, pr, b, b_first, ad.bilinear_rows(pr, self.ai_u, pb, owner)
 
     def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
                     spans: list[list[tuple[int, int]]],
@@ -337,18 +345,18 @@ class FrameParser:
             emissions = self.ti_emit(enc.a).data
         return decode_iobc(self.ti_crf.viterbi(emissions))
 
-    def fi_predict(self, enc: SentenceEncoding, targets: list[list[int]],
-                   lus: list[str]) -> list[str]:
-        """Each target's best licensed frame.  One target and its lu (a
-        str) give one frame."""
+    def fi_predict(self, encs: list[SentenceEncoding],
+                   targets: list[list[int]], lus: list[str]) -> list[str]:
+        """Each target's best licensed frame, target j belonging to
+        encs[j].  One encoding, target and lu (a str) give one frame."""
         if isinstance(lus, str):
-            return self.fi_predict(enc, [targets], [lus])[0]
+            return self.fi_predict([encs], [targets], [lus])[0]
         if not targets:
             return []
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
-            scores = self.frame_scores(self.target_rows(enc.a, targets),
-                                       lu_ids).data
+            scores = self.frame_scores(
+                self.encoded_target_rows(encs, targets), lu_ids).data
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
         return [self.ontology.frames[k] for k in scores.argmax(axis=1)]
 
@@ -365,19 +373,14 @@ class FrameParser:
             return [], []
         frame_ids = [self.ontology.frame_id(f) for f in frames]
         with ad.no_grad():
-            b, b_first = self.target_b([(enc, min(target))
-                                        for enc, target in zip(encs, targets)])
-            t = self.target_rows(ad.concat([enc.a for enc in encs]), [
-                [first + i for i in target]
-                for first, target in zip(b_first, targets)])
-            z, pr = self.predicate_rows(
-                t, [self.ontology.lu_id(lu) for lu in lus], frame_ids)
+            z, _, b, b_first, emissions = self.srl_heads(
+                encs, targets, self.encoded_target_rows(encs, targets),
+                [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
-                emissions = self.ai_scores(pr, b, b_first).data
                 # O/B/I tags only, so every decoded index set is a span
                 spans = [[(run[0], run[-1]) for run in decode_iobc(
                     self.ai_crf.viterbi(c))]
-                    for c in np.split(emissions, b_first[1:-1])]
+                    for c in np.split(emissions.data, b_first[1:-1])]
             emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
@@ -434,15 +437,13 @@ class FrameParser:
         if "srl" in parts:
             out["srl"] = ad.tensor(np.asarray(0.0))
         if "srl" in parts and items:
-            b, b_first = self.target_b([(encs[k], min(pa.target))
-                                        for k, pa in items], train)
-            n = [lengths[k] for k, _ in items]
             frame_ids = [pa.frame_id for pa in anns]
-            z, pr = self.predicate_rows(t, [pa.lu_id for pa in anns],
-                                        frame_ids, train)
-            ai = self.ai_crf.nll(self.ai_scores(pr, b, b_first, train),
+            z, _, b, b_first, emissions = self.srl_heads(
+                [encs[k] for k, _ in items], [pa.target for pa in anns], t,
+                [pa.lu_id for pa in anns], frame_ids, train)
+            ai = self.ai_crf.nll(emissions,
                                  [tag for pa in anns for tag in pa.ai_tags],
-                                 True, n)
+                                 True, [lengths[k] for k, _ in items])
             out["srl"] = ad.dot(ai, ad.tensor(weight))
             spans = [pa.spans for pa in anns]
             if any(spans):
@@ -476,9 +477,9 @@ class FrameParser:
                     in self.ontology.lu_to_frames]
             dropped = len(targets) - len(kept)
             targets, keys = [t for t, _ in kept], [key for _, key in kept]
-            frames = self.fi_predict(enc, targets, keys)
-            spans, labels = self.srl_predict([enc] * len(targets), targets,
-                                             keys, frames)
+            encs = [enc] * len(targets)
+            frames = self.fi_predict(encs, targets, keys)
+            spans, labels = self.srl_predict(encs, targets, keys, frames)
         return [FrameAnnotation(target=t, lu=key, frame=f,
                                 elements=sorted(zip(s, lab)))
                 for t, key, f, s, lab in zip(targets, keys, frames, spans,

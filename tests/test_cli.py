@@ -340,6 +340,23 @@ def test_non_finite_checkpoint_value_exits_2_naming_the_entry(
                     "non-finite" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_overflowing_checkpoint_exits_2_naming_the_file(
+        workspace, tmp_path, capsys, command):
+    # Every value is finite, so the checkpoint loads, but the first
+    # forward pass overflows.
+    doc = json.load(open(workspace["ckpt"]))
+    rec = doc["params"]["ti.emit.w"]
+    rec["values"] = _pack(np.full(_unpack(rec["values"]).size, 1e308))
+    ckpt = tmp_path / "huge.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main([command, "--checkpoint", str(ckpt),
+                 "--corpus", workspace["corpus"]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: parameters overflow: non-finite value" in err
+    assert "Traceback" not in err
+
+
 def test_checkpoint_of_number_lists_evaluates_and_predicts_the_same(
         workspace, tmp_path, capsys):
     # Checkpoints written before the base64 encoding still load, to the
@@ -502,7 +519,14 @@ def test_huge_config_value_is_rejected_before_drawing(
 
 
 def test_gradcheck_exits_0():
-    assert main(["gradcheck", "--task", "joint", "--max-checks", "40"]) == 0
+    assert main(["gradcheck", "--max-checks", "40"]) == 0
+
+
+def test_gradcheck_refuses_training_options(capsys):
+    # gradcheck checks every task with dropout 0 and trains nothing, so
+    # a training option would be read and then ignored.
+    assert main(["gradcheck", "--lr", "1"]) == 1
+    assert "unrecognized arguments: --lr 1" in capsys.readouterr().err
 
 
 def test_no_gcn_flag_drops_gcn_params(workspace, tmp_path):

@@ -127,10 +127,11 @@ def fi_scores(model, enc, target, lu) -> np.ndarray:
                               [model.ontology.lu_id(lu)]).data[0]
 
 
-def predicate_repr(model, enc, target, lu_id, frame_id):
-    """z and pr of one target: (1, dim) rows from the batched heads."""
-    return model.predicate_rows(model.target_rows(enc.a, [target]), [lu_id],
-                                [frame_id])
+def srl_heads(model, enc, target, lu_id, frame_id):
+    """z, pr, b, b_first and the (n, 3) bilinear scores of one target,
+    from the role-labeling body training and prediction share."""
+    return model.srl_heads([enc], [target], model.target_rows(enc.a, [target]),
+                           [lu_id], [frame_id])
 
 
 def b_rows(model, enc, first):
@@ -140,12 +141,6 @@ def b_rows(model, enc, first):
 
 def paths(model):
     return [p for p, _ in model.store.entries()]
-
-
-def ai_emissions(model, enc, target, pr):
-    """(n, 3) bilinear scores of one target, from the batched heads."""
-    return model.ai_scores(pr, b_rows(model, enc, min(target)),
-                           [0, len(enc.prep.sentence)])
 
 
 def zero_params(model, prefix):
@@ -288,7 +283,7 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, pr = predicate_repr(model, enc, [2], 0, 0)
+            z, pr, *_ = srl_heads(model, enc, [2], 0, 0)
         assert z.data.shape == (1, c.lu_dim + model.e_dim + c.frame_dim)
         assert pr.data.shape == (1, c.ai_pr_dim)
         assert np.all(np.abs(pr.data) < 1.0)
@@ -299,8 +294,7 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            _, pr = predicate_repr(model, enc, [2], 0, 0)
-            emissions = ai_emissions(model, enc, [2], pr).data
+            emissions = srl_heads(model, enc, [2], 0, 0)[-1].data
         assert np.array_equal(emissions, np.zeros((5, 3)))
 
     def test_bilinear_matches_double_loop(self):
@@ -308,9 +302,8 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            _, pr = predicate_repr(model, enc, [2], 1, 2)
-            emissions = ai_emissions(model, enc, [2], pr).data
-            b = b_rows(model, enc, 2).data
+            _, pr, b, _, emissions = srl_heads(model, enc, [2], 1, 2)
+        b, emissions = b.data, emissions.data
         v2w = model.store["srl.ai.v2.w"].data
         v2b = model.store["srl.ai.v2.b"].data
         pb = np.tanh(b @ v2w + v2b)
@@ -357,8 +350,7 @@ class TestArgClass:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, _ = predicate_repr(model, enc, [2], 1, 2)
-            b = b_rows(model, enc, 2)
+            z, _, b, _, _ = srl_heads(model, enc, [2], 1, 2)
             emissions = model.role_scores(z, b, [0], [[(3, 3), (0, 1)]],
                                           [2]).data
             b = b.data
@@ -531,7 +523,8 @@ class TestPackedBatch:
             for sent in corpus[:3]:
                 enc = model.encode(model.prepare(sent, with_gold=False))
                 anns = sent.annotations
-                each = model.fi_predict(enc, [a.target for a in anns],
+                each = model.fi_predict([enc] * len(anns),
+                                        [a.target for a in anns],
                                         [a.lu for a in anns])
                 assert each == [model.fi_predict(enc, a.target, a.lu)
                                 for a in anns]
@@ -628,8 +621,8 @@ class TestPackedBatch:
         assert max(len(anns) for anns, _ in packed) == 3
         inner = model.target_b
 
-        def one_at_a_time(pairs):
-            rows = [inner([pair])[0] for pair in pairs]
+        def one_at_a_time(pairs, train=False):
+            rows = [inner([pair], train)[0] for pair in pairs]
             return ad.concat(rows), list(np.cumsum(
                 [0] + [r.data.shape[0] for r in rows]))
 
@@ -639,8 +632,7 @@ class TestPackedBatch:
     def test_role_prediction_runs_each_srl_head_once(self):
         model, corpus = make_corpus_model()
         model.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
-        names = ("target_b", "target_rows", "predicate_rows", "ai_scores",
-                 "role_scores")
+        names = ("target_b", "target_rows", "srl_heads", "role_scores")
         calls = dict.fromkeys(names, 0)
         for name in names:
             inner = getattr(model, name)
@@ -661,6 +653,57 @@ class TestPackedBatch:
         evaluate_srl(model, corpus)
         assert calls == dict.fromkeys(names, 1)
         assert lstm == {"a": 3, "b": 1}
+
+    def test_training_and_prediction_decode_the_same_ai_emissions(
+            self, monkeypatch):
+        # corpus[2] pairs a target with roles and one without any; the
+        # gold items come from three sentences.
+        model, corpus = make_corpus_model()
+        seen = {"nll": [], "viterbi": []}
+
+        def keep(key, inner):
+            def wrapper(self, emissions, *args):
+                seen[key].append(getattr(emissions, "data", emissions))
+                return inner(self, emissions, *args)
+            return wrapper
+
+        crf = type(model.ai_crf)
+        monkeypatch.setattr(crf, "nll", keep("nll", crf.nll))
+        monkeypatch.setattr(crf, "viterbi", keep("viterbi", crf.viterbi))
+        with ad.fresh_tape(), ad.no_grad():
+            model.batch_losses([model.prepare(s) for s in corpus[:3]],
+                               parts=("srl",))
+            encs = [model.encode(model.prepare(s, with_gold=False))
+                    for s in corpus[:3]]
+            seen["viterbi"].clear()  # ti decoding is not under test
+            anns = [(enc, a) for enc in encs
+                    for a in enc.prep.sentence.annotations]
+            model.srl_predict([enc for enc, _ in anns],
+                              [a.target for _, a in anns],
+                              [a.lu for _, a in anns],
+                              [a.frame for _, a in anns])
+        trained = seen["nll"][0]  # the ai CRF's, before the ac CRF's
+        decoded = seen["viterbi"][:len(anns)]  # the ai chains come first
+        assert [len(c) for c in decoded] == [len(enc.prep.sentence)
+                                             for enc, _ in anns]
+        np.testing.assert_allclose(np.concatenate(decoded), trained,
+                                   rtol=0, atol=1e-10)
+
+    def test_evaluate_fi_scores_every_target_at_once(self):
+        model, corpus = make_corpus_model()
+        calls = {"encode": 0, "frame_scores": 0}
+        for name in calls:
+            inner = getattr(model, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            setattr(model, name, counting)
+        report = evaluate_fi(model, corpus)
+        assert report["counts"]["total"] == 5
+        annotated = sum(bool(s.annotations) for s in corpus)
+        assert calls == {"encode": annotated, "frame_scores": 1}
 
     def test_evaluation_matches_one_sentence_at_a_time(self):
         model, corpus = make_corpus_model()

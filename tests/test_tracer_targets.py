@@ -145,3 +145,20 @@ def test_joint_dev_metric_encodes_each_dev_sentence_twice(traced_training):
     # stops calling encode once per annotated dev sentence breaks it.
     metrics = traced_training["metrics"]
     assert metrics["evaluation.encodes_per_dev_sentence"] == 2.0
+
+
+def test_parse_records_its_per_layer_spans():
+    # The parse workload's per-layer metrics read these spans; a
+    # prediction path that reached the same work under other names would
+    # zero them, as happened to model.ai_predict and model.ac_predict.
+    tracing = load_tracer()
+    sentences, ontology = synth.generate(0, 8)
+    parser = FrameParser(Config(), build_vocab(sentences, ontology), ontology)
+    parser.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
+    tracer = tracing.Tracer()
+    with tracer.active("unit"):
+        parsed = [parser.parse(sent)[0] for sent in sentences[:3]]
+    assert any(parsed)  # some target is kept, so role labeling runs
+    assert {"model.encode", "model.ti_predict", "model.fi_predict",
+            "layers.bilstm_b", "crf.viterbi"} <= {
+        span[0] for span in tracer.spans}
