@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -130,7 +130,8 @@ def _checkpoint_overflow(checkpoint: str):
     parameters that overflow a forward pass cause, as a data error
     naming the checkpoint."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except FloatingPointError as e:
         raise CorpusError(f"{checkpoint}: parameters overflow: {e}") from e
 
@@ -188,20 +189,15 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, sentences = _load_model_and_corpus(args)
-    out = open(args.out, "w") if args.out else sys.stdout
-    dropped_total = 0
-    try:
-        for sent in sentences:
-            with _checkpoint_overflow(args.checkpoint):
-                annotations, dropped = model.parse(sent)
-            dropped_total += dropped
-            # Emit corpus-format records so predictions reload as a corpus.
-            sent.annotations = annotations
+    for sent in sentences:  # gold is not read, and would outlive parsing
+        sent.annotations = []
+    with _checkpoint_overflow(args.checkpoint):
+        parsed = model.parse_many(sentences)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        for sent, (annotations, _) in zip(sentences, parsed):
+            sent.annotations = annotations  # records reload as a corpus
             out.write(json.dumps(sentence_to_dict(sent)) + "\n")
-    finally:
-        if args.out:
-            out.close()
-    if dropped_total:
+    if dropped_total := sum(dropped for _, dropped in parsed):
         print(f"warning: dropped {dropped_total} predicted targets with "
               f"unknown lexical units", file=sys.stderr)
     return EXIT_OK

@@ -61,8 +61,9 @@ def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
 
 def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     with ad.fresh_tape(), ad.no_grad():
-        pred = [[tuple(t) for t in model.ti_predict(model.encode(
-            model.prepare(sent, with_gold=False)))] for sent in sentences]
+        pred = [[tuple(t) for t in targets]
+                for encs in model.encode_chunks(sentences)
+                for targets in model.ti_predict(encs)]
     gold = [[tuple(sorted(a.target)) for a in sent.annotations]
             for sent in sentences]
     return _span_report("ti", gold, pred)

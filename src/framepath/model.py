@@ -56,6 +56,7 @@ from .layers import (BiLstm, Embedding, LayerNorm, Linear, ParamStore,
                      decode_state)
 
 N_AI_LABELS = 3  # O, B, I
+CHUNK = 4  # sentences per prediction pass, which bounds its memory
 
 # Parameter-path prefixes each task mode trains.  FI reads backbone A
 # through the target representation; SRL needs both backbones.
@@ -101,16 +102,27 @@ def sum_parts(parts: dict[str, Tensor]) -> Tensor:
     return reduce(ad.add, parts.values())
 
 
+def stacked(blocks: list[tuple[Tensor, int]]) -> tuple[Tensor, list[int]]:
+    """The distinct tensors of (tensor, first row) blocks, stacked once
+    each, and each block's first row in the stack."""
+    tensors = list({id(t): t for t, _ in blocks}.values())
+    base = dict(zip(map(id, tensors),
+                    accumulate((t.data.shape[0] for t in tensors), initial=0)))
+    return (tensors[0] if len(tensors) == 1 else ad.concat(tensors),
+            [base[id(t)] + first for t, first in blocks])
+
+
 @dataclass(eq=False)  # compared and hashed by identity, as tensors are
 class SentenceEncoding:
-    """The GCN node rows h of the sentence's tree (None without a GCN)
-    and, from FrameParser.encode, backbone A's rows a.  Encodings made
-    together share one forest h; this tree's rows start at row h_first."""
+    """A sentence's GCN node rows h (None without a GCN) and backbone-A
+    rows a, from FrameParser.encode.  Encodings made together share h and
+    a; this sentence's rows start at h_first and a_first."""
 
     prep: Prepared
     h: Tensor | None
     h_first: int
     a: Tensor | None = None
+    a_first: int = 0
 
 
 class FrameParser:
@@ -210,10 +222,11 @@ class FrameParser:
             ))
         return prep
 
-    def _encodings(self, preps: list[Prepared],
-                  train: bool = False) -> list[SentenceEncoding]:
-        """The sentences' encodings without a, their trees run through the
-        GCN as one forest."""
+    def encode(self, preps: list[Prepared] | Prepared, train: bool = False
+               ) -> list[SentenceEncoding] | SentenceEncoding:
+        """Each sentence's encoding, from one GCN pass over their forest
+        and one backbone-A pass; one Prepared gives one encoding."""
+        preps = [preps] if (one := isinstance(preps, Prepared)) else preps
         h = None
         if self.gcn is not None:
             h = self.gcn([prep.sentence.tree for prep in preps],
@@ -221,14 +234,14 @@ class FrameParser:
                          drop=lambda t: self._drop(t, train))
         firsts = accumulate((len(prep.sentence.tree) for prep in preps),
                             initial=0)
-        return [SentenceEncoding(prep, h, first)
+        encs = [SentenceEncoding(prep, h, first)
                 for prep, first in zip(preps, firsts)]
-
-    def encode(self, prep: Prepared, train: bool = False) -> SentenceEncoding:
-        enc, = self._encodings([prep], train)
-        enc.a = self._backbone(self.lstm_a, self.ln_a,
-                               [(enc, prep.sentence.tree.root_index)], train)
-        return enc
+        a = self._backbone(self.lstm_a, self.ln_a, [
+            (enc, enc.prep.sentence.tree.root_index) for enc in encs], train)
+        for enc, first in zip(encs, accumulate(
+                (len(prep.sentence) for prep in preps), initial=0)):
+            enc.a, enc.a_first = a, first
+        return encs[0] if one else encs
 
     def embed(self, preps: list[Prepared]) -> Tensor:
         """e = [token embedding; POS embedding] of the sentences' tokens,
@@ -246,13 +259,8 @@ class FrameParser:
         if self.gcn is None:
             return ad.tensor(np.zeros((sum(t.n_tokens for t in trees),
                                        self.config.gcn_dim)))
-        hs = list({id(enc.h): enc.h for enc, _ in refs}.values())
-        base = dict(zip(map(id, hs),
-                        accumulate((h.data.shape[0] for h in hs), initial=0)))
-        return path_sum_features(
-            trees, hs[0] if len(hs) == 1 else ad.concat(hs),
-            [ref for _, ref in refs],
-            [base[id(enc.h)] + enc.h_first for enc, _ in refs])
+        h, firsts = stacked([(enc.h, enc.h_first) for enc, _ in refs])
+        return path_sum_features(trees, h, [ref for _, ref in refs], firsts)
 
     def _backbone(self, lstm: BiLstm, norm: LayerNorm, refs: list,
                   train: bool) -> Tensor:
@@ -279,12 +287,10 @@ class FrameParser:
 
     def encoded_target_rows(self, encs: list[SentenceEncoding],
                             targets: list[list[int]]) -> Tensor:
-        """target_rows of each target j over encs[j].a."""
-        firsts = accumulate((len(enc.prep.sentence) for enc in encs),
-                            initial=0)
-        return self.target_rows(ad.concat([enc.a for enc in encs]), [
-            [first + i for i in target]
-            for first, target in zip(firsts, targets)])
+        """target_rows of each target j over encs[j]'s rows of a."""
+        a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
+        return self.target_rows(a, [[first + i for i in target]
+                                    for first, target in zip(firsts, targets)])
 
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
                  train: bool = False) -> tuple[Tensor, list[int]]:
@@ -340,10 +346,15 @@ class FrameParser:
     # ------------------------------------------------------------------
     # prediction
 
-    def ti_predict(self, enc: SentenceEncoding) -> list[list[int]]:
+    def ti_predict(self, encs: list[SentenceEncoding]
+                   ) -> list[list[list[int]]]:
+        """Each encoding's targets: one ti_emit, one Viterbi per sentence."""
+        a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
         with ad.no_grad():
-            emissions = self.ti_emit(enc.a).data
-        return decode_iobc(self.ti_crf.viterbi(emissions))
+            emissions = self.ti_emit(a).data
+        return [decode_iobc(self.ti_crf.viterbi(
+            emissions[first:first + len(enc.prep.sentence)]))
+            for enc, first in zip(encs, firsts)]
 
     def fi_predict(self, encs: list[SentenceEncoding],
                    targets: list[list[int]], lus: list[str]) -> list[str]:
@@ -409,18 +420,16 @@ class FrameParser:
         srl means; an unannotated sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
-        encs = self._encodings(preps, train)
-        a = self._backbone(self.lstm_a, self.ln_a, [
-            (enc, enc.prep.sentence.tree.root_index) for enc in encs], train)
+        encs = self.encode(preps, train)
+        a = encs[0].a
         lengths = [len(prep.sentence) for prep in preps]
-        starts = list(accumulate(lengths, initial=0))
         items = [(k, pa) for k, prep in enumerate(preps)
                  for pa in prep.annotations]
         anns = [pa for _, pa in items]
         weight = np.array([1.0 / (len(preps) * len(preps[k].annotations))
                            for k, _ in items])
         if "fi" in parts or "srl" in parts:
-            t = self.target_rows(a, [[starts[k] + i for i in pa.target]
+            t = self.target_rows(a, [[encs[k].a_first + i for i in pa.target]
                                      for k, pa in items])
         out = {}
         if "ti" in parts:
@@ -465,25 +474,39 @@ class FrameParser:
     # ------------------------------------------------------------------
     # full pipeline
 
+    def encode_chunks(self, sentences: list[Sentence]):
+        """encode of the sentences, prepared without gold, CHUNK at a time."""
+        for lo in range(0, len(sentences), CHUNK):
+            yield self.encode([self.prepare(sent, with_gold=False)
+                               for sent in sentences[lo:lo + CHUNK]])
+
+    def parse_many(self, sentences: list[Sentence]
+                   ) -> list[tuple[list[FrameAnnotation], int]]:
+        """parse of each sentence: per chunk, one encode, one TI decoding,
+        and one frame and one role prediction over every kept target."""
+        out = []
+        with ad.fresh_tape(), ad.no_grad():
+            for encs in self.encode_chunks(sentences):
+                found = self.ti_predict(encs)
+                kept = [(enc, t, key) for enc, ts in zip(encs, found)
+                        for t in ts if (key := lu_key(
+                            enc.prep.sentence.tokens, t, enc.prep.sentence.pos)
+                        ) in self.ontology.lu_to_frames]
+                owner, targets, keys = ([c[i] for c in kept] for i in range(3))
+                frames = self.fi_predict(owner, targets, keys)
+                spans, roles = self.srl_predict(owner, targets, keys, frames)
+                anns = {enc: [] for enc in encs}  # keyed by identity
+                for (enc, t, key), f, s, r in zip(kept, frames, spans, roles):
+                    anns[enc].append(FrameAnnotation(t, key, f,
+                                                     sorted(zip(s, r))))
+                out.extend((anns[enc], len(ts) - len(anns[enc]))
+                           for enc, ts in zip(encs, found))
+        return out
+
     def parse(self, sent: Sentence) -> tuple[list[FrameAnnotation], int]:
         """Predict annotations from scratch; returns (annotations, number
         of predicted targets dropped for lacking a known lexical unit)."""
-        prep = self.prepare(sent, with_gold=False)
-        with ad.fresh_tape(), ad.no_grad():
-            enc = self.encode(prep, train=False)
-            targets = self.ti_predict(enc)
-            kept = [(target, key) for target in targets
-                    if (key := lu_key(sent.tokens, target, sent.pos))
-                    in self.ontology.lu_to_frames]
-            dropped = len(targets) - len(kept)
-            targets, keys = [t for t, _ in kept], [key for _, key in kept]
-            encs = [enc] * len(targets)
-            frames = self.fi_predict(encs, targets, keys)
-            spans, labels = self.srl_predict(encs, targets, keys, frames)
-        return [FrameAnnotation(target=t, lu=key, frame=f,
-                                elements=sorted(zip(s, lab)))
-                for t, key, f, s, lab in zip(targets, keys, frames, spans,
-                                             labels)], dropped
+        return self.parse_many([sent])[0]
 
     # ------------------------------------------------------------------
     # parameter selection and persistence

@@ -92,7 +92,7 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
             targets = [list(a.target) for a in sentence.annotations]
             out(f"gold targets: {targets}")
         else:
-            targets = model.ti_predict(enc)
+            targets = model.ti_predict([enc])[0]
             out(f"predicted targets: {targets}")
         out("")
 

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import string
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -344,14 +345,22 @@ def test_non_finite_checkpoint_value_exits_2_naming_the_entry(
 def test_overflowing_checkpoint_exits_2_naming_the_file(
         workspace, tmp_path, capsys, command):
     # Every value is finite, so the checkpoint loads, but the first
-    # forward pass overflows.
+    # forward pass overflows: no numpy warning precedes the error line,
+    # and no output file is left behind.
     doc = json.load(open(workspace["ckpt"]))
     rec = doc["params"]["ti.emit.w"]
     rec["values"] = _pack(np.full(_unpack(rec["values"]).size, 1e308))
     ckpt = tmp_path / "huge.json"
     ckpt.write_text(json.dumps(doc))
-    assert main([command, "--checkpoint", str(ckpt),
-                 "--corpus", workspace["corpus"]]) == 2
+    out = tmp_path / "out.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--checkpoint", str(ckpt),
+                     "--corpus", workspace["corpus"],
+                     {"eval": "--report", "predict": "--out"}[command],
+                     str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
     err = capsys.readouterr().err
     assert f"error: {ckpt}: parameters overflow: non-finite value" in err
     assert "Traceback" not in err

@@ -11,7 +11,7 @@ from framepath import model as model_module
 from framepath.config import Config
 from framepath.corpus import (CorpusError, FrameAnnotation, Ontology,
                               Sentence, build_vocab)
-from framepath.evaluation import evaluate_fi, evaluate_srl
+from framepath.evaluation import evaluate_fi, evaluate_srl, evaluate_ti
 from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
 from framepath.synth import generate
@@ -707,11 +707,57 @@ class TestPackedBatch:
 
     def test_evaluation_matches_one_sentence_at_a_time(self):
         model, corpus = make_corpus_model()
-        for evaluate in (evaluate_fi, evaluate_srl):
+        for evaluate in (evaluate_ti, evaluate_fi, evaluate_srl):
             packed = evaluate(model, corpus)
             singles = [evaluate(model, [s]) for s in corpus]
             for key, value in packed["counts"].items():
                 assert value == sum(r["counts"][key] for r in singles)
+
+    def test_encode_shares_one_a_and_matches_each_sentence(self):
+        model, corpus = make_corpus_model()
+        preps = [model.prepare(s) for s in corpus[:3]]
+        calls = count_backbone_calls(model)
+        with ad.fresh_tape(), ad.no_grad():
+            encs = model.encode(preps)
+            singles = [model.encode(prep) for prep in preps]
+        assert calls == {"a": 4, "b": 0}
+        assert all(enc.a is encs[0].a and enc.h is encs[0].h for enc in encs)
+        for enc, single in zip(encs, singles):
+            n = len(enc.prep.sentence)
+            assert single.a_first == 0 and single.a.data.shape[0] == n
+            np.testing.assert_allclose(
+                enc.a.data[enc.a_first:enc.a_first + n], single.a.data,
+                rtol=0, atol=1e-12)
+
+    def test_parse_many_equals_parse_across_chunks(self, monkeypatch):
+        model, corpus = make_corpus_model()
+        model.ti_emit.b.data[:] = [0.0, 1.0, 0.0, 0.0]
+        sentences = corpus + [sentence("(S (DT the))")]
+        monkeypatch.setattr(model_module, "CHUNK", 2)
+        calls = count_backbone_calls(model)
+        parsed = model.parse_many(sentences)
+        assert calls["a"] == 3  # chunks of 2, 2 and 1 sentences
+        assert parsed == [model.parse(s) for s in sentences]
+        # kept targets with roles, a dropped target, a sentence with none
+        assert any(el for anns, _ in parsed for a in anns for el in a.elements)
+        assert any(dropped for _, dropped in parsed)
+        assert parsed[-1] == ([], 0)
+
+    def test_evaluate_ti_encodes_once_per_chunk(self, monkeypatch):
+        model, corpus = make_corpus_model()
+        monkeypatch.setattr(model_module, "CHUNK", 3)
+        calls = {"encode": 0}
+        inner = model.encode
+
+        def counting(*args, **kwargs):
+            calls["encode"] += 1
+            return inner(*args, **kwargs)
+
+        model.encode = counting
+        report = evaluate_ti(model, corpus)
+        assert calls == {"encode": 2}  # chunks of 3 and 1 sentences
+        monkeypatch.setattr(model_module, "CHUNK", 64)
+        assert evaluate_ti(model, corpus) == report
 
 
 # ---------------------------------------------------------------------------

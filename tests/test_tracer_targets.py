@@ -162,3 +162,20 @@ def test_parse_records_its_per_layer_spans():
     assert {"model.encode", "model.ti_predict", "model.fi_predict",
             "layers.bilstm_b", "crf.viterbi"} <= {
         span[0] for span in tracer.spans}
+
+
+def test_parse_many_records_its_per_layer_spans():
+    # predict and evaluation run the chunked pass, not parse; it must
+    # reach the same traced entry points, once per chunk for encode.
+    tracing = load_tracer()
+    sentences, ontology = synth.generate(0, 8)
+    parser = FrameParser(Config(), build_vocab(sentences, ontology), ontology)
+    parser.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
+    tracer = tracing.Tracer()
+    with tracer.active("unit"):
+        parsed = parser.parse_many(sentences[:5])
+    assert any(anns for anns, _ in parsed)
+    names = [span[0] for span in tracer.spans]
+    assert {"model.encode", "model.ti_predict", "model.fi_predict",
+            "layers.bilstm_b", "crf.viterbi"} <= set(names)
+    assert names.count("model.encode") == len(range(0, 5, model.CHUNK))
