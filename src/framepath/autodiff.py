@@ -14,10 +14,11 @@ Gradients are never mutated in place; accumulation always rebinds
 ``t.grad = t.grad + g`` so aliased arrays stay safe.
 
 Hot paths are single records with hand-written backwards, each over a
-whole batch: ``bilstm_layer`` over a ``Packed`` layout, ``sum_row_groups``
-(graph-convolution, path, target and span sums), ``bilinear_rows``
-(argument scores), and the packed CRF ops in ``crf``.  Their backward
-scatters go through ``scatter_rows``, one ``np.bincount``.
+whole batch: ``affine`` (every linear map), ``bilstm_layer`` (a layer's
+input projections and recurrence) over a ``Packed`` layout,
+``sum_row_groups`` (graph-convolution, path, target and span sums),
+``bilinear_rows`` (argument scores), and the packed CRF ops in ``crf``.
+Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -159,14 +160,16 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # ---------------------------------------------------------------------------
 # primitives: linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_check(a.data @ b.data, "matmul"))
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b[None, :], as one op that keeps no pre-bias product."""
+    out = Tensor(_check(x.data @ w.data + b.data[None, :], "affine"))
 
     def vjp(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc(b, g.sum(axis=0))
+        _acc(x, g @ w.data.T)
+        _acc(w, x.data.T @ g)
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (x, w, b), vjp)
 
 
 def dot(x: Tensor, y: Tensor) -> Tensor:
@@ -247,17 +250,6 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
         _acc(a, g * s)
 
     return _record(out, (a,), vjp)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """(n, k) + (k,) broadcast over rows."""
-    out = Tensor(_check(m.data + v.data[None, :], "add_rowvec"))
-
-    def vjp(g):
-        _acc(m, g)
-        _acc(v, g.sum(axis=0))
-
-    return _record(out, (m, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -468,43 +460,45 @@ class Packed:
         return block[self.step, self.col]
 
 
-def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
+def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
                  bwd: tuple[Tensor, Tensor, Tensor], packed: Packed) -> Tensor:
     """One bidirectional LSTM layer over packed sequences, as one tape op.
 
-    fwd and bwd are each one direction's (xw, wh, b): xw is (n, 4H)
-    holding x_t @ Wx for every step of the sequences packed lays out
-    (one Packed, shared by the layers of a stack); wh is (H, 4H); b is
-    (4H,) with gate order [input, forget, cell, output].  Each sequence
-    starts from zero states; fwd runs it left to right and bwd right to
-    left.  Returns the (n, 2H) states [forward | backward] in xw's rows.
+    x is (n, in) holding the rows of the sequences packed lays out (one
+    Packed, shared by the layers of a stack).  fwd and bwd are each one
+    direction's (wx, wh, b): wx is (in, 4H), wh is (H, 4H), b is (4H,),
+    with gate order [input, forget, cell, output].  Each sequence starts
+    from zero states; fwd runs it left to right and bwd right to left.
+    Returns the (n, 2H) states [forward | backward] in x's rows.
 
-    Both directions share one Packed layout and one (direction, step,
-    sequence, ...) block, bwd's rows flipped in the gather, so a step is
-    one stacked (2, k, H) @ (2, H, 4H) product over the k sequences still
-    running.  The hand-written backward pass forms all gate-derivative
+    Each direction's projection x @ wx goes into one (direction, step,
+    sequence, ...) block, bwd's rows flipped, and is not kept, so a step
+    is one stacked (2, k, H) @ (2, H, 4H) product over the k sequences
+    still running.  The hand-written backward forms all gate-derivative
     factors up front and keeps only the dh/dc recurrence of both
     directions in its loop, one (2, K, 4H) @ (2, 4H, H) product a step.
     """
-    n, four_h = fwd[0].data.shape
+    n, in_dim = x.data.shape
+    four_h = fwd[1].data.shape[1]
     h = four_h // 4
-    for xw, wh, _ in (fwd, bwd):
-        if xw.data.shape != (n, four_h) or wh.data.shape != (h, four_h):
-            raise ValueError(f"xw shape {xw.data.shape} and wh shape "
-                             f"{wh.data.shape} do not match ({n}, {four_h}) "
-                             f"and ({h}, {four_h})")
+    for wx, wh, _ in (fwd, bwd):
+        if wx.data.shape != (in_dim, four_h) or wh.data.shape != (h, four_h):
+            raise ValueError(f"wx shape {wx.data.shape} and wh shape "
+                             f"{wh.data.shape} do not match ({in_dim}, "
+                             f"{four_h}) and ({h}, {four_h})")
     if len(packed.step) != n:
         raise ValueError(f"lengths {packed.lengths} do not pack {n} rows")
     steps, cells = packed.mirrored  # bwd runs each sequence mirrored
     k = len(packed.order)
     xs = np.zeros((2, packed.steps, k, four_h))
-    xs[0, steps[:, 0], packed.col] = fwd[0].data
-    xs[1, steps[:, 1], packed.col] = bwd[0].data
+    for d, (wx, _, _) in enumerate((fwd, bwd)):
+        xs[d, steps[:, d], packed.col] = _check(x.data @ wx.data,
+                                                "bilstm_layer")
     wh = np.array([fwd[1].data, bwd[1].data])
     b = np.array([fwd[2].data, bwd[2].data])[:, None]
     hs = np.zeros(xs.shape[:-1] + (h,))
     # Post-activation gates [i, f, g, o] and cells, kept for a backward.
-    keep = _tape().enabled and any(t.needs_grad for t in fwd + bwd)
+    keep = _tape().enabled and any(t.needs_grad for t in (x, *fwd, *bwd))
     gates, cs = ((np.zeros_like(xs), np.zeros_like(hs)) if keep
                  else (None, None))
     h_prev = c_prev = np.zeros((2, k, h))
@@ -527,34 +521,38 @@ def bilstm_layer(fwd: tuple[Tensor, Tensor, Tensor],
         tc = np.tanh(cs)
         c_before = np.concatenate([np.zeros_like(cs[:, :1]), cs[:, :-1]], 1)
         h_before = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], 1)
-        # d raw = [dc, dc, dc, dh] * coef, step by step.  Padding cells
-        # have all-zero gates, so their coef, and hence draw, is zero.
-        coef = np.concatenate([g * i * (1.0 - i),
-                               c_before * f * (1.0 - f),
-                               i * (1.0 - g * g),
-                               tc * o * (1.0 - o)], axis=-1)
+        # d raw = [dc, dc, dc, dh] * coef, step by step, each step's draw
+        # written over its coef.  Padding cells have all-zero gates, so
+        # their coef, and hence draw, is zero.
+        draws = np.concatenate([g * i * (1.0 - i),
+                                c_before * f * (1.0 - f),
+                                i * (1.0 - g * g),
+                                tc * o * (1.0 - o)], axis=-1)
         dc_from_dh = o * (1.0 - tc * tc)
         grad_block = np.zeros_like(hs)
         grad_block[cells] = grad_h.reshape(n, 2, h)
         wh_t = wh.transpose(0, 2, 1)
-        draws = np.empty_like(gates)
         dh = dc = np.zeros((2,) + hs.shape[2:])
         for t in range(packed.steps - 1, -1, -1):
             dh = dh + grad_block[:, t]
             dc = dc + dh * dc_from_dh[:, t]
             draw = np.multiply(np.concatenate([dc, dc, dc, dh], axis=-1),
-                               coef[:, t], out=draws[:, t])
+                               draws[:, t], out=draws[:, t])
             dh = draw @ wh_t
             dc = dc * f[:, t]
         flat = draws.reshape(2, -1, four_h)
         d_wh = h_before.reshape(2, -1, h).transpose(0, 2, 1) @ flat
         d_b = flat.sum(axis=1)
-        for d, (xw, wh_d, b_d) in enumerate((fwd, bwd)):
-            _acc(xw, draws[d, steps[:, d], packed.col])
+        for d, (_, wh_d, b_d) in enumerate((fwd, bwd)):
             _acc(wh_d, d_wh[d])
             _acc(b_d, d_b[d])
+        # bwd's part of x's gradient first: the order its bits rest on
+        for d, (wx, _, _) in ((1, bwd), (0, fwd)):
+            dxw = draws[d, steps[:, d], packed.col]
+            _acc(x, dxw @ wx.data.T)
+            _acc(wx, x.data.T @ dxw)
 
-    return _record(out, fwd + bwd, vjp)
+    return _record(out, (x, *fwd, *bwd), vjp)
 
 
 # ---------------------------------------------------------------------------

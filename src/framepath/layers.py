@@ -162,14 +162,14 @@ class Embedding:
 
 
 class Linear:
-    """y = x W + b for every row of x, with W stored (in_dim, out_dim)."""
+    """y = x W + b for every row of x as one ad.affine op; W is (in, out)."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, out_dim: int):
         self.w = store.glorot(f"{path}.w", in_dim, out_dim)
         self.b = store.zeros(f"{path}.b", (out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add_rowvec(ad.matmul(x, self.w), self.b)
+        return ad.affine(x, self.w, self.b)
 
 
 class LayerNorm:
@@ -197,9 +197,9 @@ class LstmDirection:
 class BiLstm:
     """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
     sequences of the given lengths back to back (None: one sequence).
-    Each layer is two input-projection matmuls over every row and one
-    ad.bilstm_layer op that steps both directions together; the layers
-    share one ad.Packed layout of the sequences."""
+    Each layer is one ad.bilstm_layer op that projects its input rows and
+    steps both directions together; the layers share one ad.Packed layout
+    of the sequences."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
                  layers: int = 1):
@@ -218,7 +218,6 @@ class BiLstm:
         out = x
         packed = ad.Packed(len(x.data), lengths)
         for fwd, bwd in self.layers:
-            out = ad.bilstm_layer((ad.matmul(out, fwd.wx), fwd.wh, fwd.b),
-                                  (ad.matmul(out, bwd.wx), bwd.wh, bwd.b),
-                                  packed)
+            out = ad.bilstm_layer(out, (fwd.wx, fwd.wh, fwd.b),
+                                  (bwd.wx, bwd.wh, bwd.b), packed)
         return out

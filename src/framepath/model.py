@@ -357,9 +357,11 @@ class FrameParser:
             for enc, first in zip(encs, firsts)]
 
     def fi_predict(self, encs: list[SentenceEncoding],
-                   targets: list[list[int]], lus: list[str]) -> list[str]:
+                   targets: list[list[int]], lus: list[str],
+                   t: Tensor | None = None) -> list[str]:
         """Each target's best licensed frame, target j belonging to
-        encs[j].  One encoding, target and lu (a str) give one frame."""
+        encs[j] (t: their encoded_target_rows, if the caller has them).
+        One encoding, target and lu (a str) give one frame."""
         if isinstance(lus, str):
             return self.fi_predict([encs], [targets], [lus])[0]
         if not targets:
@@ -367,7 +369,7 @@ class FrameParser:
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
             scores = self.frame_scores(
-                self.encoded_target_rows(encs, targets), lu_ids).data
+                t or self.encoded_target_rows(encs, targets), lu_ids).data
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
         return [self.ontology.frames[k] for k in scores.argmax(axis=1)]
 
@@ -375,17 +377,18 @@ class FrameParser:
                     targets: list[list[int]], lus: list[str],
                     frames: list[str],
                     spans: list[list[tuple[int, int]]] | None = None,
+                    t: Tensor | None = None,
                     ) -> tuple[list[list[tuple[int, int]]], list[list[str]]]:
         """Each target's argument spans and their role labels, target j
-        belonging to encs[j]: the ai head finds the spans unless they are
-        given, and the ac head labels them.  Each op runs once over every
-        target."""
+        belonging to encs[j] (t as in fi_predict): the ai head finds the
+        spans unless they are given, and the ac head labels them.  Each
+        op runs once over every target."""
         if not targets:
             return [], []
         frame_ids = [self.ontology.frame_id(f) for f in frames]
         with ad.no_grad():
             z, _, b, b_first, emissions = self.srl_heads(
-                encs, targets, self.encoded_target_rows(encs, targets),
+                encs, targets, t or self.encoded_target_rows(encs, targets),
                 [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
                 # O/B/I tags only, so every decoded index set is a span
@@ -483,7 +486,8 @@ class FrameParser:
     def parse_many(self, sentences: list[Sentence]
                    ) -> list[tuple[list[FrameAnnotation], int]]:
         """parse of each sentence: per chunk, one encode, one TI decoding,
-        and one frame and one role prediction over every kept target."""
+        and one sum of target rows, one frame and one role prediction over
+        every kept target."""
         out = []
         with ad.fresh_tape(), ad.no_grad():
             for encs in self.encode_chunks(sentences):
@@ -493,8 +497,11 @@ class FrameParser:
                             enc.prep.sentence.tokens, t, enc.prep.sentence.pos)
                         ) in self.ontology.lu_to_frames]
                 owner, targets, keys = ([c[i] for c in kept] for i in range(3))
-                frames = self.fi_predict(owner, targets, keys)
-                spans, roles = self.srl_predict(owner, targets, keys, frames)
+                rows = self.encoded_target_rows(owner, targets) if kept \
+                    else None
+                frames = self.fi_predict(owner, targets, keys, rows)
+                spans, roles = self.srl_predict(owner, targets, keys, frames,
+                                                t=rows)
                 anns = {enc: [] for enc in encs}  # keyed by identity
                 for (enc, t, key), f, s, r in zip(kept, frames, spans, roles):
                     anns[enc].append(FrameAnnotation(t, key, f,

@@ -33,9 +33,13 @@ def check(f, params, tol=1e-6):
 
 
 class TestLinearAlgebraGrads:
-    def test_matmul(self):
-        a, b = randp(3, 4, name="a"), randp(4, 2, name="b")
-        check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
+    def test_affine(self):
+        x, w, b = randp(3, 4, name="x"), randp(4, 2, name="w"), randp(2)
+        with fresh_tape(), no_grad():
+            out = ad.affine(x, w, b).data
+        assert np.array_equal(out, x.data @ w.data + b.data)
+        y = tensor(RNG.normal(size=(3, 2)))
+        check(lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), y)), [x, w, b])
 
     def test_dot(self):
         x, y = randp(6), randp(6)
@@ -75,9 +79,14 @@ class TestPointwiseGrads:
         a = randp(5)
         check(lambda: ad.sum_all(ad.mul_scalar(a, -2.5)), [a])
 
-    def test_add_rowvec(self):
-        m, v = randp(4, 3), randp(3)
-        check(lambda: ad.sum_all(ad.tanh(ad.add_rowvec(m, v))), [m, v])
+    def test_affine_bias_broadcasts_over_rows(self):
+        # One record holds the whole map; no pre-bias product is taped.
+        x, w, b = randp(4, 3), randp(3, 3), randp(3)
+        with fresh_tape():
+            out = ad.affine(x, w, b).data
+            assert tape_length() == 1
+        assert np.array_equal(out, x.data @ w.data + b.data[None, :])
+        check(lambda: ad.sum_all(ad.tanh(ad.affine(x, w, b))), [x, w, b])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -391,12 +400,14 @@ def reverse_each(rows, lengths):
     return np.vstack([rows[end - m:end][::-1] for m, end in zip(lengths, ends)])
 
 
-def directions(n, hidden):
-    """Random forward and backward (xw, wh, b) for n rows."""
-    return [tuple(randp(*shape, name=f"{d}.{part}") for part, shape in
-                  (("xw", (n, 4 * hidden)), ("wh", (hidden, 4 * hidden)),
-                   ("b", (4 * hidden,))))
-            for d in ("fwd", "bwd")]
+def directions(n, hidden, width=3):
+    """Random (n, width) input rows x and forward and backward (wx, wh,
+    b), as [x, fwd, bwd]."""
+    return [randp(n, width, name="x")] + [
+        tuple(randp(*shape, name=f"{d}.{part}") for part, shape in
+              (("wx", (width, 4 * hidden)), ("wh", (hidden, 4 * hidden)),
+               ("b", (4 * hidden,))))
+        for d in ("fwd", "bwd")]
 
 
 class TestPacked:
@@ -422,22 +433,24 @@ class TestPacked:
 
 
 class TestLstmSequence:
-    """ad.bilstm_layer: both directions of a layer in one op."""
+    """ad.bilstm_layer: both directions of a layer, input projections
+    included, in one op."""
 
     def test_forward_matches_stepwise_reference(self):
-        # The fused pass applies the textbook formulas elementwise, so
-        # the forward half equals the loop bit for bit, and the backward
-        # half equals the loop run on each sequence's reversed rows.
+        # The fused pass applies the textbook formulas elementwise to the
+        # same x @ wx products, so the forward half equals the loop bit
+        # for bit, and the backward half equals the loop run on each
+        # sequence's reversed rows.
         for lengths in (None, [1], [3, 1, 5, 2, 5]):
             n = 6 if lengths is None else sum(lengths)
-            fwd, bwd = directions(n, 3)
+            x, fwd, bwd = directions(n, 3)
             with fresh_tape(), no_grad():
-                got = ad.bilstm_layer(fwd, bwd, ad.Packed(n, lengths)).data
+                got = ad.bilstm_layer(x, fwd, bwd, ad.Packed(n, lengths)).data
             lengths = lengths or [n]
-            want_f = lstm_reference(fwd[0].data, fwd[1].data, fwd[2].data,
-                                    lengths)
+            want_f = lstm_reference(x.data @ fwd[0].data, fwd[1].data,
+                                    fwd[2].data, lengths)
             want_b = reverse_each(lstm_reference(
-                reverse_each(bwd[0].data, lengths), bwd[1].data,
+                reverse_each(x.data @ bwd[0].data, lengths), bwd[1].data,
                 bwd[2].data, lengths), lengths)
             assert np.array_equal(got[:, :3], want_f), lengths
             assert np.array_equal(got[:, 3:], want_b), lengths
@@ -446,63 +459,67 @@ class TestLstmSequence:
         # The backward half is the forward half of a layer given each
         # sequence's rows reversed.
         lengths = [2, 4, 1]
-        fwd, bwd = directions(7, 2)
-        flipped = (tensor(reverse_each(bwd[0].data, lengths)), *bwd[1:])
+        x, fwd, bwd = directions(7, 2)
+        flipped = tensor(reverse_each(x.data, lengths))
         packed = ad.Packed(7, lengths)
         with fresh_tape(), no_grad():
-            got = ad.bilstm_layer(fwd, bwd, packed).data
-            want = ad.bilstm_layer(flipped, fwd, packed).data
+            got = ad.bilstm_layer(x, fwd, bwd, packed).data
+            want = ad.bilstm_layer(flipped, bwd, fwd, packed).data
         assert np.array_equal(got[:, 2:], reverse_each(want[:, :2], lengths))
 
     def test_gradients(self):
-        fwd, bwd = directions(4, 3)
+        x, fwd, bwd = directions(4, 3)
         w = tensor(RNG.normal(size=(4, 6)))
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(fwd, bwd, ad.Packed(4, None)), w)),
-              [*fwd, *bwd], tol=1e-5)
+            ad.bilstm_layer(x, fwd, bwd, ad.Packed(4, None)), w)),
+              [x, *fwd, *bwd], tol=1e-5)
 
     def test_length_one(self):
-        fwd, bwd = directions(1, 2)
+        x, fwd, bwd = directions(1, 2)
         packed = ad.Packed(1, None)
-        check(lambda: ad.sum_all(ad.bilstm_layer(fwd, bwd, packed)),
-              [*fwd, *bwd], tol=1e-5)
+        check(lambda: ad.sum_all(ad.bilstm_layer(x, fwd, bwd, packed)),
+              [x, *fwd, *bwd], tol=1e-5)
 
     def test_packed_gradients_both_halves(self):
-        fwd, bwd = directions(7, 3)
+        x, fwd, bwd = directions(7, 3)
         w = tensor(RNG.normal(size=(7, 6)))
         packed = ad.Packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(fwd, bwd, packed), w)), [*fwd, *bwd], tol=1e-5)
+            ad.bilstm_layer(x, fwd, bwd, packed), w)), [x, *fwd, *bwd],
+              tol=1e-5)
 
     @pytest.mark.parametrize("backward_half", [False, True])
     def test_packed_gradients(self, backward_half):
         # A loss that reads one direction's half of the output: that
-        # direction's gradients pass the check through the packed
-        # recurrence, and the other direction's, which the stacked steps
-        # must keep apart, are exactly zero.
-        fwd, bwd = directions(7, 3)
+        # direction's gradients and the input's pass the check through
+        # the packed recurrence, and the other direction's, which the
+        # stacked steps must keep apart, are exactly zero.
+        x, fwd, bwd = directions(7, 3)
         weight = RNG.normal(size=(7, 6))
         unread = slice(0, 3) if backward_half else slice(3, 6)
         weight[:, unread] = 0.0
         w = tensor(weight)
         packed = ad.Packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(fwd, bwd, packed), w)), [*fwd, *bwd], tol=1e-5)
+            ad.bilstm_layer(x, fwd, bwd, packed), w)), [x, *fwd, *bwd],
+              tol=1e-5)
         with fresh_tape():
             backward(ad.sum_all(ad.mul(
-                ad.bilstm_layer(fwd, bwd, packed), w)))
+                ad.bilstm_layer(x, fwd, bwd, packed), w)))
             read, unread = (bwd, fwd) if backward_half else (fwd, bwd)
-            for t in read:
+            for t in (x, *read):
                 assert np.all(np.any(t.grad, axis=-1)), t.name
             for t in unread:
                 assert not np.any(t.grad), t.name
 
     def test_zero_inputs_give_zero_states(self):
-        # With xw = b = 0 the cell gate tanh(0) = 0 keeps c, and hence h,
-        # at exactly zero for every step in both directions.
-        zeros = (tensor(np.zeros((5, 8))), randp(2, 8), tensor(np.zeros(8)))
+        # With x = b = 0 every projection is zero, and the cell gate
+        # tanh(0) = 0 keeps c, and hence h, at exactly zero for every
+        # step in both directions.
+        x = tensor(np.zeros((5, 3)))
+        zeros = (randp(3, 8), randp(2, 8), tensor(np.zeros(8)))
         with fresh_tape(), no_grad():
-            out = ad.bilstm_layer(zeros, zeros, ad.Packed(5, [3, 2])).data
+            out = ad.bilstm_layer(x, zeros, zeros, ad.Packed(5, [3, 2])).data
         assert np.array_equal(out, np.zeros((5, 4)))
 
     @pytest.mark.parametrize("reversed_order", [False, True])
@@ -510,58 +527,58 @@ class TestLstmSequence:
         # Unsorted mixed lengths, one of them 1, given in either order so
         # the tied longest two and the short ones land in other columns:
         # each sequence gets what its own call gives, in outputs and in
-        # all six gradients.  A product over several running rows may
-        # round differently from one over a single row, hence the
-        # tolerance.
+        # the gradients of x and of all six parameters.  A product over
+        # several running rows may round differently from one over a
+        # single row, hence the tolerance.
         lengths = [5, 2, 5, 1, 3] if reversed_order else [3, 1, 5, 2, 5]
         n = sum(lengths)
-        fwd, bwd = directions(n, 3)
+        x, fwd, bwd = directions(n, 3)
         weight = RNG.normal(size=(n, 6))
-        shared = [fwd[1], fwd[2], bwd[1], bwd[2]]
+        shared = [*fwd, *bwd]
 
         def run(rows, lens):
-            xs = [param(fwd[0].data[rows]), param(bwd[0].data[rows])]
+            x_rows = param(x.data[rows])
             ad.zero_grads(shared)
             with fresh_tape():
-                out = ad.bilstm_layer((xs[0], *fwd[1:]), (xs[1], *bwd[1:]),
-                                      ad.Packed(len(xs[0].data), lens))
+                out = ad.bilstm_layer(x_rows, fwd, bwd,
+                                      ad.Packed(len(x_rows.data), lens))
                 backward(ad.sum_all(ad.mul(out, tensor(weight[rows]))))
-            return [out.data] + [t.grad for t in xs + shared]
+            return [out.data, x_rows.grad] + [t.grad for t in shared]
 
         packed = run(slice(None), lengths)
         ends = np.cumsum(lengths)
         singles = [run(slice(end - m, end), None)
                    for m, end in zip(lengths, ends)]
-        want = [np.vstack(parts) for parts in zip(*(s[:3] for s in singles))]
-        want += [sum(s[k] for s in singles) for k in range(3, 7)]
-        for got, expected in zip(packed, want):
+        want = [np.vstack(parts) for parts in zip(*(s[:2] for s in singles))]
+        want += [sum(s[k] for s in singles) for k in range(2, 8)]
+        for got, expected in zip(packed, want, strict=True):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        for wrong in (0, 1):  # either direction
-            pair = directions(3, 2)
-            xw, _, b = pair[wrong]
-            pair[wrong] = (xw, randp(3, 8), b)
+        for wrong in (1, 2):  # either direction
+            args = directions(3, 2)
+            wx, _, b = args[wrong]
+            args[wrong] = (wx, randp(3, 8), b)
             with pytest.raises(ValueError, match="wh shape"):
-                ad.bilstm_layer(*pair, ad.Packed(3, None))
+                ad.bilstm_layer(*args, ad.Packed(3, None))
 
     def test_lengths_must_pack_every_row(self):
-        fwd, bwd = directions(5, 2)
+        x, fwd, bwd = directions(5, 2)
         with pytest.raises(ValueError, match="lengths"):
-            ad.bilstm_layer(fwd, bwd, ad.Packed(4, [2, 2]))
+            ad.bilstm_layer(x, fwd, bwd, ad.Packed(4, [2, 2]))
 
 
 class TestComposite:
     def test_two_layer_network(self):
         # Small inputs keep tanh off its saturated tails, where gradients
         # shrink toward zero and relative error loses meaning.
-        w1, b1 = randp(4, 6, name="w1"), randp(4, 1, name="b1")
+        w1, b1 = randp(6, 4, name="w1"), randp(4, name="b1")
         w2, b2 = randp(4, 1, name="w2"), randp(1, name="b2")
-        x = tensor(0.3 * RNG.normal(size=(6, 1)))
+        x = tensor(0.3 * RNG.normal(size=(1, 6)))
 
         def loss():
-            h = ad.tanh(ad.add(ad.matmul(w1, x), b1))  # (4, 1) column
-            return ad.add(ad.sum_all(ad.mul(w2, h)), ad.sum_all(b2))
+            h = ad.tanh(ad.affine(x, w1, b1))  # (1, 4) row
+            return ad.sum_all(ad.affine(h, w2, b2))
 
         check(loss, [w1, b1, w2, b2], tol=1e-4)
 
@@ -602,10 +619,15 @@ class TestTapeLifetime:
         assert seen == [0]
 
     def test_bilstm_backward_does_not_hold_its_input_block(self):
-        fwd, bwd = directions(5, 2)
+        # Nor either input projection: no value the closure holds has
+        # the (n, 4H) shape of x @ wx.
+        x, fwd, bwd = directions(5, 2)
         with fresh_tape():
-            ad.bilstm_layer(fwd, bwd, ad.Packed(5, [3, 2]))
+            ad.bilstm_layer(x, fwd, bwd, ad.Packed(5, [3, 2]))
             _, vjp = ad._tape().records[-1]
         free = vjp.__code__.co_freevars
         assert "gates" in free  # what it does keep is visible here
         assert "xs" not in free
+        held = [cell.cell_contents for cell in vjp.__closure__]
+        assert any(v is x for v in held)
+        assert not [v for v in held if getattr(v, "shape", None) == (5, 8)]

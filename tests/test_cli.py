@@ -341,14 +341,19 @@ def test_non_finite_checkpoint_value_exits_2_naming_the_entry(
                     "non-finite" in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command,path,op", [
+    ("eval", "ti.emit.w", "affine"), ("predict", "ti.emit.w", "affine"),
+    ("eval", "enc.a.lstm.l0.fwd.wx", "bilstm_layer"),
+    ("predict", "enc.a.lstm.l0.fwd.wx", "bilstm_layer")],
+    ids=["eval", "predict", "eval-lstm-wx", "predict-lstm-wx"])
 def test_overflowing_checkpoint_exits_2_naming_the_file(
-        workspace, tmp_path, capsys, command):
+        workspace, tmp_path, capsys, command, path, op):
     # Every value is finite, so the checkpoint loads, but the first
-    # forward pass overflows: no numpy warning precedes the error line,
-    # and no output file is left behind.
+    # forward pass overflows, in a linear map or in an input projection
+    # folded into a BiLSTM layer: no numpy warning precedes the error
+    # line, which names the op, and no output file is left behind.
     doc = json.load(open(workspace["ckpt"]))
-    rec = doc["params"]["ti.emit.w"]
+    rec = doc["params"][path]
     rec["values"] = _pack(np.full(_unpack(rec["values"]).size, 1e308))
     ckpt = tmp_path / "huge.json"
     ckpt.write_text(json.dumps(doc))
@@ -362,7 +367,8 @@ def test_overflowing_checkpoint_exits_2_naming_the_file(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
     err = capsys.readouterr().err
-    assert f"error: {ckpt}: parameters overflow: non-finite value" in err
+    assert (f"error: {ckpt}: parameters overflow: non-finite value "
+            f"produced by {op}\n") in err
     assert "Traceback" not in err
 
 
