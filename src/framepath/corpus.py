@@ -32,7 +32,7 @@ class CorpusError(ValueError):
     """Raised when a corpus or ontology file fails validation."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameAnnotation:
     target: list[int]
     lu: str
@@ -40,7 +40,7 @@ class FrameAnnotation:
     elements: list[tuple[tuple[int, int], str]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     tokens: list[str]
     pos: list[str]
@@ -249,10 +249,10 @@ def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sen
         tree = parse_bracketed(_field(obj, "tree", str, where))
     except TreeSyntaxError as e:
         raise CorpusError(f"{where}: bad tree: {e}") from e
-    if tree.tokens() != tokens:
-        raise CorpusError(
-            f"{where}: tree leaves {tree.tokens()!r} do not match tokens {tokens!r}"
-        )
+    tree_tokens = tree.tokens()
+    if tree_tokens != tokens:
+        raise CorpusError(f"{where}: tree leaves {tree_tokens!r} do not "
+                          f"match tokens {tokens!r}")
     if len(pos) != len(tokens):
         raise CorpusError(f"{where}: {len(pos)} pos tags for {len(tokens)} tokens")
     tree_pos = [tree.nodes[k].label for k in tree.preterminal_order]
@@ -311,7 +311,8 @@ def _sentence_from_dict(obj: dict, where: str, ontology: Ontology | None) -> Sen
         encode_iobc([ann.target for ann in annotations], n)
     except ValueError as e:
         raise CorpusError(f"{where}: {e}") from e
-    return Sentence(tokens=tokens, pos=pos, tree=tree, annotations=annotations)
+    return Sentence(tokens=tree_tokens, pos=tree_pos, tree=tree,
+                    annotations=annotations)
 
 
 def sentence_to_dict(sent: Sentence) -> dict:
@@ -339,7 +340,8 @@ def load_corpus(path: str, ontology: Ontology | None = None,
 
     With an ontology, annotations are checked against it (known lexical
     units, licensed frames and roles); with a vocab, every POS tag and
-    constituent label must be in it.
+    constituent label must be in it.  Each sentence's tokens and POS tags
+    are its tree's (interned) word and label strings, not the line's.
     """
     sentences = []
     with open(path, "rb") as fh:

@@ -10,6 +10,7 @@ left-to-right order.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,12 +23,14 @@ class TreeSyntaxError(ValueError):
     """Raised when a bracketed tree string is malformed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
+    """One constituent; ``children`` is a tuple, ``()`` on a preterminal."""
+
     id: int
     label: str
     parent: int | None = None
-    children: list[int] = field(default_factory=list)
+    children: tuple[int, ...] = ()
     word: str | None = None
 
     @property
@@ -95,6 +98,9 @@ def parse_bracketed(text: str) -> ConstTree:
 
     Every leaf must be a ``(POS word)`` pair; interior nodes are
     ``(LABEL child...)``.  Whitespace between tokens is not significant.
+    Labels and words are interned, so a corpus holds one string per
+    distinct label and word; CPython 3.12 never frees interned strings,
+    so that cost, bounded by the vocabulary, lasts the process's life.
     """
     toks = _tokenize(text)
     if not toks:
@@ -111,16 +117,15 @@ def parse_bracketed(text: str) -> ConstTree:
         pos += 1
         if pos >= len(toks) or toks[pos] in "()":
             raise TreeSyntaxError(f"missing node label at token {pos}")
-        label = toks[pos]
+        label = sys.intern(toks[pos])
         pos += 1
         node_id = len(nodes)
         nodes.append(Node(id=node_id, label=label, parent=parent))
 
-        words = []
+        kids, words = [], []
         while pos < len(toks) and toks[pos] != ")":
             if toks[pos] == "(":
-                child = parse_node(node_id)
-                nodes[node_id].children.append(child)
+                kids.append(parse_node(node_id))
             else:
                 words.append(toks[pos])
                 pos += 1
@@ -128,16 +133,17 @@ def parse_bracketed(text: str) -> ConstTree:
             raise TreeSyntaxError("unbalanced parentheses: missing ')'")
         pos += 1  # consume ')'
 
-        if nodes[node_id].children and words:
+        if kids and words:
             raise TreeSyntaxError(
                 f"node {label!r} mixes child constituents and bare words"
             )
-        if not nodes[node_id].children:
+        nodes[node_id].children = tuple(kids)
+        if not kids:
             if len(words) != 1:
                 raise TreeSyntaxError(
                     f"leaf {label!r} must hold exactly one word, got {words!r}"
                 )
-            nodes[node_id].word = words[0]
+            nodes[node_id].word = sys.intern(words[0])
             preterminals.append(node_id)
         return node_id
 

@@ -278,6 +278,21 @@ class TestCorpusIO:
         assert loaded[0].tokens == sent.tokens
         assert loaded[0].annotations[0].target == [1]
         assert loaded[0].annotations[0].elements == sent.annotations[0].elements
+        # Tokens and POS tags are the tree's interned strings, shared by
+        # both copies, and the records carry no instance dict.
+        for got in loaded:
+            pre = [got.tree.nodes[k] for k in got.tree.preterminal_order]
+            assert len(got.tokens) == len(got.pos) == len(pre)
+            for token, tag, node in zip(got.tokens, got.pos, pre):
+                assert token is node.word and tag is node.label
+        for a, b in zip(loaded[0].tokens + loaded[0].pos,
+                        loaded[1].tokens + loaded[1].pos):
+            assert a is b
+        for record in (loaded[0], loaded[0].annotations[0]):
+            assert not hasattr(record, "__dict__")
+        again = tmp_path / "again.jsonl"
+        save_corpus(loaded, str(again))
+        assert again.read_bytes() == p.read_bytes()
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

@@ -114,6 +114,23 @@ class TestParse:
         tree = parse_bracketed("(S (VP (VB go)))")
         assert [n.label for n in tree.nodes] == ["S", "VP", "VB"]
 
+    def test_nodes_are_compact(self):
+        """Slotted nodes with tuple children; trees parsed from different
+        strings share one object per equal label and word."""
+        other = "(S (VP (VBD had) (NP (NN patience))) (NP (PRP She)))"
+        first: dict[str, str] = {}
+        for tree in (parse_bracketed(SAMPLE), parse_bracketed(other)):
+            for node in tree.nodes:
+                assert not hasattr(node, "__dict__")
+                for s in (node.label, node.word):
+                    if s is not None:
+                        assert first.setdefault(s, s) is s, s
+                kids = tuple(c.id for c in tree.nodes if c.parent == node.id)
+                assert type(node.children) is tuple
+                assert node.children == kids
+                assert (node.children == ()) == node.is_preterminal
+        assert {"S", "NP", "VP", "had", "patience", "She"} <= set(first)
+
     @pytest.mark.parametrize(
         "bad",
         [
