@@ -362,8 +362,9 @@ class FrameParser:
         """Each target's best licensed frame, target j belonging to
         encs[j] (t: their encoded_target_rows, if the caller has them).
         One encoding, target and lu (a str) give one frame."""
-        if isinstance(lus, str):
-            return self.fi_predict([encs], [targets], [lus])[0]
+        one = isinstance(lus, str)
+        if one:
+            encs, targets, lus = [encs], [targets], [lus]
         if not targets:
             return []
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
@@ -371,7 +372,8 @@ class FrameParser:
             scores = self.frame_scores(
                 t or self.encoded_target_rows(encs, targets), lu_ids).data
         scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
-        return [self.ontology.frames[k] for k in scores.argmax(axis=1)]
+        frames = [self.ontology.frames[k] for k in scores.argmax(axis=1)]
+        return frames[0] if one else frames
 
     def srl_predict(self, encs: list[SentenceEncoding],
                     targets: list[list[int]], lus: list[str],

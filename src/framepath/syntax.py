@@ -9,7 +9,6 @@ left-to-right order.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,83 +89,85 @@ class ConstTree:
 
 
 def _tokenize(text: str) -> list[str]:
-    return re.findall(r"[()]|[^\s()]+", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def parse_bracketed(text: str) -> ConstTree:
     """Parse a bracketed constituency string into a ConstTree.
 
     Every leaf must be a ``(POS word)`` pair; interior nodes are
-    ``(LABEL child...)``.  Whitespace between tokens is not significant.
-    Labels and words are interned, so a corpus holds one string per
-    distinct label and word; CPython 3.12 never frees interned strings,
-    so that cost, bounded by the vocabulary, lasts the process's life.
+    ``(LABEL child...)``.  Whitespace between tokens is not significant,
+    and one pass with a stack of open nodes parses any depth.  Labels
+    and words are interned, so a corpus holds one string per distinct
+    label and word; CPython 3.12 never frees interned strings, so that
+    cost, bounded by the vocabulary, lasts the process's life.
     """
     toks = _tokenize(text)
     if not toks:
         raise TreeSyntaxError("empty tree string")
-
+    if toks[0] != "(":
+        raise TreeSyntaxError("expected '(' at token 0")
+    n = len(toks)
     nodes: list[Node] = []
     preterminals: list[int] = []
+    stack: list[tuple] = []  # (node, child ids, bare words) of open nodes
     pos = 0
-
-    def parse_node(parent: int | None) -> int:
-        nonlocal pos
-        if pos >= len(toks) or toks[pos] != "(":
-            raise TreeSyntaxError(f"expected '(' at token {pos}")
+    while True:
+        tok = toks[pos]
         pos += 1
-        if pos >= len(toks) or toks[pos] in "()":
-            raise TreeSyntaxError(f"missing node label at token {pos}")
-        label = sys.intern(toks[pos])
-        pos += 1
-        node_id = len(nodes)
-        nodes.append(Node(id=node_id, label=label, parent=parent))
-
-        kids, words = [], []
-        while pos < len(toks) and toks[pos] != ")":
-            if toks[pos] == "(":
-                kids.append(parse_node(node_id))
+        if tok == "(":
+            if pos >= n or toks[pos] in "()":
+                raise TreeSyntaxError(f"missing node label at token {pos}")
+            node = Node(len(nodes), sys.intern(toks[pos]))
+            nodes.append(node)
+            if stack:
+                node.parent = stack[-1][0].id
+                stack[-1][1].append(node.id)
+            pos += 1
+            if pos + 1 < n and toks[pos + 1] == ")" and toks[pos] not in "()":
+                node.word = sys.intern(toks[pos])  # a (LABEL word) leaf
+                preterminals.append(node.id)
+                pos += 2
             else:
-                words.append(toks[pos])
-                pos += 1
-        if pos >= len(toks):
+                stack.append((node, [], []))
+        elif tok == ")":
+            node, kids, words = stack.pop()
+            if kids and words:
+                raise TreeSyntaxError(f"node {node.label!r} mixes child "
+                                      "constituents and bare words")
+            if not kids:  # one word alone took the preterminal path above
+                raise TreeSyntaxError(f"leaf {node.label!r} must hold "
+                                      f"exactly one word, got {words!r}")
+            node.children = tuple(kids)
+        else:
+            stack[-1][2].append(tok)
+        if not stack:
+            break
+        if pos >= n:
             raise TreeSyntaxError("unbalanced parentheses: missing ')'")
-        pos += 1  # consume ')'
-
-        if kids and words:
-            raise TreeSyntaxError(
-                f"node {label!r} mixes child constituents and bare words"
-            )
-        nodes[node_id].children = tuple(kids)
-        if not kids:
-            if len(words) != 1:
-                raise TreeSyntaxError(
-                    f"leaf {label!r} must hold exactly one word, got {words!r}"
-                )
-            nodes[node_id].word = sys.intern(words[0])
-            preterminals.append(node_id)
-        return node_id
-
-    try:
-        root = parse_node(None)
-    except RecursionError:
-        raise TreeSyntaxError("tree nested too deeply") from None
-    if pos != len(toks):
+    if pos != n:
         raise TreeSyntaxError(f"trailing input after tree at token {pos}")
-    return ConstTree(nodes=nodes, root_index=root, preterminal_order=preterminals)
+    return ConstTree(nodes=nodes, root_index=0, preterminal_order=preterminals)
 
 
 def serialize(tree: ConstTree) -> str:
-    """Bracketed-string form of a tree; inverse of parse_bracketed."""
-
-    def emit(node_id: int) -> str:
-        node = tree.nodes[node_id]
-        if node.is_preterminal:
-            return f"({node.label} {node.word})"
-        inner = " ".join(emit(c) for c in node.children)
-        return f"({node.label} {inner})"
-
-    return emit(tree.root_index)
+    """Bracketed-string form of a tree; inverse of parse_bracketed.  One
+    pass over the nodes in pre-order: each preterminal closes the
+    constituents it ends and is followed by a space if a sibling comes."""
+    nodes = tree.nodes
+    parts: list[str] = []
+    for node in nodes:
+        if not node.is_preterminal:
+            parts.append(f"({node.label} ")
+            continue
+        parts.append(f"({node.label} {node.word})")
+        k = node
+        while k.parent is not None and nodes[k.parent].children[-1] == k.id:
+            parts.append(")")
+            k = nodes[k.parent]
+        if k.parent is not None:
+            parts.append(" ")
+    return "".join(parts)
 
 
 def tree_path(tree: ConstTree, i: int, j: int) -> list[int]:

@@ -154,6 +154,7 @@ def _objective(model: FrameParser, preps: list[Prepared], task: str,
     return loss, {name: float(t.data) for name, t in parts.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # failures raise TrainingError
 def train(model: FrameParser, train_sentences: Sequence[Sentence],
           dev_sentences: Sequence[Sentence],
           log_path: str | None = None) -> TrainResult:
@@ -161,6 +162,8 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     holding the parameters of its best dev epoch."""
     if not train_sentences:
         raise TrainingError("empty training corpus")
+    if not dev_sentences:
+        raise TrainingError("empty dev corpus")
     cfg: Config = model.config
     task = cfg.task
     preps = [model.prepare(s) for s in train_sentences]
@@ -211,7 +214,11 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             total_sum += value
             n_batches += 1
 
-        metric = dev_metric(model, dev_sentences, task)
+        try:
+            metric = dev_metric(model, dev_sentences, task)
+        except FloatingPointError as e:
+            raise TrainingError(f"non-finite dev metric at epoch {epoch}, "
+                                f"lr {state.lr}: {e}") from e
         row = {"epoch": epoch, "loss": total_sum / n_batches,
                "dev_metric": metric, "lr": state.lr}
         for name, s in sums.items():

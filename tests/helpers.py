@@ -2,16 +2,18 @@
 
 The CRF oracle scores every one of the K^n tag sequences explicitly, so
 dynamic programming results can be checked against exhaustive truth.
-The span codec, tokenizer and forest-index oracles are the loops the
-package replaced with its one O/B/I/C codec, one regular expression and
-one vectorized shift.
+The span codec, tokenizer, tree and forest-index oracles are the loops
+the package replaced with its one O/B/I/C codec, one string split, one
+flat pass over the tokens or nodes and one vectorized shift.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
 from framepath.autodiff import grad_check
+from framepath.syntax import ConstTree, Node, TreeSyntaxError, _tokenize
 
 
 # Values of the wrong type or range that the seeded fuzz tests put in
@@ -132,6 +134,68 @@ def tokenize_loop(text):
     if cur:
         out.append("".join(cur))
     return out
+
+
+def parse_bracketed_recursive(text):
+    """The recursive-descent bracketed-tree parser, one Python frame per
+    nesting level: the same trees and TreeSyntaxError messages as
+    syntax.parse_bracketed, up to the interpreter's recursion limit."""
+    toks = _tokenize(text)
+    if not toks:
+        raise TreeSyntaxError("empty tree string")
+    nodes, preterminals = [], []
+    pos = 0
+
+    def parse_node(parent):
+        nonlocal pos
+        if pos >= len(toks) or toks[pos] != "(":
+            raise TreeSyntaxError(f"expected '(' at token {pos}")
+        pos += 1
+        if pos >= len(toks) or toks[pos] in "()":
+            raise TreeSyntaxError(f"missing node label at token {pos}")
+        label = sys.intern(toks[pos])
+        pos += 1
+        node_id = len(nodes)
+        nodes.append(Node(id=node_id, label=label, parent=parent))
+        kids, words = [], []
+        while pos < len(toks) and toks[pos] != ")":
+            if toks[pos] == "(":
+                kids.append(parse_node(node_id))
+            else:
+                words.append(toks[pos])
+                pos += 1
+        if pos >= len(toks):
+            raise TreeSyntaxError("unbalanced parentheses: missing ')'")
+        pos += 1
+        if kids and words:
+            raise TreeSyntaxError(
+                f"node {label!r} mixes child constituents and bare words")
+        nodes[node_id].children = tuple(kids)
+        if not kids:
+            if len(words) != 1:
+                raise TreeSyntaxError(
+                    f"leaf {label!r} must hold exactly one word, got {words!r}")
+            nodes[node_id].word = sys.intern(words[0])
+            preterminals.append(node_id)
+        return node_id
+
+    root = parse_node(None)
+    if pos != len(toks):
+        raise TreeSyntaxError(f"trailing input after tree at token {pos}")
+    return ConstTree(nodes=nodes, root_index=root,
+                     preterminal_order=preterminals)
+
+
+def serialize_recursive(tree):
+    """Bracketed string of a tree, one Python frame per nesting level."""
+
+    def emit(node_id):
+        node = tree.nodes[node_id]
+        if node.is_preterminal:
+            return f"({node.label} {node.word})"
+        return f"({node.label} " + " ".join(map(emit, node.children)) + ")"
+
+    return emit(tree.root_index)
 
 
 def forest_index_loop(blocks, firsts):

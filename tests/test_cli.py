@@ -19,6 +19,7 @@ from framepath.corpus import (Ontology, build_vocab, load_corpus, load_ontology,
 from framepath.layers import ParamStore
 from framepath.model import FrameParser
 from framepath.synth import generate
+from framepath.syntax import parse_bracketed, serialize
 
 from helpers import WRONG_VALUES, json_slots
 
@@ -104,6 +105,60 @@ def test_predict_jsonl(workspace, tmp_path):
     # Predictions are corpus-format: they reload under the same ontology.
     reloaded = load_corpus(str(out), ontology=load_ontology(workspace["onto"]))
     assert len(reloaded) == 24
+
+
+def test_5000_level_tree_predicts_and_evaluates(workspace, tmp_path, capsys):
+    # A corpus sentence under 5,000 more S levels: no stack limit stops
+    # reading, encoding, parsing or writing it.
+    record = json.loads(open(workspace["corpus"]).readline())
+    record["tree"] = "(S " * 5000 + record["tree"] + ")" * 5000
+    deep, out = tmp_path / "deep.jsonl", tmp_path / "pred.jsonl"
+    deep.write_text(json.dumps(record) + "\n")
+    assert main(["predict", "--checkpoint", workspace["ckpt"],
+                 "--corpus", str(deep), "--out", str(out)]) == 0
+    assert main(["eval", "--checkpoint", workspace["ckpt"],
+                 "--corpus", str(deep)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["task"] == "ti"
+    [sent] = load_corpus(str(out), ontology=load_ontology(workspace["onto"]))
+    assert json.loads(out.read_text())["tree"] == record["tree"]
+    assert serialize(sent.tree) == record["tree"]
+    assert parse_bracketed(serialize(sent.tree)).nodes == sent.tree.nodes
+    assert len(sent.tree) > 5000
+
+
+def test_train_with_empty_dev_corpus_exits_2(workspace, tmp_path, capsys):
+    empty, ckpt = tmp_path / "empty.jsonl", tmp_path / "model.json"
+    empty.write_text("")
+    assert main(["train", "--corpus", workspace["corpus"], "--ontology",
+                 workspace["onto"], "--dev", str(empty), "--checkpoint",
+                 str(ckpt)]) == 2
+    assert capsys.readouterr() == ("", "error: empty dev corpus\n")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("n_sentences,message", [
+    (24, "non-finite loss at epoch 1, batch of sentences "),
+    (4, "non-finite dev metric at epoch 1, lr 1e+300: "),
+], ids=["loss", "dev-metric"])
+def test_overflowing_training_prints_only_the_error_line(
+        workspace, tmp_path, capsys, n_sentences, message):
+    # lr 1e300 overflows the first Adam step; with four sentences (one
+    # batch) the dev metric is the first pass to meet the overflow.
+    corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.json"
+    lines = open(workspace["corpus"]).readlines()[:n_sentences]
+    corpus.write_text("".join(lines))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--corpus", str(corpus), "--ontology",
+                     workspace["onto"], "--checkpoint", str(ckpt),
+                     "--lr", "1e300", "--max-epochs", "2"]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1 and err.endswith(
+        "non-finite value produced by affine\n")
+    assert not ckpt.exists()
 
 
 def test_missing_file_exits_2(workspace):

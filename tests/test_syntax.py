@@ -12,7 +12,8 @@ from framepath.syntax import (
     tree_path,
 )
 
-from helpers import tokenize_loop
+from helpers import (parse_bracketed_recursive, serialize_recursive,
+                     tokenize_loop)
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
@@ -41,8 +42,10 @@ def bfs_path(tree: ConstTree, i: int, j: int) -> list[int]:
     return path[::-1]
 
 
-def random_tree(rng: np.random.Generator, max_nodes: int = 30) -> ConstTree:
-    """Random tree via random parent attachment, rendered through the parser."""
+def random_bracketed(rng: np.random.Generator, max_nodes: int = 30,
+                     blanks: tuple[str, ...] = (" ",)) -> str:
+    """Bracketed string of a random tree built by random parent
+    attachment; siblings are parted by a blank drawn from blanks."""
     n = int(rng.integers(1, max_nodes + 1))
     parents = [None] + [int(rng.integers(0, k)) for k in range(1, n)]
     children = [[] for _ in range(n)]
@@ -53,10 +56,42 @@ def random_tree(rng: np.random.Generator, max_nodes: int = 30) -> ConstTree:
     def emit(k: int) -> str:
         if not children[k]:
             return f"(N{k} w{k})"
-        inner = " ".join(emit(c) for c in children[k])
+        sep = blanks[int(rng.integers(len(blanks)))] if blanks[1:] else " "
+        inner = sep.join(emit(c) for c in children[k])
         return f"(N{k} {inner})"
 
-    return parse_bracketed(emit(0))
+    return emit(0)
+
+
+def random_tree(rng: np.random.Generator, max_nodes: int = 30) -> ConstTree:
+    """Random tree via random parent attachment, rendered through the parser."""
+    return parse_bracketed(random_bracketed(rng, max_nodes))
+
+
+# Each malformed string and the exact message it raises.
+MALFORMED = {
+    "": "empty tree string",
+    "(S (NP (PRP She))": "unbalanced parentheses: missing ')'",  # no close
+    "(S (NP (PRP She))))": "trailing input after tree at token 10",  # extra
+    "(S)": "leaf 'S' must hold exactly one word, got []",
+    "(S (NP two words here) (VP (VB x)))":
+        "leaf 'NP' must hold exactly one word, got ['two', 'words', 'here']",
+    "(S (NP (PRP I)) stray)":  # words mixed with constituents
+        "node 'S' mixes child constituents and bare words",
+    "((NP (PRP I)))": "missing node label at token 1",
+    "word": "expected '(' at token 0",  # no brackets at all
+    "(S (NP (PRP I))) (S (NP (PRP I)))":  # two roots
+        "trailing input after tree at token 10",
+    "   \n": "empty tree string",
+    ")": "expected '(' at token 0",
+    "(": "missing node label at token 1",
+    "(S ()": "missing node label at token 3",
+    "(S a": "unbalanced parentheses: missing ')'",
+    "(S (NP a) b": "unbalanced parentheses: missing ')'",
+    "(S a (NP b))": "node 'S' mixes child constituents and bare words",
+    "(S ))": "leaf 'S' must hold exactly one word, got []",
+    "(S (A a))x": "trailing input after tree at token 7",
+}
 
 
 class TestParse:
@@ -131,23 +166,57 @@ class TestParse:
                 assert (node.children == ()) == node.is_preterminal
         assert {"S", "NP", "VP", "had", "patience", "She"} <= set(first)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "(S (NP (PRP She))",        # missing close
-            "(S (NP (PRP She))))",      # extra close
-            "(S)",                      # leaf without word
-            "(S (NP two words here) (VP (VB x)))",  # multi-word leaf
-            "(S (NP (PRP I)) stray)",   # words mixed with constituents
-            "((NP (PRP I)))",           # missing label
-            "word",                     # no brackets at all
-            "(S (NP (PRP I))) (S (NP (PRP I)))",  # two roots
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_raises(self, bad):
-        with pytest.raises(TreeSyntaxError):
-            parse_bracketed(bad)
+        for parse in (parse_bracketed, parse_bracketed_recursive):
+            with pytest.raises(TreeSyntaxError) as raised:
+                parse(bad)
+            assert str(raised.value) == MALFORMED[bad]
+
+    def test_matches_recursive_parser(self):
+        # Seeded fuzz against the recursive-descent parser the flat pass
+        # replaced: the same nodes, token order and root, or the same
+        # error message.  Every fifth string is nested up to 300 deep,
+        # well inside the oracle's recursion limit; every third is a
+        # well-formed random tree, which must also serialize to the
+        # oracle's bytes.
+        rng = np.random.default_rng(23)
+        pieces = ["(", ")", " ", "S", "NP", "x", "\n", "()", "(NN a)",
+                  "(A ", ") ", "\u3000", "(B b) "]
+        parsed = 0
+        for k in range(6000):
+            if k % 3 == 0:
+                text = random_bracketed(rng, blanks=(" ", "", "\n  ", "\t"))
+            else:
+                text = "".join(rng.choice(pieces, size=rng.integers(0, 30)))
+            if k % 5 == 0:
+                depth = int(rng.integers(1, 300))
+                text = "(A " * depth + text + ")" * depth
+            try:
+                want = parse_bracketed_recursive(text)
+            except TreeSyntaxError as e:
+                with pytest.raises(TreeSyntaxError) as raised:
+                    parse_bracketed(text)
+                assert str(raised.value) == str(e), repr(text)
+                continue
+            got = parse_bracketed(text)
+            assert got.nodes == want.nodes, repr(text)
+            assert got.preterminal_order == want.preterminal_order
+            assert got.root_index == want.root_index == 0
+            assert serialize(got) == serialize_recursive(want)
+            parsed += 1
+        assert parsed > 2000
+
+    def test_deep_tree_round_trips(self):
+        # 20,000 levels: far past any recursion limit.
+        depth = 20000
+        text = "(S " * (depth - 1) + "(NN a)" + ")" * (depth - 1)
+        tree = parse_bracketed(text)
+        assert len(tree) == depth
+        assert [n.parent for n in tree.nodes] == [None, *range(depth - 1)]
+        assert tree.preterminal_order == [depth - 1]
+        assert serialize(tree) == text
+        assert tree_path(tree, depth - 1, 0) == list(range(depth))[::-1]
 
     def test_random_bracket_strings_raise_only_tree_syntax_error(self):
         # Seeded fuzz: short strings over brackets, labels and blanks, and

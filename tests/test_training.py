@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,32 @@ class TestTrainLoop:
         model, _ = make_model()
         with pytest.raises(TrainingError, match="empty"):
             train(model, [], [])
+
+    def test_empty_dev_corpus_rejected(self):
+        # An empty dev corpus would score 1 on every epoch, so early
+        # stopping and best-epoch selection would watch a constant.
+        model, sent = make_model()
+        before = {p: e.tensor.data.copy() for p, e in model.store.entries()}
+        with pytest.raises(TrainingError, match="^empty dev corpus$"):
+            train(model, [sent], [])
+        for path, entry in model.store.entries():
+            assert np.array_equal(entry.tensor.data, before[path]), path
+
+    @pytest.mark.parametrize("n_train,where", [
+        (9, "non-finite loss at epoch 1, batch of sentences"),
+        (1, "non-finite dev metric at epoch 1, lr 1e+300"),
+    ], ids=["loss", "dev-metric"])
+    def test_overflow_is_a_training_error_without_warnings(self, n_train,
+                                                           where):
+        # A step of lr 1e300 overflows the parameters.  With nine
+        # sentences the second batch's loss is the first thing it reaches;
+        # with one, the first epoch's dev metric is.
+        model, sent = make_model(lr=1e300, batch_size=8, task="joint")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=re.escape(where)):
+                train(model, [sent] * n_train, [sent])
+        assert caught == []
 
     def test_log_file_layout(self, tmp_path):
         path = str(tmp_path / "log.csv")
