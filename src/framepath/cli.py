@@ -177,6 +177,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, sentences = _load_model_and_corpus(args)
+    if not sentences:  # nothing to score is not a perfect score
+        raise CorpusError(f"{args.corpus}: empty corpus")
     with _checkpoint_overflow(args.checkpoint):
         reports = evaluate(model, sentences, args.task or model.config.task)
     text = json.dumps(reports, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .corpus import Sentence
-from .model import FrameParser
+from .model import TASK_LOSSES, FrameParser
 
 
 def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -25,11 +25,8 @@ def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
 
 
 def _tally(gold: Sequence[Sequence], pred: Sequence[Sequence]):
-    if len(gold) != len(pred):
-        raise ValueError(
-            f"gold and pred lengths differ: {len(gold)} vs {len(pred)}")
     matched = n_pred = n_gold = 0
-    for g, p in zip(gold, pred):
+    for g, p in zip(gold, pred, strict=True):  # unequal lengths raise
         gset, pset = set(g), set(p)
         matched += len(gset & pset)
         n_gold += len(gset)
@@ -38,12 +35,8 @@ def _tally(gold: Sequence[Sequence], pred: Sequence[Sequence]):
 
 
 def fi_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
-    if len(gold) != len(pred):
-        raise ValueError(
-            f"gold and pred lengths differ: {len(gold)} vs {len(pred)}")
-    if not gold:
-        return 1.0
-    return sum(g == p for g, p in zip(gold, pred)) / len(gold)
+    correct = sum(g == p for g, p in zip(gold, pred, strict=True))
+    return correct / len(gold) if gold else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -59,65 +52,70 @@ def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
             "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
 
 
-def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+def _reports(model: FrameParser, sentences: Sequence[Sentence],
+             tasks: Sequence[str]) -> list[dict]:
+    """The reports of tasks, in order, from one pass over the sentences
+    (the annotated ones only, unless ti is asked for), CHUNK at a time as
+    parse_many runs: per chunk, one encode, the ti decoding, and one sum
+    of the gold target rows that frame and role prediction share."""
+    ti, fi, srl = ("ti" in tasks, "fi" in tasks, "srl" in tasks)
+    found, anns, frames, roles = [], [], [], []  # roles: (spans, labels)
     with ad.fresh_tape(), ad.no_grad():
-        pred = [[tuple(t) for t in targets]
-                for encs in model.encode_chunks(sentences)
-                for targets in model.ti_predict(encs)]
-    gold = [[tuple(sorted(a.target)) for a in sent.annotations]
-            for sent in sentences]
-    return _span_report("ti", gold, pred)
+        for encs in model.encode_chunks(sentences if ti else [
+                sent for sent in sentences if sent.annotations]):
+            found += model.ti_predict(encs) if ti else []
+            items = [(e, a) for e in encs for a in e.prep.sentence.annotations]
+            if not (items and (fi or srl)):
+                continue
+            owner, chunk = zip(*items)
+            targets, lus = [a.target for a in chunk], [a.lu for a in chunk]
+            rows = model.encoded_target_rows(owner, targets)
+            frames += model.fi_predict(owner, targets, lus, rows) if fi else []
+            roles += zip(*model.srl_predict(owner, targets, lus, [
+                a.frame for a in chunk], t=rows)) if srl else []
+            anns += chunk
+    out = {}
+    if ti:
+        out["ti"] = _span_report("ti", [
+            [tuple(sorted(a.target)) for a in sent.annotations]
+            for sent in sentences], [list(map(tuple, ts)) for ts in found])
+    if fi:
+        gold = [a.frame for a in anns]
+        out["fi"] = {"task": "fi", "accuracy": fi_accuracy(gold, frames),
+                     "counts": {"total": len(gold), "correct": sum(
+                         g == p for g, p in zip(gold, frames))}}
+    if srl:
+        out["srl"] = _span_report("srl", [
+            [(label, s, e) for (s, e), label in a.elements] for a in anns],
+            [[(label, s, e) for (s, e), label in zip(*pred)]
+             for pred in roles])
+    return [out[task] for task in tasks]
 
 
-def _gold_items(model: FrameParser, sentences: Sequence[Sentence]):
-    """Every gold annotation and its sentence's encoding, as two lists,
-    from one encode per annotated sentence."""
-    encs = [model.encode(model.prepare(sent, with_gold=False))
-            for sent in sentences if sent.annotations]
-    return [enc for enc in encs for _ in enc.prep.sentence.annotations], [
-        ann for enc in encs for ann in enc.prep.sentence.annotations]
+def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+    """Target P/R/F1 over predicted targets."""
+    return _reports(model, sentences, ["ti"])[0]
 
 
 def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Frame accuracy over gold targets and gold lexical units."""
-    with ad.fresh_tape(), ad.no_grad():
-        encs, anns = _gold_items(model, sentences)
-        pred = model.fi_predict(encs, [a.target for a in anns],
-                                [a.lu for a in anns])
-    gold = [a.frame for a in anns]
-    return {"task": "fi", "accuracy": fi_accuracy(gold, pred),
-            "counts": {"total": len(gold),
-                       "correct": sum(g == p for g, p in zip(gold, pred))}}
+    return _reports(model, sentences, ["fi"])[0]
 
 
 def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Labeled-span P/R/F1 with gold targets and gold frames."""
-    with ad.fresh_tape(), ad.no_grad():
-        encs, anns = _gold_items(model, sentences)
-        spans, labels = model.srl_predict(
-            encs, [a.target for a in anns], [a.lu for a in anns],
-            [a.frame for a in anns])
-    gold = [[(label, s, e) for (s, e), label in a.elements] for a in anns]
-    pred = [[(label, s, e) for (s, e), label in zip(sp, lab)]
-            for sp, lab in zip(spans, labels)]
-    return _span_report("srl", gold, pred)
-
-
-EVALUATORS = {"ti": evaluate_ti, "fi": evaluate_fi, "srl": evaluate_srl}
+    return _reports(model, sentences, ["srl"])[0]
 
 
 def evaluate(model: FrameParser, sentences: Sequence[Sentence],
              task: str) -> list[dict]:
-    """Reports for one task, or all three for joint."""
-    if task == "joint":
-        return [EVALUATORS[t](model, sentences) for t in ("ti", "fi", "srl")]
-    return [EVALUATORS[task](model, sentences)]
+    """Reports of the task's parts (all three for joint), from one pass."""
+    return _reports(model, sentences, TASK_LOSSES[task])
 
 
-# task -> the (evaluator, report key) pairs whose mean is its dev metric
-DEV_METRICS = {"ti": [(evaluate_ti, "f1")], "fi": [(evaluate_fi, "accuracy")],
-               "srl": [(evaluate_srl, "f1")],
-               "joint": [(evaluate_fi, "accuracy"), (evaluate_srl, "f1")]}
+# task -> {report: key}, the report values whose mean is its dev metric
+DEV_METRICS = {"ti": {"ti": "f1"}, "fi": {"fi": "accuracy"},
+               "srl": {"srl": "f1"}, "joint": {"fi": "accuracy", "srl": "f1"}}
 
 
 def dev_metric(model: FrameParser, sentences: Sequence[Sentence],
@@ -125,6 +123,6 @@ def dev_metric(model: FrameParser, sentences: Sequence[Sentence],
     """The scalar the scheduler and early stopping watch (higher = better)."""
     if task not in DEV_METRICS:
         raise ValueError(f"unknown task {task!r}")
-    parts = DEV_METRICS[task]
-    return sum(evaluator(model, sentences)[key]
-               for evaluator, key in parts) / len(parts)
+    keys = DEV_METRICS[task]
+    return sum(report[keys[report["task"]]] for report in _reports(
+        model, sentences, list(keys))) / len(keys)

@@ -4,7 +4,9 @@ The CRF oracle scores every one of the K^n tag sequences explicitly, so
 dynamic programming results can be checked against exhaustive truth.
 The span codec, tokenizer, tree and forest-index oracles are the loops
 the package replaced with its one O/B/I/C codec, one string split, one
-flat pass over the tokens or nodes and one vectorized shift.
+flat pass over the tokens or nodes and one vectorized shift.  The
+evaluation oracles encode one sentence per encode call and score each
+task in its own pass, as the package did before its chunked pass.
 """
 
 import itertools
@@ -12,7 +14,9 @@ import sys
 
 import numpy as np
 
+from framepath import autodiff as ad
 from framepath.autodiff import grad_check
+from framepath.evaluation import _span_report, fi_accuracy
 from framepath.syntax import ConstTree, Node, TreeSyntaxError, _tokenize
 
 
@@ -211,3 +215,70 @@ def forest_index_loop(blocks, firsts):
             block < 0, -1, block + first)
         row += len(block)
     return out
+
+
+def _gold_items_oracle(model, sentences):
+    """Every gold annotation and its sentence's encoding, as two lists,
+    from one single-sentence encode per annotated sentence."""
+    encs = [model.encode(model.prepare(sent, with_gold=False))
+            for sent in sentences if sent.annotations]
+    return [enc for enc in encs for _ in enc.prep.sentence.annotations], [
+        ann for enc in encs for ann in enc.prep.sentence.annotations]
+
+
+def evaluate_ti_oracle(model, sentences):
+    """evaluate_ti with one single-sentence encode per sentence."""
+    with ad.fresh_tape(), ad.no_grad():
+        pred = [[tuple(t) for t in model.ti_predict([model.encode(
+            model.prepare(sent, with_gold=False))])[0]] for sent in sentences]
+    gold = [[tuple(sorted(a.target)) for a in sent.annotations]
+            for sent in sentences]
+    return _span_report("ti", gold, pred)
+
+
+def evaluate_fi_oracle(model, sentences):
+    """evaluate_fi with its own gold pass: one encode per annotated
+    sentence, one frame prediction over every gold target."""
+    with ad.fresh_tape(), ad.no_grad():
+        encs, anns = _gold_items_oracle(model, sentences)
+        pred = model.fi_predict(encs, [a.target for a in anns],
+                                [a.lu for a in anns])
+    gold = [a.frame for a in anns]
+    return {"task": "fi", "accuracy": fi_accuracy(gold, pred),
+            "counts": {"total": len(gold),
+                       "correct": sum(g == p for g, p in zip(gold, pred))}}
+
+
+def evaluate_srl_oracle(model, sentences):
+    """evaluate_srl with its own gold pass: one encode per annotated
+    sentence, one role prediction over every gold target."""
+    with ad.fresh_tape(), ad.no_grad():
+        encs, anns = _gold_items_oracle(model, sentences)
+        spans, labels = model.srl_predict(
+            encs, [a.target for a in anns], [a.lu for a in anns],
+            [a.frame for a in anns])
+    gold = [[(label, s, e) for (s, e), label in a.elements] for a in anns]
+    pred = [[(label, s, e) for (s, e), label in zip(sp, lab)]
+            for sp, lab in zip(spans, labels)]
+    return _span_report("srl", gold, pred)
+
+
+ORACLES = {"ti": evaluate_ti_oracle, "fi": evaluate_fi_oracle,
+           "srl": evaluate_srl_oracle}
+ORACLE_DEV_METRICS = {"ti": [("ti", "f1")], "fi": [("fi", "accuracy")],
+                      "srl": [("srl", "f1")],
+                      "joint": [("fi", "accuracy"), ("srl", "f1")]}
+
+
+def evaluate_oracle(model, sentences, task):
+    """evaluation.evaluate, one oracle pass per reported task."""
+    tasks = ("ti", "fi", "srl") if task == "joint" else (task,)
+    return [ORACLES[t](model, sentences) for t in tasks]
+
+
+def dev_metric_oracle(model, sentences, task):
+    """evaluation.dev_metric over the oracles: the mean of the task's
+    report values, summed in the same order."""
+    parts = ORACLE_DEV_METRICS[task]
+    return sum(ORACLES[t](model, sentences)[key]
+               for t, key in parts) / len(parts)

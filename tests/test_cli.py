@@ -136,6 +136,17 @@ def test_train_with_empty_dev_corpus_exits_2(workspace, tmp_path, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("task", ["ti", "fi", "srl", "joint"])
+def test_eval_of_an_empty_corpus_exits_2(workspace, tmp_path, capsys, task):
+    # no sentence to score is an input error, not a perfect score
+    empty, report = tmp_path / "empty.jsonl", tmp_path / "report.json"
+    empty.write_text("")
+    assert main(["eval", "--checkpoint", workspace["ckpt"], "--corpus",
+                 str(empty), "--task", task, "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: {empty}: empty corpus\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("n_sentences,message", [
     (24, "non-finite loss at epoch 1, batch of sentences "),
     (4, "non-finite dev metric at epoch 1, lr 1e+300: "),

@@ -1,5 +1,12 @@
+import dataclasses
+import math
+
 import pytest
 
+from framepath import autodiff as ad
+from framepath import model as model_module
+from framepath import synth, training
+from framepath.corpus import build_vocab
 from framepath.evaluation import (
     _span_report,
     dev_metric,
@@ -9,8 +16,11 @@ from framepath.evaluation import (
     evaluate_ti,
     fi_accuracy,
 )
+from framepath.model import FrameParser
 
-from test_model import count_backbone_calls, make_model, make_sentence
+from helpers import dev_metric_oracle, evaluate_oracle
+from test_model import (count_backbone_calls, make_corpus_model, make_model,
+                        make_sentence, tiny_config)
 
 
 def report_prf(gold, pred):
@@ -132,9 +142,86 @@ class TestDrivers:
         model, sent = make_model()
         calls = count_backbone_calls(model)
         evaluate_srl(model, [sent, sent])
-        assert calls == {"a": 2, "b": 1}
+        assert calls == {"a": 1, "b": 1}  # one chunk of two sentences
 
     def test_dev_metric_unknown_task(self):
         model, sent = make_model()
         with pytest.raises(ValueError):
             dev_metric(model, [sent], "parse")
+
+
+def gold_corpus(n_annotated):
+    """A model and n_annotated annotated sentences (among them an
+    annotation with no roles), each distinct and each second one
+    followed by an unannotated sentence.  The model's frame head tells
+    ran.v's frames apart by the target row: Motion for the first
+    sentence's, Operating for the second's."""
+    model, corpus = make_corpus_model()
+    with ad.fresh_tape(), ad.no_grad():
+        h2 = [ad.leaky_relu(model.fi2(ad.leaky_relu(model.fi1(
+            model.target_rows(model.encode(model.prepare(sent)).a, [[2]])
+        )))).data[0] for sent in corpus[:2]]
+    v, mid = h2[0] - h2[1], (h2[0] + h2[1]) / 2.0
+    for sign, frame in ((1.0, "Motion"), (-1.0, "Operating")):
+        k = model.ontology.frame_id(frame)
+        model.fi3.w.data[:, k] = sign * v
+        model.fi3.b.data[k] = -sign * v @ mid
+    *annotated, bare = corpus
+    out = []
+    for k in range(n_annotated):
+        out.append(dataclasses.replace(annotated[k % len(annotated)]))
+        if k % 2:
+            out.append(dataclasses.replace(bare))
+    return model, out
+
+
+class TestChunkedGoldPass:
+    @pytest.mark.parametrize("n_annotated", [1, model_module.CHUNK,
+                                             model_module.CHUNK + 1])
+    def test_reports_equal_the_one_sentence_oracle(self, n_annotated):
+        model, corpus = gold_corpus(n_annotated)
+        assert any(not s.annotations for s in corpus) == (n_annotated > 1)
+        joint = evaluate_oracle(model, corpus, "joint")
+        assert joint[1]["accuracy"] == 1.0  # the rigged frame head
+        assert joint[2]["counts"]["pred"] > 0  # roles are predicted
+        assert evaluate_fi(model, corpus) == joint[1]
+        assert evaluate_srl(model, corpus) == joint[2]
+        assert evaluate(model, corpus, "joint") == joint
+        for task in ("ti", "fi", "srl", "joint"):
+            assert dev_metric(model, corpus, task) == dev_metric_oracle(
+                model, corpus, task)
+
+    def test_training_metric_log_equals_the_oracle_run(self, tmp_path,
+                                                       monkeypatch):
+        sentences, ontology = synth.generate(4, 16)
+        logs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(training, "dev_metric", dev_metric_oracle)
+            parser = FrameParser(tiny_config(task="joint", max_epochs=3),
+                                 build_vocab(sentences, ontology), ontology)
+            path = tmp_path / f"log{patched}.csv"
+            training.train(parser, sentences[:10], sentences[10:],
+                           log_path=str(path))
+            logs.append(path.read_bytes())
+        assert logs[0] == logs[1]
+        assert len(logs[0].splitlines()) == 4
+
+    @pytest.mark.parametrize("chunk", [2, model_module.CHUNK])
+    def test_srl_runs_one_bounded_backbone_b_pass_per_chunk(
+            self, monkeypatch, chunk):
+        monkeypatch.setattr(model_module, "CHUNK", chunk)
+        n = 2 * chunk + 1
+        model, corpus = gold_corpus(n)
+        held = []  # the sentences each target_b call holds targets from
+        inner = model.target_b
+
+        def recording(pairs, train=False):
+            held.append({id(enc.prep.sentence) for enc, _ in pairs})
+            return inner(pairs, train)
+
+        model.target_b = recording
+        lstm = count_backbone_calls(model)
+        evaluate_srl(model, corpus)
+        assert lstm["b"] == len(held) == math.ceil(n / chunk)
+        assert max(map(len, held)) == chunk
