@@ -11,8 +11,9 @@ outright, so decoding is legal at any emission scale.
 log Z and the gold score are one tape op each over every chain of a
 batch, packed back to back; log Z's backward pass is forward-backward
 (Sutton & McCallum, An Introduction to CRFs, 2012).  Viterbi is plain
-numpy, one chain at a time, and breaks score ties toward the lower label
-id (argmax returns the first maximum).
+numpy max-product over the same packed block, every chain of a call at
+once, and breaks score ties toward the lower label id (argmax returns
+the first maximum).
 """
 
 from __future__ import annotations
@@ -175,26 +176,34 @@ class LinearChainCrf:
         return ad.sub(self.log_partition(emissions, constrain, lengths),
                       self.gold_score(emissions, tags, constrain, lengths))
 
-    def viterbi(self, emissions: np.ndarray) -> list[int]:
-        """Best legal tag sequence (no tape): the scheme's forbidden
-        openers and bigrams score -inf, not a finite penalty."""
-        n = len(emissions)
-        if n == 0:
+    def viterbi(self, emissions: np.ndarray,
+                lengths: Sequence[int] | None = None) -> list:
+        """Best legal tags of each chain packed in emissions (lengths None:
+        one chain, one list), by max-product over an ad.Packed block, no
+        tape; the scheme's forbidden openers and bigrams score -inf."""
+        if lengths is None and len(emissions) == 0:
             return []
-        start = np.where(self.scheme.allowed_start, self.start.data, -np.inf)
+        chains = ad.Packed(len(emissions), lengths)
+        x = chains.to_block(emissions)
         trans = np.where(self.scheme.allowed_transition, self.trans.data,
                          -np.inf)
-        score = start + emissions[0]
-        back = []  # per step, each label's best predecessor
-        for t in range(1, n):
-            total = score[:, None] + trans
-            back.append(total.argmax(axis=0).tolist())
+        score = np.where(self.scheme.allowed_start, self.start.data,
+                         -np.inf) + x[0]
+        back = []  # per step, each running chain's labels' best predecessor
+        for t in range(1, chains.steps):
+            m = chains.running[t]
+            total = score[:m, :, None] + trans
+            back.append(total.argmax(axis=1).tolist())
             # max is the very element argmax picks, the first maximum
-            score = total.max(axis=0) + emissions[t]
-        tags = [int((score + self.end.data).argmax())]
-        for best in reversed(back):
-            tags.append(best[tags[-1]])
-        return tags[::-1]
+            score[:m] = total.max(axis=1) + x[t, :m]
+        tags = [None] * len(chains.order)
+        for c, last in enumerate((score + self.end.data).argmax(1).tolist()):
+            j = chains.order[c]
+            tags[j] = [last]
+            for best in reversed(back[:chains.lengths[j] - 1]):
+                tags[j].append(best[c][tags[j][-1]])
+            tags[j].reverse()
+        return tags[0] if lengths is None else tags
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -348,13 +348,13 @@ class FrameParser:
 
     def ti_predict(self, encs: list[SentenceEncoding]
                    ) -> list[list[list[int]]]:
-        """Each encoding's targets: one ti_emit, one Viterbi per sentence."""
+        """Each encoding's targets: one ti_emit, one Viterbi for them all."""
         a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
+        lengths = [len(enc.prep.sentence) for enc in encs]
+        rows = [f + i for f, n in zip(firsts, lengths) for i in range(n)]
         with ad.no_grad():
-            emissions = self.ti_emit(a).data
-        return [decode_iobc(self.ti_crf.viterbi(
-            emissions[first:first + len(enc.prep.sentence)]))
-            for enc, first in zip(encs, firsts)]
+            emissions = self.ti_emit(a).data[rows]
+        return list(map(decode_iobc, self.ti_crf.viterbi(emissions, lengths)))
 
     def fi_predict(self, encs: list[SentenceEncoding],
                    targets: list[list[int]], lus: list[str],
@@ -394,15 +394,16 @@ class FrameParser:
                 [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
                 # O/B/I tags only, so every decoded index set is a span
-                spans = [[(run[0], run[-1]) for run in decode_iobc(
-                    self.ai_crf.viterbi(c))]
-                    for c in np.split(emissions.data, b_first[1:-1])]
+                spans = [[(run[0], run[-1]) for run in decode_iobc(tags)]
+                         for tags in self.ai_crf.viterbi(emissions.data,
+                                                         np.diff(b_first))]
             emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
         emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
                                     for _ in s]] < 0.0] = -np.inf  # unlicensed
-        chains = np.split(emissions, np.cumsum([len(s) for s in spans])[:-1])
-        return spans, [[self.ontology.fes[k] for k in self.ac_crf.viterbi(c)]
-                       for c in chains]
+        sizes = [len(s) for s in spans if s]
+        roles = iter(self.ac_crf.viterbi(emissions, sizes) if sizes else ())
+        return spans, [[self.ontology.fes[k] for k in next(roles)] if s
+                       else [] for s in spans]
 
     def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
                    frame: str) -> list[tuple[int, int]]:

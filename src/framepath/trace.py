@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Sentence
+from .corpus import Sentence, decode_iobc
 from .model import FrameParser
 from .syntax import serialize
 
@@ -92,7 +92,7 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
             targets = [list(a.target) for a in sentence.annotations]
             out(f"gold targets: {targets}")
         else:
-            targets = model.ti_predict([enc])[0]
+            targets = decode_iobc(tags)
             out(f"predicted targets: {targets}")
         out("")
 

@@ -178,14 +178,20 @@ class TestConstraints:
         rng = np.random.default_rng(19)
         for seed, scheme in enumerate((iob2_scheme(), iobc_scheme())):
             crf = make_crf(scheme, seed=seed)
+            instances = []
             for _ in range(200):
                 n = int(rng.integers(1, 9))
                 scale = 10.0 ** rng.uniform(0.0, 6.0)
-                emissions = rng.normal(size=(n, scheme.n_labels)) * scale
-                tags = crf.viterbi(emissions)
-                assert scheme.allowed_start[tags[0]], (scale, tags)
+                instances.append(rng.normal(size=(n, scheme.n_labels))
+                                 * scale)
+            # one call per instance, then all 200 packed into one call
+            decoded = [crf.viterbi(e) for e in instances]
+            packed = crf.viterbi(np.concatenate(instances),
+                                 [len(e) for e in instances])
+            for tags in decoded + packed:
+                assert scheme.allowed_start[tags[0]], tags
                 for a, b in zip(tags, tags[1:]):
-                    assert scheme.allowed_transition[a, b], (scale, tags)
+                    assert scheme.allowed_transition[a, b], tags
 
     def test_constraining_changes_partition(self):
         crf = make_crf(iob2_scheme(), seed=6)
@@ -401,3 +407,38 @@ class TestPackedChains:
                 crf.log_partition(emissions, True, [2, 1])
             with pytest.raises(ValueError, match="empty"):
                 crf.gold_score(emissions, [0] * 4, True, [4, 0])
+        with pytest.raises(ValueError, match="do not pack"):
+            crf.viterbi(emissions.data, [2, 1])
+        with pytest.raises(ValueError, match="empty"):
+            crf.viterbi(emissions.data, [4, 0])
+
+    @pytest.mark.parametrize("scheme", [
+        iobc_scheme(), iob2_scheme(),
+        open_scheme(tuple(f"T{i}" for i in range(6)))],
+        ids=["iobc", "iob2", "open6"])
+    def test_packed_viterbi_equals_reference_per_chain(self, scheme):
+        # Integer scores make ties common; rows of -inf with one finite
+        # label are what srl_predict's role masks make.
+        rng = np.random.default_rng(47)
+        crf = make_crf(scheme, randomize=False)
+        k = scheme.n_labels
+        n = sum(self.LENGTHS)
+        for trial in range(60):
+            crf.trans.data = rng.integers(-2, 3, (k, k)).astype(float)
+            crf.start.data = rng.integers(-2, 3, k).astype(float)
+            crf.end.data = rng.integers(-2, 3, k).astype(float)
+            if trial % 2:
+                emissions = rng.integers(-3, 4, (n, k)).astype(float)
+            else:
+                emissions = rng.normal(size=(n, k)) * 10.0 ** (trial % 7)
+            only = rng.random(n) < 0.3
+            emissions[only] = np.where(
+                np.arange(k) == rng.integers(0, k, (only.sum(), 1)),
+                emissions[only], -np.inf)
+            decoded = crf.viterbi(emissions, self.LENGTHS)
+            assert len(decoded) == len(self.LENGTHS)
+            row = 0
+            for m, tags in zip(self.LENGTHS, decoded):
+                assert tags == reference_viterbi(
+                    crf, emissions[row:row + m]), trial
+                row += m

@@ -665,7 +665,9 @@ class TestPackedBatch:
 
         def keep(key, inner):
             def wrapper(self, emissions, *args):
-                seen[key].append(getattr(emissions, "data", emissions))
+                if self is model.ai_crf:
+                    seen[key].append((getattr(emissions, "data", emissions),
+                                      args[-1]))
                 return inner(self, emissions, *args)
             return wrapper
 
@@ -677,19 +679,17 @@ class TestPackedBatch:
                                parts=("srl",))
             encs = [model.encode(model.prepare(s, with_gold=False))
                     for s in corpus[:3]]
-            seen["viterbi"].clear()  # ti decoding is not under test
             anns = [(enc, a) for enc in encs
                     for a in enc.prep.sentence.annotations]
             model.srl_predict([enc for enc, _ in anns],
                               [a.target for _, a in anns],
                               [a.lu for _, a in anns],
                               [a.frame for _, a in anns])
-        trained = seen["nll"][0]  # the ai CRF's, before the ac CRF's
-        decoded = seen["viterbi"][:len(anns)]  # the ai chains come first
-        assert [len(c) for c in decoded] == [len(enc.prep.sentence)
-                                             for enc, _ in anns]
-        np.testing.assert_allclose(np.concatenate(decoded), trained,
-                                   rtol=0, atol=1e-10)
+        (trained, trained_lengths), = seen["nll"]
+        (decoded, lengths), = seen["viterbi"]  # one call for every chain
+        assert list(lengths) == list(trained_lengths) == [
+            len(enc.prep.sentence) for enc, _ in anns]
+        np.testing.assert_allclose(decoded, trained, rtol=0, atol=1e-10)
 
     def test_evaluate_fi_scores_every_target_at_once(self):
         model, corpus = make_corpus_model()
