@@ -17,7 +17,8 @@ Hot paths are single records with hand-written backwards, each over a
 whole batch: ``affine`` (every linear map), ``bilstm_layer`` (a layer's
 input projections and recurrence) over a ``Packed`` layout,
 ``sum_row_groups`` (graph-convolution, path, target and span sums),
-``bilinear_rows`` (argument scores), and the packed CRF ops in ``crf``.
+``bilinear_rows`` (argument scores), ``add_sq_norms`` (every L2 penalty
+of the objective), and the packed CRF ops in ``crf``.
 Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
 """
 
@@ -243,13 +244,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def mul_scalar(a: Tensor, s: float) -> Tensor:
-    out = Tensor(_check(a.data * s, "mul_scalar"))
+def add_sq_norms(x: Tensor, terms: Sequence[tuple[Tensor, float]]) -> Tensor:
+    """x + c * sum(t * t) for each (t, c) of terms in order, as one op:
+    bit for bit each term's mul, sum_all, product with c and add."""
+    total = x.data
+    for t, c in terms:
+        total = total + (t.data * t.data).sum() * c
+    out = Tensor(_check(total, "add_sq_norms"))
 
     def vjp(g):
-        _acc(a, g * s)
+        _acc(x, g)
+        for t, c in reversed(terms):  # the order separate ops run backward
+            gt = float(g * c) * t.data
+            _acc(t, gt)
+            _acc(t, gt)
 
-    return _record(out, (a,), vjp)
+    return _record(out, (x, *(t for t, _ in terms)), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import grad_check
-from .config import ConfigError, load_config
+from .config import PRESETS, TASKS, ConfigError, load_config
 from .corpus import (
     CorpusError,
     build_vocab,
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_model_args(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--preset", choices=["desk", "full"])
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--seed", type=int)
     p.add_argument("--no-gcn", action="store_true",
                    help="replace path features with zero vectors")
@@ -55,7 +55,7 @@ def _add_model_args(p: _Parser) -> None:
 
 def _add_training_args(p: _Parser) -> None:
     _add_model_args(p)
-    p.add_argument("--task", choices=["ti", "fi", "srl", "joint"])
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     ep = sub.add_parser("eval", help="evaluate a checkpoint")
     ep.add_argument("--checkpoint", required=True)
     ep.add_argument("--corpus", required=True)
-    ep.add_argument("--task", choices=["ti", "fi", "srl", "joint"],
+    ep.add_argument("--task", choices=TASKS,
                     help="fi: frame accuracy on gold targets; srl: role F1 "
                          "on gold targets and frames (default: the "
                          "checkpoint's task)")
@@ -227,7 +227,7 @@ def cmd_gradcheck(args) -> int:
         entry.tensor.data += noise.normal(0.0, 0.05, entry.tensor.data.shape)
     preps = [model.prepare(s) for s in sentences]
     failed = False
-    for task in ("ti", "fi", "srl", "joint"):
+    for task in TASKS:
         params = [e.tensor for _, e in model.trainable_entries(task)]
         worst, report = grad_check(lambda: model.loss(preps, task), params,
                                    max_checks=args.max_checks)

@@ -75,10 +75,10 @@ def open_scheme(labels: tuple[str, ...]) -> TagScheme:
 
 class LinearChainCrf:
     def __init__(self, store: ParamStore, path: str, scheme: TagScheme,
-                 group: str | None = None):
+                 l2: float = 0.0):
         k = scheme.n_labels
         self.scheme = scheme
-        self.trans = store.add(f"{path}.trans", np.zeros((k, k)), group=group)
+        self.trans = store.add(f"{path}.trans", np.zeros((k, k)), l2=l2)
         self.start = store.zeros(f"{path}.start", (k,))
         self.end = store.zeros(f"{path}.end", (k,))
         self._start_penalty = np.where(scheme.allowed_start, 0.0, PENALTY)

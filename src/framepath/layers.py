@@ -3,7 +3,8 @@ linear maps, layer norm, and a bidirectional LSTM.
 
 Every parameter lives in a ParamStore under a unique path.  The store is
 the single source of truth for optimization (which tensors train, which
-decay), for checkpoints (path -> values), and for gradient checking.
+decay, each L2 coefficient), for checkpoints (path -> values), and for
+gradient checking.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .autodiff import Tensor
 class ParamEntry:
     tensor: Tensor
     decay: bool          # participates in decoupled weight decay
-    group: str | None    # squared-norm penalty group, if any
+    l2: float            # squared-norm penalty coefficient (0: none)
 
 
 class ParamStore:
@@ -50,28 +51,27 @@ class ParamStore:
         return saved
 
     def add(self, path: str, values: np.ndarray, *, decay: bool = True,
-            group: str | None = None) -> Tensor:
+            l2: float = 0.0) -> Tensor:
         saved = self._saved_as(path, np.shape(values))
         if path in self._entries:
             raise ValueError(f"duplicate parameter path {path!r}")
         t = ad.param(np.asarray(values if saved is None else saved,
                                 dtype=np.float64), name=path)
-        self._entries[path] = ParamEntry(t, decay, group)
+        self._entries[path] = ParamEntry(t, decay, l2)
         return t
 
     # initializer shorthands ------------------------------------------------
 
     def glorot(self, path: str, fan_in: int, fan_out: int, *,
-               decay: bool = True, group: str | None = None) -> Tensor:
+               l2: float = 0.0) -> Tensor:
         values = self._saved_as(path, (fan_in, fan_out))
         if values is None:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
-        return self.add(path, values, decay=decay, group=group)
+        return self.add(path, values, l2=l2)
 
-    def zeros(self, path: str, shape, *, decay: bool = False,
-              group: str | None = None) -> Tensor:
-        return self.add(path, np.zeros(shape), decay=decay, group=group)
+    def zeros(self, path: str, shape) -> Tensor:
+        return self.add(path, np.zeros(shape), decay=False)
 
     def embedding(self, path: str, n: int, dim: int) -> Tensor:
         values = self._saved_as(path, (n, dim))

@@ -158,7 +158,7 @@ class FrameParser:
 
         self.ti_emit = Linear(self.store, "ti.emit", e_dim, 4)
         self.ti_crf = LinearChainCrf(self.store, "ti.crf", iobc_scheme(),
-                                     group="crf")
+                                     l2=c.l2_crf)
 
         self.fi1 = Linear(self.store, "fi.l1", e_dim, c.fi_hidden1)
         self.fi2 = Linear(self.store, "fi.l2", c.fi_hidden1, c.fi_hidden2)
@@ -173,17 +173,17 @@ class FrameParser:
         self.ai_v2 = Linear(self.store, "srl.ai.v2", e_dim, c.ai_pb_dim)
         self.ai_u = [
             self.store.glorot(f"srl.ai.u{k}", c.ai_pr_dim, c.ai_pb_dim,
-                              group="bilinear")
+                              l2=c.l2_bilinear)
             for k in range(N_AI_LABELS)
         ]
         self.ai_crf = LinearChainCrf(self.store, "srl.ai.crf", iob2_scheme(),
-                                     group="crf")
+                                     l2=c.l2_crf)
         self.ac_y = Linear(self.store, "srl.ac.y", e_dim + z_dim, c.ac_dim)
         self.ac_emit = Linear(self.store, "srl.ac.emit", c.ac_dim,
                               len(ontology.fes))
         self.ac_crf = LinearChainCrf(self.store, "srl.ac.crf",
                                      open_scheme(tuple(ontology.fes)),
-                                     group="crf")
+                                     l2=c.l2_crf)
 
         # frame penalties by lu id, role penalties by frame id; the shapes
         # stay two-dimensional when the lexicon is empty
@@ -531,12 +531,8 @@ class FrameParser:
     def penalty_terms(self, task: str | None = None) -> list[tuple[Tensor, float]]:
         """Squared-norm penalty tensors (CRF transitions, bilinear maps)
         restricted to the task's trainable set, with coefficients."""
-        coeff = {"crf": self.config.l2_crf, "bilinear": self.config.l2_bilinear}
-        out = []
-        for path, e in self.trainable_entries(task):
-            if e.group in coeff and coeff[e.group] > 0.0:
-                out.append((e.tensor, coeff[e.group]))
-        return out
+        return [(e.tensor, e.l2) for _, e in self.trainable_entries(task)
+                if e.l2 > 0.0]
 
     def save(self, path: str) -> None:
         doc = {

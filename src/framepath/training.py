@@ -5,7 +5,8 @@ The optimizer updates with bias-corrected moments first and applies the
 decay term separately (never through the moments), so decay-exempt
 parameters (biases, layer norms, embeddings) see plain Adam.  Squared-
 norm penalties on CRF transition matrices and bilinear maps enter the
-objective itself, not the reported task losses.
+objective (so the logged total loss) as one add_sq_norms op, not the
+per-task losses.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def clip_global_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
 
 
 class PlateauScheduler:
-    """Halve (by `factor`) after `patience` consecutive epochs without an
-    absolute improvement above `threshold`."""
+    """Halve (by `factor`) after every `patience` consecutive epochs
+    without an absolute improvement above `threshold`; `stall` counts
+    those epochs, for early stopping."""
 
     def __init__(self, lr: float, patience: int, factor: float,
                  threshold: float):
@@ -110,17 +112,16 @@ class PlateauScheduler:
         self.factor = factor
         self.threshold = threshold
         self.best = -np.inf
-        self.bad_epochs = 0
+        self.stall = 0
 
     def step(self, metric: float) -> float:
         if metric > self.best + self.threshold:
             self.best = metric
-            self.bad_epochs = 0
+            self.stall = 0
         else:
-            self.bad_epochs += 1
-            if self.bad_epochs >= self.patience:
+            self.stall += 1
+            if self.stall % self.patience == 0:
                 self.lr *= self.factor
-                self.bad_epochs = 0
         return self.lr
 
 
@@ -147,10 +148,7 @@ def write_metric_log(path: str, rows: list[dict]) -> None:
 def _objective(model: FrameParser, preps: list[Prepared], task: str,
                penalties) -> tuple[Tensor, dict[str, float]]:
     parts = model.batch_losses(preps, train=True, parts=TASK_LOSSES[task])
-    loss = sum_parts(parts)
-    for tensor, coeff in penalties:
-        loss = ad.add(loss, ad.mul_scalar(ad.sum_all(ad.mul(tensor, tensor)),
-                                          coeff))
+    loss = ad.add_sq_norms(sum_parts(parts), penalties)
     return loss, {name: float(t.data) for name, t in parts.items()}
 
 
@@ -178,7 +176,6 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     best_metric = -np.inf
     best_epoch = 0
     best_params: list[np.ndarray] | None = None
-    stall = 0
     rows: list[dict] = []
     order = np.arange(len(preps))
 
@@ -229,14 +226,10 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             best_metric = metric
             best_epoch = epoch
             best_params = [p.data.copy() for p in params]
-        if metric > sched.best + cfg.scheduler_threshold:
-            stall = 0
-        else:
-            stall += 1
         state.lr = sched.step(metric)
         if cfg.stop_metric is not None and metric >= cfg.stop_metric:
             break
-        if stall >= cfg.early_stop_patience:
+        if sched.stall >= cfg.early_stop_patience:
             break
 
     if best_params is not None:

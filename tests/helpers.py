@@ -4,7 +4,8 @@ The CRF oracle scores every one of the K^n tag sequences explicitly, so
 dynamic programming results can be checked against exhaustive truth.
 The span codec, tokenizer, tree and forest-index oracles are the loops
 the package replaced with its one O/B/I/C codec, one string split, one
-flat pass over the tokens or nodes and one vectorized shift.  The
+flat pass over the tokens or nodes and one vectorized shift; the L2
+penalty reference is the op chain add_sq_norms replaced.  The
 evaluation oracles encode one sentence per encode call and score each
 task in its own pass, as the package did before its chunked pass.
 """
@@ -79,6 +80,15 @@ def assert_grads_ok(loss, params, tol=1e-4, abs_floor=1e-8):
     for name, idx, analytic, numeric, rel in report:
         assert rel < tol or abs(analytic - numeric) < abs_floor, \
             (name, idx, analytic, numeric, rel)
+
+
+def add_sq_norms_reference(x, terms):
+    """autodiff.add_sq_norms as the separate ops it replaced, term by
+    term: mul(t, t), sum_all, a product with c as a constant scalar and
+    add onto the running total."""
+    for t, c in terms:
+        x = ad.add(x, ad.mul(ad.sum_all(ad.mul(t, t)), ad.tensor(c)))
+    return x
 
 
 def encode_iob2(spans, n):

@@ -20,6 +20,8 @@ from framepath.corpus import build_vocab
 from framepath.model import FrameParser
 from framepath.synth import generate
 
+from helpers import add_sq_norms_reference
+
 RNG = np.random.default_rng(1234)
 
 
@@ -75,9 +77,31 @@ class TestPointwiseGrads:
         check(lambda: ad.sum_all(ad.sub(a, b)), [a, b])
         check(lambda: ad.sum_all(ad.mul(a, b)), [a, b])
 
-    def test_mul_scalar(self):
-        a = randp(5)
-        check(lambda: ad.sum_all(ad.mul_scalar(a, -2.5)), [a])
+    def test_add_sq_norms(self):
+        v, a, b = randp(3), randp(2, 3), randp(4)
+        check(lambda: ad.add_sq_norms(ad.sum_all(v), [(a, 0.3), (b, 2.5)]),
+              [v, a, b])
+
+    def test_add_sq_norms_equals_separate_ops(self):
+        # Value and every gradient bit for bit, with a tensor that also
+        # feeds x and one that is penalized twice.
+        a, b, w = randp(3, 3), randp(5), randp(3, 3)
+        terms = [(a, 1e-4), (b, 0.7), (a, 2.5)]
+        got = []
+        for f in (ad.add_sq_norms, add_sq_norms_reference):
+            ad.zero_grads([a, b, w])
+            with fresh_tape():
+                loss = f(ad.sum_all(ad.mul(a, w)), terms)
+                backward(loss)
+            got.append((loss.data.tobytes(), a.grad.tobytes(),
+                        b.grad.tobytes(), w.grad.tobytes()))
+        assert got[0] == got[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_add_sq_norms_overflow_names_the_op(self):
+        x = tensor(np.array(0.0))
+        with pytest.raises(FloatingPointError, match="by add_sq_norms$"):
+            ad.add_sq_norms(x, [(tensor(np.array([1.0, 1e200])), 1.0)])
 
     def test_affine_bias_broadcasts_over_rows(self):
         # One record holds the whole map; no pre-bias product is taped.
@@ -282,7 +306,7 @@ class TestTapeMechanics:
     def test_backward_requires_scalar(self):
         with fresh_tape():
             x = randp(3)
-            y = ad.mul_scalar(x, 2.0)
+            y = ad.mul(x, tensor(np.full(3, 2.0)))
             with pytest.raises(ValueError, match="scalar"):
                 backward(y)
 
@@ -336,8 +360,8 @@ class TestTapeMechanics:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_forward_raises(self):
         x = tensor(np.array([1e308]))
-        with pytest.raises(FloatingPointError, match="mul_scalar"):
-            ad.mul_scalar(x, 1e10)
+        with pytest.raises(FloatingPointError, match="by mul$"):
+            ad.mul(x, tensor(np.array([1e10])))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_check_survives_an_overflowing_sum(self):
@@ -615,7 +639,8 @@ class TestTapeLifetime:
         with fresh_tape():
             probe = ad._record(Tensor(x.data.copy()), (x,),
                                lambda g: seen.append(tape_length()))
-            backward(ad.sum_all(ad.tanh(ad.mul_scalar(probe, 2.0))))
+            backward(ad.sum_all(ad.tanh(ad.mul(probe,
+                                               tensor(np.full(3, 2.0))))))
         assert seen == [0]
 
     def test_bilstm_backward_does_not_hold_its_input_block(self):

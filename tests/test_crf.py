@@ -365,8 +365,8 @@ class TestPackedChains:
                 assert one_z.data.shape == one_gold.data.shape == ()
                 assert abs(log_z.data[c] - one_z.item()) < 1e-12
                 assert abs(gold.data[c] - one_gold.item()) < 1e-12
-                backward(ad.add(ad.mul_scalar(one_z, weights[0, c]),
-                                ad.mul_scalar(one_gold, weights[1, c])))
+                backward(ad.add(ad.mul(one_z, tensor(weights[0, c])),
+                                ad.mul(one_gold, tensor(weights[1, c]))))
             singles[0][row:row + m] = part.grad
             for k, g in enumerate(grads()[1:], start=1):
                 singles[k] += g

@@ -158,7 +158,8 @@ class TestTreeGcn:
         with fresh_tape(), no_grad():
             plain = gcn(tree, [0, 1, 2, 3, 4]).data
             zeroed = gcn(tree, [0, 1, 2, 3, 4],
-                         drop=lambda t: ad.mul_scalar(t, 0.0)).data
+                         drop=lambda t: ad.mul(
+                             t, tensor(np.zeros_like(t.data)))).data
         assert np.any(plain != 0)
         assert np.all(zeroed == 0)
 

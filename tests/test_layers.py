@@ -45,12 +45,14 @@ class TestParamStore:
                 if p.startswith("enc.")] == [ta, tb]
         assert params(s) == [ta, tb, tc]
 
-    def test_groups(self):
+    def test_l2_coefficients(self):
         s = store()
-        s.glorot("u0", 3, 3, group="bilinear")
+        s.glorot("u0", 3, 3, l2=0.5)
+        s.add("t", np.zeros((2, 2)), l2=1e-4)
         s.glorot("w", 3, 3)
-        groups = {path: e.group for path, e in s.entries()}
-        assert groups == {"u0": "bilinear", "w": None}
+        s.zeros("b", (3,))
+        coeffs = {path: e.l2 for path, e in s.entries()}
+        assert coeffs == {"u0": 0.5, "t": 1e-4, "w": 0.0, "b": 0.0}
 
     def test_decay_flags(self):
         s = store()

@@ -18,12 +18,21 @@ from framepath.training import (
     write_metric_log,
 )
 
+from framepath.config import Config
+from framepath.corpus import build_vocab
+from framepath.model import TASK_LOSSES, FrameParser
+from framepath.synth import generate
+
+from helpers import assert_grads_ok
 from test_model import make_model, make_sentence
+
+PENALIZED = ["ti.crf.trans", "srl.ai.u0", "srl.ai.u1", "srl.ai.u2",
+             "srl.ai.crf.trans", "srl.ac.crf.trans"]
 
 
 def entry_of(values, decay=True, name="p"):
     t = ad.param(np.asarray(values, dtype=float), name=name)
-    return t, (name, ParamEntry(tensor=t, decay=decay, group=None))
+    return t, (name, ParamEntry(tensor=t, decay=decay, l2=0.0))
 
 
 class TestAdamStep:
@@ -174,6 +183,53 @@ class TestPlateauScheduler:
         assert s.step(0.1) == 0.5
         assert s.step(0.1) == 0.5
         assert s.step(0.1) == 0.25
+        # the stall count did not reset: six epochs since .32
+        assert s.stall == 6
+
+
+class TestPenalizedObjective:
+    def test_one_record_for_every_penalty(self):
+        # The fixed joint batch of test_model's tape-size test: its 68
+        # loss records and one add_sq_norms (92 with four ops a term).
+        sentences, ontology = generate(101, 80)
+        model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
+                            ontology)
+        preps = [model.prepare(s) for s in sentences[:8]]
+        penalties = model.penalty_terms("joint")
+        assert [t.name for t, _ in penalties] == PENALIZED
+        with ad.fresh_tape():
+            training._objective(model, preps, "joint", penalties)
+            assert ad.tape_length() == 69
+
+    def test_gradients_with_nonzero_penalties(self):
+        model, sent = make_model(task="joint", l2_crf=0.3, l2_bilinear=0.2)
+        params = [model.store[p] for p in PENALIZED]
+        noise = np.random.default_rng(5)
+        for p in params:  # the transition tables start at zero
+            p.data += noise.normal(0.0, 0.5, p.data.shape)
+        preps = [model.prepare(sent)]
+        penalties = model.penalty_terms("joint")
+        assert [c for _, c in penalties] == [0.3, 0.2, 0.2, 0.2, 0.3, 0.3]
+        assert_grads_ok(
+            lambda: training._objective(model, preps, "joint", penalties)[0],
+            params)
+
+    def test_logged_loss_is_parts_plus_penalties(self):
+        model, sent = make_model(task="joint", max_epochs=1, l2_crf=0.3,
+                                 l2_bilinear=0.2)
+        with ad.fresh_tape(), ad.no_grad():
+            parts = model.batch_losses([model.prepare(sent)], True,
+                                       TASK_LOSSES["joint"])
+        penalty = [c * (t.data * t.data).sum()
+                   for t, c in model.penalty_terms("joint")]
+        row = train(model, [sent], [sent]).log_rows[0]
+        assert sum(penalty) > 0.0
+        assert [row[f"loss_{k}"] for k in parts] == [
+            float(t.data) for t in parts.values()]
+        total = row["loss_ti"] + row["loss_fi"] + row["loss_srl"]
+        for term in penalty:
+            total = total + term
+        assert row["loss"] == total
 
 
 class TestTrainLoop:
@@ -211,6 +267,20 @@ class TestTrainLoop:
         result = train(model, [sent], [sent])
         # epoch 1 sets the baseline; 3 stalled epochs then stop
         assert result.epochs_run == 4
+
+    def test_scheduler_halvings_and_early_stop(self, monkeypatch):
+        # Stalls count from the last improvement across halvings: with
+        # patience 2 the rate halves after epochs 4, 7 and 9, and five
+        # epochs without improvement stop the run after epoch 10.
+        metrics = [0.1, 0.2, 0.2, 0.2, 0.3] + [0.3] * 20
+        monkeypatch.setattr(training, "dev_metric",
+                            lambda model, dev, task: metrics.pop(0))
+        model, sent = make_model(lr=0.01, max_epochs=30, task="ti",
+                                 scheduler_patience=2, early_stop_patience=5)
+        result = train(model, [sent], [sent])
+        assert result.epochs_run == 10
+        assert [row["lr"] for row in result.log_rows] == [
+            0.01] * 4 + [0.005] * 3 + [0.0025] * 2 + [0.00125]
 
     def test_best_state_restored(self):
         model, sent = make_model(max_epochs=6, task="ti")
