@@ -13,7 +13,9 @@ batch, packed back to back; log Z's backward pass is forward-backward
 (Sutton & McCallum, An Introduction to CRFs, 2012).  Viterbi is plain
 numpy max-product over the same packed block, every chain of a call at
 once, and breaks score ties toward the lower label id (argmax returns
-the first maximum).
+the first maximum).  All three take their chains' layout from
+ad.packed, so they share it with each other and with the BiLSTM whose
+rows they score.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class LinearChainCrf:
         ad.Packed block, as one tape op.  Its backward runs the beta
         recursion; cells past a chain's end hold -inf, whose exp is an
         exact zero marginal."""
-        chains = ad.Packed(emissions.data.shape[0], lengths)
+        chains = ad.packed(emissions.data.shape[0], lengths)
         start, trans = self._tables(constrain)
         end = self.end.data
         x = chains.to_block(emissions.data)
@@ -144,24 +146,26 @@ class LinearChainCrf:
         n, k = emissions.data.shape
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
-        sizes = np.array(ad.chain_lengths(n, lengths))
+        chains = ad.packed(n, lengths)
         start, trans = self._tables(constrain)
         tags = np.asarray(tags, dtype=np.intp)
-        chain = np.repeat(np.arange(len(sizes)), sizes)
-        first = np.cumsum(sizes) - sizes
-        inner = np.ones(n, dtype=bool)  # has a predecessor
-        inner[first] = False
+        chain = chains.chain
+        inner = chains.step > 0  # has a predecessor
+        # each chain's first and last tags: the row before a first, and
+        # the final row, are lasts
+        first = ~inner
+        firsts, lasts = tags[first], tags[np.append(first[1:], True)]
         pairs = tags[:-1][inner[1:]] * k + tags[inner]  # flat trans cells
-        score = (start[tags[first]] + self.end.data[tags[first + sizes - 1]]
+        score = (start[firsts] + self.end.data[lasts]
                  + np.bincount(chain, emissions.data[np.arange(n), tags])
                  + np.bincount(chain[inner], trans.reshape(-1)[pairs],
-                               len(sizes)))
+                               len(chains.lengths)))
 
         def vjp(g):
             g = np.reshape(g, -1)
             ad._acc(emissions, np.eye(k)[tags] * g[chain, None])
-            ad._acc(self.start, np.bincount(tags[first], g, k))
-            ad._acc(self.end, np.bincount(tags[first + sizes - 1], g, k))
+            ad._acc(self.start, np.bincount(firsts, g, k))
+            ad._acc(self.end, np.bincount(lasts, g, k))
             ad._acc(self.trans, np.bincount(pairs, g[chain[inner]],
                                             k * k).reshape(k, k))
 
@@ -183,7 +187,7 @@ class LinearChainCrf:
         tape; the scheme's forbidden openers and bigrams score -inf."""
         if lengths is None and len(emissions) == 0:
             return []
-        chains = ad.Packed(len(emissions), lengths)
+        chains = ad.packed(len(emissions), lengths)
         x = chains.to_block(emissions)
         trans = np.where(self.scheme.allowed_transition, self.trans.data,
                          -np.inf)
@@ -207,9 +211,15 @@ class LinearChainCrf:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) over axis, each slice shifted by its max.  A
+    slice with no finite entry gives -inf, without a warning."""
     m = a.max(axis=axis, keepdims=True)
-    lse = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
-    return lse.squeeze(axis)
+    # A slice of -inf is shifted by 0 instead: its exps sum to an exact
+    # 0, which the log leaves as is, so m + 0 gives its -inf.
+    s = np.exp(a - np.where(m == -np.inf, 0.0, m)).sum(axis=axis,
+                                                        keepdims=True)
+    np.log(s, out=s, where=s > 0.0)
+    return (m + s).squeeze(axis)
 
 
 def mask_penalty(allowed: np.ndarray) -> np.ndarray:

@@ -198,7 +198,7 @@ class BiLstm:
     """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
     sequences of the given lengths back to back (None: one sequence).
     Each layer is one ad.bilstm_layer op that projects its input rows and
-    steps both directions together; the layers share one ad.Packed layout
+    steps both directions together; the layers share one ad.packed layout
     of the sequences."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
@@ -216,7 +216,7 @@ class BiLstm:
     def __call__(self, x: Tensor,
                  lengths: Sequence[int] | None = None) -> Tensor:
         out = x
-        packed = ad.Packed(len(x.data), lengths)
+        packed = ad.packed(len(x.data), lengths)
         for fwd, bwd in self.layers:
             out = ad.bilstm_layer(out, (fwd.wx, fwd.wh, fwd.b),
                                   (bwd.wx, bwd.wh, bwd.b), packed)

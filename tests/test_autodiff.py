@@ -436,15 +436,17 @@ def directions(n, hidden, width=3):
 
 class TestPacked:
     def test_cells_sort_sequences_longest_first(self):
-        packed = ad.Packed(6, [2, 3, 1])
-        assert packed.order == [1, 0, 2]
-        assert packed.running == [3, 2, 1, 0]
+        packed = ad.packed(6, [2, 3, 1])
+        assert packed.order.tolist() == [1, 0, 2]
+        assert packed.running == (3, 2, 1, 0)
         assert packed.step.tolist() == [0, 1, 0, 1, 2, 0]
         assert packed.col.tolist() == [1, 1, 0, 0, 0, 2]
+        assert packed.chain.tolist() == [0, 0, 1, 1, 1, 2]
+        assert [a.tolist() for a in packed.last] == [[2, 1, 0], [0, 1, 2]]
 
     def test_block_round_trip(self):
         rows = RNG.normal(size=(6, 4))
-        packed = ad.Packed(6, [2, 3, 1])
+        packed = ad.packed(6, [2, 3, 1])
         block = packed.to_block(rows)
         assert block.shape == (3, 3, 4)
         assert np.array_equal(block[2, 1:], np.zeros((2, 4)))  # padding
@@ -453,7 +455,66 @@ class TestPacked:
     @pytest.mark.parametrize("lengths", [[2, 2], [3, 0, 2], []])
     def test_lengths_must_pack_every_row(self, lengths):
         with pytest.raises(ValueError):
-            ad.Packed(5, lengths)
+            ad.packed(5, lengths)
+
+    @pytest.mark.parametrize("n, lengths, message", [
+        (5, [2, 2], r"lengths \[2, 2\] do not pack 5 rows"),
+        (5, (2, 2), r"lengths \[2, 2\] do not pack 5 rows"),
+        (5, np.array([2, 2]), r"lengths \[2, 2\] do not pack 5 rows"),
+        (5, [], r"lengths \[\] do not pack 5 rows"),
+        (5, [3, 0, 2], "empty sequence"),
+        (0, [], "empty sequence"),
+        (0, None, "empty sequence")])
+    def test_invalid_lengths_are_not_kept(self, n, lengths, message):
+        ad._layouts.cache_clear()
+        for _ in range(2):  # a failed build is not kept, so it raises again
+            with pytest.raises(ValueError, match=message):
+                ad.packed(n, lengths)
+        assert ad._layouts.cache_info().currsize == 0
+
+    def test_equal_lengths_share_one_layout(self):
+        ad._layouts.cache_clear()
+        layout = ad.packed(6, [2, 3, 1])
+        assert ad.packed(6, (2, 3, 1)) is layout
+        assert ad.packed(6, np.diff([0, 2, 5, 6])) is layout
+        assert ad.packed(6, np.array([2, 3, 1], dtype=np.int32)) is layout
+        assert ad.packed(4, None) is ad.packed(4, [4])
+        assert ad.packed(6, [3, 2, 1]) is not layout  # order matters
+        assert ad._layouts.cache_info().currsize == 3
+
+    def test_lengths_must_be_integers(self):
+        with pytest.raises(TypeError):
+            ad.packed(5, [2.0, 3.0])
+
+    def test_index_arrays_are_read_only(self):
+        layout = ad.packed(6, [2, 3, 1])
+        steps, cells = layout.mirrored
+        arrays = [layout.order, layout.col, layout.step, layout.chain,
+                  *layout.last, steps, *cells]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
+        assert layout.mirrored is layout.mirrored  # worked out once
+        assert isinstance(layout.lengths, tuple)
+        assert isinstance(layout.running, tuple)
+
+    def test_eviction_past_the_bound_is_safe(self):
+        ad._layouts.cache_clear()
+        first = ad.packed(6, [2, 3, 1])
+        steps = first.step.tolist()
+        bound = ad._layouts.cache_info().maxsize
+        assert bound == 64
+        held = [ad.packed(k, None) for k in range(1, bound + 2)]
+        assert ad._layouts.cache_info().currsize == bound
+        # The evicted layout stays whole for whoever holds it, and a new
+        # build of the same lengths equals it.
+        again = ad.packed(6, [2, 3, 1])
+        assert again is not first
+        assert first.step.tolist() == steps
+        for a, b in ((first.col, again.col), (first.step, again.step),
+                     (first.order, again.order)):
+            assert np.array_equal(a, b)
+        assert [len(p.step) for p in held] == list(range(1, bound + 2))
 
 
 class TestLstmSequence:
@@ -469,7 +530,7 @@ class TestLstmSequence:
             n = 6 if lengths is None else sum(lengths)
             x, fwd, bwd = directions(n, 3)
             with fresh_tape(), no_grad():
-                got = ad.bilstm_layer(x, fwd, bwd, ad.Packed(n, lengths)).data
+                got = ad.bilstm_layer(x, fwd, bwd, ad.packed(n, lengths)).data
             lengths = lengths or [n]
             want_f = lstm_reference(x.data @ fwd[0].data, fwd[1].data,
                                     fwd[2].data, lengths)
@@ -485,7 +546,7 @@ class TestLstmSequence:
         lengths = [2, 4, 1]
         x, fwd, bwd = directions(7, 2)
         flipped = tensor(reverse_each(x.data, lengths))
-        packed = ad.Packed(7, lengths)
+        packed = ad.packed(7, lengths)
         with fresh_tape(), no_grad():
             got = ad.bilstm_layer(x, fwd, bwd, packed).data
             want = ad.bilstm_layer(flipped, bwd, fwd, packed).data
@@ -495,19 +556,19 @@ class TestLstmSequence:
         x, fwd, bwd = directions(4, 3)
         w = tensor(RNG.normal(size=(4, 6)))
         check(lambda: ad.sum_all(ad.mul(
-            ad.bilstm_layer(x, fwd, bwd, ad.Packed(4, None)), w)),
+            ad.bilstm_layer(x, fwd, bwd, ad.packed(4, None)), w)),
               [x, *fwd, *bwd], tol=1e-5)
 
     def test_length_one(self):
         x, fwd, bwd = directions(1, 2)
-        packed = ad.Packed(1, None)
+        packed = ad.packed(1, None)
         check(lambda: ad.sum_all(ad.bilstm_layer(x, fwd, bwd, packed)),
               [x, *fwd, *bwd], tol=1e-5)
 
     def test_packed_gradients_both_halves(self):
         x, fwd, bwd = directions(7, 3)
         w = tensor(RNG.normal(size=(7, 6)))
-        packed = ad.Packed(7, [2, 4, 1])
+        packed = ad.packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
             ad.bilstm_layer(x, fwd, bwd, packed), w)), [x, *fwd, *bwd],
               tol=1e-5)
@@ -523,7 +584,7 @@ class TestLstmSequence:
         unread = slice(0, 3) if backward_half else slice(3, 6)
         weight[:, unread] = 0.0
         w = tensor(weight)
-        packed = ad.Packed(7, [2, 4, 1])
+        packed = ad.packed(7, [2, 4, 1])
         check(lambda: ad.sum_all(ad.mul(
             ad.bilstm_layer(x, fwd, bwd, packed), w)), [x, *fwd, *bwd],
               tol=1e-5)
@@ -543,7 +604,7 @@ class TestLstmSequence:
         x = tensor(np.zeros((5, 3)))
         zeros = (randp(3, 8), randp(2, 8), tensor(np.zeros(8)))
         with fresh_tape(), no_grad():
-            out = ad.bilstm_layer(x, zeros, zeros, ad.Packed(5, [3, 2])).data
+            out = ad.bilstm_layer(x, zeros, zeros, ad.packed(5, [3, 2])).data
         assert np.array_equal(out, np.zeros((5, 4)))
 
     @pytest.mark.parametrize("reversed_order", [False, True])
@@ -565,7 +626,7 @@ class TestLstmSequence:
             ad.zero_grads(shared)
             with fresh_tape():
                 out = ad.bilstm_layer(x_rows, fwd, bwd,
-                                      ad.Packed(len(x_rows.data), lens))
+                                      ad.packed(len(x_rows.data), lens))
                 backward(ad.sum_all(ad.mul(out, tensor(weight[rows]))))
             return [out.data, x_rows.grad] + [t.grad for t in shared]
 
@@ -584,12 +645,12 @@ class TestLstmSequence:
             wx, _, b = args[wrong]
             args[wrong] = (wx, randp(3, 8), b)
             with pytest.raises(ValueError, match="wh shape"):
-                ad.bilstm_layer(*args, ad.Packed(3, None))
+                ad.bilstm_layer(*args, ad.packed(3, None))
 
     def test_lengths_must_pack_every_row(self):
         x, fwd, bwd = directions(5, 2)
         with pytest.raises(ValueError, match="lengths"):
-            ad.bilstm_layer(x, fwd, bwd, ad.Packed(4, [2, 2]))
+            ad.bilstm_layer(x, fwd, bwd, ad.packed(4, [2, 2]))
 
 
 class TestComposite:
@@ -648,7 +709,7 @@ class TestTapeLifetime:
         # the (n, 4H) shape of x @ wx.
         x, fwd, bwd = directions(5, 2)
         with fresh_tape():
-            ad.bilstm_layer(x, fwd, bwd, ad.Packed(5, [3, 2]))
+            ad.bilstm_layer(x, fwd, bwd, ad.packed(5, [3, 2]))
             _, vjp = ad._tape().records[-1]
         free = vjp.__code__.co_freevars
         assert "gates" in free  # what it does keep is visible here

@@ -14,6 +14,7 @@ from framepath.crf import (
     LinearChainCrf,
     PENALTY,
     TagScheme,
+    _logsumexp,
     iob2_scheme,
     iobc_scheme,
     mask_penalty,
@@ -329,6 +330,43 @@ class TestValidation:
         assert crf.viterbi(np.zeros((0, 3))) == []
 
 
+class TestLogSumExp:
+    """crf._logsumexp against the plain shifted formula."""
+
+    @staticmethod
+    def plain(a, axis):
+        m = a.max(axis=axis, keepdims=True)
+        return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+                ).squeeze(axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_finite_slices_keep_the_plain_bits(self, axis):
+        rng = np.random.default_rng(53)
+        a = rng.normal(size=(4, 5, 6)) * 30.0
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[0, 0, :] = a[0, :, 0] = a[:, 0, 0] = 1.0  # no slice all -inf
+        a.flat[::7] = rng.normal(size=a.flat[::7].shape)
+        assert np.isfinite(a.max(axis=axis)).all()
+        with np.errstate(all="raise"):
+            assert np.array_equal(_logsumexp(a, axis), self.plain(a, axis))
+
+    def test_slice_of_minus_infinity_gives_minus_infinity(self):
+        # The plain formula takes -inf - (-inf) there: NaN, and a warning.
+        rng = np.random.default_rng(59)
+        a = rng.normal(size=(4, 3, 3))
+        a[2] = -np.inf
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(self.plain(a, 1)[2]).all()
+        with np.errstate(all="raise"):  # a warning would raise here
+            got = _logsumexp(a, 1)
+            rows = _logsumexp(a[:, :, 0], 1)
+        assert np.array_equal(got[2], np.full(3, -np.inf))
+        keep = [0, 1, 3]
+        assert np.array_equal(got[keep], self.plain(a[keep], 1))
+        assert rows[2] == -np.inf
+        assert np.array_equal(rows[keep], self.plain(a[keep, :, 0], 1))
+
+
 class TestPackedChains:
     LENGTHS = [3, 1, 5, 2, 1, 4]  # unsorted, with length-1 chains
 
@@ -398,6 +436,42 @@ class TestPackedChains:
                                        rtol=0, atol=1e-10)
             row += m
         np.testing.assert_allclose(crf.trans.grad, counts, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_gold_score_equals_a_loop_per_chain(self, constrain):
+        # Each chain's sums taken row by row from 0.0, the order
+        # np.bincount adds in: the op's scores and gradients bit for bit.
+        rng = np.random.default_rng(61)
+        crf = make_crf(iobc_scheme(), seed=8)
+        start, trans, end = crf_tables(crf, constrain)
+        n = sum(self.LENGTHS)
+        emissions = param(rng.normal(size=(n, 4)), name="emissions")
+        tags = rng.integers(0, 4, size=n)
+        weights = rng.normal(size=len(self.LENGTHS))
+        with fresh_tape():
+            gold = crf.gold_score(emissions, tags.tolist(), constrain,
+                                  self.LENGTHS)
+            backward(ad.dot(gold, tensor(weights)))
+        scores, g_emit = [], np.zeros((n, 4))
+        g_start, g_end, g_trans = np.zeros(4), np.zeros(4), np.zeros((4, 4))
+        row = 0
+        for c, m in enumerate(self.LENGTHS):
+            seq = tags[row:row + m]
+            emitted = moved = 0.0
+            for i in range(m):
+                emitted += emissions.data[row + i, seq[i]]
+                g_emit[row + i, seq[i]] = weights[c]
+            for i in range(1, m):
+                moved += trans[seq[i - 1], seq[i]]
+                g_trans[seq[i - 1], seq[i]] += weights[c]
+            scores.append(start[seq[0]] + end[seq[-1]] + emitted + moved)
+            g_start[seq[0]] += weights[c]
+            g_end[seq[-1]] += weights[c]
+            row += m
+        assert np.array_equal(gold.data, scores)
+        for got, want in ((emissions.grad, g_emit), (crf.start.grad, g_start),
+                          (crf.end.grad, g_end), (crf.trans.grad, g_trans)):
+            assert np.array_equal(got, want)
 
     def test_lengths_must_pack_the_rows(self):
         crf = make_crf(iob2_scheme())

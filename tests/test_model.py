@@ -11,11 +11,13 @@ from framepath import model as model_module
 from framepath.config import Config
 from framepath.corpus import (CorpusError, FrameAnnotation, Ontology,
                               Sentence, build_vocab)
-from framepath.evaluation import evaluate_fi, evaluate_srl, evaluate_ti
+from framepath.evaluation import (evaluate, evaluate_fi, evaluate_srl,
+                                  evaluate_ti)
 from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
 from framepath.synth import generate
 from framepath.syntax import parse_bracketed
+from framepath.training import train
 
 from helpers import assert_grads_ok
 
@@ -913,3 +915,55 @@ class TestCheckpoint:
                 r"model.json: bad checkpoint params: unexpected "
                 r"parameters \['head.extra'\]$")):
             FrameParser.load(str(path))
+
+
+class TestSharedLayouts:
+    """Chain layouts come from autodiff.packed's cache.  A layout holds
+    integer indices only, so a cold, a warm and a just-emptied cache
+    give the same results bit for bit."""
+
+    @staticmethod
+    def evict_all():
+        # as many other layouts as the cache holds push out every entry
+        for n in range(1000, 1000 + ad._layouts.cache_info().maxsize):
+            ad.packed(n, None)
+
+    def results(self, model, held, preps, dev):
+        params = [(path, e.tensor) for path, e in model.store.entries()]
+        ad.zero_grads([t for _, t in params])
+        with ad.fresh_tape():
+            loss = model.loss(preps, "joint", train=True)
+            ad.backward(loss)
+        grads = b"".join(path.encode() + t.grad.tobytes()
+                         for path, t in params)
+        return (model.parse_many(held), evaluate(model, dev, "joint"),
+                float(loss.data).hex(), grads)
+
+    def test_cold_warm_and_evicted_caches_agree(self):
+        sentences, ontology = generate(101, 80)
+        model = FrameParser(tiny_config(task="joint", max_epochs=2,
+                                        dropout=0.0),
+                            build_vocab(sentences[:60], ontology), ontology)
+        train(model, sentences[:60], sentences[60:])
+        held = [s for s in generate(202, 40)[0]
+                if set(s.pos) <= set(model.vocab.pos)
+                and all(n.label in model.vocab.labels for n in s.tree.nodes)]
+        preps = [model.prepare(s) for s in sentences[:8]]
+
+        ad._layouts.cache_clear()
+        cold = self.results(model, held, preps, sentences[60:])
+        warm = self.results(model, held, preps, sentences[60:])
+        self.evict_all()
+        evicted = self.results(model, held, preps, sentences[60:])
+        assert cold == warm == evicted
+        annotations = [a for anns, _ in cold[0] for a in anns]
+        assert any(a.elements for a in annotations)  # roles were decoded
+
+    def test_a_warm_parse_builds_no_layout(self):
+        model, corpus = make_corpus_model()
+        ad._layouts.cache_clear()
+        first = [model.parse(s) for s in corpus]
+        built = ad._layouts.cache_info().misses
+        assert 0 < built <= 5 * len(corpus)  # A, B and three decodings
+        assert [model.parse(s) for s in corpus] == first
+        assert ad._layouts.cache_info().misses == built

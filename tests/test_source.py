@@ -51,3 +51,40 @@ def test_no_function_in_src_calls_itself():
     found = {path.name: self_calls(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def callers_of(source: str, name: str) -> list[tuple[str, int]]:
+    """(enclosing function or "<module>", line) of each call of
+    ``name(...)`` or ``anything.name(...)``."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            f = getattr(child, "func", None) if isinstance(
+                child, ast.Call) else None
+            if (isinstance(f, ast.Name) and f.id == name
+                    or isinstance(f, ast.Attribute) and f.attr == name):
+                found.append((where, child.lineno))
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_caller_detector():
+    source = ("x = Packed(1, None)\n"
+              "def f():\n    return ad.Packed(2, [2])\n"
+              "def g():\n    return packed(2, [2]), Packed\n")
+    assert callers_of(source, "Packed") == [("<module>", 1), ("f", 3)]
+
+
+def test_layouts_are_built_only_by_the_shared_cache():
+    # A layout is shared and immutable, so there is one way to get one,
+    # autodiff.packed, and only its cache, _layouts, constructs Packed.
+    found = {path.name: [where for where, _ in
+                         callers_of(path.read_text(), "Packed")]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "autodiff.py": ["_layouts"]}
