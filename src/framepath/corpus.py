@@ -125,9 +125,9 @@ def lu_key(tokens: Sequence[str], target: Sequence[int], pos: Sequence[str]) -> 
 
 
 def _id(ids: dict[str, int], key: str, unknown: str) -> int:
-    """ids[key]; a key not in ids raises KeyError(unknown.format(key))."""
+    """ids[key]; a key not in ids raises CorpusError(unknown.format(key))."""
     if key not in ids:
-        raise KeyError(unknown.format(key))
+        raise CorpusError(unknown.format(key))
     return ids[key]
 
 
@@ -361,8 +361,8 @@ def load_corpus(path: str, ontology: Ontology | None = None,
                     vocab.pos_id(tag)
                 for node in sent.tree.nodes:
                     vocab.label_id(node.label)
-            except KeyError as e:
-                raise CorpusError(f"{path}:{lineno}: {e.args[0]}") from e
+            except CorpusError as e:
+                raise CorpusError(f"{path}:{lineno}: {e}") from e
         sentences.append(sent)
     return sentences
 

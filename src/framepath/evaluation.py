@@ -92,16 +92,6 @@ def _reports(model: FrameParser, sentences: Sequence[Sentence],
     return [out[task] for task in tasks]
 
 
-def evaluate_ti(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
-    """Target P/R/F1 over predicted targets."""
-    return _reports(model, sentences, ["ti"])[0]
-
-
-def evaluate_fi(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
-    """Frame accuracy over gold targets and gold lexical units."""
-    return _reports(model, sentences, ["fi"])[0]
-
-
 def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
     """Labeled-span P/R/F1 with gold targets and gold frames."""
     return _reports(model, sentences, ["srl"])[0]

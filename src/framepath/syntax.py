@@ -1,5 +1,8 @@
-"""Constituency trees: bracketed-string parsing, node paths, and the
-padded row indices the graph convolution and path features sum over.
+"""Constituency trees: bracketed-string parsing, and the padded row
+indices the graph convolution and path features sum over.  A token's
+path to a reference node comes from one walk: the token's preterminal
+climbs to the reference's ancestor chain, then goes down it.  Each
+reference node's paths are built once per tree and kept.
 
 Trees follow the Penn-Treebank bracketing convention.  Words are stored as
 payloads on their preterminal (POS) nodes and are never graph nodes
@@ -72,13 +75,31 @@ class ConstTree:
         return [self.nodes[i].word for i in self.preterminal_order]
 
     def path_index(self, ref_node: int) -> np.ndarray:
-        """Row i lists tree_path from token i's preterminal to ref_node,
-        padded with -1 (autodiff.pad_groups); built on first use for each
-        reference node and kept."""
+        """Row i lists the nodes on the tree path from token i's
+        preterminal to ref_node, both ends included, padded with -1
+        (autodiff.pad_groups).  One walk: ref_node's ancestor chain is
+        collected once, and each preterminal climbs until it meets that
+        chain, at the lowest common ancestor, then goes down it.  Built
+        on first use for each reference node and kept; a node id out of
+        range raises IndexError."""
         if ref_node not in self._path_index:
-            self._path_index[ref_node] = pad_groups([
-                tree_path(self, node, ref_node)
-                for node in self.preterminal_order])
+            nodes = self.nodes
+            if not 0 <= ref_node < len(nodes):
+                raise IndexError(f"node id {ref_node} out of range for a "
+                                 f"tree of {len(nodes)} nodes")
+            down, k = [], ref_node  # ref_node, its parent, ..., the root
+            while k is not None:
+                down.append(k)
+                k = nodes[k].parent
+            at = {k: d for d, k in enumerate(down)}
+            rows = []
+            for k in self.preterminal_order:
+                up = []
+                while k not in at:
+                    up.append(k)
+                    k = nodes[k].parent
+                rows.append(up + down[at[k]::-1])
+            self._path_index[ref_node] = pad_groups(rows)
         return self._path_index[ref_node]
 
     @cached_property
@@ -169,40 +190,3 @@ def serialize(tree: ConstTree) -> str:
             parts.append(" ")
     return "".join(parts)
 
-
-def tree_path(tree: ConstTree, i: int, j: int) -> list[int]:
-    """Node ids on the unique simple path from i to j, endpoints included.
-
-    Computed by lifting both nodes to their lowest common ancestor over
-    parent links.
-    """
-    nodes = tree.nodes
-    if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
-        raise IndexError(f"node id out of range: ({i}, {j})")
-
-    def depth_of(k: int) -> int:
-        d = 0
-        while nodes[k].parent is not None:
-            k = nodes[k].parent
-            d += 1
-        return d
-
-    up_i: list[int] = [i]
-    up_j: list[int] = [j]
-    di, dj = depth_of(i), depth_of(j)
-    a, b = i, j
-    while di > dj:
-        a = nodes[a].parent
-        up_i.append(a)
-        di -= 1
-    while dj > di:
-        b = nodes[b].parent
-        up_j.append(b)
-        dj -= 1
-    while a != b:
-        a = nodes[a].parent
-        b = nodes[b].parent
-        up_i.append(a)
-        up_j.append(b)
-    # `a` is now the LCA and terminates up_i; up_j repeats it at its tail.
-    return up_i + up_j[-2::-1]

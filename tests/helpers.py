@@ -4,10 +4,11 @@ The CRF oracle scores every one of the K^n tag sequences explicitly, so
 dynamic programming results can be checked against exhaustive truth.
 The span codec, tokenizer, tree and forest-index oracles are the loops
 the package replaced with its one O/B/I/C codec, one string split, one
-flat pass over the tokens or nodes and one vectorized shift; the L2
-penalty reference is the op chain add_sq_norms replaced.  The
-evaluation oracles encode one sentence per encode call and score each
-task in its own pass, as the package did before its chunked pass.
+flat pass over the tokens or nodes and one vectorized shift; the tree
+path oracle is a breadth-first search; the L2 penalty reference is the
+op chain add_sq_norms replaced.  The evaluation oracles encode one
+sentence per encode call and score each task in its own pass, as the
+package did before its chunked pass.
 """
 
 import itertools
@@ -212,6 +213,31 @@ def serialize_recursive(tree):
     return emit(tree.root_index)
 
 
+def bfs_path(tree, i, j):
+    """Node ids on the path from i to j, both ends included, by
+    breadth-first search over the undirected tree."""
+    n = len(tree.nodes)
+    adj = [[] for _ in range(n)]
+    for node in tree.nodes:
+        for c in node.children:
+            adj[node.id].append(c)
+            adj[c].append(node.id)
+    prev = {i: None}
+    frontier = [i]
+    while frontier and j not in prev:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in prev:
+                    prev[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    path = [j]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 def forest_index_loop(blocks, firsts):
     """Padded row indices (pad -1) stacked block after block, block k's
     entries moved up by firsts[k]: one slice write per block."""
@@ -237,7 +263,8 @@ def _gold_items_oracle(model, sentences):
 
 
 def evaluate_ti_oracle(model, sentences):
-    """evaluate_ti with one single-sentence encode per sentence."""
+    """evaluate's ti report with one single-sentence encode per
+    sentence."""
     with ad.fresh_tape(), ad.no_grad():
         pred = [[tuple(t) for t in model.ti_predict([model.encode(
             model.prepare(sent, with_gold=False))])[0]] for sent in sentences]
@@ -247,8 +274,8 @@ def evaluate_ti_oracle(model, sentences):
 
 
 def evaluate_fi_oracle(model, sentences):
-    """evaluate_fi with its own gold pass: one encode per annotated
-    sentence, one frame prediction over every gold target."""
+    """evaluate's fi report with its own gold pass: one encode per
+    annotated sentence, one frame prediction over every gold target."""
     with ad.fresh_tape(), ad.no_grad():
         encs, anns = _gold_items_oracle(model, sentences)
         pred = model.fi_predict(encs, [a.target for a in anns],
@@ -260,8 +287,8 @@ def evaluate_fi_oracle(model, sentences):
 
 
 def evaluate_srl_oracle(model, sentences):
-    """evaluate_srl with its own gold pass: one encode per annotated
-    sentence, one role prediction over every gold target."""
+    """evaluate's srl report with its own gold pass: one encode per
+    annotated sentence, one role prediction over every gold target."""
     with ad.fresh_tape(), ad.no_grad():
         encs, anns = _gold_items_oracle(model, sentences)
         spans, labels = model.srl_predict(

@@ -220,11 +220,12 @@ class TestOntology:
             ont.frame_mask("fly.v")
         with pytest.raises(KeyError):
             ont.fe_mask("Motion")
-        with pytest.raises(KeyError, match="unknown frame 'Motion'"):
+        with pytest.raises(CorpusError, match="unknown frame 'Motion'"):
             ont.frame_id("Motion")
-        with pytest.raises(KeyError, match="unknown role label 'Mover'"):
+        with pytest.raises(CorpusError, match="unknown role label 'Mover'"):
             ont.fe_id("Mover")
-        with pytest.raises(KeyError, match="unknown lexical unit 'fly.v'"):
+        with pytest.raises(CorpusError,
+                           match="unknown lexical unit 'fly.v'"):
             ont.lu_id("fly.v")
 
     def test_ids_follow_the_sorted_inventories(self):
@@ -405,9 +406,11 @@ class TestVocab:
 
     def test_closed_tables_raise(self):
         vocab = build_vocab([make_sentence()], make_ontology())
-        with pytest.raises(KeyError):
+        with pytest.raises(CorpusError, match="part of speech 'XX' not in "
+                           "training vocabulary"):
             vocab.pos_id("XX")
-        with pytest.raises(KeyError):
+        with pytest.raises(CorpusError, match="constituent label 'SBAR' not "
+                           "in training vocabulary"):
             vocab.label_id("SBAR")
 
     def test_dict_roundtrip(self):

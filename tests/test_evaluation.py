@@ -11,9 +11,7 @@ from framepath.evaluation import (
     _span_report,
     dev_metric,
     evaluate,
-    evaluate_fi,
     evaluate_srl,
-    evaluate_ti,
     fi_accuracy,
 )
 from framepath.model import FrameParser
@@ -24,7 +22,7 @@ from test_model import (count_backbone_calls, make_corpus_model, make_model,
 
 
 def report_prf(gold, pred):
-    """P/R/F1 of the report evaluate_ti and evaluate_srl return."""
+    """P/R/F1 of a ti or srl report."""
     report = _span_report("srl", gold, pred)
     return report["precision"], report["recall"], report["f1"]
 
@@ -117,7 +115,7 @@ class TestDrivers:
 
     def test_fi_driver_counts_match_accuracy(self):
         model, sent = make_model()
-        rep = evaluate_fi(model, [sent, sent])
+        rep = evaluate(model, [sent, sent], "fi")[0]
         assert rep["counts"]["total"] == 4
         assert rep["accuracy"] == rep["counts"]["correct"] / 4
 
@@ -125,15 +123,15 @@ class TestDrivers:
         from framepath.corpus import Sentence
         model, sent = make_model()
         bare = Sentence(tokens=sent.tokens, pos=sent.pos, tree=sent.tree)
-        assert evaluate_fi(model, [bare])["accuracy"] == 1.0
+        assert evaluate(model, [bare], "fi")[0]["accuracy"] == 1.0
         srl = evaluate_srl(model, [bare])
         assert (srl["precision"], srl["recall"], srl["f1"]) == (1.0, 1.0, 1.0)
-        ti = evaluate_ti(model, [bare])
+        ti = evaluate(model, [bare], "ti")[0]
         assert ti["counts"]["gold"] == 0
 
     def test_dev_metric_joint_is_mean(self):
         model, sent = make_model()
-        fi = evaluate_fi(model, [sent])["accuracy"]
+        fi = evaluate(model, [sent], "fi")[0]["accuracy"]
         srl = evaluate_srl(model, [sent])["f1"]
         got = dev_metric(model, [sent], "joint")
         assert abs(got - 0.5 * (fi + srl)) < 1e-12
@@ -184,7 +182,7 @@ class TestChunkedGoldPass:
         joint = evaluate_oracle(model, corpus, "joint")
         assert joint[1]["accuracy"] == 1.0  # the rigged frame head
         assert joint[2]["counts"]["pred"] > 0  # roles are predicted
-        assert evaluate_fi(model, corpus) == joint[1]
+        assert evaluate(model, corpus, "fi") == [joint[1]]
         assert evaluate_srl(model, corpus) == joint[2]
         assert evaluate(model, corpus, "joint") == joint
         for task in ("ti", "fi", "srl", "joint"):

@@ -12,9 +12,9 @@ from framepath.autodiff import (
 )
 from framepath.gcn import TreeGcn, _forest_index, path_sum_features
 from framepath.layers import ParamStore
-from framepath.syntax import parse_bracketed, tree_path
+from framepath.syntax import parse_bracketed
 
-from helpers import forest_index_loop
+from helpers import bfs_path, forest_index_loop
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
 
@@ -194,7 +194,7 @@ class TestPathSumFeatures:
             def unused(*args):
                 raise AssertionError("path rebuilt")
 
-            monkeypatch.setattr("framepath.syntax.tree_path", unused)
+            monkeypatch.setattr("framepath.syntax.pad_groups", unused)
             again = path_sum_features(tree, h, 4).data
         assert np.array_equal(first, again)
 
@@ -208,7 +208,7 @@ class TestPathSumFeatures:
             with fresh_tape(), no_grad():
                 feats = path_sum_features(tree, h, ref).data
             for tok in range(tree.n_tokens):
-                nodes = tree_path(tree, tree.token_node(tok), ref)
+                nodes = bfs_path(tree, tree.token_node(tok), ref)
                 assert np.allclose(feats[tok], h.data[nodes].sum(axis=0),
                                    atol=1e-12)
 

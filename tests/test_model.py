@@ -11,8 +11,7 @@ from framepath import model as model_module
 from framepath.config import Config
 from framepath.corpus import (CorpusError, FrameAnnotation, Ontology,
                               Sentence, build_vocab)
-from framepath.evaluation import (evaluate, evaluate_fi, evaluate_srl,
-                                  evaluate_ti)
+from framepath.evaluation import evaluate, evaluate_srl
 from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
 from framepath.synth import generate
@@ -166,6 +165,15 @@ class TestEncoding:
         expected = (e - mu) / np.sqrt(var + 1e-5)
         assert np.allclose(a, expected, atol=1e-12)
 
+    def test_prepare_rejects_unseen_tags_with_corpus_error(self):
+        model, _ = make_model()
+        with pytest.raises(CorpusError, match="part of speech 'RB' not in "
+                           "training vocabulary"):
+            model.prepare(sentence("(S (NP (NN dog)) (VP (RB fast)))"))
+        with pytest.raises(CorpusError, match="constituent label 'ADVP' not "
+                           "in training vocabulary"):
+            model.prepare(sentence("(S (NP (NN dog)) (ADVP (NN hill)))"))
+
     def test_target_b_depends_on_first_index(self):
         model, sent = make_model()
         calls = count_backbone_calls(model)
@@ -271,7 +279,8 @@ class TestFrameId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            with pytest.raises(KeyError):
+            with pytest.raises(CorpusError,
+                               match="unknown lexical unit 'fly.v'"):
                 fi_scores(model, enc, [2], "fly.v")
 
 
@@ -704,16 +713,16 @@ class TestPackedBatch:
                 return inner(*args, **kwargs)
 
             setattr(model, name, counting)
-        report = evaluate_fi(model, corpus)
+        report, = evaluate(model, corpus, "fi")
         assert report["counts"]["total"] == 5
         # the three annotated sentences make one chunk
         assert calls == {"encode": 1, "frame_scores": 1}
 
     def test_evaluation_matches_one_sentence_at_a_time(self):
         model, corpus = make_corpus_model()
-        for evaluate in (evaluate_ti, evaluate_fi, evaluate_srl):
-            packed = evaluate(model, corpus)
-            singles = [evaluate(model, [s]) for s in corpus]
+        for task in ("ti", "fi", "srl"):
+            packed, = evaluate(model, corpus, task)
+            singles = [evaluate(model, [s], task)[0] for s in corpus]
             for key, value in packed["counts"].items():
                 assert value == sum(r["counts"][key] for r in singles)
 
@@ -758,10 +767,10 @@ class TestPackedBatch:
             return inner(*args, **kwargs)
 
         model.encode = counting
-        report = evaluate_ti(model, corpus)
+        report = evaluate(model, corpus, "ti")
         assert calls == {"encode": 2}  # chunks of 3 and 1 sentences
         monkeypatch.setattr(model_module, "CHUNK", 64)
-        assert evaluate_ti(model, corpus) == report
+        assert evaluate(model, corpus, "ti") == report
 
 
 # ---------------------------------------------------------------------------

@@ -9,37 +9,12 @@ from framepath.syntax import (
     _tokenize,
     parse_bracketed,
     serialize,
-    tree_path,
 )
 
-from helpers import (parse_bracketed_recursive, serialize_recursive,
+from helpers import (bfs_path, parse_bracketed_recursive, serialize_recursive,
                      tokenize_loop)
 
 SAMPLE = "(S (NP (PRP She)) (VP (VBD had) (NP (JJ little) (NN patience))))"
-
-
-def bfs_path(tree: ConstTree, i: int, j: int) -> list[int]:
-    """Shortest path by breadth-first search over the undirected tree."""
-    n = len(tree.nodes)
-    adj = [[] for _ in range(n)]
-    for node in tree.nodes:
-        for c in node.children:
-            adj[node.id].append(c)
-            adj[c].append(node.id)
-    prev = {i: None}
-    frontier = [i]
-    while frontier and j not in prev:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    path = [j]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 def random_bracketed(rng: np.random.Generator, max_nodes: int = 30,
@@ -216,7 +191,7 @@ class TestParse:
         assert [n.parent for n in tree.nodes] == [None, *range(depth - 1)]
         assert tree.preterminal_order == [depth - 1]
         assert serialize(tree) == text
-        assert tree_path(tree, depth - 1, 0) == list(range(depth))[::-1]
+        assert tree.path_index(0)[0].tolist() == list(range(depth))[::-1]
 
     def test_random_bracket_strings_raise_only_tree_syntax_error(self):
         # Seeded fuzz: short strings over brackets, labels and blanks, and
@@ -267,45 +242,59 @@ class TestFamilyIndex:
         assert np.array_equal(tree.family_index, [[0]])
 
 
+def token_paths(tree: ConstTree, ref: int) -> list[list[int]]:
+    """path_index(ref)'s rows without their -1 padding."""
+    return [row[row >= 0].tolist() for row in tree.path_index(ref)]
+
+
 class TestTreePath:
+    """ConstTree.path_index: every token's path to a reference node."""
+
     def test_hand_example(self):
-        # Path from the verb's preterminal (VBD, id 4) up to VP (3), down
-        # through the object NP (5) to the adjective (JJ, id 6).
+        # Path from the adjective's preterminal (JJ, id 6, token 2) up
+        # through the object NP (5) to VP (3), down to the verb (VBD, 4).
         tree = parse_bracketed(SAMPLE)
-        assert tree_path(tree, 6, 4) == [6, 5, 3, 4]
-        assert [tree.nodes[k].label for k in tree_path(tree, 6, 4)] == [
+        index = tree.path_index(4)
+        assert index.dtype == np.intp and index.shape == (4, 5)
+        assert index[2].tolist() == [6, 5, 3, 4, -1]
+        assert [tree.nodes[k].label for k in token_paths(tree, 4)[2]] == [
             "JJ", "NP", "VP", "VBD",
         ]
+        assert index is tree.path_index(4)  # built once per reference
 
     def test_self_path_is_singleton(self):
         tree = parse_bracketed(SAMPLE)
-        for k in range(len(tree)):
-            assert tree_path(tree, k, k) == [k]
+        for tok, k in enumerate(tree.preterminal_order):
+            assert token_paths(tree, k)[tok] == [k]
 
     def test_ancestor_descendant(self):
+        # every token's path to the root climbs its ancestors
         tree = parse_bracketed(SAMPLE)
-        assert tree_path(tree, 0, 7) == [0, 3, 5, 7]
-        assert tree_path(tree, 7, 0) == [7, 5, 3, 0]
+        assert token_paths(tree, 0) == [[2, 1, 0], [4, 3, 0], [6, 5, 3, 0],
+                                        [7, 5, 3, 0]]
+        assert token_paths(tree, 3)[3] == [7, 5, 3]
 
     def test_reversal_symmetry(self):
+        # between two preterminals, each path is the other reversed
         rng = np.random.default_rng(11)
         for _ in range(10):
             tree = random_tree(rng)
-            n = len(tree)
-            for _ in range(20):
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                assert tree_path(tree, i, j) == tree_path(tree, j, i)[::-1]
+            paths = [token_paths(tree, k) for k in tree.preterminal_order]
+            for i, row in enumerate(paths):
+                for j, path in enumerate(row):
+                    assert path == paths[j][i][::-1]
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             tree = random_tree(rng)
-            n = len(tree)
-            for _ in range(30):
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                assert tree_path(tree, i, j) == bfs_path(tree, i, j)
+            for ref in range(len(tree)):
+                assert token_paths(tree, ref) == [
+                    bfs_path(tree, k, ref) for k in tree.preterminal_order]
 
     def test_out_of_range(self):
         tree = parse_bracketed(SAMPLE)
-        with pytest.raises(IndexError):
-            tree_path(tree, 0, 99)
+        for ref in (-1, len(tree)):
+            with pytest.raises(IndexError):
+                tree.path_index(ref)
+            assert ref not in tree._path_index

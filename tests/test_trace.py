@@ -37,20 +37,22 @@ def test_regeneration_byte_identical():
 
 
 def test_token_paths_built_once_per_reference(monkeypatch):
-    # the path features and the path listing share the tree's memo
+    # the path features and the path listing share the tree's memo: the
+    # tree pads its family rows once and each reference's paths once
     sent, onto = possession_example()
     model = FrameParser(small_config(), build_vocab([sent], onto), onto)
     built = []
 
-    def counting(tree, i, j, inner=syntax.tree_path):
-        built.append((i, j))
-        return inner(tree, i, j)
+    def counting(groups, inner=syntax.pad_groups):
+        built.append([list(map(int, g)) for g in groups])
+        return inner(groups)
 
-    monkeypatch.setattr(syntax, "tree_path", counting)
+    monkeypatch.setattr(syntax, "pad_groups", counting)
     generate_trace(model, sent)
-    refs = [sent.tree.root_index, sent.tree.token_node(1)]
-    assert sorted(built) == sorted((node, ref) for ref in refs
-                                   for node in sent.tree.preterminal_order)
+    family = [[0, 1, 3], [1, 2], [2], [3, 4, 5], [4], [5, 6, 7], [6], [7]]
+    to_root = [[2, 1, 0], [4, 3, 0], [6, 5, 3, 0], [7, 5, 3, 0]]
+    to_verb = [[2, 1, 0, 3, 4], [4], [6, 5, 3, 4], [7, 5, 3, 4]]
+    assert sorted(built) == sorted([family, to_root, to_verb])
 
 
 def test_one_token_sentence_lists_l_plus_one_h_matrices():
