@@ -55,7 +55,7 @@ def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
 def _reports(model: FrameParser, sentences: Sequence[Sentence],
              tasks: Sequence[str]) -> list[dict]:
     """The reports of tasks, in order, from one pass over the sentences
-    (the annotated ones only, unless ti is asked for), CHUNK at a time as
+    (the annotated ones only, unless ti is asked for), in the chunks
     parse_many runs: per chunk, one encode, the ti decoding, and one sum
     of the gold target rows that frame and role prediction share."""
     ti, fi, srl = ("ti" in tasks, "fi" in tasks, "srl" in tasks)

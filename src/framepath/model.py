@@ -56,7 +56,9 @@ from .layers import (BiLstm, Embedding, LayerNorm, Linear, ParamStore,
                      decode_state)
 
 N_AI_LABELS = 3  # O, B, I
-CHUNK = 4  # sentences per prediction pass, which bounds its memory
+# Padded cells (sentences x longest length) per prediction pass, which
+# its recurrence blocks and so its memory grow with.
+CELLS = 256
 
 # Parameter-path prefixes each task mode trains.  FI reads backbone A
 # through the target representation; SRL needs both backbones.
@@ -481,10 +483,18 @@ class FrameParser:
     # full pipeline
 
     def encode_chunks(self, sentences: list[Sentence]):
-        """encode of the sentences, prepared without gold, CHUNK at a time."""
-        for lo in range(0, len(sentences), CHUNK):
-            yield self.encode([self.prepare(sent, with_gold=False)
-                               for sent in sentences[lo:lo + CHUNK]])
+        """encode of the sentences, prepared without gold, in maximal runs
+        of consecutive sentences whose count times longest length is at
+        most CELLS; a longer sentence runs alone."""
+        run, longest = [], 0
+        for sent in sentences:
+            longest = max(longest, len(sent))
+            if run and (len(run) + 1) * longest > CELLS:
+                yield self.encode(run)
+                run, longest = [], len(sent)
+            run.append(self.prepare(sent, with_gold=False))
+        if run:
+            yield self.encode(run)
 
     def parse_many(self, sentences: list[Sentence]
                    ) -> list[tuple[list[FrameAnnotation], int]]:

@@ -6,7 +6,7 @@ import pytest
 from framepath import autodiff as ad
 from framepath import model as model_module
 from framepath import synth, training
-from framepath.corpus import build_vocab
+from framepath.corpus import FrameAnnotation, Sentence, build_vocab
 from framepath.evaluation import (
     _span_report,
     dev_metric,
@@ -15,6 +15,7 @@ from framepath.evaluation import (
     fi_accuracy,
 )
 from framepath.model import FrameParser
+from framepath.syntax import parse_bracketed, serialize
 
 from helpers import dev_metric_oracle, evaluate_oracle
 from test_model import (count_backbone_calls, make_corpus_model, make_model,
@@ -174,9 +175,12 @@ def gold_corpus(n_annotated):
 
 
 class TestChunkedGoldPass:
-    @pytest.mark.parametrize("n_annotated", [1, model_module.CHUNK,
-                                             model_module.CHUNK + 1])
-    def test_reports_equal_the_one_sentence_oracle(self, n_annotated):
+    # gold_corpus's annotated sentences run 5, 3, 7, 5, 3, 7, ... tokens,
+    # so at 7 * k cells (k even) k of them fill a chunk: 4 at 28 cells.
+    @pytest.mark.parametrize("n_annotated", [1, 4, 5])
+    def test_reports_equal_the_one_sentence_oracle(self, monkeypatch,
+                                                   n_annotated):
+        monkeypatch.setattr(model_module, "CELLS", 28)
         model, corpus = gold_corpus(n_annotated)
         assert any(not s.annotations for s in corpus) == (n_annotated > 1)
         joint = evaluate_oracle(model, corpus, "joint")
@@ -205,10 +209,10 @@ class TestChunkedGoldPass:
         assert logs[0] == logs[1]
         assert len(logs[0].splitlines()) == 4
 
-    @pytest.mark.parametrize("chunk", [2, model_module.CHUNK])
+    @pytest.mark.parametrize("chunk", [2, 4])
     def test_srl_runs_one_bounded_backbone_b_pass_per_chunk(
             self, monkeypatch, chunk):
-        monkeypatch.setattr(model_module, "CHUNK", chunk)
+        monkeypatch.setattr(model_module, "CELLS", 7 * chunk)
         n = 2 * chunk + 1
         model, corpus = gold_corpus(n)
         held = []  # the sentences each target_b call holds targets from
@@ -223,3 +227,46 @@ class TestChunkedGoldPass:
         evaluate_srl(model, corpus)
         assert lstm["b"] == len(held) == math.ceil(n / chunk)
         assert max(map(len, held)) == chunk
+
+
+def joined(parts):
+    """One sentence (S s1 (CC and) s2 ...) of the parts' words, each
+    annotation shifted onto the words it covered."""
+    trees, tokens, pos, anns = [], [], [], []
+    for sent in parts:
+        if tokens:
+            trees.append("(CC and)")
+            tokens.append("and")
+            pos.append("CC")
+        off = len(tokens)
+        trees.append(serialize(sent.tree))
+        tokens += sent.tokens
+        pos += sent.pos
+        anns += [FrameAnnotation([t + off for t in a.target], a.lu, a.frame,
+                                 [((s + off, e + off), label)
+                                  for (s, e), label in a.elements])
+                 for a in sent.annotations]
+    return Sentence(tokens=tokens, pos=pos, annotations=anns,
+                    tree=parse_bracketed("(S " + " ".join(trees) + ")"))
+
+
+def test_results_do_not_depend_on_the_cell_budget(monkeypatch):
+    raw, ontology = synth.generate(8, 56)
+    giant = joined(raw[16:])  # longer than every budget but the last
+    corpus = [*raw[:4], joined(raw[4:7]), *raw[7:10], giant,
+              joined(raw[10:13]), *raw[13:16]]
+    assert len(giant) > 256
+    model = FrameParser(tiny_config(), build_vocab(corpus, ontology),
+                        ontology)
+    model.ti_emit.b.data[:] = [0.0, 2.0, 0.0, 0.0]  # many targets found
+    seen = []
+    for cells in (1, 16, 256, 10**6):
+        monkeypatch.setattr(model_module, "CELLS", cells)
+        seen.append((model.parse_many(corpus),
+                     evaluate(model, corpus, "joint"),
+                     [dev_metric(model, corpus, task)
+                      for task in ("ti", "fi", "srl", "joint")]))
+    assert all(run == seen[0] for run in seen[1:])
+    parsed, (ti, fi, srl), _ = seen[0]
+    assert any(a.elements for anns, _ in parsed for a in anns)
+    assert ti["counts"]["pred"] and srl["counts"]["pred"]

@@ -746,10 +746,10 @@ class TestPackedBatch:
         model, corpus = make_corpus_model()
         model.ti_emit.b.data[:] = [0.0, 1.0, 0.0, 0.0]
         sentences = corpus + [sentence("(S (DT the))")]
-        monkeypatch.setattr(model_module, "CHUNK", 2)
+        monkeypatch.setattr(model_module, "CELLS", 14)
         calls = count_backbone_calls(model)
         parsed = model.parse_many(sentences)
-        assert calls["a"] == 3  # chunks of 2, 2 and 1 sentences
+        assert calls["a"] == 3  # chunks of 5 + 3, 7 + 5 and 1 tokens
         assert parsed == [model.parse(s) for s in sentences]
         # kept targets with roles, a dropped target, a sentence with none
         assert any(el for anns, _ in parsed for a in anns for el in a.elements)
@@ -758,7 +758,7 @@ class TestPackedBatch:
 
     def test_evaluate_ti_encodes_once_per_chunk(self, monkeypatch):
         model, corpus = make_corpus_model()
-        monkeypatch.setattr(model_module, "CHUNK", 3)
+        monkeypatch.setattr(model_module, "CELLS", 21)
         calls = {"encode": 0}
         inner = model.encode
 
@@ -768,9 +768,65 @@ class TestPackedBatch:
 
         model.encode = counting
         report = evaluate(model, corpus, "ti")
-        assert calls == {"encode": 2}  # chunks of 3 and 1 sentences
-        monkeypatch.setattr(model_module, "CHUNK", 64)
+        assert calls == {"encode": 2}  # chunks of 5 + 3 + 7 and 5 tokens
+        monkeypatch.setattr(model_module, "CELLS", 10**6)
         assert evaluate(model, corpus, "ti") == report
+
+
+def bare_run(n: int) -> Sentence:
+    """An unannotated sentence of n tokens, all "dog" under S."""
+    return sentence("(S" + " (NN dog)" * n + ")")
+
+
+class TestCellChunks:
+    def test_boundary_rule(self, monkeypatch):
+        model, corpus = make_corpus_model()
+        cells = 9
+        monkeypatch.setattr(model_module, "CELLS", cells)
+        sentences = [corpus[0], corpus[1], bare_run(1), bare_run(1),
+                     bare_run(12), corpus[2], corpus[3], bare_run(2),
+                     bare_run(1), bare_run(3)]
+        with ad.fresh_tape(), ad.no_grad():
+            chunks = [[enc.prep.sentence for enc in encs]
+                      for encs in model.encode_chunks(sentences)]
+            assert list(model.encode_chunks([])) == []
+        assert [[len(s) for s in c] for c in chunks] == [
+            [5], [3, 1, 1], [12], [7], [5], [2, 1, 3]]
+        joined = [s for chunk in chunks for s in chunk]
+        assert len(joined) == len(sentences)
+        assert all(a is b for a, b in zip(joined, sentences))  # in order
+        for chunk, after in zip(chunks, chunks[1:] + [None]):
+            longest = max(map(len, chunk))
+            assert len(chunk) * longest <= cells or len(chunk) == 1
+            if longest > cells:
+                assert len(chunk) == 1  # runs alone
+            if after:  # maximal: the next sentence would not fit
+                assert (len(chunk) + 1) * max(longest, len(after[0])) > cells
+
+    def test_backbone_b_holds_targets_of_one_chunk(self, monkeypatch):
+        model, corpus = make_corpus_model()
+        model.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
+        monkeypatch.setattr(model_module, "CELLS", 15)
+        chunks, held = [], []  # sentence ids per encode and target_b call
+        encode, target_b = model.encode, model.target_b
+
+        def encoding(preps, train=False):
+            chunks.append({id(prep.sentence) for prep in preps})
+            return encode(preps, train)
+
+        def recording(pairs, train=False):
+            held.append({id(enc.prep.sentence) for enc, _ in pairs})
+            return target_b(pairs, train)
+
+        model.encode, model.target_b = encoding, recording
+        for run in (lambda: evaluate(model, corpus + corpus, "joint"),
+                    lambda: model.parse_many(corpus + corpus)):
+            chunks.clear()
+            held.clear()
+            run()
+            # chunks of 5 + 3, 7 + 5, 5 + 3 and 7 + 5 tokens
+            assert len(chunks) == 4 and max(map(len, held)) == 2
+            assert all(any(ids <= chunk for chunk in chunks) for ids in held)
 
 
 # ---------------------------------------------------------------------------

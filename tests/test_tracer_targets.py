@@ -164,9 +164,12 @@ def test_parse_records_its_per_layer_spans():
         span[0] for span in tracer.spans}
 
 
-def test_parse_many_records_its_per_layer_spans():
+def test_parse_many_records_its_per_layer_spans(monkeypatch):
     # predict and evaluation run the chunked pass, not parse; it must
     # reach the same traced entry points, once per chunk for encode.
+    # The five sentences run 5, 5, 6, 8 and 4 tokens: at 32 cells the
+    # first four make one chunk and the last another.
+    monkeypatch.setattr(model, "CELLS", 32)
     tracing = load_tracer()
     sentences, ontology = synth.generate(0, 8)
     parser = FrameParser(Config(), build_vocab(sentences, ontology), ontology)
@@ -178,4 +181,4 @@ def test_parse_many_records_its_per_layer_spans():
     names = [span[0] for span in tracer.spans]
     assert {"model.encode", "model.ti_predict", "model.fi_predict",
             "layers.bilstm_b", "crf.viterbi"} <= set(names)
-    assert names.count("model.encode") == len(range(0, 5, model.CHUNK))
+    assert names.count("model.encode") == 2
