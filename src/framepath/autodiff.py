@@ -23,8 +23,9 @@ Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
 
 A ``Packed`` layout holds integer indices only, so it is a shared,
 immutable value: ``packed(n, lengths)`` builds one per distinct lengths
-and keeps the 64 most recently used, so a BiLSTM and the
-CRF that scores or decodes its rows use the same one.
+and keeps the 64 most recently used: a BiLSTM and the CRF that scores
+or decodes its rows share one, as do one-sentence ``parse`` calls; a
+chunked ``parse_many`` seldom repeats lengths outside a chunk.
 """
 
 from __future__ import annotations
@@ -436,10 +437,11 @@ def packed(n: int, lengths: Sequence[int] | None) -> Packed:
                     else tuple(map(operator.index, lengths)))
 
 
-# The bound: a parse pass over 1,165 held-out sentences has 15-16
-# distinct layouts, and a training batch shares a few between each
-# backbone and its CRFs; 64 holds both with room (0.57 MB when full on
-# train-long).
+# The bound: one-sentence parse calls over 1,172 held-out sentences use
+# 16 layouts (5,671 hits, no misses, once warm), and a training batch
+# shares a few between each backbone and its CRFs; 64 holds both with
+# room (0.57 MB full on train-long).  parse_many's 256-cell chunks
+# seldom repeat lengths: 94 hits, all within a chunk, and 141 misses.
 @lru_cache(maxsize=64)
 def _layouts(n: int, lengths: tuple[int, ...]) -> Packed:
     return Packed(n, lengths)

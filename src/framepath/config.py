@@ -81,14 +81,10 @@ class Config:
                                   f"got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        dims = ("token_dim", "pos_dim", "gcn_emb_dim", "gcn_dim", "gcn_layers",
-                "lstm_hidden", "lstm_layers", "lu_dim", "frame_dim",
-                "fi_hidden1", "fi_hidden2", "ai_pr_dim", "ai_pb_dim", "ac_dim",
-                "batch_size", "max_epochs", "scheduler_patience",
-                "early_stop_patience")
-        for name in dims:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for f in fields(self):  # every count and size, all but the seed
+            if (f.type == "int" and f.name != "seed"
+                    and getattr(self, f.name) < 1):
+                raise ConfigError(f"{f.name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.task not in TASKS:

@@ -60,12 +60,11 @@ def iobc_scheme() -> TagScheme:
 
 
 def iob2_scheme() -> TagScheme:
-    """O/B/I tags for contiguous spans: I only continues a span."""
-    labels = ("O", "B", "I")
-    start = np.array([True, True, False])
-    trans = np.ones((3, 3), dtype=bool)
-    trans[0, 2] = False  # O -> I
-    return TagScheme(labels, start, trans)
+    """O/B/I tags for contiguous spans: IOBC without C, so I only
+    continues a span."""
+    s = iobc_scheme()
+    return TagScheme(s.labels[:3], s.allowed_start[:3],
+                     s.allowed_transition[:3, :3])
 
 
 def open_scheme(labels: tuple[str, ...]) -> TagScheme:
@@ -83,8 +82,8 @@ class LinearChainCrf:
         self.trans = store.add(f"{path}.trans", np.zeros((k, k)), l2=l2)
         self.start = store.zeros(f"{path}.start", (k,))
         self.end = store.zeros(f"{path}.end", (k,))
-        self._start_penalty = np.where(scheme.allowed_start, 0.0, PENALTY)
-        self._trans_penalty = np.where(scheme.allowed_transition, 0.0, PENALTY)
+        self._start_penalty = mask_penalty(scheme.allowed_start)
+        self._trans_penalty = mask_penalty(scheme.allowed_transition)
 
     def _tables(self, constrain: bool) -> tuple[np.ndarray, np.ndarray]:
         """Start and transition scores, with the penalties if constrained."""
@@ -223,5 +222,5 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def mask_penalty(allowed: np.ndarray) -> np.ndarray:
-    """Additive emission penalty vector from a boolean allowed-label mask."""
+    """Additive penalties (0 allowed, PENALTY not) from a boolean mask."""
     return np.where(allowed, 0.0, PENALTY)

@@ -281,18 +281,15 @@ class FrameParser:
             return ad.dropout(t, self.config.dropout, self.dropout_rng)
         return t
 
-    def target_rows(self, a: Tensor, targets: list[list[int]]) -> Tensor:
-        """(n_targets, dim) sums of the rows of a each target indexes."""
-        if not all(targets):
-            raise ValueError("empty target index set")
-        return ad.sum_row_groups(a, [sorted(t) for t in targets])
-
     def encoded_target_rows(self, encs: list[SentenceEncoding],
                             targets: list[list[int]]) -> Tensor:
-        """target_rows of each target j over encs[j]'s rows of a."""
+        """(n_targets, dim) sums of the backbone-A rows each target
+        indexes, target j over encs[j]'s rows of a."""
+        if not all(targets):
+            raise ValueError("empty target index set")
         a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
-        return self.target_rows(a, [[first + i for i in target]
-                                    for first, target in zip(firsts, targets)])
+        return ad.sum_row_groups(a, [sorted(first + i for i in target)
+                                     for first, target in zip(firsts, targets)])
 
     def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
                  train: bool = False) -> tuple[Tensor, list[int]]:
@@ -433,31 +430,33 @@ class FrameParser:
         lengths = [len(prep.sentence) for prep in preps]
         items = [(k, pa) for k, prep in enumerate(preps)
                  for pa in prep.annotations]
-        anns = [pa for _, pa in items]
+        owner, anns = [encs[k] for k, _ in items], [pa for _, pa in items]
         weight = np.array([1.0 / (len(preps) * len(preps[k].annotations))
                            for k, _ in items])
-        if "fi" in parts or "srl" in parts:
-            t = self.target_rows(a, [[encs[k].a_first + i for i in pa.target]
-                                     for k, pa in items])
         out = {}
         if "ti" in parts:
             tags = [tag for prep in preps for tag in prep.ti_tags]
             nll = self.ti_crf.nll(self.ti_emit(a), tags, True, lengths)
             out["ti"] = ad.dot(nll, ad.tensor(np.full(len(preps),
                                                       1.0 / len(preps))))
-        if "fi" in parts:  # 0 without annotations: every array is empty
+        for part in ("fi", "srl"):  # 0 without annotations
+            if part in parts:
+                out[part] = ad.tensor(np.asarray(0.0))
+        if not items or "fi" not in parts and "srl" not in parts:
+            return out
+        targets = [pa.target for pa in anns]
+        t = self.encoded_target_rows(owner, targets)
+        if "fi" in parts:
             scores = self.frame_scores(t, [pa.lu_id for pa in anns], train)
             gold = -weight[:, None] * np.eye(scores.shape[1])[
                 [pa.frame_id for pa in anns]]  # -weight on each gold frame
             out["fi"] = ad.sum_all(ad.mul(ad.log_softmax(scores),
                                           ad.tensor(gold)))
         if "srl" in parts:
-            out["srl"] = ad.tensor(np.asarray(0.0))
-        if "srl" in parts and items:
             frame_ids = [pa.frame_id for pa in anns]
             z, _, b, b_first, emissions = self.srl_heads(
-                [encs[k] for k, _ in items], [pa.target for pa in anns], t,
-                [pa.lu_id for pa in anns], frame_ids, train)
+                owner, targets, t, [pa.lu_id for pa in anns], frame_ids,
+                train)
             ai = self.ai_crf.nll(emissions,
                                  [tag for pa in anns for tag in pa.ai_tags],
                                  True, [lengths[k] for k, _ in items])

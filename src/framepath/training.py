@@ -40,19 +40,14 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    # rows the update is written through, as long as the largest entry;
-    # shared by all entries, so it costs no memory per parameter
-    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 def adam_step(state: AdamState, entries: Sequence[tuple[str, ParamEntry]]):
     """One update over (path, entry) pairs; every entry must carry a grad.
 
-    Each entry updates in place, through its moments and two rows of
-    work space, in the textbook expression's order: m = b1*m + (1-b1)*g,
-    v = b2*v + ((1-b2)*g)*g, theta -= lr*(m/(1-b1**t)) /
-    (sqrt(v/(1-b2**t)) + eps), then theta -= (lr*wd)*theta if it decays.
-    Every bit matches the out-of-place form, with no temporaries."""
+    The textbook update: the moments in place, m = b1*m + (1-b1)*g and
+    v = b2*v + ((1-b2)*g)*g, then theta -= lr*(m/(1-b1**t)) /
+    (sqrt(v/(1-b2**t)) + eps), then theta -= (lr*wd)*theta if it decays."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -63,25 +58,17 @@ def adam_step(state: AdamState, entries: Sequence[tuple[str, ParamEntry]]):
         if g is None:
             raise TrainingError(f"parameter {path!r} has no gradient")
         theta = entry.tensor.data
-        m = state.m.get(path)
-        if m is None:
-            m = state.m[path] = np.zeros_like(theta)
+        if path not in state.m:
+            state.m[path] = np.zeros_like(theta)
             state.v[path] = np.zeros_like(theta)
-        if theta.size > state.work.shape[1]:
-            state.work = np.empty((2, theta.size))
-        v = state.v[path]
-        s, d = state.work[:, :theta.size].reshape((2,) + theta.shape)
+        m, v = state.m[path], state.v[path]
         m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
+        m += (1.0 - b1) * g
         v *= b2
-        np.multiply(1.0 - b2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        np.sqrt(np.divide(v, c2, out=d), out=d)
-        d += state.eps
-        np.multiply(state.lr, np.divide(m, c1, out=s), out=s)
-        theta -= np.divide(s, d, out=s)
+        v += ((1.0 - b2) * g) * g
+        theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
         if entry.decay and state.weight_decay > 0.0:
-            theta -= np.multiply(decay, theta, out=s)
+            theta -= decay * theta
 
 
 def clip_global_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
@@ -167,7 +154,6 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     preps = [model.prepare(s) for s in train_sentences]
     entries = model.trainable_entries(task)
     tensors = [e.tensor for _, e in entries]
-    params = [e.tensor for _, e in model.store.entries()]
     penalties = model.penalty_terms(task)
     state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
@@ -225,7 +211,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best_params = [p.data.copy() for p in params]
+            best_params = [t.data.copy() for t in tensors]
         state.lr = sched.step(metric)
         if cfg.stop_metric is not None and metric >= cfg.stop_metric:
             break
@@ -233,8 +219,8 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             break
 
     if best_params is not None:
-        for p, best in zip(params, best_params):
-            np.copyto(p.data, best)
+        for t, best in zip(tensors, best_params):
+            np.copyto(t.data, best)
     if log_path is not None:
         write_metric_log(log_path, rows)
     return TrainResult(best_metric=float(best_metric), best_epoch=best_epoch,

@@ -66,6 +66,13 @@ def test_invalid_values_rejected(bad):
         config_from_dict(bad)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(Config)
+                                  if f.type == "int" and f.name != "seed"])
+def test_sizes_and_counts_must_be_at_least_one(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 1$"):
+        config_from_dict({name: 0})
+
+
 MISTYPED = [{"lstm_hidden": "32"}, {"dropout": "0.1"}, {"seed": 2.5},
             {"batch_size": 2.5}, {"use_gcn": "false"}]
 

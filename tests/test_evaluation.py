@@ -158,7 +158,8 @@ def gold_corpus(n_annotated):
     model, corpus = make_corpus_model()
     with ad.fresh_tape(), ad.no_grad():
         h2 = [ad.leaky_relu(model.fi2(ad.leaky_relu(model.fi1(
-            model.target_rows(model.encode(model.prepare(sent)).a, [[2]])
+            model.encoded_target_rows([model.encode(model.prepare(sent))],
+                                      [[2]])
         )))).data[0] for sent in corpus[:2]]
     v, mid = h2[0] - h2[1], (h2[0] + h2[1]) / 2.0
     for sign, frame in ((1.0, "Motion"), (-1.0, "Operating")):

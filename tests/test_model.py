@@ -124,14 +124,15 @@ def count_backbone_calls(model) -> dict[str, int]:
 
 def fi_scores(model, enc, target, lu) -> np.ndarray:
     """Masked frame logits of one target, from the batched heads."""
-    return model.frame_scores(model.target_rows(enc.a, [target]),
+    return model.frame_scores(model.encoded_target_rows([enc], [target]),
                               [model.ontology.lu_id(lu)]).data[0]
 
 
 def srl_heads(model, enc, target, lu_id, frame_id):
     """z, pr, b, b_first and the (n, 3) bilinear scores of one target,
     from the role-labeling body training and prediction share."""
-    return model.srl_heads([enc], [target], model.target_rows(enc.a, [target]),
+    return model.srl_heads([enc], [target],
+                           model.encoded_target_rows([enc], [target]),
                            [lu_id], [frame_id])
 
 
@@ -216,7 +217,7 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.target_rows(enc.a, [[3]]).data[0]
+            t = model.encoded_target_rows([enc], [[3]]).data[0]
             assert np.array_equal(t, enc.a.data[3])
 
     def test_discontiguous_sum_and_order(self):
@@ -224,8 +225,8 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.target_rows(enc.a, [[2, 4]]).data[0]
-            rev = model.target_rows(enc.a, [[4, 2]]).data[0]
+            t = model.encoded_target_rows([enc], [[2, 4]]).data[0]
+            rev = model.encoded_target_rows([enc], [[4, 2]]).data[0]
             assert np.allclose(t, enc.a.data[2] + enc.a.data[4], atol=1e-12)
             assert np.array_equal(t, rev)
 
@@ -235,7 +236,7 @@ class TestTargetRepr:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             with pytest.raises(ValueError):
-                model.target_rows(enc.a, [[]])
+                model.encoded_target_rows([enc], [[]])
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +646,8 @@ class TestPackedBatch:
     def test_role_prediction_runs_each_srl_head_once(self):
         model, corpus = make_corpus_model()
         model.ti_emit.b.data[:] = [0.0, 50.0, 0.0, 0.0]  # every token a B
-        names = ("target_b", "target_rows", "srl_heads", "role_scores")
+        names = ("target_b", "encoded_target_rows", "srl_heads",
+                 "role_scores")
         calls = dict.fromkeys(names, 0)
         for name in names:
             inner = getattr(model, name)

@@ -291,10 +291,13 @@ class TestTrainLoop:
         from framepath.evaluation import dev_metric as dm
         assert dm(model, [sent], "ti") == pytest.approx(best)
 
-    def test_parameters_end_at_their_best_epoch_values(self, monkeypatch):
+    @pytest.mark.parametrize("task", ["joint", "ti"])
+    def test_parameters_end_at_their_best_epoch_values(self, monkeypatch,
+                                                       task):
         # A scripted dev metric peaks at epoch 2 of 4, and train() is run
         # twice on one model, so a snapshot that aliased the live arrays,
-        # or one kept from the first call, would show.
+        # or one kept from the first call, would show.  Parameters the
+        # task does not train keep their initial bits.
         seen = []
 
         def scripted(model, dev, task):
@@ -303,13 +306,19 @@ class TestTrainLoop:
             return [0.1, 0.5, 0.3, 0.2][(len(seen) - 1) % 4]
 
         monkeypatch.setattr(training, "dev_metric", scripted)
-        model, sent = make_model(max_epochs=4, task="joint")
+        model, sent = make_model(max_epochs=4, task=task)
+        initial = {p: e.tensor.data.copy() for p, e in model.store.entries()}
+        untrained = set(initial) - {p for p, _ in model.trainable_entries()}
+        assert bool(untrained) == (task == "ti")
         for call in range(2):
             result = train(model, [sent, make_sentence()], [sent])
             assert result.best_epoch == 2
             best, last = seen[4 * call + 1], seen[4 * call + 3]
             for path, entry in model.store.entries():
                 assert np.array_equal(entry.tensor.data, best[path]), path
+                if path in untrained:
+                    assert np.array_equal(entry.tensor.data,
+                                          initial[path]), path
             assert any(not np.array_equal(best[p], last[p]) for p in best)
 
     def test_empty_corpus_rejected(self):
