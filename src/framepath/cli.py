@@ -12,12 +12,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from dataclasses import fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import grad_check
-from .config import PRESETS, TASKS, ConfigError, load_config
+from .config import PRESETS, TASKS, Config, ConfigError, load_config
 from .corpus import (
     CorpusError,
     build_vocab,
@@ -63,13 +64,10 @@ def _add_training_args(p: _Parser) -> None:
     p.add_argument("--stop-metric", type=float, dest="stop_metric")
 
 
-def _config_from_args(args) -> "Config":
-    overrides = {}
-    for key in ("preset", "task", "seed", "max_epochs", "batch_size", "lr",
-                "dropout", "stop_metric"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+def _config_from_args(args) -> Config:
+    names = {f.name for f in fields(Config)} | {"preset"}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in names and value is not None}
     if getattr(args, "no_gcn", False):
         overrides["use_gcn"] = False
     return load_config(args.config, overrides)

@@ -79,9 +79,9 @@ class LinearChainCrf:
                  l2: float = 0.0):
         k = scheme.n_labels
         self.scheme = scheme
-        self.trans = store.add(f"{path}.trans", np.zeros((k, k)), l2=l2)
-        self.start = store.zeros(f"{path}.start", (k,))
-        self.end = store.zeros(f"{path}.end", (k,))
+        self.trans = store.add(f"{path}.trans", (k, k), l2=l2)
+        self.start = store.add(f"{path}.start", (k,), decay=False)
+        self.end = store.add(f"{path}.end", (k,), decay=False)
         self._start_penalty = mask_penalty(scheme.allowed_start)
         self._trans_penalty = mask_penalty(scheme.allowed_transition)
 

@@ -1,10 +1,10 @@
 """Trainable layers on top of the tape: parameter store, embeddings,
 linear maps, layer norm, and a bidirectional LSTM.
 
-Every parameter lives in a ParamStore under a unique path.  The store is
-the single source of truth for optimization (which tensors train, which
-decay, each L2 coefficient), for checkpoints (path -> values), and for
-gradient checking.
+Every parameter lives in a ParamStore under a unique path, put there by
+ParamStore.add.  The store is the single source of truth for
+optimization (which tensors train, which decay, each L2 coefficient),
+for checkpoints (path -> values), and for gradient checking.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,10 +28,8 @@ class ParamEntry:
 
 
 class ParamStore:
-    """Parameters by path.  Given a checkpoint's decoded arrays (path ->
-    float64 array, from decode_state), each parameter's path and shape
-    are checked against its saved array, which it takes: nothing is
-    drawn."""
+    """Parameters by path, optionally over a checkpoint's decoded arrays
+    (path -> float64 array, from decode_state)."""
 
     def __init__(self, rng: np.random.Generator,
                  saved: dict[str, np.ndarray] | None = None):
@@ -39,24 +37,26 @@ class ParamStore:
         self._saved = saved
         self._entries: dict[str, ParamEntry] = {}
 
-    def _saved_as(self, path: str, shape: tuple) -> np.ndarray | None:
-        """The saved array of path (None without a checkpoint); a
-        missing path or another shape raises ValueError."""
-        if self._saved is None:
-            return None
-        saved = self._saved.get(path)
-        if saved is None or saved.shape != shape:
-            got = "missing" if saved is None else saved.shape
-            raise ValueError(f"{path}: shape {got} does not match {shape}")
-        return saved
-
-    def add(self, path: str, values: np.ndarray, *, decay: bool = True,
+    def add(self, path: str, shape: tuple[int, ...],
+            init: float | Callable = 0.0, *, decay: bool = True,
             l2: float = 0.0) -> Tensor:
-        saved = self._saved_as(path, np.shape(values))
+        """The one place that decides a parameter's values.  With a
+        checkpoint, path and shape are checked against its saved array
+        (a missing path or another shape raises ValueError), which it
+        takes: nothing is drawn or allocated.  Without one, init fills
+        the shape if a number, or draws the array as init(rng, shape)
+        from the store's rng if a function."""
         if path in self._entries:
             raise ValueError(f"duplicate parameter path {path!r}")
-        t = ad.param(np.asarray(values if saved is None else saved,
-                                dtype=np.float64), name=path)
+        if self._saved is None:
+            values = (init(self.rng, shape) if callable(init)
+                      else np.full(shape, float(init)))
+        else:
+            values = self._saved.get(path)
+            if values is None or values.shape != shape:
+                got = "missing" if values is None else values.shape
+                raise ValueError(f"{path}: shape {got} does not match {shape}")
+        t = ad.param(np.asarray(values, dtype=np.float64), name=path)
         self._entries[path] = ParamEntry(t, decay, l2)
         return t
 
@@ -64,20 +64,16 @@ class ParamStore:
 
     def glorot(self, path: str, fan_in: int, fan_out: int, *,
                l2: float = 0.0) -> Tensor:
-        values = self._saved_as(path, (fan_in, fan_out))
-        if values is None:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            values = self.rng.uniform(-limit, limit, (fan_in, fan_out))
-        return self.add(path, values, l2=l2)
-
-    def zeros(self, path: str, shape) -> Tensor:
-        return self.add(path, np.zeros(shape), decay=False)
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return self.add(path, (fan_in, fan_out),
+                        lambda rng, shape: rng.uniform(-limit, limit, shape),
+                        l2=l2)
 
     def embedding(self, path: str, n: int, dim: int) -> Tensor:
-        values = self._saved_as(path, (n, dim))
-        if values is None:
-            values = self.rng.normal(0.0, 1.0 / np.sqrt(dim), (n, dim))
-        return self.add(path, values, decay=False)
+        scale = 1.0 / np.sqrt(dim)
+        return self.add(path, (n, dim),
+                        lambda rng, shape: rng.normal(0.0, scale, shape),
+                        decay=False)
 
     # access ----------------------------------------------------------------
 
@@ -166,7 +162,7 @@ class Linear:
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, out_dim: int):
         self.w = store.glorot(f"{path}.w", in_dim, out_dim)
-        self.b = store.zeros(f"{path}.b", (out_dim,))
+        self.b = store.add(f"{path}.b", (out_dim,), decay=False)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.affine(x, self.w, self.b)
@@ -174,8 +170,8 @@ class Linear:
 
 class LayerNorm:
     def __init__(self, store: ParamStore, path: str, dim: int):
-        self.gain = store.add(f"{path}.gain", np.ones(dim), decay=False)
-        self.bias = store.zeros(f"{path}.bias", (dim,))
+        self.gain = store.add(f"{path}.gain", (dim,), 1.0, decay=False)
+        self.bias = store.add(f"{path}.bias", (dim,), decay=False)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
@@ -189,9 +185,9 @@ class LstmDirection:
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int):
         self.wx = store.glorot(f"{path}.wx", in_dim, 4 * hidden)
         self.wh = store.glorot(f"{path}.wh", hidden, 4 * hidden)
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0
-        self.b = store.add(f"{path}.b", b, decay=False)
+        self.b = store.add(f"{path}.b", (4 * hidden,), lambda rng, shape:
+                           np.repeat([0.0, 1.0, 0.0, 0.0], hidden),
+                           decay=False)
 
 
 class BiLstm:

@@ -14,7 +14,7 @@ to dim(e); config validates the match.
 Heads, each one op per layer over every target (or span) it is given:
   TI  linear emissions over O/B/I/C + constrained CRF.
   FI  3-layer leaky-relu stack on the summed target encoding, with
-      lexicon-licensed frames only (others get -1e4).
+      lexicon-licensed frames only.
   AI  bilinear predicate/token scores as O/B/I emissions + CRF.
   AC  per-span sums of b, projected and scored against the frame's
       licensed role labels over the span sequence + CRF.
@@ -25,6 +25,10 @@ CRF once over all its sentences and annotations; role prediction runs
 each srl head once over every target it is given, across sentences.
 AC trains on gold spans (teacher forcing) and labels AI's predicted
 spans at inference.
+
+Training scores give unlicensed frames and roles -1e4, keeping every
+loss finite; decoding gives them -inf, as Viterbi does illegal tag
+openers and bigrams, so no emission scale makes a prediction break a rule.
 """
 
 from __future__ import annotations

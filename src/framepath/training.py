@@ -12,7 +12,9 @@ per-task losses.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -134,9 +136,12 @@ def write_metric_log(path: str, rows: list[dict]) -> None:
 
 def _objective(model: FrameParser, preps: list[Prepared], task: str,
                penalties) -> tuple[Tensor, dict[str, float]]:
+    """The batch's loss and its log record: each part as loss_<part>,
+    then the total, penalties included, as loss."""
     parts = model.batch_losses(preps, train=True, parts=TASK_LOSSES[task])
     loss = ad.add_sq_norms(sum_parts(parts), penalties)
-    return loss, {name: float(t.data) for name, t in parts.items()}
+    return loss, {**{f"loss_{name}": float(t.data)
+                     for name, t in parts.items()}, "loss": float(loss.data)}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # failures raise TrainingError
@@ -161,25 +166,19 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
                              cfg.scheduler_factor, cfg.scheduler_threshold)
     best_metric = -np.inf
     best_epoch = 0
-    best_params: list[np.ndarray] | None = None
+    best_params: list[np.ndarray] = []
     rows: list[dict] = []
     order = np.arange(len(preps))
 
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         model.shuffle_rng.shuffle(order)
-        sums: dict[str, float] = {}
-        total_sum = 0.0
-        n_batches = 0
+        records: list[dict[str, float]] = []  # one per batch
         for lo in range(0, len(order), cfg.batch_size):
             batch = [preps[i] for i in order[lo:lo + cfg.batch_size]]
             try:
                 with ad.fresh_tape():
-                    loss, part_vals = _objective(model, batch, task,
-                                                 penalties)
-                    value = float(loss.data)
-                    if not np.isfinite(value):
-                        raise FloatingPointError(f"loss = {value}")
+                    loss, record = _objective(model, batch, task, penalties)
                     ad.backward(loss)
             except FloatingPointError as e:
                 idx = [int(i) for i in order[lo:lo + cfg.batch_size]]
@@ -192,21 +191,18 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             clip_global_norm(tensors, cfg.grad_clip)
             adam_step(state, entries)
             ad.zero_grads(tensors)
-            for name, val in part_vals.items():
-                sums[name] = sums.get(name, 0.0) + val
-            total_sum += value
-            n_batches += 1
+            records.append(record)
 
         try:
             metric = dev_metric(model, dev_sentences, task)
         except FloatingPointError as e:
             raise TrainingError(f"non-finite dev metric at epoch {epoch}, "
                                 f"lr {state.lr}: {e}") from e
-        row = {"epoch": epoch, "loss": total_sum / n_batches,
-               "dev_metric": metric, "lr": state.lr}
-        for name, s in sums.items():
-            row[f"loss_{name}"] = s / n_batches
-        rows.append(row)
+        # plain float adds in batch order (sum() may compensate)
+        means = {key: reduce(operator.add, [r[key] for r in records], 0.0)
+                 / len(records) for key in records[0]}
+        rows.append({"epoch": epoch, **means, "dev_metric": metric,
+                     "lr": state.lr})
 
         if metric > best_metric:
             best_metric = metric
@@ -218,9 +214,8 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
         if sched.stall >= cfg.early_stop_patience:
             break
 
-    if best_params is not None:
-        for t, best in zip(tensors, best_params):
-            np.copyto(t.data, best)
+    for t, best in zip(tensors, best_params):
+        np.copyto(t.data, best)
     if log_path is not None:
         write_metric_log(log_path, rows)
     return TrainResult(best_metric=float(best_metric), best_epoch=best_epoch,

@@ -2,6 +2,7 @@ import base64
 import copy
 import hashlib
 import json
+import math
 import random
 import re
 import string
@@ -12,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from framepath.cli import main
+from framepath.cli import _config_from_args, build_parser, main
 from framepath.config import Config
 from framepath.corpus import (Ontology, build_vocab, load_corpus, load_ontology,
                               save_corpus)
@@ -582,11 +583,12 @@ def test_huge_config_value_is_rejected_before_drawing(
     add = ParamStore.add
     drawn = []
 
-    def checked_add(store, path, values, **kwargs):
+    def checked_add(store, path, shape, *args, **kwargs):
         drawn.append(path)
-        assert np.size(values) <= tiny["size"], path
         assert len(drawn) <= tiny["count"], path
-        return add(store, path, values, **kwargs)
+        t = add(store, path, shape, *args, **kwargs)  # refuses a bigger one
+        assert math.prod(shape) <= tiny["size"], path
+        return t
 
     monkeypatch.setattr(ParamStore, "add", checked_add)
     doc = json.loads(tiny["text"])
@@ -608,6 +610,24 @@ def test_gradcheck_refuses_training_options(capsys):
     # a training option would be read and then ignored.
     assert main(["gradcheck", "--lr", "1"]) == 1
     assert "unrecognized arguments: --lr 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, name, expected", [
+    ("--preset", "full", "token_dim", 768),
+    ("--seed", "7", "seed", 7),
+    ("--task", "ti", "task", "ti"),
+    ("--max-epochs", "3", "max_epochs", 3),
+    ("--batch-size", "2", "batch_size", 2),
+    ("--lr", "0.5", "lr", 0.5),
+    ("--dropout", "0.25", "dropout", 0.25),
+    ("--stop-metric", "0.9", "stop_metric", 0.9),
+])
+def test_training_option_reaches_the_config(flag, value, name, expected):
+    args = build_parser().parse_args(
+        ["train", "--corpus", "c", "--ontology", "o", "--checkpoint", "m",
+         flag, value])
+    assert getattr(Config(), name) != expected
+    assert getattr(_config_from_args(args), name) == expected
 
 
 def test_no_gcn_flag_drops_gcn_params(workspace, tmp_path):

@@ -29,17 +29,17 @@ def params(s):
 class TestParamStore:
     def test_paths_ordered_and_unique(self):
         s = store()
-        s.zeros("a", (2,))
-        s.zeros("b.w", (2, 2))
+        s.add("a", (2,), decay=False)
+        s.add("b.w", (2, 2), decay=False)
         assert [p for p, _ in s.entries()] == ["a", "b.w"]
         with pytest.raises(ValueError, match="duplicate"):
-            s.zeros("a", (3,))
+            s.add("a", (3,), decay=False)
 
     def test_prefix_selection(self):
         s = store()
-        ta = s.zeros("enc.a", (1,))
-        tb = s.zeros("enc.b", (1,))
-        tc = s.zeros("head.c", (1,))
+        ta = s.add("enc.a", (1,), decay=False)
+        tb = s.add("enc.b", (1,), decay=False)
+        tc = s.add("head.c", (1,), decay=False)
         # entries keep registration order under any path-prefix filter
         assert [e.tensor for p, e in s.entries()
                 if p.startswith("enc.")] == [ta, tb]
@@ -48,16 +48,16 @@ class TestParamStore:
     def test_l2_coefficients(self):
         s = store()
         s.glorot("u0", 3, 3, l2=0.5)
-        s.add("t", np.zeros((2, 2)), l2=1e-4)
+        s.add("t", (2, 2), l2=1e-4)
         s.glorot("w", 3, 3)
-        s.zeros("b", (3,))
+        s.add("b", (3,), decay=False)
         coeffs = {path: e.l2 for path, e in s.entries()}
         assert coeffs == {"u0": 0.5, "t": 1e-4, "w": 0.0, "b": 0.0}
 
     def test_decay_flags(self):
         s = store()
         s.glorot("w", 3, 3)
-        s.zeros("b", (3,))
+        s.add("b", (3,), decay=False)
         s.embedding("emb", 5, 4)
         flags = {path: e.decay for path, e in s.entries()}
         assert flags == {"w": True, "b": False, "emb": False}
@@ -77,25 +77,26 @@ class TestParamStore:
         s = store()
         extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308,
                              -1.7976931348623157e308])
-        s.add("a", extremes.reshape(2, 2))
+        s.add("a", (2, 2), lambda rng, shape: extremes.reshape(shape))
         state = json.loads(json.dumps(s.state()))
         assert isinstance(state["a"]["values"], str)
         s2 = ParamStore(np.random.default_rng(0), decode_state(state))
-        s2.zeros("a", (2, 2))
+        s2.add("a", (2, 2), decay=False)
         assert s2["a"].data.tobytes() == extremes.tobytes()  # keeps -0.0
         assert s2["a"].data.flags.writeable
 
     def test_state_values_are_little_endian_float64_bytes(self):
         s = store()
-        s.add("w", np.arange(6.0).reshape(2, 3))
+        s.add("w", (2, 3), lambda rng, shape: np.arange(6.0).reshape(shape))
         raw = base64.b64decode(s.state()["w"]["values"])
         assert raw == np.arange(6.0).astype("<f8").tobytes()
 
     def test_build_rejects_a_missing_or_reshaped_parameter(self):
         saved = {"a": np.zeros(3)}
         builds = {
-            "zeros": lambda s, path: s.zeros(path, (2,)),
-            "add": lambda s, path: s.add(path, np.ones(2)),
+            "add": lambda s, path: s.add(path, (2,), decay=False),
+            "add drawn": lambda s, path: s.add(
+                path, (2,), lambda rng, shape: rng.normal(size=shape)),
             "glorot": lambda s, path: s.glorot(path, 1, 2),
             "embedding": lambda s, path: s.embedding(path, 1, 2),
         }

@@ -88,3 +88,40 @@ def test_layouts_are_built_only_by_the_shared_cache():
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {
         "autodiff.py": ["_layouts"]}
+
+
+def readers_of(source: str, attr: str) -> list[str]:
+    """The scope ("Class.method", "function" or "<module>") of each read
+    of ``anything.attr``; assignments to it are not reads."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, child.name if where == "<module>"
+                      else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                found.append(where)
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_reader_detector():
+    source = ("class S:\n    def __init__(self, x):\n        self._x = x\n"
+              "    def get(self):\n        return self._x\n"
+              "def peek(s):\n    return s._x\n"
+              "y = S(1)._x\n")
+    assert readers_of(source, "_x") == ["S.get", "peek", "<module>"]
+
+
+def test_only_param_store_add_reads_the_checkpoint():
+    # ParamStore.add is the one place that decides a parameter's values:
+    # the checkpoint's array if the store holds one, else the init.
+    found = {path.name: sorted(set(readers_of(path.read_text(), "_saved")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "layers.py": ["ParamStore.add"]}

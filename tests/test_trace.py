@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 from framepath.config import Config
 from framepath.corpus import FrameAnnotation, Ontology, Sentence, build_vocab
@@ -117,3 +118,17 @@ def test_unannotated_sentence_uses_predictions():
     text = generate_trace(model, bare)
     assert "predicted targets:" in text
     assert "gold targets:" not in text
+
+
+def test_worked_example_reproduces_its_quoted_trace(capsys):
+    # docs/worked_example.md runs its one Python block and quotes the
+    # trace it prints in its plain fenced blocks, each as printed.
+    doc = Path(__file__).resolve().parents[1] / "docs" / "worked_example.md"
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", doc.read_text(),
+                        re.S | re.M)
+    [code] = [text for lang, text in blocks if lang == "python"]
+    quoted = [text for lang, text in blocks if not lang]
+    assert quoted
+    exec(code, {})
+    out = capsys.readouterr().out
+    assert [text for text in quoted if text not in out] == []
