@@ -16,7 +16,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import grad_check
 from .config import PRESETS, TASKS, Config, ConfigError, load_config
 from .corpus import (
@@ -29,7 +28,7 @@ from .corpus import (
     sentence_to_dict,
 )
 from .evaluation import evaluate
-from .model import TASK_LOSSES, FrameParser
+from .model import FrameParser
 from .syntax import TreeSyntaxError
 from .training import TrainingError, train
 
@@ -114,6 +113,22 @@ def build_parser() -> _Parser:
     return p
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse an output path that is a directory or lacks its parent."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{path}: parent directory does not exist")
+
+
+def _nonempty(path: str, sentences: list) -> list:
+    """sentences; none raises CorpusError naming path."""
+    if not sentences:
+        raise CorpusError(f"{path}: empty corpus")
+    return sentences
+
+
 def _load_model_and_corpus(args) -> tuple[FrameParser, list]:
     """Load --checkpoint and --corpus; the first sentence with a POS tag or
     constituent label outside the model's vocabulary raises with file:line."""
@@ -153,16 +168,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args.checkpoint, args.log)
     config = _config_from_args(args)
-    for path in filter(None, (args.checkpoint, args.log)):  # not after training
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"{path}: is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"{path}: parent directory does not exist")
     ontology = load_ontology(args.ontology)
-    sentences = load_corpus(args.corpus, ontology=ontology)
+    sentences = _nonempty(args.corpus, load_corpus(args.corpus,
+                                                   ontology=ontology))
     vocab = build_vocab(sentences, ontology)
-    dev = (load_corpus(args.dev, ontology=ontology, vocab=vocab) if args.dev
+    dev = (_nonempty(args.dev, load_corpus(args.dev, ontology=ontology,
+                                           vocab=vocab)) if args.dev
            else sentences)
     model = FrameParser(config, vocab, ontology)
     result = train(model, sentences, dev, log_path=args.log)
@@ -174,9 +187,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs(args.report)
     model, sentences = _load_model_and_corpus(args)
-    if not sentences:  # nothing to score is not a perfect score
-        raise CorpusError(f"{args.corpus}: empty corpus")
+    _nonempty(args.corpus, sentences)  # nothing to score: no perfect score
     with _checkpoint_overflow(args.checkpoint):
         reports = evaluate(model, sentences, args.task or model.config.task)
     text = json.dumps(reports, indent=2, sort_keys=True)
@@ -188,6 +201,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     model, sentences = _load_model_and_corpus(args)
     for sent in sentences:  # gold is not read, and would outlive parsing
         sent.annotations = []

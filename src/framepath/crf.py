@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import B, C, I, O
 from .layers import ParamStore
 
 PENALTY = -1e4
@@ -46,25 +47,27 @@ class TagScheme:
 
 
 def iobc_scheme() -> TagScheme:
-    """O/B/I/C tags for possibly discontinuous target spans.
+    """O/B/I/C tags for possibly discontinuous target spans, each label
+    at its corpus tag id.
 
     A sentence cannot open with a continuation (I or C), and I must
     extend an adjacent target token so it cannot follow O.  C resumes
     after a gap, so O -> C is legal.
     """
-    labels = ("O", "B", "I", "C")
-    start = np.array([True, True, False, False])
-    trans = np.ones((4, 4), dtype=bool)
-    trans[0, 2] = False  # O -> I
+    ids = {"O": O, "B": B, "I": I, "C": C}
+    labels = tuple(sorted(ids, key=ids.get))
+    start = np.isin(range(len(labels)), [O, B])
+    trans = np.ones((len(labels), len(labels)), dtype=bool)
+    trans[O, I] = False
     return TagScheme(labels, start, trans)
 
 
 def iob2_scheme() -> TagScheme:
-    """O/B/I tags for contiguous spans: IOBC without C, so I only
-    continues a span."""
+    """O/B/I tags for contiguous spans: IOBC without C, the last id, so
+    I only continues a span and O, B and I keep their ids."""
     s = iobc_scheme()
-    return TagScheme(s.labels[:3], s.allowed_start[:3],
-                     s.allowed_transition[:3, :3])
+    return TagScheme(s.labels[:C], s.allowed_start[:C],
+                     s.allowed_transition[:C, :C])
 
 
 def open_scheme(labels: tuple[str, ...]) -> TagScheme:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
@@ -59,7 +59,6 @@ from .gcn import TreeGcn, path_sum_features
 from .layers import (BiLstm, Embedding, LayerNorm, Linear, ParamStore,
                      decode_state)
 
-N_AI_LABELS = 3  # O, B, I
 # Padded cells (sentences x longest length) per prediction pass, which
 # its recurrence blocks and so its memory grow with.
 CELLS = 256
@@ -82,25 +81,14 @@ TASK_LOSSES: dict[str, tuple[str, ...]] = {
 
 
 @dataclass
-class PreparedAnnotation:
-    target: list[int]
-    lu_id: int
-    frame_id: int
-    spans: list[tuple[int, int]]
-    ai_tags: list[int]
-    fe_ids: list[int]
-
-
-@dataclass
 class Prepared:
-    """A sentence with every id lookup and gold tag encoding done once."""
+    """A sentence with its vocabulary lookups done once.  Its gold stays
+    in sentence.annotations, which only batch_losses reads."""
 
     sentence: Sentence
     token_ids: list[int]
     pos_ids: list[int]
     label_ids: list[int]
-    ti_tags: list[int]
-    annotations: list[PreparedAnnotation] = field(default_factory=list)
 
 
 def sum_parts(parts: dict[str, Tensor]) -> Tensor:
@@ -162,8 +150,9 @@ class FrameParser:
         self.ln_a = LayerNorm(self.store, "enc.a.ln", e_dim)
         self.ln_b = LayerNorm(self.store, "enc.b.ln", e_dim)
 
-        self.ti_emit = Linear(self.store, "ti.emit", e_dim, 4)
-        self.ti_crf = LinearChainCrf(self.store, "ti.crf", iobc_scheme(),
+        ti_scheme, ai_scheme = iobc_scheme(), iob2_scheme()
+        self.ti_emit = Linear(self.store, "ti.emit", e_dim, ti_scheme.n_labels)
+        self.ti_crf = LinearChainCrf(self.store, "ti.crf", ti_scheme,
                                      l2=c.l2_crf)
 
         self.fi1 = Linear(self.store, "fi.l1", e_dim, c.fi_hidden1)
@@ -180,9 +169,9 @@ class FrameParser:
         self.ai_u = [
             self.store.glorot(f"srl.ai.u{k}", c.ai_pr_dim, c.ai_pb_dim,
                               l2=c.l2_bilinear)
-            for k in range(N_AI_LABELS)
+            for k in range(ai_scheme.n_labels)
         ]
-        self.ai_crf = LinearChainCrf(self.store, "srl.ai.crf", iob2_scheme(),
+        self.ai_crf = LinearChainCrf(self.store, "srl.ai.crf", ai_scheme,
                                      l2=c.l2_crf)
         self.ac_y = Linear(self.store, "srl.ac.y", e_dim + z_dim, c.ac_dim)
         self.ac_emit = Linear(self.store, "srl.ac.emit", c.ac_dim,
@@ -203,30 +192,16 @@ class FrameParser:
     # ------------------------------------------------------------------
     # preparation and encoding
 
-    def prepare(self, sent: Sentence, with_gold: bool = True) -> Prepared:
-        n = len(sent)
-        prep = Prepared(
+    def prepare(self, sent: Sentence) -> Prepared:
+        """The sentence's token, POS and constituent-label ids; its gold
+        annotations are not read here (batch_losses reads them)."""
+        return Prepared(
             sentence=sent,
             token_ids=[self.vocab.token_id(t) for t in sent.tokens],
             pos_ids=[self.vocab.pos_id(p) for p in sent.pos],
             label_ids=[self.vocab.label_id(node.label)
                        for node in sent.tree.nodes],
-            ti_tags=encode_iobc([a.target for a in sent.annotations], n)
-            if with_gold else [0] * n,
         )
-        if not with_gold:
-            return prep
-        for ann in sent.annotations:
-            spans = [span for span, _ in ann.elements]
-            prep.annotations.append(PreparedAnnotation(
-                target=ann.target,
-                lu_id=self.ontology.lu_id(ann.lu),
-                frame_id=self.ontology.frame_id(ann.frame),
-                spans=spans,
-                ai_tags=encode_iobc([range(s, e + 1) for s, e in spans], n),
-                fe_ids=[self.ontology.fe_id(label) for _, label in ann.elements],
-            ))
-        return prep
 
     def encode(self, preps: list[Prepared] | Prepared, train: bool = False
                ) -> list[SentenceEncoding] | SentenceEncoding:
@@ -425,22 +400,26 @@ class FrameParser:
                      parts: tuple[str, ...] = ("ti", "fi", "srl"),
                      ) -> dict[str, Tensor]:
         """Per-part batch-mean losses, each head and CRF run once over the
-        whole batch.  A sentence's annotations share its 1/B of the fi and
-        srl means; an unannotated sentence adds 0 but still counts in B."""
+        whole batch.  The gold is read here, from the sentences'
+        annotations, for the parts asked for: only fi and srl look up
+        lexical units and frames (CorpusError if unknown).  A sentence's
+        annotations share its 1/B of the fi and srl means; an unannotated
+        sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
         encs = self.encode(preps, train)
-        a = encs[0].a
-        lengths = [len(prep.sentence) for prep in preps]
-        items = [(k, pa) for k, prep in enumerate(preps)
-                 for pa in prep.annotations]
-        owner, anns = [encs[k] for k, _ in items], [pa for _, pa in items]
-        weight = np.array([1.0 / (len(preps) * len(preps[k].annotations))
+        sents = [prep.sentence for prep in preps]
+        lengths = list(map(len, sents))
+        items = [(k, ann) for k, s in enumerate(sents)
+                 for ann in s.annotations]
+        owner, anns = [encs[k] for k, _ in items], [ann for _, ann in items]
+        weight = np.array([1.0 / (len(sents) * len(sents[k].annotations))
                            for k, _ in items])
         out = {}
         if "ti" in parts:
-            tags = [tag for prep in preps for tag in prep.ti_tags]
-            nll = self.ti_crf.nll(self.ti_emit(a), tags, True, lengths)
+            tags = [tag for s in sents for tag in encode_iobc(
+                [ann.target for ann in s.annotations], len(s))]
+            nll = self.ti_crf.nll(self.ti_emit(encs[0].a), tags, True, lengths)
             out["ti"] = ad.dot(nll, ad.tensor(np.full(len(preps),
                                                       1.0 / len(preps))))
         for part in ("fi", "srl"):  # 0 without annotations
@@ -448,30 +427,33 @@ class FrameParser:
                 out[part] = ad.tensor(np.asarray(0.0))
         if not items or "fi" not in parts and "srl" not in parts:
             return out
-        targets = [pa.target for pa in anns]
+        targets = [ann.target for ann in anns]
+        lu_ids = [self.ontology.lu_id(ann.lu) for ann in anns]
+        frame_ids = [self.ontology.frame_id(ann.frame) for ann in anns]
         t = self.encoded_target_rows(owner, targets)
         if "fi" in parts:
-            scores = self.frame_scores(t, [pa.lu_id for pa in anns], train)
+            scores = self.frame_scores(t, lu_ids, train)
             gold = -weight[:, None] * np.eye(scores.shape[1])[
-                [pa.frame_id for pa in anns]]  # -weight on each gold frame
+                frame_ids]  # -weight on each gold frame
             out["fi"] = ad.sum_all(ad.mul(ad.log_softmax(scores),
                                           ad.tensor(gold)))
         if "srl" in parts:
-            frame_ids = [pa.frame_id for pa in anns]
+            spans = [[span for span, _ in ann.elements] for ann in anns]
+            ai_tags = [tag for s, (k, _) in zip(spans, items) for tag in
+                       encode_iobc([range(i, j + 1) for i, j in s],
+                                   lengths[k])]
+            fe_ids = [self.ontology.fe_id(label) for ann in anns
+                      for _, label in ann.elements]
             z, _, b, b_first, emissions = self.srl_heads(
-                owner, targets, t, [pa.lu_id for pa in anns], frame_ids,
-                train)
-            ai = self.ai_crf.nll(emissions,
-                                 [tag for pa in anns for tag in pa.ai_tags],
-                                 True, [lengths[k] for k, _ in items])
+                owner, targets, t, lu_ids, frame_ids, train)
+            ai = self.ai_crf.nll(emissions, ai_tags, True,
+                                 [lengths[k] for k, _ in items])
             out["srl"] = ad.dot(ai, ad.tensor(weight))
-            spans = [pa.spans for pa in anns]
             if any(spans):
                 emissions = self.role_scores(z, b, b_first, spans, frame_ids,
                                              train)
-                ac = self.ac_crf.nll(emissions, [i for pa in anns
-                                                 for i in pa.fe_ids],
-                                     True, [len(s) for s in spans if s])
+                ac = self.ac_crf.nll(emissions, fe_ids, True,
+                                     [len(s) for s in spans if s])
                 out["srl"] = ad.add(out["srl"], ad.dot(ac, ad.tensor(
                     weight[[bool(s) for s in spans]])))
         return out
@@ -486,16 +468,16 @@ class FrameParser:
     # full pipeline
 
     def encode_chunks(self, sentences: list[Sentence]):
-        """encode of the sentences, prepared without gold, in maximal runs
-        of consecutive sentences whose count times longest length is at
-        most CELLS; a longer sentence runs alone."""
+        """encode of the prepared sentences in maximal runs of consecutive
+        sentences whose count times longest length is at most CELLS; a
+        longer sentence runs alone."""
         run, longest = [], 0
         for sent in sentences:
             longest = max(longest, len(sent))
             if run and (len(run) + 1) * longest > CELLS:
                 yield self.encode(run)
                 run, longest = [], len(sent)
-            run.append(self.prepare(sent, with_gold=False))
+            run.append(self.prepare(sent))
         if run:
             yield self.encode(run)
 

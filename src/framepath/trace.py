@@ -52,7 +52,7 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
     out(f"nodes: {len(tree.nodes)}  root: node {tree.root_index}")
     out("")
 
-    prep = model.prepare(sentence, with_gold=False)
+    prep = model.prepare(sentence)
     with ad.fresh_tape(), ad.no_grad():
         out("== constituent encodings ==")
         if model.gcn is None:

@@ -256,7 +256,7 @@ def forest_index_loop(blocks, firsts):
 def _gold_items_oracle(model, sentences):
     """Every gold annotation and its sentence's encoding, as two lists,
     from one single-sentence encode per annotated sentence."""
-    encs = [model.encode(model.prepare(sent, with_gold=False))
+    encs = [model.encode(model.prepare(sent))
             for sent in sentences if sent.annotations]
     return [enc for enc in encs for _ in enc.prep.sentence.annotations], [
         ann for enc in encs for ann in enc.prep.sentence.annotations]
@@ -267,7 +267,7 @@ def evaluate_ti_oracle(model, sentences):
     sentence."""
     with ad.fresh_tape(), ad.no_grad():
         pred = [[tuple(t) for t in model.ti_predict([model.encode(
-            model.prepare(sent, with_gold=False))])[0]] for sent in sentences]
+            model.prepare(sent))])[0]] for sent in sentences]
     gold = [[tuple(sorted(a.target)) for a in sent.annotations]
             for sent in sentences]
     return _span_report("ti", gold, pred)

@@ -133,7 +133,19 @@ def test_train_with_empty_dev_corpus_exits_2(workspace, tmp_path, capsys):
     assert main(["train", "--corpus", workspace["corpus"], "--ontology",
                  workspace["onto"], "--dev", str(empty), "--checkpoint",
                  str(ckpt)]) == 2
-    assert capsys.readouterr() == ("", "error: empty dev corpus\n")
+    assert capsys.readouterr() == ("", f"error: {empty}: empty corpus\n")
+    assert not ckpt.exists()
+
+
+def test_train_with_empty_corpus_exits_2(workspace, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.setattr("framepath.cli.build_vocab", never_train)
+    empty, ckpt = tmp_path / "empty.jsonl", tmp_path / "model.json"
+    empty.write_text("")
+    assert main(["train", "--corpus", str(empty), "--ontology",
+                 workspace["onto"], "--dev", workspace["corpus"],
+                 "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr() == ("", f"error: {empty}: empty corpus\n")
     assert not ckpt.exists()
 
 
@@ -691,15 +703,27 @@ def test_checkpoint_path_that_is_a_directory_exits_2(workspace, tmp_path,
 @pytest.mark.parametrize("flag,name", [
     ("--log", "taken"),
     ("--checkpoint", "missing/dir/model.json"),
-], ids=["log-directory", "checkpoint-missing-parent"])
+    ("--report", "missing/report.json"),
+    ("--out", "missing/predicted.jsonl"),
+], ids=["log-directory", "checkpoint-missing-parent",
+        "report-missing-parent", "out-missing-parent"])
 def test_unusable_output_path_exits_2_before_training(
         workspace, tmp_path, capsys, monkeypatch, flag, name):
-    monkeypatch.setattr("framepath.cli.train", never_train)
+    # train, eval and predict refuse the path before anything loads
+    for target in ("framepath.cli.load_corpus", "framepath.cli.train",
+                   "framepath.cli.evaluate",
+                   "framepath.cli.FrameParser.parse_many"):
+        monkeypatch.setattr(target, never_train)
     (tmp_path / "taken").mkdir()
     path = str(tmp_path / name)
-    outputs = {"--checkpoint": str(tmp_path / "model.json"), flag: path}
-    argv = ["train", "--corpus", workspace["corpus"], "--ontology",
-            workspace["onto"], "--task", "ti", "--max-epochs", "1"]
+    if flag in ("--report", "--out"):
+        outputs = {flag: path}
+        argv = ["eval" if flag == "--report" else "predict", "--checkpoint",
+                workspace["ckpt"], "--corpus", workspace["corpus"]]
+    else:
+        outputs = {"--checkpoint": str(tmp_path / "model.json"), flag: path}
+        argv = ["train", "--corpus", workspace["corpus"], "--ontology",
+                workspace["onto"], "--task", "ti", "--max-epochs", "1"]
     for key, value in outputs.items():
         argv += [key, value]
     assert main(argv) == 2

@@ -10,7 +10,8 @@ from framepath import autodiff as ad
 from framepath import model as model_module
 from framepath.config import Config
 from framepath.corpus import (CorpusError, FrameAnnotation, Ontology,
-                              Sentence, build_vocab)
+                              Sentence, build_vocab, load_corpus,
+                              save_corpus)
 from framepath.evaluation import evaluate, evaluate_srl
 from framepath.gcn import TreeGcn
 from framepath.model import FrameParser
@@ -417,7 +418,7 @@ class TestLosses:
                                             [0] * 5, True).data)
         assert abs(loss - direct) < 1e-12
 
-    def test_discontinuous_gold_tags_encode_and_score(self):
+    def test_discontinuous_gold_tags_encode_and_score(self, monkeypatch):
         model, sent = make_model()
         split = Sentence(
             tokens=sent.tokens, pos=sent.pos, tree=sent.tree,
@@ -425,11 +426,34 @@ class TestLosses:
                 FrameAnnotation(target=[1], lu="dog.n", frame="Animal"),
                 FrameAnnotation(target=[2, 4], lu="run.v", frame="Motion"),
             ])
+        scored, nll = [], model.ti_crf.nll
+        monkeypatch.setattr(model.ti_crf, "nll", lambda emissions, tags, *a:
+                            scored.append(tags) or nll(emissions, tags, *a))
         prep = model.prepare(split)
-        assert prep.ti_tags == [0, 1, 1, 0, 3]
         with ad.fresh_tape(), ad.no_grad():
             loss = float(model.loss([prep], "ti").data)
+        assert scored == [[0, 1, 1, 0, 3]]
         assert np.isfinite(loss) and loss > 0.0
+
+    def test_unknown_gold_lu_fails_only_the_losses_that_read_it(
+            self, tmp_path):
+        # prepare reads no gold, so a lexical unit outside the ontology
+        # surfaces only where an fi or srl loss looks it up
+        model, sent = make_model()
+        sent.annotations[0].lu = "walk.v"
+        prep = model.prepare(sent)
+        model.parse(sent)  # parsing reads no gold either
+        with ad.fresh_tape(), ad.no_grad():
+            ti = float(model.batch_losses([prep], parts=("ti",))["ti"].data)
+            assert np.isfinite(ti) and ti > 0.0
+            for part in ("fi", "srl"):
+                with pytest.raises(CorpusError,
+                                   match="unknown lexical unit 'walk.v'"):
+                    model.batch_losses([prep], parts=(part,))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([sent], str(path))
+        with pytest.raises(CorpusError, match="unknown lexical unit 'walk.v'"):
+            load_corpus(str(path), ontology=model.ontology)
 
     def test_duplicated_batch_same_means(self):
         model, sent = make_model()
@@ -535,7 +559,7 @@ class TestPackedBatch:
         with ad.fresh_tape(), ad.no_grad():
             encs, targets, lus, frames = [], [], [], []
             for sent in corpus[:3]:
-                enc = model.encode(model.prepare(sent, with_gold=False))
+                enc = model.encode(model.prepare(sent))
                 anns = sent.annotations
                 each = model.fi_predict([enc] * len(anns),
                                         [a.target for a in anns],
@@ -690,7 +714,7 @@ class TestPackedBatch:
         with ad.fresh_tape(), ad.no_grad():
             model.batch_losses([model.prepare(s) for s in corpus[:3]],
                                parts=("srl",))
-            encs = [model.encode(model.prepare(s, with_gold=False))
+            encs = [model.encode(model.prepare(s))
                     for s in corpus[:3]]
             anns = [(enc, a) for enc in encs
                     for a in enc.prep.sentence.annotations]

@@ -125,3 +125,39 @@ def test_only_param_store_add_reads_the_checkpoint():
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {
         "layers.py": ["ParamStore.add"]}
+
+
+def test_only_batch_losses_reads_gold_in_the_model():
+    # A prepared sentence holds only its vocabulary ids; the one place
+    # the model reads gold annotations is where it scores them.
+    found = readers_of((SRC / "model.py").read_text(), "annotations")
+    assert set(found) == {"FrameParser.batch_losses"}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads; ``from
+    __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_unused_import_detector():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from . import autodiff as ad\nfrom .model import A, B\n"
+              "def f():\n    return os.path.join(A, np.pi)\n")
+    assert unused_imports(source) == ["B", "ad"]
+
+
+def test_every_import_is_used():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
