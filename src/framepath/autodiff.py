@@ -396,15 +396,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), vjp)
 
 
-def log_softmax(x: Tensor) -> Tensor:
+def log_softmax(x: Tensor, allowed: np.ndarray | bool = True) -> Tensor:
     """Over the last axis: a vector, or each row of a matrix (which may
-    be empty, as a model without frames scores no frame)."""
-    m = x.data.max(axis=-1, keepdims=True, initial=-np.inf)
-    lse = m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
-    out = Tensor(_check(x.data - lse, "log_softmax"))
+    be empty, as a model without frames scores no frame), normalized over
+    the entries the boolean mask allowed keeps; the rest hold 0.0 and
+    pass back no gradient."""
+    z = np.where(allowed, x.data, -np.inf)
+    m = z.max(axis=-1, keepdims=True, initial=-np.inf)
+    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    out = Tensor(_check(np.where(allowed, z - lse, 0.0), "log_softmax"))
 
     def vjp(g):
-        _acc(x, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
+        g = np.where(allowed, g, 0.0)
+        _acc(x, g - np.exp(z - lse) * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (x,), vjp)
 

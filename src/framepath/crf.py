@@ -3,10 +3,10 @@
 Scores factor as start[y0] + sum emissions[t, yt] + sum trans[y(t-1), yt]
 + end[yn-1].  The log partition function runs in log space throughout, so
 no probability ever underflows.  Structural constraints (which labels may
-open a sequence, which may follow which) enter the training objective, if
-switched on, as additive -1e4 penalties rather than hard -inf, keeping
-every quantity finite.  Viterbi excludes forbidden openers and bigrams
-outright, so decoding is legal at any emission scale.
+open a sequence, which may follow which) score -inf, in training if
+switched on and always in Viterbi, as do the cells an emission mask rules
+out; so the loss counts legal paths only and decoding is legal at any
+emission scale.
 
 log Z and the gold score are one tape op each over every chain of a
 batch, packed back to back; log Z's backward pass is forward-backward
@@ -29,8 +29,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import B, C, I, O
 from .layers import ParamStore
-
-PENALTY = -1e4
 
 
 @dataclass
@@ -85,27 +83,27 @@ class LinearChainCrf:
         self.trans = store.add(f"{path}.trans", (k, k), l2=l2)
         self.start = store.add(f"{path}.start", (k,), decay=False)
         self.end = store.add(f"{path}.end", (k,), decay=False)
-        self._start_penalty = mask_penalty(scheme.allowed_start)
-        self._trans_penalty = mask_penalty(scheme.allowed_transition)
 
     def _tables(self, constrain: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Start and transition scores, with the penalties if constrained."""
+        """Start and transition scores; constrained, -inf where forbidden."""
         if not constrain:
             return self.start.data, self.trans.data
-        return (self.start.data + self._start_penalty,
-                self.trans.data + self._trans_penalty)
+        return (np.where(self.scheme.allowed_start, self.start.data, -np.inf),
+                np.where(self.scheme.allowed_transition, self.trans.data,
+                         -np.inf))
 
     def log_partition(self, emissions: Tensor, constrain: bool,
-                      lengths: Sequence[int] | None = None) -> Tensor:
+                      lengths: Sequence[int] | None = None,
+                      allowed: np.ndarray | bool = True) -> Tensor:
         """log Z of each chain packed back to back in emissions (lengths
         None: one chain, a scalar), by the forward algorithm over an
-        ad.Packed block, as one tape op.  Its backward runs the beta
-        recursion; cells past a chain's end hold -inf, whose exp is an
-        exact zero marginal."""
+        ad.Packed block, as one tape op; cells outside the boolean mask
+        allowed score -inf.  Its backward runs the beta recursion; cells
+        past a chain's end hold -inf, whose exp is an exact zero marginal."""
         chains = ad.packed(emissions.data.shape[0], lengths)
         start, trans = self._tables(constrain)
         end = self.end.data
-        x = chains.to_block(emissions.data)
+        x = chains.to_block(np.where(allowed, emissions.data, -np.inf))
         alpha = np.full(x.shape, -np.inf)
         alpha[0] = start + x[0]
         for t in range(1, chains.steps):
@@ -143,8 +141,9 @@ class LinearChainCrf:
                    constrain: bool,
                    lengths: Sequence[int] | None = None) -> Tensor:
         """Score of each chain's tag sequence (tags packed like emissions'
-        rows; lengths None: one chain, a scalar), as one tape op whose
-        backward adds each chain's output gradient onto its gold cells."""
+        rows; lengths None: one chain, a scalar; constrained, -inf, which
+        raises, for one the scheme forbids), as one tape op whose backward
+        adds each chain's output gradient onto its gold cells."""
         n, k = emissions.data.shape
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
@@ -177,24 +176,23 @@ class LinearChainCrf:
                           vjp)
 
     def nll(self, emissions: Tensor, tags: Sequence[int], constrain: bool,
-            lengths: Sequence[int] | None = None) -> Tensor:
+            lengths: Sequence[int] | None = None,
+            allowed: np.ndarray | bool = True) -> Tensor:
         """Negative log-likelihood of each chain's tag sequence."""
-        return ad.sub(self.log_partition(emissions, constrain, lengths),
-                      self.gold_score(emissions, tags, constrain, lengths))
+        z = self.log_partition(emissions, constrain, lengths, allowed)
+        return ad.sub(z, self.gold_score(emissions, tags, constrain, lengths))
 
     def viterbi(self, emissions: np.ndarray,
                 lengths: Sequence[int] | None = None) -> list:
         """Best legal tags of each chain packed in emissions (lengths None:
         one chain, one list), by max-product over an ad.Packed block, no
-        tape; the scheme's forbidden openers and bigrams score -inf."""
+        tape, under the constrained tables training scores with."""
         if lengths is None and len(emissions) == 0:
             return []
         chains = ad.packed(len(emissions), lengths)
         x = chains.to_block(emissions)
-        trans = np.where(self.scheme.allowed_transition, self.trans.data,
-                         -np.inf)
-        score = np.where(self.scheme.allowed_start, self.start.data,
-                         -np.inf) + x[0]
+        start, trans = self._tables(True)
+        score = start + x[0]
         back = []  # per step, each running chain's labels' best predecessor
         for t in range(1, chains.steps):
             m = chains.running[t]
@@ -222,8 +220,3 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
                                                         keepdims=True)
     np.log(s, out=s, where=s > 0.0)
     return (m + s).squeeze(axis)
-
-
-def mask_penalty(allowed: np.ndarray) -> np.ndarray:
-    """Additive penalties (0 allowed, PENALTY not) from a boolean mask."""
-    return np.where(allowed, 0.0, PENALTY)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ConfigError
 
 
 @dataclass
@@ -45,12 +46,17 @@ class ParamStore:
         (a missing path or another shape raises ValueError), which it
         takes: nothing is drawn or allocated.  Without one, init fills
         the shape if a number, or draws the array as init(rng, shape)
-        from the store's rng if a function."""
+        from the store's rng if a function; a shape too big to allocate
+        raises ConfigError naming path and shape."""
         if path in self._entries:
             raise ValueError(f"duplicate parameter path {path!r}")
         if self._saved is None:
-            values = (init(self.rng, shape) if callable(init)
-                      else np.full(shape, float(init)))
+            try:
+                values = (init(self.rng, shape) if callable(init)
+                          else np.full(shape, float(init)))
+            except MemoryError as e:
+                raise ConfigError(f"{path}: cannot allocate a parameter of "
+                                  f"shape {shape}") from e
         else:
             values = self._saved.get(path)
             if values is None or values.shape != shape:

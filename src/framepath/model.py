@@ -26,9 +26,9 @@ each srl head once over every target it is given, across sentences.
 AC trains on gold spans (teacher forcing) and labels AI's predicted
 spans at inference.
 
-Training scores give unlicensed frames and roles -1e4, keeping every
-loss finite; decoding gives them -inf, as Viterbi does illegal tag
-openers and bigrams, so no emission scale makes a prediction break a rule.
+Frames a target's lexical unit does not license, roles its frame does
+not license and tags a scheme forbids score -inf in the losses and in
+decoding alike, so no emission scale makes either break a rule.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .corpus import (
     encode_iobc,
     lu_key,
 )
-from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, mask_penalty, open_scheme
+from .crf import LinearChainCrf, iob2_scheme, iobc_scheme, open_scheme
 from .gcn import TreeGcn, path_sum_features
 from .layers import (BiLstm, Embedding, LayerNorm, Linear, ParamStore,
                      decode_state)
@@ -180,14 +180,14 @@ class FrameParser:
                                      open_scheme(tuple(ontology.fes)),
                                      l2=c.l2_crf)
 
-        # frame penalties by lu id, role penalties by frame id; the shapes
+        # licensed frames by lu id, licensed roles by frame id; the shapes
         # stay two-dimensional when the lexicon is empty
-        self._frame_penalty = np.array([mask_penalty(ontology.frame_mask(lu))
-                                        for lu in ontology.lus]).reshape(
-            len(ontology.lus), len(ontology.frames))
-        self._fe_penalty = np.array([mask_penalty(ontology.fe_mask(f))
-                                     for f in ontology.frames]).reshape(
-            len(ontology.frames), len(ontology.fes))
+        self._lu_frames = np.array(
+            [ontology.frame_mask(lu) for lu in ontology.lus], dtype=bool
+        ).reshape(len(ontology.lus), len(ontology.frames))
+        self._frame_roles = np.array(
+            [ontology.fe_mask(f) for f in ontology.frames], dtype=bool
+        ).reshape(len(ontology.frames), len(ontology.fes))
 
     # ------------------------------------------------------------------
     # preparation and encoding
@@ -282,12 +282,12 @@ class FrameParser:
                                   initial=0))
 
     def frame_scores(self, t: Tensor, lu_ids: list[int],
-                     train: bool = False) -> Tensor:
-        """Frame logits per target row; only the frames its lexical unit
-        licenses stay finite (others get -1e4)."""
+                     train: bool = False) -> tuple[Tensor, np.ndarray]:
+        """Frame logits per target row, and the boolean mask of the frames
+        its lexical unit licenses."""
         h1 = self._drop(ad.leaky_relu(self.fi1(t)), train)
         h2 = self._drop(ad.leaky_relu(self.fi2(h1)), train)
-        return ad.add(self.fi3(h2), ad.tensor(self._frame_penalty[lu_ids]))
+        return self.fi3(h2), self._lu_frames[lu_ids]
 
     def srl_heads(self, encs: list[SentenceEncoding],
                   targets: list[list[int]], t: Tensor, lu_ids: list[int],
@@ -306,20 +306,20 @@ class FrameParser:
         return z, pr, b, b_first, ad.bilinear_rows(pr, self.ai_u, pb, owner)
 
     def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
-                    spans: list[list[tuple[int, int]]],
-                    frame_ids: list[int], train: bool = False) -> Tensor:
+                    spans: list[list[tuple[int, int]]], frame_ids: list[int],
+                    train: bool = False) -> tuple[Tensor, np.ndarray]:
         """(n_spans, n_roles) scores of every target's spans in order, from
         span sums over b's rows (target j's sentence starts at
-        b_first[j]) next to z[j]; roles target j's frame does not license
-        get -1e4."""
+        b_first[j]) next to z[j], and the boolean mask of the roles target
+        j's frame licenses."""
         owner = [j for j, s in enumerate(spans) for _ in s]
         r = ad.sum_row_groups(b, [
             range(b_first[j] + start, b_first[j] + end + 1)
             for j, s in enumerate(spans) for start, end in s])
         q = self._drop(ad.tanh(self.ac_y(
             ad.concat([r, ad.row_select(z, owner)], axis=1))), train)
-        return ad.add(self.ac_emit(q), ad.tensor(
-            self._fe_penalty[[frame_ids[j] for j in owner]]))
+        licensed = self._frame_roles[[frame_ids[j] for j in owner]]
+        return self.ac_emit(q), licensed
 
     # ------------------------------------------------------------------
     # prediction
@@ -347,9 +347,9 @@ class FrameParser:
             return []
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
-            scores = self.frame_scores(
-                t or self.encoded_target_rows(encs, targets), lu_ids).data
-        scores[self._frame_penalty[lu_ids] < 0.0] = -np.inf  # unlicensed
+            scores, licensed = self.frame_scores(
+                t or self.encoded_target_rows(encs, targets), lu_ids)
+        scores = np.where(licensed, scores.data, -np.inf)
         frames = [self.ontology.frames[k] for k in scores.argmax(axis=1)]
         return frames[0] if one else frames
 
@@ -375,9 +375,9 @@ class FrameParser:
                 spans = [[(run[0], run[-1]) for run in decode_iobc(tags)]
                          for tags in self.ai_crf.viterbi(emissions.data,
                                                          np.diff(b_first))]
-            emissions = self.role_scores(z, b, b_first, spans, frame_ids).data
-        emissions[self._fe_penalty[[k for k, s in zip(frame_ids, spans)
-                                    for _ in s]] < 0.0] = -np.inf  # unlicensed
+            emissions, licensed = self.role_scores(z, b, b_first, spans,
+                                                   frame_ids)
+        emissions = np.where(licensed, emissions.data, -np.inf)
         sizes = [len(s) for s in spans if s]
         roles = iter(self.ac_crf.viterbi(emissions, sizes) if sizes else ())
         return spans, [[self.ontology.fes[k] for k in next(roles)] if s
@@ -432,10 +432,10 @@ class FrameParser:
         frame_ids = [self.ontology.frame_id(ann.frame) for ann in anns]
         t = self.encoded_target_rows(owner, targets)
         if "fi" in parts:
-            scores = self.frame_scores(t, lu_ids, train)
+            scores, licensed = self.frame_scores(t, lu_ids, train)
             gold = -weight[:, None] * np.eye(scores.shape[1])[
                 frame_ids]  # -weight on each gold frame
-            out["fi"] = ad.sum_all(ad.mul(ad.log_softmax(scores),
+            out["fi"] = ad.sum_all(ad.mul(ad.log_softmax(scores, licensed),
                                           ad.tensor(gold)))
         if "srl" in parts:
             spans = [[span for span, _ in ann.elements] for ann in anns]
@@ -450,10 +450,10 @@ class FrameParser:
                                  [lengths[k] for k, _ in items])
             out["srl"] = ad.dot(ai, ad.tensor(weight))
             if any(spans):
-                emissions = self.role_scores(z, b, b_first, spans, frame_ids,
-                                             train)
+                emissions, licensed = self.role_scores(
+                    z, b, b_first, spans, frame_ids, train)
                 ac = self.ac_crf.nll(emissions, fe_ids, True,
-                                     [len(s) for s in spans if s])
+                                     [len(s) for s in spans if s], licensed)
                 out["srl"] = ad.add(out["srl"], ad.dot(ac, ad.tensor(
                     weight[[bool(s) for s in spans]])))
         return out

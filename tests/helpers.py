@@ -64,13 +64,10 @@ def oracle_viterbi(start, trans, end, emissions) -> list[int]:
 
 
 def crf_tables(crf, constrain: bool):
-    """The (start, trans, end) numpy tables a CRF actually scores with."""
-    start = crf.start.data.copy()
-    trans = crf.trans.data.copy()
-    if constrain:
-        start = start + crf._start_penalty
-        trans = trans + crf._trans_penalty
-    return start, trans, crf.end.data.copy()
+    """The (start, trans, end) numpy tables a CRF actually scores with:
+    constrained, -inf wherever its scheme forbids."""
+    start, trans = crf._tables(constrain)
+    return start.copy(), trans.copy(), crf.end.data.copy()
 
 
 def assert_grads_ok(loss, params, tol=1e-4, abs_floor=1e-8):

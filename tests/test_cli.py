@@ -3,9 +3,12 @@ import copy
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -13,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import framepath
 from framepath.cli import _config_from_args, build_parser, main
 from framepath.config import Config
 from framepath.corpus import (Ontology, build_vocab, load_corpus, load_ontology,
@@ -198,6 +202,32 @@ def test_unknown_config_key_exits_1(workspace, tmp_path):
                  "--checkpoint", str(tmp_path / "x.json"),
                  "--config", str(bad)])
     assert code == 1
+
+
+def test_layer_too_big_to_allocate_exits_1(tmp_path):
+    # A train run under a 3 GB address-space limit asks for a 4.77 GiB
+    # first fi layer: the allocation fails without touching memory, and
+    # the run ends in one config error line naming the parameter.
+    corpus, onto = str(tmp_path / "c.jsonl"), str(tmp_path / "o.json")
+    assert main(["synth", "--seed", "1", "-n", "20", "--corpus", corpus,
+                 "--ontology", onto]) == 0
+    config = tmp_path / "huge.json"
+    config.write_text('{"fi_hidden1": 10000000}')
+    src = os.path.dirname(os.path.dirname(framepath.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9)); "
+         "from framepath.cli import main; sys.exit(main())",
+         "train", "--corpus", corpus, "--ontology", onto,
+         "--checkpoint", str(tmp_path / "m.json"), "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (1, (
+        "config error: fi.l1.w: cannot allocate a parameter of shape "
+        "(64, 10000000)\n"))
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_usage_error_exits_1(capsys):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from framepath.autodiff import fresh_tape, no_grad, tensor
 from framepath.corpus import (
     CorpusError,
     FrameAnnotation,
@@ -23,6 +24,8 @@ from framepath.corpus import (
     sentence_to_dict,
     _sentence_from_dict,
 )
+from framepath.crf import LinearChainCrf, iob2_scheme, iobc_scheme
+from framepath.layers import ParamStore
 from framepath.synth import generate
 from framepath.syntax import parse_bracketed
 
@@ -123,6 +126,61 @@ class TestIobc:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             encode_iobc([[5]], 5)
+
+
+class TestLegalGold:
+    """encode_iobc's gold is legal under the tag schemes the CRFs train
+    with, so a constrained gold score (-inf for illegal tags) stays
+    finite: targets under IOBC, role spans under IOB2."""
+
+    @staticmethod
+    def assert_legal(scheme, tags):
+        assert scheme.allowed_start[tags[0]], tags
+        assert all(scheme.allowed_transition[a, b]
+                   for a, b in zip(tags, tags[1:])), tags
+        crf = LinearChainCrf(ParamStore(np.random.default_rng(0)), "crf",
+                             scheme)
+        with fresh_tape(), no_grad():
+            score = crf.gold_score(tensor(np.zeros((len(tags),
+                                                    scheme.n_labels))),
+                                   tags, True)
+        assert np.isfinite(score.item())
+
+    @pytest.mark.parametrize("targets, n, tags", [
+        ([[0]], 3, [B, O, O]),             # a target at index 0
+        ([[0], [1]], 2, [B, B]),           # adjacent targets
+        ([[1, 2], [3]], 4, [O, B, I, B]),
+        ([[0, 2]], 3, [B, O, C]),          # a gap, resumed by C
+        ([[0, 1, 3]], 4, [B, I, O, C]),
+        ([[1], [2, 4]], 5, [O, B, B, O, C]),
+    ])
+    def test_hand_targets(self, targets, n, tags):
+        assert encode_iobc(targets, n) == tags
+        self.assert_legal(iobc_scheme(), tags)
+
+    @pytest.mark.parametrize("spans, n, tags", [
+        ([(0, 0)], 3, [B, O, O]),
+        ([(0, 1), (2, 2)], 4, [B, I, B, O]),  # adjacent spans
+        ([(2, 4)], 5, [O, O, B, I, I]),       # a span that ends the sentence
+        ([(0, 4)], 5, [B, I, I, I, I]),
+    ])
+    def test_hand_spans(self, spans, n, tags):
+        assert encode_spans(spans, n) == tags
+        self.assert_legal(iob2_scheme(), tags)
+
+    def test_every_synthetic_template(self):
+        sentences, _ = generate(5, 400)
+        gapped = sum(any(b - a > 1 for a, b in zip(t, t[1:]))
+                     for s in sentences for t in
+                     (sorted(ann.target) for ann in s.annotations))
+        pairs = sum(len(s.annotations) == 2 for s in sentences)
+        assert gapped > 10 and pairs > 10  # "picked ... up", coordination
+        for s in sentences:
+            self.assert_legal(iobc_scheme(), encode_iobc(
+                [ann.target for ann in s.annotations], len(s)))
+            for ann in s.annotations:
+                self.assert_legal(iob2_scheme(), encode_spans(
+                    [span for span, _ in ann.elements], len(s)))
 
 
 def encode_spans(spans, n):

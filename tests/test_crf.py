@@ -4,6 +4,7 @@ from helpers import (
     assert_grads_ok,
     crf_tables,
     enumerate_sequences,
+    logsumexp_np,
     oracle_log_partition,
     oracle_viterbi,
 )
@@ -12,12 +13,10 @@ from framepath import autodiff as ad
 from framepath.autodiff import backward, fresh_tape, no_grad, param, tensor
 from framepath.crf import (
     LinearChainCrf,
-    PENALTY,
     TagScheme,
     _logsumexp,
     iob2_scheme,
     iobc_scheme,
-    mask_penalty,
     open_scheme,
 )
 from framepath.layers import ParamStore
@@ -32,6 +31,18 @@ def make_crf(scheme, seed=0, randomize=True):
         crf.start.data = rng.normal(size=crf.start.data.shape)
         crf.end.data = rng.normal(size=crf.end.data.shape)
     return crf
+
+
+def legal_tags(rng, scheme, lengths):
+    """Tags of chains of the given lengths, packed back to back, each tag
+    drawn uniformly from those the scheme allows where it stands."""
+    tags = []
+    for m in lengths:
+        allowed = scheme.allowed_start
+        for _ in range(m):
+            tags.append(int(rng.choice(np.flatnonzero(allowed))))
+            allowed = scheme.allowed_transition[tags[-1]]
+    return tags
 
 
 def reference_viterbi(crf, emissions):
@@ -71,10 +82,6 @@ class TestSchemes:
     def test_open_scheme(self):
         s = open_scheme(("A", "B"))
         assert s.allowed_start.all() and s.allowed_transition.all()
-
-    def test_mask_penalty(self):
-        pen = mask_penalty(np.array([True, False, True]))
-        assert pen.tolist() == [0.0, PENALTY, 0.0]
 
 
 class TestAgainstEnumeration:
@@ -140,6 +147,37 @@ class TestAgainstEnumeration:
         assert nll >= 0.0
         assert abs(nll - (-np.log(probs[row]))) < 1e-10
 
+    @pytest.mark.parametrize("scheme", [iob2_scheme(), iobc_scheme()],
+                             ids=["iob2", "iobc"])
+    def test_constrained_nll_counts_legal_paths_only_at_scale(self, scheme):
+        # Emissions at 1e5 put illegal paths far above legal ones; the
+        # constrained loss must still normalize over the legal ones only.
+        rng = np.random.default_rng(67)
+        crf = make_crf(scheme, seed=12)
+        lengths = [1, 2, 3, 4, 5]
+        emissions = rng.normal(size=(sum(lengths), scheme.n_labels)) * 1e5
+        tags, want, row = [], [], 0
+        for m in lengths:
+            seqs, scores = enumerate_sequences(
+                crf.start.data, crf.trans.data, crf.end.data,
+                emissions[row:row + m])
+            legal = scheme.allowed_transition[seqs[:, :-1],
+                                              seqs[:, 1:]].all(axis=1)
+            legal &= scheme.allowed_start[seqs[:, 0]]
+            gold = int(rng.choice(np.flatnonzero(legal)))
+            tags += seqs[gold].tolist()
+            want.append(logsumexp_np(scores[legal]) - scores[gold])
+            row += m
+        with fresh_tape(), no_grad():
+            packed = crf.nll(tensor(emissions), tags, True, lengths).data
+            singles, row = [], 0
+            for m in lengths:
+                singles.append(crf.nll(tensor(emissions[row:row + m]),
+                                       tags[row:row + m], True).item())
+                row += m
+        for got in (packed, singles):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-6)
+
 
 class TestConstraints:
     def test_decode_never_violates_scheme(self):
@@ -168,8 +206,8 @@ class TestConstraints:
                 assert (a, b) != (0, 2)
 
     def test_large_emission_cannot_open_with_i(self):
-        # An I emission of 2e4 outweighs the finite -1e4 start penalty;
-        # decoding must still refuse to open with I.
+        # However large the I emission, decoding must refuse to open
+        # with I.
         crf = make_crf(iob2_scheme(), randomize=False)
         emissions = np.zeros((3, 3))
         emissions[0, 2] = 2e4
@@ -200,7 +238,7 @@ class TestConstraints:
         with fresh_tape(), no_grad():
             free = crf.log_partition(emissions, False).item()
             hard = crf.log_partition(emissions, True).item()
-        assert hard < free  # penalties remove probability mass
+        assert hard < free  # the masks remove probability mass
 
     def test_ties_break_toward_lower_label_id(self):
         crf = make_crf(iob2_scheme(), seed=0, randomize=False)
@@ -231,10 +269,10 @@ class TestConstraints:
 
     def test_emission_mask_blocks_labels(self):
         crf = make_crf(open_scheme(("A", "B", "C")), seed=8, randomize=False)
-        pen = mask_penalty(np.array([True, False, True]))
+        allowed = np.array([True, False, True])
         rng = np.random.default_rng(2)
         for _ in range(50):
-            emissions = rng.normal(size=(4, 3)) + pen
+            emissions = np.where(allowed, rng.normal(size=(4, 3)), -np.inf)
             assert 1 not in crf.viterbi(emissions)
 
 
@@ -377,7 +415,8 @@ class TestPackedChains:
         params = [crf.trans, crf.start, crf.end]
         n = sum(self.LENGTHS)
         emissions = param(rng.normal(size=(n, 4)), name="emissions")
-        tags = rng.integers(0, 4, size=n).tolist()
+        tags = (legal_tags(rng, crf.scheme, self.LENGTHS) if constrain
+                else rng.integers(0, 4, size=n).tolist())
         weights = rng.normal(size=(2, len(self.LENGTHS)))
 
         def grads():
@@ -446,7 +485,8 @@ class TestPackedChains:
         start, trans, end = crf_tables(crf, constrain)
         n = sum(self.LENGTHS)
         emissions = param(rng.normal(size=(n, 4)), name="emissions")
-        tags = rng.integers(0, 4, size=n)
+        tags = np.array(legal_tags(rng, crf.scheme, self.LENGTHS) if constrain
+                        else rng.integers(0, 4, size=n))
         weights = rng.normal(size=len(self.LENGTHS))
         with fresh_tape():
             gold = crf.gold_score(emissions, tags.tolist(), constrain,

@@ -19,7 +19,7 @@ from framepath.synth import generate
 from framepath.syntax import parse_bracketed
 from framepath.training import train
 
-from helpers import assert_grads_ok
+from helpers import assert_grads_ok, enumerate_sequences, logsumexp_np
 
 
 def tiny_config(**overrides) -> Config:
@@ -124,9 +124,13 @@ def count_backbone_calls(model) -> dict[str, int]:
 
 
 def fi_scores(model, enc, target, lu) -> np.ndarray:
-    """Masked frame logits of one target, from the batched heads."""
-    return model.frame_scores(model.encoded_target_rows([enc], [target]),
-                              [model.ontology.lu_id(lu)]).data[0]
+    """Masked frame logits of one target, from the batched heads: -inf
+    for each frame its lexical unit does not license, as fi_predict
+    masks them."""
+    scores, licensed = model.frame_scores(
+        model.encoded_target_rows([enc], [target]),
+        [model.ontology.lu_id(lu)])
+    return np.where(licensed, scores.data, -np.inf)[0]
 
 
 def srl_heads(model, enc, target, lu_id, frame_id):
@@ -262,6 +266,7 @@ class TestFrameId:
         probs /= probs.sum()
         allowed = model.ontology.frame_mask("run.v")
         assert np.allclose(probs[allowed], 0.5, atol=1e-40)
+        assert np.all(probs[~allowed] == 0.0)
 
     def test_masked_softmax_normalizes_over_allowed(self):
         model, sent = make_model()
@@ -274,7 +279,7 @@ class TestFrameId:
         probs = np.exp(log_probs)
         allowed = model.ontology.frame_mask("run.v")
         assert abs(probs[allowed].sum() - 1.0) < 1e-12
-        assert probs[~allowed].max() < 1e-40
+        assert np.all(probs[~allowed] == 0.0)
 
     def test_unknown_lu_rejected(self):
         model, sent = make_model()
@@ -364,17 +369,18 @@ class TestArgClass:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             z, _, b, _, _ = srl_heads(model, enc, [2], 1, 2)
-            emissions = model.role_scores(z, b, [0], [[(3, 3), (0, 1)]],
-                                          [2]).data
-            b = b.data
+            emissions, licensed = model.role_scores(
+                z, b, [0], [[(3, 3), (0, 1)]], [2])
+            emissions, b = emissions.data, b.data
+        # frame 2 is Motion: both spans may take only its roles
+        assert np.array_equal(licensed, [model.ontology.fe_mask("Motion")] * 2)
         yw = model.store["srl.ac.y.w"].data
         yb = model.store["srl.ac.y.b"].data
         ew = model.store["srl.ac.emit.w"].data
         eb = model.store["srl.ac.emit.b"].data
         for row, r in zip(emissions, [b[3], b[0] + b[1]]):
             q = np.tanh(np.concatenate([r, z.data[0]]) @ yw + yb)
-            assert np.allclose(row, q @ ew + eb + model._fe_penalty[2],
-                               atol=1e-10)
+            assert np.allclose(row, q @ ew + eb, atol=1e-10)
 
     def test_empty_span_list(self):
         model, sent = make_model()
@@ -539,19 +545,21 @@ class TestPackedBatch:
         # (input projections included), each linear map is one op, each
         # head and CRF records once per batch, not per sentence or
         # annotation, and the packed backbone rows go to the heads uncut,
-        # and each backbone pass looks up its embeddings once:
-        # 68 records for these 8 sentences (86 with separate projection
-        # and bias ops, 106 with three embedding ops per sentence, 114
-        # with one recurrence op per direction and a column join per
-        # layer, 209 with one GCN pass per tree and one path sum per
-        # reference, 828 with per-annotation heads).
+        # and each backbone pass looks up its embeddings once, and the
+        # frame and role masks act inside the ops that read them:
+        # 66 records for these 8 sentences (68 with the masks added as
+        # penalty ops, 86 with separate projection and bias ops, 106 with
+        # three embedding ops per sentence, 114 with one recurrence op per
+        # direction and a column join per layer, 209 with one GCN pass per
+        # tree and one path sum per reference, 828 with per-annotation
+        # heads).
         sentences, ontology = generate(101, 80)
         model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
                             ontology)
         preps = [model.prepare(s) for s in sentences[:8]]
         with ad.fresh_tape():
             model.loss(preps, "joint")
-            assert ad.tape_length() == 68
+            assert ad.tape_length() == 66
 
     def test_srl_predict_equals_one_target_calls(self):
         # corpus[2] pairs a target with roles and one without any
@@ -877,6 +885,73 @@ class TestLegalAtScale:
                 labels = model.ac_predict(enc, [2], "run.v", "Motion",
                                           [(0, 1), (3, 4)])
                 assert set(labels) <= {"Mover", "Path"}
+
+
+class TestLossesAtScale:
+    """Logits and emissions at 1e5 put unlicensed labels far above the
+    licensed ones; the losses must still count licensed labels only."""
+
+    @staticmethod
+    def recorded(model, name):
+        """Wrap model.<name> to keep its outputs' values in a list."""
+        inner, kept = getattr(model, name), []
+
+        def keep(*args):
+            out = inner(*args)
+            kept.append(out.data)
+            return out
+
+        setattr(model, name, keep)
+        return kept
+
+    def test_fi_loss_normalizes_over_licensed_frames_only(self):
+        model, sent = make_model()
+        rng = np.random.default_rng(37)
+        bias = model.fi3.b
+        logits = self.recorded(model, "fi3")
+        prep = model.prepare(sent)
+        for _ in range(20):
+            bias.data = rng.normal(size=bias.data.shape) * 1e5
+            logits.clear()
+            with ad.fresh_tape(), ad.no_grad():
+                got = model.batch_losses([prep], parts=("fi",))["fi"].item()
+            (rows,) = logits
+            want = sum(
+                logsumexp_np(row[model.ontology.frame_mask(ann.lu)])
+                - row[model.ontology.frame_id(ann.frame)]
+                for row, ann in zip(rows, sent.annotations)
+            ) / len(sent.annotations)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-6)
+
+    def test_ac_nll_counts_licensed_roles_only(self):
+        model, sent = make_model()
+        rng = np.random.default_rng(41)
+        emit = model.ac_emit
+        emissions = self.recorded(model, "ac_emit")
+        nlls = self.recorded(model.ac_crf, "nll")
+        crf = model.ac_crf
+        prep = model.prepare(sent)
+        for _ in range(20):
+            emit.w.data = rng.normal(size=emit.w.data.shape) * 1e5
+            emit.b.data = rng.normal(size=emit.b.data.shape) * 1e5
+            emissions.clear()
+            nlls.clear()
+            with ad.fresh_tape(), ad.no_grad():
+                model.batch_losses([prep], parts=("srl",))
+            (rows,), (got,) = emissions, nlls
+            want, first = [], 0
+            for ann in sent.annotations:
+                chain = rows[first:first + len(ann.elements)]
+                first += len(ann.elements)
+                seqs, scores = enumerate_sequences(
+                    crf.start.data, crf.trans.data, crf.end.data, chain)
+                legal = model.ontology.fe_mask(ann.frame)[seqs].all(axis=1)
+                gold = [model.ontology.fe_id(label)
+                        for _, label in ann.elements]
+                row = next(k for k, seq in enumerate(seqs)
+                           if seq.tolist() == gold)
+                want.append(logsumexp_np(scores[legal]) - scores[row])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

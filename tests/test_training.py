@@ -189,8 +189,8 @@ class TestPlateauScheduler:
 
 class TestPenalizedObjective:
     def test_one_record_for_every_penalty(self):
-        # The fixed joint batch of test_model's tape-size test: its 68
-        # loss records and one add_sq_norms (92 with four ops a term).
+        # The fixed joint batch of test_model's tape-size test: its 66
+        # loss records and one add_sq_norms (90 with four ops a term).
         sentences, ontology = generate(101, 80)
         model = FrameParser(Config(), build_vocab(sentences[:60], ontology),
                             ontology)
@@ -199,7 +199,7 @@ class TestPenalizedObjective:
         assert [t.name for t, _ in penalties] == PENALIZED
         with ad.fresh_tape():
             training._objective(model, preps, "joint", penalties)
-            assert ad.tape_length() == 69
+            assert ad.tape_length() == 67
 
     def test_gradients_with_nonzero_penalties(self):
         model, sent = make_model(task="joint", l2_crf=0.3, l2_bilinear=0.2)
