@@ -154,6 +154,7 @@ def _checkpoint_overflow(checkpoint: str):
 
 def cmd_synth(args) -> int:
     from .synth import generate
+    _check_outputs(args.corpus, args.ontology)
     if args.n_sentences < 1:
         print("need at least one sentence", file=sys.stderr)
         return EXIT_USAGE
@@ -177,6 +178,9 @@ def cmd_train(args) -> int:
     dev = (_nonempty(args.dev, load_corpus(args.dev, ontology=ontology,
                                            vocab=vocab)) if args.dev
            else sentences)
+    if not any(sent.annotations for sent in dev):
+        print(f"warning: {args.dev or args.corpus}: no annotations, so the "
+              "dev metric scores no gold item", file=sys.stderr)
     model = FrameParser(config, vocab, ontology)
     result = train(model, sentences, dev, log_path=args.log)
     model.save(args.checkpoint)

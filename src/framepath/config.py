@@ -151,7 +151,7 @@ def config_from_dict(data: dict) -> Config:
             raise ConfigError(f"{key} is retired; only {json.dumps(kept)} "
                               "is accepted")
     preset = data.pop("preset", "desk")
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
         )

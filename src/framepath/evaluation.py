@@ -61,17 +61,19 @@ def _reports(model: FrameParser, sentences: Sequence[Sentence],
     ti, fi, srl = ("ti" in tasks, "fi" in tasks, "srl" in tasks)
     found, anns, frames, roles = [], [], [], []  # roles: (spans, labels)
     with ad.fresh_tape(), ad.no_grad():
-        for encs in model.encode_chunks(sentences if ti else [
+        for enc in model.encode_chunks(sentences if ti else [
                 sent for sent in sentences if sent.annotations]):
-            found += model.ti_predict(encs) if ti else []
-            items = [(e, a) for e in encs for a in e.prep.sentence.annotations]
+            found += model.ti_predict(enc) if ti else []
+            items = [(k, a) for k, prep in enumerate(enc.preps)
+                     for a in prep.sentence.annotations]
             if not (items and (fi or srl)):
                 continue
-            owner, chunk = zip(*items)
-            targets, lus = [a.target for a in chunk], [a.lu for a in chunk]
-            rows = model.encoded_target_rows(owner, targets)
-            frames += model.fi_predict(owner, targets, lus, rows) if fi else []
-            roles += zip(*model.srl_predict(owner, targets, lus, [
+            chunk = [a for _, a in items]
+            targets = [(k, a.target) for k, a in items]
+            lus = [a.lu for a in chunk]
+            rows = model.encoded_target_rows(enc, targets)
+            frames += model.fi_predict(enc, targets, lus, rows) if fi else []
+            roles += zip(*model.srl_predict(enc, targets, lus, [
                 a.frame for a in chunk], t=rows)) if srl else []
             anns += chunk
     out = {}

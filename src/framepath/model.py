@@ -96,27 +96,18 @@ def sum_parts(parts: dict[str, Tensor]) -> Tensor:
     return reduce(ad.add, parts.values())
 
 
-def stacked(blocks: list[tuple[Tensor, int]]) -> tuple[Tensor, list[int]]:
-    """The distinct tensors of (tensor, first row) blocks, stacked once
-    each, and each block's first row in the stack."""
-    tensors = list({id(t): t for t, _ in blocks}.values())
-    base = dict(zip(map(id, tensors),
-                    accumulate((t.data.shape[0] for t in tensors), initial=0)))
-    return (tensors[0] if len(tensors) == 1 else ad.concat(tensors),
-            [base[id(t)] + first for t, first in blocks])
+@dataclass
+class Encoding:
+    """One FrameParser.encode call: its sentences, their forest's GCN rows
+    h (None without a GCN), backbone-A rows a, and the row where each
+    sentence's nodes and tokens start (then the totals).  Heads address a
+    target as (sentence index, token indices)."""
 
-
-@dataclass(eq=False)  # compared and hashed by identity, as tensors are
-class SentenceEncoding:
-    """A sentence's GCN node rows h (None without a GCN) and backbone-A
-    rows a, from FrameParser.encode.  Encodings made together share h and
-    a; this sentence's rows start at h_first and a_first."""
-
-    prep: Prepared
+    preps: list[Prepared]
     h: Tensor | None
-    h_first: int
+    node_first: list[int]
+    token_first: list[int]
     a: Tensor | None = None
-    a_first: int = 0
 
 
 class FrameParser:
@@ -204,25 +195,21 @@ class FrameParser:
         )
 
     def encode(self, preps: list[Prepared] | Prepared, train: bool = False
-               ) -> list[SentenceEncoding] | SentenceEncoding:
-        """Each sentence's encoding, from one GCN pass over their forest
-        and one backbone-A pass; one Prepared gives one encoding."""
-        preps = [preps] if (one := isinstance(preps, Prepared)) else preps
+               ) -> Encoding:
+        """The sentences' encoding, from one GCN pass over their forest
+        and one backbone-A pass; one Prepared is a one-sentence call."""
+        preps = [preps] if isinstance(preps, Prepared) else preps
+        trees = [prep.sentence.tree for prep in preps]
         h = None
         if self.gcn is not None:
-            h = self.gcn([prep.sentence.tree for prep in preps],
-                         [i for prep in preps for i in prep.label_ids],
+            h = self.gcn(trees, [i for prep in preps for i in prep.label_ids],
                          drop=lambda t: self._drop(t, train))
-        firsts = accumulate((len(prep.sentence.tree) for prep in preps),
-                            initial=0)
-        encs = [SentenceEncoding(prep, h, first)
-                for prep, first in zip(preps, firsts)]
-        a = self._backbone(self.lstm_a, self.ln_a, [
-            (enc, enc.prep.sentence.tree.root_index) for enc in encs], train)
-        for enc, first in zip(encs, accumulate(
-                (len(prep.sentence) for prep in preps), initial=0)):
-            enc.a, enc.a_first = a, first
-        return encs[0] if one else encs
+        enc = Encoding(preps, h, list(accumulate(map(len, trees), initial=0)),
+                       list(accumulate((len(prep.sentence) for prep in preps),
+                                       initial=0)))
+        enc.a = self._backbone(self.lstm_a, self.ln_a, enc, [
+            (k, tree.root_index) for k, tree in enumerate(trees)], train)
+        return enc
 
     def embed(self, preps: list[Prepared]) -> Tensor:
         """e = [token embedding; POS embedding] of the sentences' tokens,
@@ -231,25 +218,26 @@ class FrameParser:
             self.token_emb([i for prep in preps for i in prep.token_ids]),
             self.pos_emb([i for prep in preps for i in prep.pos_ids])], axis=1)
 
-    def _path_features(self, refs: list) -> Tensor:
-        """Path features of each (encoding, reference node) in refs, their
-        rows back to back, from one path_sum_features call over the node
-        rows of every forest the encodings come from; zeros without a
-        GCN."""
-        trees = [enc.prep.sentence.tree for enc, _ in refs]
+    def _path_features(self, enc: Encoding,
+                       refs: list[tuple[int, int]]) -> Tensor:
+        """Path features of each (sentence index, reference node) in refs,
+        their rows back to back, from one path_sum_features call over the
+        encoding's node rows; zeros without a GCN."""
+        trees = [enc.preps[k].sentence.tree for k, _ in refs]
         if self.gcn is None:
             return ad.tensor(np.zeros((sum(t.n_tokens for t in trees),
                                        self.config.gcn_dim)))
-        h, firsts = stacked([(enc.h, enc.h_first) for enc, _ in refs])
-        return path_sum_features(trees, h, [ref for _, ref in refs], firsts)
+        return path_sum_features(trees, enc.h, [ref for _, ref in refs],
+                                 [enc.node_first[k] for k, _ in refs])
 
-    def _backbone(self, lstm: BiLstm, norm: LayerNorm, refs: list,
-                  train: bool) -> Tensor:
-        """LN(BiLSTM([e; path features]) + e) of each (encoding, reference
-        node) in refs, in one pass; their rows stay packed back to back."""
-        e = self.embed([enc.prep for enc, _ in refs])
-        raw = lstm(ad.concat([e, self._path_features(refs)], axis=1),
-                   [len(enc.prep.sentence) for enc, _ in refs])
+    def _backbone(self, lstm: BiLstm, norm: LayerNorm, enc: Encoding,
+                  refs: list[tuple[int, int]], train: bool) -> Tensor:
+        """LN(BiLSTM([e; path features]) + e) of each (sentence index,
+        reference node) in refs, in one pass; their rows stay packed back
+        to back."""
+        e = self.embed([enc.preps[k] for k, _ in refs])
+        raw = lstm(ad.concat([e, self._path_features(enc, refs)], axis=1),
+                   [len(enc.preps[k].sentence) for k, _ in refs])
         return norm(ad.add(self._drop(raw, train), e))
 
     # ------------------------------------------------------------------
@@ -260,26 +248,26 @@ class FrameParser:
             return ad.dropout(t, self.config.dropout, self.dropout_rng)
         return t
 
-    def encoded_target_rows(self, encs: list[SentenceEncoding],
-                            targets: list[list[int]]) -> Tensor:
-        """(n_targets, dim) sums of the backbone-A rows each target
-        indexes, target j over encs[j]'s rows of a."""
-        if not all(targets):
+    def encoded_target_rows(self, enc: Encoding,
+                            targets: list[tuple[int, list[int]]]) -> Tensor:
+        """(n_targets, dim) sums of the backbone-A rows each (sentence
+        index, token indices) target indexes."""
+        if not all(target for _, target in targets):
             raise ValueError("empty target index set")
-        a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
-        return ad.sum_row_groups(a, [sorted(first + i for i in target)
-                                     for first, target in zip(firsts, targets)])
+        return ad.sum_row_groups(enc.a, [
+            sorted(enc.token_first[k] + i for i in target)
+            for k, target in targets])
 
-    def target_b(self, pairs: list[tuple[SentenceEncoding, int]],
+    def target_b(self, enc: Encoding, targets: list[tuple[int, list[int]]],
                  train: bool = False) -> tuple[Tensor, list[int]]:
-        """b of each (encoding, target first index) in pairs, from one
-        backbone-B pass with the rows packed back to back, and the row
-        where each pair's block starts."""
-        b = self._backbone(self.lstm_b, self.ln_b, [
-            (enc, enc.prep.sentence.tree.token_node(first))
-            for enc, first in pairs], train)
-        return b, list(accumulate((len(enc.prep.sentence) for enc, _ in pairs),
-                                  initial=0))
+        """b of each (sentence index, token indices) target, its paths
+        referenced on its first token, from one backbone-B pass with the
+        rows packed back to back, and where each target's block starts."""
+        b = self._backbone(self.lstm_b, self.ln_b, enc, [
+            (k, enc.preps[k].sentence.tree.token_node(min(target)))
+            for k, target in targets], train)
+        return b, list(accumulate((len(enc.preps[k].sentence)
+                                   for k, _ in targets), initial=0))
 
     def frame_scores(self, t: Tensor, lu_ids: list[int],
                      train: bool = False) -> tuple[Tensor, np.ndarray]:
@@ -289,15 +277,14 @@ class FrameParser:
         h2 = self._drop(ad.leaky_relu(self.fi2(h1)), train)
         return self.fi3(h2), self._lu_frames[lu_ids]
 
-    def srl_heads(self, encs: list[SentenceEncoding],
-                  targets: list[list[int]], t: Tensor, lu_ids: list[int],
-                  frame_ids: list[int], train: bool = False):
+    def srl_heads(self, enc: Encoding, targets: list[tuple[int, list[int]]],
+                  t: Tensor, lu_ids: list[int], frame_ids: list[int],
+                  train: bool = False):
         """The role-labeling body training and prediction share, target j
-        belonging to encs[j] with target rows t[j]: z = [lu embedding; t;
-        frame embedding], its projection pr, target_b's b and b_first, and
-        the (len(b), 3) O/B/I scores pairing pr[j] with target j's b rows."""
-        b, b_first = self.target_b([(enc, min(target)) for enc, target
-                                    in zip(encs, targets)], train)
+        with target rows t[j]: z = [lu embedding; t; frame embedding], its
+        projection pr, target_b's b and b_first, and the (len(b), 3) O/B/I
+        scores pairing pr[j] with target j's b rows."""
+        b, b_first = self.target_b(enc, targets, train)
         z = ad.concat([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)],
                       axis=1)
         pr = self._drop(ad.tanh(self.ai_v1(z)), train)
@@ -324,51 +311,46 @@ class FrameParser:
     # ------------------------------------------------------------------
     # prediction
 
-    def ti_predict(self, encs: list[SentenceEncoding]
-                   ) -> list[list[list[int]]]:
-        """Each encoding's targets: one ti_emit, one Viterbi for them all."""
-        a, firsts = stacked([(enc.a, enc.a_first) for enc in encs])
-        lengths = [len(enc.prep.sentence) for enc in encs]
-        rows = [f + i for f, n in zip(firsts, lengths) for i in range(n)]
+    def ti_predict(self, enc: Encoding) -> list[list[list[int]]]:
+        """Each sentence's targets: one ti_emit, one Viterbi for them all."""
         with ad.no_grad():
-            emissions = self.ti_emit(a).data[rows]
-        return list(map(decode_iobc, self.ti_crf.viterbi(emissions, lengths)))
+            emissions = self.ti_emit(enc.a).data
+        return list(map(decode_iobc, self.ti_crf.viterbi(
+            emissions, [len(prep.sentence) for prep in enc.preps])))
 
-    def fi_predict(self, encs: list[SentenceEncoding],
-                   targets: list[list[int]], lus: list[str],
-                   t: Tensor | None = None) -> list[str]:
-        """Each target's best licensed frame, target j belonging to
-        encs[j] (t: their encoded_target_rows, if the caller has them).
-        One encoding, target and lu (a str) give one frame."""
-        one = isinstance(lus, str)
-        if one:
-            encs, targets, lus = [encs], [targets], [lus]
+    def fi_predict(self, enc: Encoding, targets: list[tuple[int, list[int]]],
+                   lus: list[str], t: Tensor | None = None) -> list[str]:
+        """Each target's best licensed frame (t: their encoded_target_rows,
+        if the caller has them).  Token indices and an lu (a str) give
+        the frame of that target in sentence 0."""
+        if one := isinstance(lus, str):
+            targets, lus = [(0, targets)], [lus]
         if not targets:
             return []
         lu_ids = [self.ontology.lu_id(lu) for lu in lus]
         with ad.no_grad():
             scores, licensed = self.frame_scores(
-                t or self.encoded_target_rows(encs, targets), lu_ids)
+                t or self.encoded_target_rows(enc, targets), lu_ids)
         scores = np.where(licensed, scores.data, -np.inf)
         frames = [self.ontology.frames[k] for k in scores.argmax(axis=1)]
         return frames[0] if one else frames
 
-    def srl_predict(self, encs: list[SentenceEncoding],
-                    targets: list[list[int]], lus: list[str],
+    def srl_predict(self, enc: Encoding,
+                    targets: list[tuple[int, list[int]]], lus: list[str],
                     frames: list[str],
                     spans: list[list[tuple[int, int]]] | None = None,
                     t: Tensor | None = None,
                     ) -> tuple[list[list[tuple[int, int]]], list[list[str]]]:
-        """Each target's argument spans and their role labels, target j
-        belonging to encs[j] (t as in fi_predict): the ai head finds the
-        spans unless they are given, and the ac head labels them.  Each
-        op runs once over every target."""
+        """Each target's argument spans and their role labels (t as in
+        fi_predict): the ai head finds the spans unless they are given,
+        and the ac head labels them.  Each op runs once over every
+        target."""
         if not targets:
             return [], []
         frame_ids = [self.ontology.frame_id(f) for f in frames]
         with ad.no_grad():
             z, _, b, b_first, emissions = self.srl_heads(
-                encs, targets, t or self.encoded_target_rows(encs, targets),
+                enc, targets, t or self.encoded_target_rows(enc, targets),
                 [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
                 # O/B/I tags only, so every decoded index set is a span
@@ -383,15 +365,16 @@ class FrameParser:
         return spans, [[self.ontology.fes[k] for k in next(roles)] if s
                        else [] for s in spans]
 
-    def ai_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
+    def ai_predict(self, enc: Encoding, target: list[int], lu: str,
                    frame: str) -> list[tuple[int, int]]:
-        """One target's argument spans."""
-        return self.srl_predict([enc], [target], [lu], [frame])[0][0]
+        """The argument spans of one target in sentence 0."""
+        return self.srl_predict(enc, [(0, target)], [lu], [frame])[0][0]
 
-    def ac_predict(self, enc: SentenceEncoding, target: list[int], lu: str,
+    def ac_predict(self, enc: Encoding, target: list[int], lu: str,
                    frame: str, spans: list[tuple[int, int]]) -> list[str]:
-        """Role labels of one target's spans."""
-        return self.srl_predict([enc], [target], [lu], [frame], [spans])[1][0]
+        """Role labels of the spans of one target in sentence 0."""
+        return self.srl_predict(enc, [(0, target)], [lu], [frame],
+                                [spans])[1][0]
 
     # ------------------------------------------------------------------
     # losses
@@ -407,19 +390,19 @@ class FrameParser:
         sentence adds 0 but still counts in B."""
         if not preps:
             raise ValueError("empty batch")
-        encs = self.encode(preps, train)
+        enc = self.encode(preps, train)
         sents = [prep.sentence for prep in preps]
         lengths = list(map(len, sents))
         items = [(k, ann) for k, s in enumerate(sents)
                  for ann in s.annotations]
-        owner, anns = [encs[k] for k, _ in items], [ann for _, ann in items]
+        anns = [ann for _, ann in items]
         weight = np.array([1.0 / (len(sents) * len(sents[k].annotations))
                            for k, _ in items])
         out = {}
         if "ti" in parts:
             tags = [tag for s in sents for tag in encode_iobc(
                 [ann.target for ann in s.annotations], len(s))]
-            nll = self.ti_crf.nll(self.ti_emit(encs[0].a), tags, True, lengths)
+            nll = self.ti_crf.nll(self.ti_emit(enc.a), tags, True, lengths)
             out["ti"] = ad.dot(nll, ad.tensor(np.full(len(preps),
                                                       1.0 / len(preps))))
         for part in ("fi", "srl"):  # 0 without annotations
@@ -427,10 +410,10 @@ class FrameParser:
                 out[part] = ad.tensor(np.asarray(0.0))
         if not items or "fi" not in parts and "srl" not in parts:
             return out
-        targets = [ann.target for ann in anns]
+        targets = [(k, ann.target) for k, ann in items]
         lu_ids = [self.ontology.lu_id(ann.lu) for ann in anns]
         frame_ids = [self.ontology.frame_id(ann.frame) for ann in anns]
-        t = self.encoded_target_rows(owner, targets)
+        t = self.encoded_target_rows(enc, targets)
         if "fi" in parts:
             scores, licensed = self.frame_scores(t, lu_ids, train)
             gold = -weight[:, None] * np.eye(scores.shape[1])[
@@ -445,7 +428,7 @@ class FrameParser:
             fe_ids = [self.ontology.fe_id(label) for ann in anns
                       for _, label in ann.elements]
             z, _, b, b_first, emissions = self.srl_heads(
-                owner, targets, t, lu_ids, frame_ids, train)
+                enc, targets, t, lu_ids, frame_ids, train)
             ai = self.ai_crf.nll(emissions, ai_tags, True,
                                  [lengths[k] for k, _ in items])
             out["srl"] = ad.dot(ai, ad.tensor(weight))
@@ -488,24 +471,22 @@ class FrameParser:
         every kept target."""
         out = []
         with ad.fresh_tape(), ad.no_grad():
-            for encs in self.encode_chunks(sentences):
-                found = self.ti_predict(encs)
-                kept = [(enc, t, key) for enc, ts in zip(encs, found)
-                        for t in ts if (key := lu_key(
-                            enc.prep.sentence.tokens, t, enc.prep.sentence.pos)
-                        ) in self.ontology.lu_to_frames]
-                owner, targets, keys = ([c[i] for c in kept] for i in range(3))
-                rows = self.encoded_target_rows(owner, targets) if kept \
-                    else None
-                frames = self.fi_predict(owner, targets, keys, rows)
-                spans, roles = self.srl_predict(owner, targets, keys, frames,
+            for enc in self.encode_chunks(sentences):
+                found = self.ti_predict(enc)
+                kept = [((k, t), key) for k, ts in enumerate(found) for t in ts
+                        if (key := lu_key(enc.preps[k].sentence.tokens, t,
+                                          enc.preps[k].sentence.pos))
+                        in self.ontology.lu_to_frames]
+                targets, keys = [t for t, _ in kept], [key for _, key in kept]
+                rows = self.encoded_target_rows(enc, targets) if kept else None
+                frames = self.fi_predict(enc, targets, keys, rows)
+                spans, roles = self.srl_predict(enc, targets, keys, frames,
                                                 t=rows)
-                anns = {enc: [] for enc in encs}  # keyed by identity
-                for (enc, t, key), f, s, r in zip(kept, frames, spans, roles):
-                    anns[enc].append(FrameAnnotation(t, key, f,
-                                                     sorted(zip(s, r))))
-                out.extend((anns[enc], len(ts) - len(anns[enc]))
-                           for enc, ts in zip(encs, found))
+                anns = [[] for _ in found]
+                for ((k, t), key), f, s, r in zip(kept, frames, spans, roles):
+                    anns[k].append(FrameAnnotation(t, key, f,
+                                                   sorted(zip(s, r))))
+                out.extend((a, len(ts) - len(a)) for a, ts in zip(anns, found))
         return out
 
     def parse(self, sent: Sentence) -> tuple[list[FrameAnnotation], int]:

@@ -105,7 +105,7 @@ def generate_trace(model: FrameParser, sentence: Sentence) -> str:
             if model.gcn is not None:
                 lines.extend(_path_lines(tree, ref))
             out("")
-            b, _ = model.target_b([(enc, first)])
+            b, _ = model.target_b(enc, [(0, target)])
             lines.extend(_matrix("b = LN(BiLSTM(e, p_l) + e)", b.data,
                                  token_names))
             out("")

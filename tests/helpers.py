@@ -250,33 +250,38 @@ def forest_index_loop(blocks, firsts):
     return out
 
 
-def _gold_items_oracle(model, sentences):
-    """Every gold annotation and its sentence's encoding, as two lists,
-    from one single-sentence encode per annotated sentence."""
-    encs = [model.encode(model.prepare(sent))
-            for sent in sentences if sent.annotations]
-    return [enc for enc in encs for _ in enc.prep.sentence.annotations], [
-        ann for enc in encs for ann in enc.prep.sentence.annotations]
+def _gold_oracle(model, sentences, predict):
+    """The annotations of the annotated sentences, in order, and what
+    predict(encoding, targets, annotations) gives for them, from one
+    single-sentence encode and predict call per sentence."""
+    anns, out = [], []
+    with ad.fresh_tape(), ad.no_grad():
+        for sent in sentences:
+            if sent.annotations:
+                anns += sent.annotations
+                out += predict(model.encode(model.prepare(sent)),
+                               [(0, a.target) for a in sent.annotations],
+                               sent.annotations)
+    return anns, out
 
 
 def evaluate_ti_oracle(model, sentences):
     """evaluate's ti report with one single-sentence encode per
     sentence."""
     with ad.fresh_tape(), ad.no_grad():
-        pred = [[tuple(t) for t in model.ti_predict([model.encode(
-            model.prepare(sent))])[0]] for sent in sentences]
+        pred = [[tuple(t) for t in model.ti_predict(model.encode(
+            model.prepare(sent)))[0]] for sent in sentences]
     gold = [[tuple(sorted(a.target)) for a in sent.annotations]
             for sent in sentences]
     return _span_report("ti", gold, pred)
 
 
 def evaluate_fi_oracle(model, sentences):
-    """evaluate's fi report with its own gold pass: one encode per
-    annotated sentence, one frame prediction over every gold target."""
-    with ad.fresh_tape(), ad.no_grad():
-        encs, anns = _gold_items_oracle(model, sentences)
-        pred = model.fi_predict(encs, [a.target for a in anns],
-                                [a.lu for a in anns])
+    """evaluate's fi report with its own gold pass: one encode and one
+    frame prediction per annotated sentence."""
+    anns, pred = _gold_oracle(model, sentences, lambda enc, targets, anns:
+                              model.fi_predict(enc, targets,
+                                               [a.lu for a in anns]))
     gold = [a.frame for a in anns]
     return {"task": "fi", "accuracy": fi_accuracy(gold, pred),
             "counts": {"total": len(gold),
@@ -284,16 +289,15 @@ def evaluate_fi_oracle(model, sentences):
 
 
 def evaluate_srl_oracle(model, sentences):
-    """evaluate's srl report with its own gold pass: one encode per
-    annotated sentence, one role prediction over every gold target."""
-    with ad.fresh_tape(), ad.no_grad():
-        encs, anns = _gold_items_oracle(model, sentences)
-        spans, labels = model.srl_predict(
-            encs, [a.target for a in anns], [a.lu for a in anns],
-            [a.frame for a in anns])
+    """evaluate's srl report with its own gold pass: one encode and one
+    role prediction per annotated sentence."""
+    anns, pred = _gold_oracle(model, sentences, lambda enc, targets, anns:
+                              zip(*model.srl_predict(
+                                  enc, targets, [a.lu for a in anns],
+                                  [a.frame for a in anns])))
     gold = [[(label, s, e) for (s, e), label in a.elements] for a in anns]
     pred = [[(label, s, e) for (s, e), label in zip(sp, lab)]
-            for sp, lab in zip(spans, labels)]
+            for sp, lab in pred]
     return _span_report("srl", gold, pred)
 
 

@@ -204,6 +204,43 @@ def test_unknown_config_key_exits_1(workspace, tmp_path):
     assert code == 1
 
 
+def test_preset_that_is_not_a_string_exits_1(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"preset": []}')
+    code = main(["train", "--corpus", workspace["corpus"],
+                 "--ontology", workspace["onto"],
+                 "--checkpoint", str(tmp_path / "x.json"),
+                 "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["train-corpus", "dev"])
+def test_dev_corpus_without_annotations_warns_once(workspace, tmp_path,
+                                                   capsys, dev):
+    # The dev metric then scores no gold item, so it reads perfect from
+    # the first epoch; training still runs and exits 0.
+    bare = tmp_path / "bare.jsonl"
+    sentences = load_corpus(workspace["corpus"])[:3]
+    for sent in sentences:
+        sent.annotations = []
+    save_corpus(sentences, str(bare))
+    argv = ["train", "--ontology", workspace["onto"], "--checkpoint",
+            str(tmp_path / "x.json"), "--task", "ti", "--max-epochs", "1"]
+    argv += (["--corpus", workspace["corpus"], "--dev", str(bare)] if dev
+             else ["--corpus", str(bare)])
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err == (f"warning: {bare}: no annotations, so the dev metric "
+                   "scores no gold item\n")
+    assert main(["train", "--corpus", workspace["corpus"], "--ontology",
+                 workspace["onto"], "--checkpoint", str(tmp_path / "y.json"),
+                 "--task", "ti", "--max-epochs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_layer_too_big_to_allocate_exits_1(tmp_path):
     # A train run under a 3 GB address-space limit asks for a 4.77 GiB
     # first fi layer: the allocation fails without touching memory, and
@@ -735,18 +772,27 @@ def test_checkpoint_path_that_is_a_directory_exits_2(workspace, tmp_path,
     ("--checkpoint", "missing/dir/model.json"),
     ("--report", "missing/report.json"),
     ("--out", "missing/predicted.jsonl"),
+    ("--corpus", "taken"),
+    ("--ontology", "missing/onto.json"),
 ], ids=["log-directory", "checkpoint-missing-parent",
-        "report-missing-parent", "out-missing-parent"])
+        "report-missing-parent", "out-missing-parent", "synth-corpus-directory",
+        "synth-ontology-missing-parent"])
 def test_unusable_output_path_exits_2_before_training(
         workspace, tmp_path, capsys, monkeypatch, flag, name):
-    # train, eval and predict refuse the path before anything loads
+    # synth, train, eval and predict refuse the path before anything is
+    # generated or loaded, so no other output is written either
     for target in ("framepath.cli.load_corpus", "framepath.cli.train",
                    "framepath.cli.evaluate",
-                   "framepath.cli.FrameParser.parse_many"):
+                   "framepath.cli.FrameParser.parse_many",
+                   "framepath.synth.generate"):
         monkeypatch.setattr(target, never_train)
     (tmp_path / "taken").mkdir()
     path = str(tmp_path / name)
-    if flag in ("--report", "--out"):
+    if flag in ("--corpus", "--ontology"):
+        outputs = {"--corpus": str(tmp_path / "corpus.jsonl"),
+                   "--ontology": str(tmp_path / "onto.json"), flag: path}
+        argv = ["synth"]
+    elif flag in ("--report", "--out"):
         outputs = {flag: path}
         argv = ["eval" if flag == "--report" else "predict", "--checkpoint",
                 workspace["ckpt"], "--corpus", workspace["corpus"]]

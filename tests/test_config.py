@@ -35,8 +35,9 @@ def test_unknown_key_is_hard_error():
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ConfigError, match="preset"):
-        config_from_dict({"preset": "huge"})
+    for preset in ("huge", [], {"name": "desk"}):  # a name, list or object
+        with pytest.raises(ConfigError, match="preset"):
+            config_from_dict({"preset": preset})
 
 
 def test_override_beats_preset():

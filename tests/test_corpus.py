@@ -184,7 +184,7 @@ class TestLegalGold:
 
 
 def encode_spans(spans, n):
-    """Argument-span tags, as FrameParser.prepare makes them."""
+    """Argument-span tags, as FrameParser.batch_losses makes them."""
     return encode_iobc([range(s, e + 1) for s, e in spans], n)
 
 

@@ -158,8 +158,8 @@ def gold_corpus(n_annotated):
     model, corpus = make_corpus_model()
     with ad.fresh_tape(), ad.no_grad():
         h2 = [ad.leaky_relu(model.fi2(ad.leaky_relu(model.fi1(
-            model.encoded_target_rows([model.encode(model.prepare(sent))],
-                                      [[2]])
+            model.encoded_target_rows(model.encode(model.prepare(sent)),
+                                      [(0, [2])])
         )))).data[0] for sent in corpus[:2]]
     v, mid = h2[0] - h2[1], (h2[0] + h2[1]) / 2.0
     for sign, frame in ((1.0, "Motion"), (-1.0, "Operating")):
@@ -219,9 +219,9 @@ class TestChunkedGoldPass:
         held = []  # the sentences each target_b call holds targets from
         inner = model.target_b
 
-        def recording(pairs, train=False):
-            held.append({id(enc.prep.sentence) for enc, _ in pairs})
-            return inner(pairs, train)
+        def recording(enc, targets, train=False):
+            held.append({id(enc.preps[k].sentence) for k, _ in targets})
+            return inner(enc, targets, train)
 
         model.target_b = recording
         lstm = count_backbone_calls(model)

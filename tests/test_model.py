@@ -128,7 +128,7 @@ def fi_scores(model, enc, target, lu) -> np.ndarray:
     for each frame its lexical unit does not license, as fi_predict
     masks them."""
     scores, licensed = model.frame_scores(
-        model.encoded_target_rows([enc], [target]),
+        model.encoded_target_rows(enc, [(0, target)]),
         [model.ontology.lu_id(lu)])
     return np.where(licensed, scores.data, -np.inf)[0]
 
@@ -136,14 +136,14 @@ def fi_scores(model, enc, target, lu) -> np.ndarray:
 def srl_heads(model, enc, target, lu_id, frame_id):
     """z, pr, b, b_first and the (n, 3) bilinear scores of one target,
     from the role-labeling body training and prediction share."""
-    return model.srl_heads([enc], [target],
-                           model.encoded_target_rows([enc], [target]),
+    return model.srl_heads(enc, [(0, target)],
+                           model.encoded_target_rows(enc, [(0, target)]),
                            [lu_id], [frame_id])
 
 
 def b_rows(model, enc, first):
     """Backbone-B rows of the target whose first index is first."""
-    return model.target_b([(enc, first)])[0]
+    return model.target_b(enc, [(0, [first])])[0]
 
 
 def paths(model):
@@ -222,7 +222,7 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.encoded_target_rows([enc], [[3]]).data[0]
+            t = model.encoded_target_rows(enc, [(0, [3])]).data[0]
             assert np.array_equal(t, enc.a.data[3])
 
     def test_discontiguous_sum_and_order(self):
@@ -230,8 +230,8 @@ class TestTargetRepr:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            t = model.encoded_target_rows([enc], [[2, 4]]).data[0]
-            rev = model.encoded_target_rows([enc], [[4, 2]]).data[0]
+            t = model.encoded_target_rows(enc, [(0, [2, 4])]).data[0]
+            rev = model.encoded_target_rows(enc, [(0, [4, 2])]).data[0]
             assert np.allclose(t, enc.a.data[2] + enc.a.data[4], atol=1e-12)
             assert np.array_equal(t, rev)
 
@@ -241,7 +241,7 @@ class TestTargetRepr:
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
             with pytest.raises(ValueError):
-                model.encoded_target_rows([enc], [[]])
+                model.encoded_target_rows(enc, [(0, [])])
 
 
 # ---------------------------------------------------------------------------
@@ -565,27 +565,26 @@ class TestPackedBatch:
         # corpus[2] pairs a target with roles and one without any
         model, corpus = make_corpus_model()
         with ad.fresh_tape(), ad.no_grad():
-            encs, targets, lus, frames = [], [], [], []
-            for sent in corpus[:3]:
+            items, targets, lus, frames = [], [], [], []
+            for k, sent in enumerate(corpus[:3]):
                 enc = model.encode(model.prepare(sent))
                 anns = sent.annotations
-                each = model.fi_predict([enc] * len(anns),
-                                        [a.target for a in anns],
+                each = model.fi_predict(enc, [(0, a.target) for a in anns],
                                         [a.lu for a in anns])
                 assert each == [model.fi_predict(enc, a.target, a.lu)
                                 for a in anns]
-                encs += [enc] * len(anns)
-                targets += [a.target for a in anns]
+                items += [(enc, a.target, a.lu, f) for a, f in zip(anns, each)]
+                targets += [(k, a.target) for a in anns]
                 lus += [a.lu for a in anns]
                 frames += each
-            items = list(zip(encs, targets, lus, frames))
-            spans, labels = model.srl_predict(encs, targets, lus, frames)
+            enc = model.encode([model.prepare(s) for s in corpus[:3]])
+            spans, labels = model.srl_predict(enc, targets, lus, frames)
             assert spans == [model.ai_predict(*item) for item in items]
             assert labels == [model.ac_predict(*item, s)
                               for item, s in zip(items, spans)]
             gold = [[span for span, _ in a.elements]
                     for sent in corpus[:3] for a in sent.annotations]
-            assert model.srl_predict(encs, targets, lus, frames, gold) == (
+            assert model.srl_predict(enc, targets, lus, frames, gold) == (
                 gold, [model.ac_predict(*item, s)
                        for item, s in zip(items, gold)])
 
@@ -616,10 +615,10 @@ class TestPackedBatch:
             model.batch_losses(preps, train=True)
         assert calls == {"gcn": 1, "paths": 2}  # backbone A and backbone B
 
-    def test_target_b_over_separate_encodings_sums_each_tree(self,
-                                                             monkeypatch):
-        # Encodings from separate encode calls each hold their own node
-        # rows; backbone B's one path-sum op runs over them concatenated.
+    def test_target_b_over_several_sentences_sums_each_tree(self,
+                                                            monkeypatch):
+        # One encode call holds the node rows of every sentence's tree;
+        # backbone B's one path-sum op reads each tree's own block.
         model, corpus = make_corpus_model()
         seen = []
 
@@ -630,14 +629,15 @@ class TestPackedBatch:
 
         inner = model_module.path_sum_features
         with ad.fresh_tape(), ad.no_grad():
-            encs = [model.encode(model.prepare(s)) for s in corpus[:3]]
-            pairs = [(enc, first) for enc in encs for first in (2, 0)]
+            enc = model.encode([model.prepare(s) for s in corpus[:3]])
+            targets = [(k, [first]) for k in range(3) for first in (2, 0)]
             monkeypatch.setattr(model_module, "path_sum_features", keep)
-            model.target_b(pairs)
+            model.target_b(enc, targets)
             assert len(seen) == 1
-            each = [inner(enc.prep.sentence.tree, enc.h,
-                          enc.prep.sentence.tree.token_node(first)).data
-                    for enc, first in pairs]
+            each = [inner(corpus[k].tree, ad.tensor(enc.h.data[
+                enc.node_first[k]:enc.node_first[k + 1]]),
+                corpus[k].tree.token_node(first)).data
+                for k, (first,) in targets]
         assert np.array_equal(seen[0], np.concatenate(each))
 
     def test_target_b_matches_one_target_at_a_time(self):
@@ -645,18 +645,19 @@ class TestPackedBatch:
         preps = [model.prepare(s) for s in corpus[:3]]
         calls = count_backbone_calls(model)
         with ad.fresh_tape():
-            encs = [model.encode(prep) for prep in preps]
-            pairs = [(enc, first) for enc in encs for first in (0, 2)]
-            b, b_first = model.target_b(pairs)
+            enc = model.encode(preps)
+            targets = [(k, [first]) for k in range(3) for first in (0, 2)]
+            b, b_first = model.target_b(enc, targets)
             assert b.needs_grad  # training reads b through the same call
-        assert calls == {"a": 3, "b": 1}
-        assert b_first == list(np.cumsum([0] + [len(enc.prep.sentence)
-                                                for enc, _ in pairs]))
+        assert calls == {"a": 1, "b": 1}
+        assert b_first == list(np.cumsum([0] + [len(preps[k].sentence)
+                                                for k, _ in targets]))
         with ad.fresh_tape(), ad.no_grad():
-            for (enc, first), lo, hi in zip(pairs, b_first, b_first[1:]):
-                np.testing.assert_allclose(b.data[lo:hi],
-                                           b_rows(model, enc, first).data,
-                                           rtol=0, atol=1e-12)
+            for (k, (first,)), lo, hi in zip(targets, b_first, b_first[1:]):
+                np.testing.assert_allclose(
+                    b.data[lo:hi],
+                    b_rows(model, model.encode(preps[k]), first).data,
+                    rtol=0, atol=1e-12)
 
     def test_parse_matches_one_target_at_a_time(self):
         model, corpus = make_corpus_model()
@@ -667,8 +668,8 @@ class TestPackedBatch:
         assert max(len(anns) for anns, _ in packed) == 3
         inner = model.target_b
 
-        def one_at_a_time(pairs, train=False):
-            rows = [inner([pair], train)[0] for pair in pairs]
+        def one_at_a_time(enc, targets, train=False):
+            rows = [inner(enc, [target], train)[0] for target in targets]
             return ad.concat(rows), list(np.cumsum(
                 [0] + [r.data.shape[0] for r in rows]))
 
@@ -722,18 +723,16 @@ class TestPackedBatch:
         with ad.fresh_tape(), ad.no_grad():
             model.batch_losses([model.prepare(s) for s in corpus[:3]],
                                parts=("srl",))
-            encs = [model.encode(model.prepare(s))
-                    for s in corpus[:3]]
-            anns = [(enc, a) for enc in encs
-                    for a in enc.prep.sentence.annotations]
-            model.srl_predict([enc for enc, _ in anns],
-                              [a.target for _, a in anns],
+            enc = model.encode([model.prepare(s) for s in corpus[:3]])
+            anns = [(k, a) for k, s in enumerate(corpus[:3])
+                    for a in s.annotations]
+            model.srl_predict(enc, [(k, a.target) for k, a in anns],
                               [a.lu for _, a in anns],
                               [a.frame for _, a in anns])
         (trained, trained_lengths), = seen["nll"]
         (decoded, lengths), = seen["viterbi"]  # one call for every chain
         assert list(lengths) == list(trained_lengths) == [
-            len(enc.prep.sentence) for enc, _ in anns]
+            len(corpus[k]) for k, _ in anns]
         np.testing.assert_allclose(decoded, trained, rtol=0, atol=1e-10)
 
     def test_evaluate_fi_scores_every_target_at_once(self):
@@ -765,16 +764,19 @@ class TestPackedBatch:
         preps = [model.prepare(s) for s in corpus[:3]]
         calls = count_backbone_calls(model)
         with ad.fresh_tape(), ad.no_grad():
-            encs = model.encode(preps)
+            enc = model.encode(preps)
             singles = [model.encode(prep) for prep in preps]
         assert calls == {"a": 4, "b": 0}
-        assert all(enc.a is encs[0].a and enc.h is encs[0].h for enc in encs)
-        for enc, single in zip(encs, singles):
-            n = len(enc.prep.sentence)
-            assert single.a_first == 0 and single.a.data.shape[0] == n
-            np.testing.assert_allclose(
-                enc.a.data[enc.a_first:enc.a_first + n], single.a.data,
-                rtol=0, atol=1e-12)
+        # one a and one h hold every sentence's rows
+        assert enc.a.data.shape[0] == enc.token_first[-1] == 15
+        assert enc.h.data.shape[0] == enc.node_first[-1] == sum(
+            len(prep.sentence.tree) for prep in preps)
+        for k, single in enumerate(singles):
+            n = len(preps[k].sentence)
+            assert single.token_first == [0, n] and single.a.data.shape[0] == n
+            first = enc.token_first[k]
+            np.testing.assert_allclose(enc.a.data[first:first + n],
+                                       single.a.data, rtol=0, atol=1e-12)
 
     def test_parse_many_equals_parse_across_chunks(self, monkeypatch):
         model, corpus = make_corpus_model()
@@ -821,8 +823,8 @@ class TestCellChunks:
                      bare_run(12), corpus[2], corpus[3], bare_run(2),
                      bare_run(1), bare_run(3)]
         with ad.fresh_tape(), ad.no_grad():
-            chunks = [[enc.prep.sentence for enc in encs]
-                      for encs in model.encode_chunks(sentences)]
+            chunks = [[prep.sentence for prep in enc.preps]
+                      for enc in model.encode_chunks(sentences)]
             assert list(model.encode_chunks([])) == []
         assert [[len(s) for s in c] for c in chunks] == [
             [5], [3, 1, 1], [12], [7], [5], [2, 1, 3]]
@@ -848,9 +850,9 @@ class TestCellChunks:
             chunks.append({id(prep.sentence) for prep in preps})
             return encode(preps, train)
 
-        def recording(pairs, train=False):
-            held.append({id(enc.prep.sentence) for enc, _ in pairs})
-            return target_b(pairs, train)
+        def recording(enc, targets, train=False):
+            held.append({id(enc.preps[k].sentence) for k, _ in targets})
+            return target_b(enc, targets, train)
 
         model.encode, model.target_b = encoding, recording
         for run in (lambda: evaluate(model, corpus + corpus, "joint"),
@@ -868,8 +870,8 @@ class TestCellChunks:
 
 class TestLegalAtScale:
     def test_unlicensed_frames_and_roles_never_predicted(self):
-        # Frame logits and role emissions scaled far past the -1e4
-        # penalty must still yield licensed labels only.
+        # Frame logits and role emissions scaled up to 1e6 must still
+        # yield licensed labels only.
         model, sent = make_model()
         rng = np.random.default_rng(31)
         fi_b, ac_b = model.fi3.b, model.ac_emit.b

@@ -90,6 +90,15 @@ def test_layouts_are_built_only_by_the_shared_cache():
         "autodiff.py": ["_layouts"]}
 
 
+def test_encodings_are_built_only_by_encode():
+    # One encode call, one set of rows: every head takes the Encoding
+    # FrameParser.encode made, and addresses its sentences by index.
+    found = {path.name: [where for where, _ in
+                         callers_of(path.read_text(), "Encoding")]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {"model.py": ["encode"]}
+
+
 def readers_of(source: str, attr: str) -> list[str]:
     """The scope ("Class.method", "function" or "<module>") of each read
     of ``anything.attr``; assignments to it are not reads."""
