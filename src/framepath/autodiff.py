@@ -277,9 +277,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                         "concat"))
 
     def vjp(g):
-        ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
-        for p, piece in zip(parts, np.split(g, ends, axis=axis)):
-            _acc(p, piece)
+        lead = (slice(None),) * (axis % g.ndim)
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.shape[axis]
+            _acc(p, g[lead + (slice(lo, hi),)])
+            lo = hi
 
     return _record(out, parts, vjp)
 
@@ -567,7 +570,7 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     out = Tensor(_check(hs[cells].reshape(n, 2 * h), "bilstm_layer"))
 
     def vjp(grad_h):
-        i, f, g, o = np.split(gates, 4, axis=-1)
+        i, f, g, o = (gates[..., j * h:(j + 1) * h] for j in range(4))
         tc = np.tanh(cs)
         c_before = np.concatenate([np.zeros_like(cs[:, :1]), cs[:, :-1]], 1)
         h_before = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], 1)

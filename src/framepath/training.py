@@ -7,12 +7,20 @@ parameters (biases, layer norms, embeddings) see plain Adam.  Squared-
 norm penalties on CRF transition matrices and bilinear maps enter the
 objective (so the logged total loss) as one add_sq_norms op, not the
 per-task losses.
+
+On glibc, train() keeps the heap its steps free for the length of the
+run, so freeing one step's tape no longer hands the top of the heap
+back to the kernel only for the next forward pass to fault it in again
+page by page.  When the run ends, or raises, it puts glibc's malloc
+settings back and returns the free memory with malloc_trim(0).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
@@ -30,6 +38,49 @@ from .model import TASK_LOSSES, FrameParser, Prepared, sum_parts
 
 class TrainingError(RuntimeError):
     pass
+
+
+# glibc's mallopt parameters (malloc.h) and the values train() holds for
+# its run, in bytes: a top pad of about 3x a train-long step's tape, so a
+# free does not shrink the heap, and glibc's largest mmap threshold, so
+# large arrays come from that heap and not from fresh mmaps.  glibc's
+# default for both is 128 KiB.
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
+KEPT_HEAP = {M_TOP_PAD: 64 << 20, M_MMAP_THRESHOLD: 32 << 20}
+GLIBC_DEFAULT = 128 << 10
+
+
+def _malloc_calls():
+    """The C library's (mallopt, malloc_trim), or None where ctypes finds
+    no such pair (macOS, musl, Windows)."""
+    try:
+        libc = ctypes.CDLL(None)  # the C library the process runs on
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, AttributeError, TypeError):  # Windows: TypeError
+        return None
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    mallopt.restype = malloc_trim.restype = ctypes.c_int
+    return mallopt, malloc_trim
+
+
+@contextmanager
+def _heap_kept():
+    """Keep the heap the body frees; then restore glibc's defaults (its
+    dynamic mmap threshold stays off) and trim what is free."""
+    calls = _malloc_calls()
+    if calls is None:
+        yield
+        return
+    mallopt, malloc_trim = calls
+    for param, value in KEPT_HEAP.items():
+        mallopt(param, value)
+    try:
+        yield
+    finally:
+        for param in KEPT_HEAP:
+            mallopt(param, GLIBC_DEFAULT)
+        malloc_trim(0)
 
 
 @dataclass
@@ -145,6 +196,7 @@ def _objective(model: FrameParser, preps: list[Prepared], task: str,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # failures raise TrainingError
+@_heap_kept()
 def train(model: FrameParser, train_sentences: Sequence[Sentence],
           dev_sentences: Sequence[Sentence],
           log_path: str | None = None) -> TrainResult:

@@ -170,3 +170,30 @@ def test_every_import_is_used():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_import_detector():
+    source = ("import ctypes.util\nfrom os import path\n"
+              "from . import ctypes_like\nimport numpy as np\n")
+    assert imported_modules(source) == {"ctypes", "os", "numpy"}
+
+
+def test_only_training_reaches_the_allocator():
+    # The malloc settings are process-wide, so one module owns them:
+    # train() keeps its steps' freed heap for the run and trims it after.
+    found = {path.name: [where for where, _ in
+                         callers_of(path.read_text(), "CDLL")]
+             for path in sorted(SRC.glob("*.py"))
+             if "ctypes" in imported_modules(path.read_text())}
+    assert found == {"training.py": ["_malloc_calls"]}

@@ -1,5 +1,11 @@
+import ctypes
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -360,3 +366,120 @@ class TestTrainLoop:
         lines = open(path).read().splitlines()
         assert lines[0] == "epoch,loss_ti,loss_fi,loss_srl,loss,dev_metric,lr"
         assert lines[1].startswith("1,2.0,,,2.0,0.5,")
+
+
+# glibc's mallopt parameters (malloc.h): M_TOP_PAD and M_MMAP_THRESHOLD,
+# set for the run, then set back to glibc's defaults before the trim
+KEPT_HEAP = [("mallopt", -2, 64 << 20), ("mallopt", -3, 32 << 20)]
+RESTORED = [("mallopt", -2, 128 << 10), ("mallopt", -3, 128 << 10),
+            ("malloc_trim", 0)]
+
+
+def fake_libc(calls: list):
+    """A C library whose mallopt and malloc_trim append to calls."""
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(pad):
+        calls.append(("malloc_trim", pad))
+        return 1
+
+    return types.SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)
+
+
+def count_batches(monkeypatch, calls: list) -> None:
+    objective = training._objective
+
+    def counted(*args):
+        calls.append("batch")
+        return objective(*args)
+
+    monkeypatch.setattr(training, "_objective", counted)
+
+
+def trained(model, sentences):
+    result = train(model, sentences, sentences[:1])
+    return result, {p: e.tensor.data.copy() for p, e in model.store.entries()}
+
+
+# Trains twice, on a fresh model each time, on 36 sentences of three
+# synthetic ones joined (~23 tokens, ~3.3 targets), and prints the minor
+# page faults of the second call.
+FAULT_PROBE = """
+import resource
+from framepath import synth
+from framepath.config import Config
+from framepath.corpus import build_vocab
+from framepath.model import FrameParser
+from framepath.training import train
+from test_evaluation import joined
+raw, onto = synth.generate(7, 3 * 36)
+sents = [joined(raw[i:i + 3]) for i in range(0, len(raw), 3)]
+for call in range(2):
+    model = FrameParser(Config(task="joint", max_epochs=5, batch_size=8),
+                        build_vocab(sents, onto), onto)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, sents[:32], sents[32:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+    def test_heap_kept_for_the_run_then_trimmed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(calls))
+        count_batches(monkeypatch, calls)
+        model, sent = make_model(max_epochs=3, task="joint", batch_size=1)
+        train(model, [sent, make_sentence()], [sent])
+        assert calls == [*KEPT_HEAP, *["batch"] * 6, *RESTORED]
+
+    def test_heap_trimmed_when_training_fails(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(calls))
+        count_batches(monkeypatch, calls)
+        model, sent = make_model(lr=1e300, batch_size=8, task="joint")
+        with pytest.raises(TrainingError, match="non-finite loss"):
+            train(model, [sent] * 9, [sent])
+        assert calls == [*KEPT_HEAP, "batch", "batch", *RESTORED]
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError, TypeError],
+                             ids=["no-library", "no-symbols", "windows"])
+    def test_without_the_calls_training_runs_as_before(self, monkeypatch,
+                                                       error):
+        model, sent = make_model(max_epochs=3, task="joint")
+        kept = trained(model, [sent, make_sentence()])
+        asked = []
+
+        def missing(name):
+            asked.append(name)
+            if error is AttributeError:
+                return object()  # a library without mallopt
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        model, sent = make_model(max_epochs=3, task="joint")
+        result, params = trained(model, [sent, make_sentence()])
+        assert asked == [None]
+        assert result == kept[0]
+        assert params.keys() == kept[1].keys()
+        for path, data in params.items():
+            assert np.array_equal(data, kept[1][path]), path
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_second_run_does_not_fault_its_tape_in_every_step(self):
+        # With the policy the call faults its working set in once, about
+        # 5,400 times.  Without it each step faults its freed tape back
+        # in: 17,000-54,000 times, by where the heap's live blocks fall
+        # (some rare layouts pin the heap's top and fault far less).
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, here,
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path))
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 10_000
