@@ -15,11 +15,15 @@ Gradients are never mutated in place; accumulation always rebinds
 
 Hot paths are single records with hand-written backwards, each over a
 whole batch: ``affine`` (every linear map), ``bilstm_layer`` (a layer's
-input projections and recurrence) over a ``Packed`` layout,
-``sum_row_groups`` (graph-convolution, path, target and span sums),
-``bilinear_rows`` (argument scores), ``add_sq_norms`` (every L2 penalty
-of the objective), and the packed CRF ops in ``crf``.
+input projections and recurrence, both directions at once) over a
+``Packed`` layout, ``sum_row_groups`` (graph-convolution, path, target
+and span sums), ``bilinear_rows`` (argument scores), ``add_sq_norms``
+(every L2 penalty of the objective), and the packed CRF ops in ``crf``.
 Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
+``bilstm_layer`` reads each of wx, wh and b as one (2, ...) array over
+both directions: the arrays a ``BiLstm`` layer keeps, which its
+direction tensors view, or else stacked copies.  Every sequence starts
+from zero states, so the first step adds no h @ wh and no f * c.
 
 A ``Packed`` layout holds integer indices only, so it is a shared,
 immutable value: ``packed(n, lengths)`` builds one per distinct lengths
@@ -86,9 +90,11 @@ _state = threading.local()
 
 
 def _stack() -> list[_Tape]:
-    if not hasattr(_state, "stack"):
+    try:
+        return _state.stack
+    except AttributeError:  # this thread's first op
         _state.stack = [_Tape()]
-    return _state.stack
+        return _state.stack
 
 
 def _tape() -> _Tape:
@@ -123,7 +129,9 @@ def tape_length() -> int:
 
 def _check(arr: np.ndarray, op: str) -> np.ndarray:
     # A finite sum proves every entry finite; an overflowed one does not.
-    if math.isfinite(arr.sum()) or np.all(np.isfinite(arr)):
+    # np.add.reduce is arr.sum() without numpy's Python wrapper.
+    if (math.isfinite(np.add.reduce(arr, axis=None))
+            or np.all(np.isfinite(arr))):
         return arr
     raise FloatingPointError(f"non-finite value produced by {op}")
 
@@ -503,6 +511,13 @@ class Packed:
             self.lengths, self.lengths) - 1 - self.step]).T)
         return steps, (_frozen(np.arange(2)), steps, self.col[:, None])
 
+    @cached_property
+    def by_direction(self) -> tuple:
+        """mirrored's cells in direction order: they index a (2, n)
+        block whose [d] holds direction d's cells in row order."""
+        steps, (d, _, col) = self.mirrored
+        return d[:, None], steps.T, col.T
+
     def to_block(self, rows: np.ndarray) -> np.ndarray:
         block = np.zeros((self.steps, len(self.order)) + rows.shape[1:])
         block[self.step, self.col] = rows
@@ -513,7 +528,8 @@ class Packed:
 
 
 def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
-                 bwd: tuple[Tensor, Tensor, Tensor], packed: Packed) -> Tensor:
+                 bwd: tuple[Tensor, Tensor, Tensor], packed: Packed,
+                 stacked: tuple[np.ndarray, ...] | None = None) -> Tensor:
     """One bidirectional LSTM layer over packed sequences, as one tape op.
 
     x is (n, in) holding the rows of the sequences packed lays out (one
@@ -523,10 +539,14 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     from zero states; fwd runs it left to right and bwd right to left.
     Returns the (n, 2H) states [forward | backward] in x's rows.
 
-    Each direction's projection x @ wx goes into one (direction, step,
-    sequence, ...) block, bwd's rows flipped, and is not kept, so a step
-    is one stacked (2, k, H) @ (2, H, 4H) product over the k sequences
-    still running.  The hand-written backward forms all gate-derivative
+    stacked, when given, holds the values of fwd's and bwd's wx, wh and
+    b as three (2, ...) arrays, fwd's at [0], as a BiLstm layer keeps
+    them; without it the op stacks copies.  One x @ wx product over both
+    directions goes into one (direction, step, sequence, ...) block,
+    bwd's rows flipped, and is not kept, so a step is one stacked
+    (2, k, H) @ (2, H, 4H) product over the k sequences still running.
+    The first step starts from zero states, so it adds no h @ wh and no
+    f * c term.  The hand-written backward forms all gate-derivative
     factors up front and keeps only the dh/dc recurrence of both
     directions in its loop, one (2, K, 4H) @ (2, 4H, H) product a step.
     """
@@ -541,28 +561,35 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     if len(packed.step) != n:
         raise ValueError(f"lengths {list(packed.lengths)} do not pack {n} "
                          "rows")
-    steps, cells = packed.mirrored  # bwd runs each sequence mirrored
+    wx, wh, b = stacked or (np.array([p.data, q.data])
+                            for p, q in zip(fwd, bwd))
+    b = b[:, None]
+    _, cells = packed.mirrored  # bwd runs each sequence mirrored
+    by_direction = packed.by_direction
     k = len(packed.order)
     xs = np.zeros((2, packed.steps, k, four_h))
-    for d, (wx, _, _) in enumerate((fwd, bwd)):
-        xs[d, steps[:, d], packed.col] = _check(x.data @ wx.data,
-                                                "bilstm_layer")
-    wh = np.array([fwd[1].data, bwd[1].data])
-    b = np.array([fwd[2].data, bwd[2].data])[:, None]
+    xs[by_direction] = _check(x.data @ wx, "bilstm_layer")
     hs = np.zeros(xs.shape[:-1] + (h,))
     # Post-activation gates [i, f, g, o] and cells, kept for a backward.
     keep = _tape().enabled and any(t.needs_grad for t in (x, *fwd, *bwd))
     gates, cs = ((np.zeros_like(xs), np.zeros_like(hs)) if keep
                  else (None, None))
-    h_prev = c_prev = np.zeros((2, k, h))
     for t in range(packed.steps):
         if packed.running[t] < k:  # only the k longest still run
             k = packed.running[t]
             h_prev, c_prev = h_prev[:, :k], c_prev[:, :k]
-        raw = xs[:, t, :k] + h_prev @ wh + b
-        act = 1.0 / (1.0 + np.exp(-raw))
-        g = act[..., 2 * h:3 * h] = np.tanh(raw[..., 2 * h:3 * h])
-        c_prev = act[..., h:2 * h] * c_prev + act[..., :h] * g
+        if t:
+            raw = xs[:, t, :k] + h_prev @ wh
+            raw += b
+        else:  # zero states: no 0 @ wh here, no f * 0 below
+            raw = xs[:, 0] + b
+        act = np.negative(raw)  # act = 1 / (1 + exp(-raw)), in place
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        g = np.tanh(raw[..., 2 * h:3 * h], out=act[..., 2 * h:3 * h])
+        c_prev = (act[..., h:2 * h] * c_prev + act[..., :h] * g if t
+                  else act[..., :h] * g)
         h_prev = act[..., 3 * h:] * np.tanh(c_prev)
         hs[:, t, :k] = h_prev
         if keep:
@@ -599,11 +626,13 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
         for d, (_, wh_d, b_d) in enumerate((fwd, bwd)):
             _acc(wh_d, d_wh[d])
             _acc(b_d, d_b[d])
-        # bwd's part of x's gradient first: the order its bits rest on
-        for d, (wx, _, _) in ((1, bwd), (0, fwd)):
-            dxw = draws[d, steps[:, d], packed.col]
-            _acc(x, dxw @ wx.data.T)
-            _acc(wx, x.data.T @ dxw)
+        dxw = draws[by_direction]
+        d_x = dxw @ wx.transpose(0, 2, 1)
+        d_wx = x.data.T @ dxw
+        # bwd's parts first: the order their bits rest on
+        for d, wx_d in ((1, bwd[0]), (0, fwd[0])):
+            _acc(x, d_x[d])
+            _acc(wx_d, d_wx[d])
 
     return _record(out, (x, *fwd, *bwd), vjp)
 

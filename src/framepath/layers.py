@@ -30,12 +30,14 @@ class ParamEntry:
 
 class ParamStore:
     """Parameters by path, optionally over a checkpoint's decoded arrays
-    (path -> float64 array, from decode_state)."""
+    (path -> float64 array, from decode_state).  The store lets go of
+    each saved array as add takes it, so one a layer replaces, as BiLstm
+    stacks its directions, is freed."""
 
     def __init__(self, rng: np.random.Generator,
                  saved: dict[str, np.ndarray] | None = None):
         self.rng = rng
-        self._saved = saved
+        self._saved = None if saved is None else dict(saved)
         self._entries: dict[str, ParamEntry] = {}
 
     def add(self, path: str, shape: tuple[int, ...],
@@ -58,7 +60,7 @@ class ParamStore:
                 raise ConfigError(f"{path}: cannot allocate a parameter of "
                                   f"shape {shape}") from e
         else:
-            values = self._saved.get(path)
+            values = self._saved.pop(path, None)
             if values is None or values.shape != shape:
                 got = "missing" if values is None else values.shape
                 raise ValueError(f"{path}: shape {got} does not match {shape}")
@@ -195,23 +197,41 @@ class LstmDirection:
                            np.repeat([0.0, 1.0, 0.0, 0.0], hidden),
                            decay=False)
 
+    def tensors(self) -> tuple[Tensor, Tensor, Tensor]:
+        return self.wx, self.wh, self.b
+
 
 class BiLstm:
     """Stacked bidirectional LSTM; output width is 2 * hidden.  x holds
     sequences of the given lengths back to back (None: one sequence).
     Each layer is one ad.bilstm_layer op that projects its input rows and
     steps both directions together; the layers share one ad.packed layout
-    of the sequences."""
+    of the sequences.
+
+    Each layer keeps its fwd and bwd wx, wh and b as one (2, ...) array
+    each, and its six store tensors hold views of them ([0] fwd, [1]
+    bwd), so bilstm_layer reads both directions without copying.  Paths,
+    shapes, draw order and checkpoint bytes are the per-direction ones,
+    and every update in place (Adam, restoring the best epoch,
+    grad_check) reaches the shared arrays.  A layer one of whose tensors
+    no longer holds its own view, its .data rebound, gets copies."""
 
     def __init__(self, store: ParamStore, path: str, in_dim: int, hidden: int,
                  layers: int = 1):
         if layers < 1:
             raise ValueError("need at least one layer")
         self.layers = []
+        self._stacked = []  # per layer: the three arrays, the six views
         width = in_dim
         for k in range(layers):
             fwd = LstmDirection(store, f"{path}.l{k}.fwd", width, hidden)
             bwd = LstmDirection(store, f"{path}.l{k}.bwd", width, hidden)
+            dirs = fwd.tensors() + bwd.tensors()
+            arrays = tuple(np.array([one.data, other.data])
+                           for one, other in zip(dirs[:3], dirs[3:]))
+            for one, other, both in zip(dirs[:3], dirs[3:], arrays):
+                one.data, other.data = both
+            self._stacked.append((arrays, tuple(t.data for t in dirs)))
             self.layers.append((fwd, bwd))
             width = 2 * hidden
 
@@ -219,7 +239,9 @@ class BiLstm:
                  lengths: Sequence[int] | None = None) -> Tensor:
         out = x
         packed = ad.packed(len(x.data), lengths)
-        for fwd, bwd in self.layers:
-            out = ad.bilstm_layer(out, (fwd.wx, fwd.wh, fwd.b),
-                                  (bwd.wx, bwd.wh, bwd.b), packed)
+        for (fwd, bwd), (arrays, views) in zip(self.layers, self._stacked):
+            dirs = fwd.tensors() + bwd.tensors()
+            own = all(t.data is view for t, view in zip(dirs, views))
+            out = ad.bilstm_layer(out, dirs[:3], dirs[3:], packed,
+                                  arrays if own else None)
         return out

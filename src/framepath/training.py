@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
-from .corpus import Sentence
+from .corpus import CorpusError, Sentence
 from .evaluation import dev_metric
 from .layers import ParamEntry
 from .model import TASK_LOSSES, FrameParser, Prepared, sum_parts
@@ -195,20 +195,36 @@ def _objective(model: FrameParser, preps: list[Prepared], task: str,
                      for name, t in parts.items()}, "loss": float(loss.data)}
 
 
+def _prepared(model: FrameParser, sentences: Sequence[Sentence],
+              which: str) -> list[Prepared]:
+    """model.prepare of each sentence; the CorpusError of one it cannot
+    encode names it by its index, as "dev sentence 10: ..."."""
+    preps = []
+    for k, sent in enumerate(sentences):
+        try:
+            preps.append(model.prepare(sent))
+        except CorpusError as e:
+            raise CorpusError(f"{which} sentence {k}: {e}") from e
+    return preps
+
+
 @np.errstate(over="ignore", invalid="ignore")  # failures raise TrainingError
 @_heap_kept()
 def train(model: FrameParser, train_sentences: Sequence[Sentence],
           dev_sentences: Sequence[Sentence],
           log_path: str | None = None) -> TrainResult:
     """Mini-batch training per the model's config; the model is left
-    holding the parameters of its best dev epoch."""
+    holding the parameters of its best dev epoch.  A training or dev
+    sentence the model's vocabulary cannot encode raises CorpusError
+    naming it before the first batch, so the parameters are untouched."""
     if not train_sentences:
         raise TrainingError("empty training corpus")
     if not dev_sentences:
         raise TrainingError("empty dev corpus")
     cfg: Config = model.config
     task = cfg.task
-    preps = [model.prepare(s) for s in train_sentences]
+    preps = _prepared(model, train_sentences, "training")
+    _prepared(model, dev_sentences, "dev")  # fails now, not after epoch 1
     entries = model.trainable_entries(task)
     tensors = [e.tensor for _, e in entries]
     penalties = model.penalty_terms(task)

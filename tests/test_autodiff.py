@@ -371,6 +371,36 @@ class TestTapeMechanics:
         assert ad._check(big, "op") is big
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("big", [
+        np.full((2, 3), 1e308), np.full((4, 4), -1e308)[::2, 1::2]],
+        ids=["2-d", "strided"])
+    def test_check_survives_an_overflowing_sum_of_any_layout(self, big):
+        assert ad._check(big, "op") is big
+
+    @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((0, 3)),
+                                       np.zeros((3, 0))])
+    def test_check_passes_empty_arrays(self, empty):
+        assert ad._check(empty, "op") is empty
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layout", ["0-d", "1-d", "2-d", "strided"])
+    def test_check_rejects_a_non_finite_entry(self, bad, layout):
+        if layout == "0-d":
+            arr = np.array(bad)
+        elif layout == "1-d":
+            arr = np.array([1.0, bad, 2.0])
+        else:
+            arr = np.ones((4, 6))
+            arr[1, 2] = bad
+            if layout == "strided":
+                # only the entries the view holds count
+                assert ad._check(arr[:, 1::2], "op").base is arr
+                arr = arr[:, ::2]
+        with pytest.raises(FloatingPointError, match="by op$"):
+            ad._check(arr, "op")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("values", [[np.inf, -np.inf], [np.nan, 1.0]])
     def test_check_names_the_op(self, values):
         with pytest.raises(FloatingPointError, match="by some_op"):

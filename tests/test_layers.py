@@ -1,11 +1,13 @@
 import base64
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from framepath import autodiff as ad
+from framepath import training
 from framepath.autodiff import backward, fresh_tape, grad_check, no_grad, tensor
 from framepath.layers import (
     BiLstm,
@@ -16,6 +18,10 @@ from framepath.layers import (
     ParamStore,
     decode_state,
 )
+from framepath.model import FrameParser
+from framepath.training import AdamState, adam_step, train
+
+from test_model import make_model, make_sentence
 
 
 def store(seed=0):
@@ -315,3 +321,187 @@ class TestLstm:
             a = net(x).data
             b = net(x).data
         assert np.array_equal(a, b)
+
+
+PARTS = ("wx", "wh", "b")
+RNG = np.random.default_rng(2024)
+
+
+def address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def shared_arrays(net: BiLstm) -> list[np.ndarray]:
+    """Each layer's wx, wh and b arrays of both directions, in order,
+    checked to be the (2, ...) array its fwd tensor views at [0] and its
+    bwd tensor at [1]."""
+    out = []
+    for fwd, bwd in net.layers:
+        for part in PARTS:
+            one, other = getattr(fwd, part).data, getattr(bwd, part).data
+            both = one.base
+            assert both is not None and other.base is both, part
+            assert both.shape == (2,) + one.shape, part
+            assert address(one) == address(both), part
+            assert address(other) == address(both) + one.nbytes, part
+            out.append(both)
+    return out
+
+
+def by_copies(net: BiLstm, x, lengths=None) -> np.ndarray:
+    """net's output from free-standing copies of its tensors' values."""
+    out = x
+    packed = ad.packed(len(x.data), lengths)
+    for fwd, bwd in net.layers:
+        out = ad.bilstm_layer(out, *(
+            tuple(tensor(getattr(d, part).data.copy()) for part in PARTS)
+            for d in (fwd, bwd)), packed)
+    return out.data
+
+
+def stacked_args(monkeypatch) -> list:
+    """The stacked argument of every ad.bilstm_layer call from here on."""
+    seen = []
+    op = ad.bilstm_layer
+
+    def recording(x, fwd, bwd, packed, stacked=None):
+        seen.append(stacked)
+        return op(x, fwd, bwd, packed, stacked)
+
+    monkeypatch.setattr(ad, "bilstm_layer", recording)
+    return seen
+
+
+class TestStackedDirections:
+    """A BiLstm layer keeps its two directions' wx, wh and b as one
+    (2, ...) array each, and its six store tensors view them."""
+
+    def test_six_tensors_view_three_arrays_per_layer(self, monkeypatch):
+        s = store(21)
+        net = BiLstm(s, "lstm", 3, 2, layers=2)
+        arrays = shared_arrays(net)
+        assert len({id(a) for a in arrays}) == 6
+        for k, (fwd, bwd) in enumerate(net.layers):
+            for name, direction in (("fwd", fwd), ("bwd", bwd)):
+                for part in PARTS:
+                    assert (s[f"lstm.l{k}.{name}.{part}"]
+                            is getattr(direction, part))
+        # paths, shapes, draws and checkpoint bytes: the per-direction ones
+        plain = store(21)
+        for k, width in enumerate((3, 4)):
+            for name in ("fwd", "bwd"):
+                LstmDirection(plain, f"lstm.l{k}.{name}", width, 2)
+        assert s.state() == plain.state()
+        # the op is handed the arrays themselves
+        seen = stacked_args(monkeypatch)
+        with fresh_tape(), no_grad():
+            net(tensor(RNG.normal(size=(5, 3))), [2, 3])
+        assert all(a is b for a, b in zip(
+            [a for layer in seen for a in layer], arrays, strict=True))
+
+    def test_adam_and_grad_check_reach_the_shared_arrays(self):
+        s = store(22)
+        net = BiLstm(s, "lstm", 3, 2, layers=2)
+        x = tensor(RNG.normal(size=(5, 3)))
+        arrays = shared_arrays(net)
+        before = [a.copy() for a in arrays]
+        with fresh_tape():
+            backward(ad.sum_all(net(x, [2, 3])))
+        adam_step(AdamState(lr=0.1), list(s.entries()))
+        assert all(a is b for a, b in zip(shared_arrays(net), arrays))
+        assert not any(np.array_equal(a, b) for a, b in zip(arrays, before))
+        matches = []
+
+        def f():
+            out = net(x, [2, 3])
+            matches.append(np.array_equal(out.data, by_copies(net, x,
+                                                              [2, 3])))
+            return ad.sum_all(out)
+
+        max_rel, report = grad_check(f, params(s), max_checks=30)
+        assert max_rel < 1e-5, report[0]
+        assert len(matches) > 30 and all(matches)
+
+    def test_best_epoch_restore_and_checkpoint_reach_them(self, monkeypatch,
+                                                          tmp_path):
+        # A scripted dev metric peaks at epoch 2 of 4, so train() ends by
+        # copying epoch 2's values back into every parameter.
+        seen = []
+
+        def scripted(model, dev, task):
+            seen.append({p: e.tensor.data.copy()
+                         for p, e in model.store.entries()})
+            return [0.1, 0.5, 0.3, 0.2][len(seen) - 1]
+
+        monkeypatch.setattr(training, "dev_metric", scripted)
+        model, sent = make_model(max_epochs=4, task="joint")
+        lstms = (model.lstm_a, model.lstm_b)
+        arrays = [shared_arrays(lstm) for lstm in lstms]
+        train(model, [sent, make_sentence()], [sent])
+        for lstm, held in zip(lstms, arrays):
+            assert all(a is b for a, b in zip(shared_arrays(lstm), held))
+            for k, (fwd, bwd) in enumerate(lstm.layers):
+                for j, part in enumerate(PARTS):
+                    want = [seen[1][getattr(d, part).name] for d in (fwd, bwd)]
+                    assert np.array_equal(held[3 * k + j], want)
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        loaded = FrameParser.load(path)
+        assert loaded.store.state() == model.store.state()
+        for lstm, again in zip(lstms, (loaded.lstm_a, loaded.lstm_b)):
+            shared_arrays(again)
+            x = tensor(RNG.normal(size=(4, lstm.layers[0][0].wx.shape[0])))
+            with fresh_tape(), no_grad():
+                assert np.array_equal(again(x).data, lstm(x).data)
+
+    def test_a_layer_built_over_saved_arrays_frees_them(self):
+        # Over a checkpoint's decoded arrays, each layer keeps only its
+        # stacked copies: the store lets go of the per-direction arrays.
+        first = store(26)
+        BiLstm(first, "lstm", 3, 2, layers=2)
+        saved = decode_state(first.state())
+        freed = [weakref.ref(a) for a in saved.values()]
+        s = ParamStore(np.random.default_rng(0), saved)
+        net = BiLstm(s, "lstm", 3, 2, layers=2)
+        del saved
+        assert [r() for r in freed] == [None] * 12
+        shared_arrays(net)
+        assert s.state() == first.state()
+
+    def test_rebound_tensors_get_copies_with_the_same_bits(self, monkeypatch):
+        s = store(24)
+        net = BiLstm(s, "lstm", 3, 2, layers=2)
+        x = ad.param(RNG.normal(size=(5, 3)), name="x")
+        w = tensor(RNG.normal(size=(5, 4)))
+        seen = stacked_args(monkeypatch)
+
+        def run():
+            ad.zero_grads([x, *params(s)])
+            with fresh_tape():
+                out = net(x, [2, 3])
+                backward(ad.sum_all(ad.mul(out, w)))
+            return [out.data, x.grad] + [t.grad for t in params(s)]
+
+        shared = run()
+        for t in params(s):
+            t.data = t.data.copy()
+        copied = run()
+        assert [a is None for a in seen] == [False] * 2 + [True] * 2
+        for a, b in zip(shared, copied, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_rebound_values_are_read(self):
+        # One layer's fwd wx rebound to new values, and its bwd wh to
+        # fwd's (the two directions tied): the op reads both.
+        net = BiLstm(store(25), "lstm", 3, 2, layers=2)
+        x = tensor(RNG.normal(size=(5, 3)))
+        with fresh_tape(), no_grad():
+            before = net(x, [2, 3]).data
+        fwd, bwd = net.layers[1]
+        fwd.wx.data = 0.5 * fwd.wx.data
+        bwd.wh.data = fwd.wh.data
+        with fresh_tape(), no_grad():
+            got = net(x, [2, 3]).data
+            assert np.array_equal(got, by_copies(net, x, [2, 3]))
+        assert not np.array_equal(got[:, :2], before[:, :2])
+        assert not np.array_equal(got[:, 2:], before[:, 2:])

@@ -25,12 +25,12 @@ from framepath.training import (
 )
 
 from framepath.config import Config
-from framepath.corpus import build_vocab
+from framepath.corpus import CorpusError, build_vocab
 from framepath.model import TASK_LOSSES, FrameParser
 from framepath.synth import generate
 
 from helpers import assert_grads_ok
-from test_model import make_model, make_sentence
+from test_model import make_model, make_sentence, sentence
 
 PENALIZED = ["ti.crf.trans", "srl.ai.u0", "srl.ai.u1", "srl.ai.u2",
              "srl.ai.crf.trans", "srl.ac.crf.trans"]
@@ -358,6 +358,42 @@ class TestTrainLoop:
                 train(model, [sent] * n_train, [sent])
         assert caught == []
 
+    @pytest.mark.parametrize("which, unseen", [
+        ("training", "part of speech 'RB'"),
+        ("training", "constituent label 'FRAG'"),
+        ("dev", "part of speech 'RB'"),
+        ("dev", "constituent label 'FRAG'")])
+    def test_unencodable_sentence_fails_before_the_first_batch(
+            self, monkeypatch, which, unseen):
+        # The vocabulary is built from make_sentence() alone, so an RB
+        # tag or a FRAG constituent cannot be encoded.  Whichever corpus
+        # holds it, train() names it before any batch or dev pass runs.
+        model, sent = make_model(task="joint")
+        odd = sentence("(S (NP (DT the) (NN dog)) (VP (VBD ran) (RB away)))"
+                       if "RB" in unseen else
+                       "(S (NP (DT the) (NN dog)) (FRAG (VBD ran)))")
+        calls = []
+        losses = model.batch_losses
+
+        def counted(*args, **kwargs):
+            calls.append("batch")
+            return losses(*args, **kwargs)
+
+        monkeypatch.setattr(model, "batch_losses", counted)
+        monkeypatch.setattr(training, "dev_metric",
+                            lambda *a: calls.append("dev") or 0.0)
+        before = {p: e.tensor.data.copy() for p, e in model.store.entries()}
+        corpora = ([sent, sent, odd], [sent]) if which == "training" else (
+            [sent, sent, sent], [sent, odd])
+        index = 2 if which == "training" else 1
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{which} sentence {index}: {unseen} not in training "
+                "vocabulary")):
+            train(model, *corpora)
+        assert calls == []
+        for path, entry in model.store.entries():
+            assert np.array_equal(entry.tensor.data, before[path]), path
+
     def test_log_file_layout(self, tmp_path):
         path = str(tmp_path / "log.csv")
         write_metric_log(path, [
@@ -410,7 +446,7 @@ FAULT_PROBE = """
 import resource
 from framepath import synth
 from framepath.config import Config
-from framepath.corpus import build_vocab
+from framepath.corpus import CorpusError, build_vocab
 from framepath.model import FrameParser
 from framepath.training import train
 from test_evaluation import joined
