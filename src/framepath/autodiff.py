@@ -23,7 +23,10 @@ Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
 ``bilstm_layer`` reads each of wx, wh and b as one (2, ...) array over
 both directions: the arrays a ``BiLstm`` layer keeps, which its
 direction tensors view, or else stacked copies.  Every sequence starts
-from zero states, so the first step adds no h @ wh and no f * c.
+from zero states, so the first step adds no h @ wh and no f * c.  Its
+closure holds the gates and cells of the recurrence, not the states,
+which the backward reads back from the output rows, and the backward
+writes its gate-derivative factors over the gates.
 
 A ``Packed`` layout holds integer indices only, so it is a shared,
 immutable value: ``packed(n, lengths)`` builds one per distinct lengths
@@ -209,11 +212,12 @@ def bilinear_rows(x: Tensor, us: Sequence[Tensor], y: Tensor,
                         "bilinear_rows"))
 
     def vjp(g):
-        gw = scatter_rows(x_rows, (g[:, :, None] * y.data[:, None, :]).reshape(
-            len(g), -1), len(w)).reshape(w.shape)
-        _acc(x, sum(gw[:, k] @ m.data.T for k, m in enumerate(us)))
-        for k, m in enumerate(us):
-            _acc(m, x.data.T @ gw[:, k])
+        d_x = 0  # the labels' products added in order, as sum() adds
+        for k, m in enumerate(us):  # one label's (m, q) block at a time
+            gw = scatter_rows(x_rows, g[:, k, None] * y.data, len(w))
+            d_x = d_x + gw @ m.data.T
+            _acc(m, x.data.T @ gw)
+        _acc(x, d_x)
         if y.needs_grad:
             _acc(y, np.einsum("rk,rkq->rq", g, w[x_rows]))
 
@@ -546,8 +550,10 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     bwd's rows flipped, and is not kept, so a step is one stacked
     (2, k, H) @ (2, H, 4H) product over the k sequences still running.
     The first step starts from zero states, so it adds no h @ wh and no
-    f * c term.  The hand-written backward forms all gate-derivative
-    factors up front and keeps only the dh/dc recurrence of both
+    f * c term.  The op keeps the gates and cells for its backward, not
+    the states: those it reads back from the output rows.  The
+    hand-written backward writes all gate-derivative factors over the
+    gates up front and keeps only the dh/dc recurrence of both
     directions in its loop, one (2, K, 4H) @ (2, 4H, H) product a step.
     """
     n, in_dim = x.data.shape
@@ -597,42 +603,57 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     out = Tensor(_check(hs[cells].reshape(n, 2 * h), "bilstm_layer"))
 
     def vjp(grad_h):
+        nonlocal cs
+        shape = cs.shape  # (2, step, sequence, H)
         i, f, g, o = (gates[..., j * h:(j + 1) * h] for j in range(4))
-        tc = np.tanh(cs)
         c_before = np.concatenate([np.zeros_like(cs[:, :1]), cs[:, :-1]], 1)
-        h_before = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], 1)
-        # d raw = [dc, dc, dc, dh] * coef, step by step, each step's draw
-        # written over its coef.  Padding cells have all-zero gates, so
-        # their coef, and hence draw, is zero.
-        draws = np.concatenate([g * i * (1.0 - i),
-                                c_before * f * (1.0 - f),
-                                i * (1.0 - g * g),
-                                tc * o * (1.0 - o)], axis=-1)
+        tc, cs = np.tanh(cs, out=cs), None  # the cells are read no more
+        # d raw = [dc, dc, dc, dh] * coef.  Each coef is written over a
+        # gate slot once no other factor reads that gate, so the gates
+        # become the coefs, and each step's draw is written over its
+        # coefs.  Padding cells have all-zero gates, so their coef, and
+        # hence draw, is zero.
         dc_from_dh = o * (1.0 - tc * tc)
-        grad_block = np.zeros_like(hs)
+        np.multiply(tc, o, out=tc)
+        np.multiply(tc, 1.0 - o, out=o)  # tc * o * (1 - o)
+        del tc
+        f_kept = f.copy()  # for the loop's dc * f
+        c_before *= f
+        np.multiply(c_before, 1.0 - f, out=f)  # c_before * f * (1 - f)
+        del c_before
+        gi = g * i
+        np.multiply(i, 1.0 - g * g, out=g)  # i * (1 - g * g)
+        np.multiply(gi, 1.0 - i, out=i)  # g * i * (1 - i)
+        del gi
+        grad_block = np.zeros(shape)
         grad_block[cells] = grad_h.reshape(n, 2, h)
         wh_t = wh.transpose(0, 2, 1)
-        dh = dc = np.zeros((2,) + hs.shape[2:])
+        dh = dc = np.zeros((2,) + shape[2:])
         for t in range(packed.steps - 1, -1, -1):
             dh = dh + grad_block[:, t]
             dc = dc + dh * dc_from_dh[:, t]
             draw = np.multiply(np.concatenate([dc, dc, dc, dh], axis=-1),
-                               draws[:, t], out=draws[:, t])
+                               gates[:, t], out=gates[:, t])
             dh = draw @ wh_t
-            dc = dc * f[:, t]
-        flat = draws.reshape(2, -1, four_h)
-        d_wh = h_before.reshape(2, -1, h).transpose(0, 2, 1) @ flat
+            dc = dc * f_kept[:, t]
+        del f_kept, dc_from_dh, grad_block
+        # Each step's input states, zero at the first: the output rows
+        # scattered one step on, into a block one step longer.
+        h_before = np.zeros((2, packed.steps + 1) + shape[2:])
+        h_before[cells[0], cells[1] + 1, cells[2]] = out.data.reshape(n, 2, h)
+        flat = gates.reshape(2, -1, four_h)
+        d_wh = h_before[:, :-1].reshape(2, -1, h).transpose(0, 2, 1) @ flat
         d_b = flat.sum(axis=1)
+        del h_before
         for d, (_, wh_d, b_d) in enumerate((fwd, bwd)):
             _acc(wh_d, d_wh[d])
             _acc(b_d, d_b[d])
-        dxw = draws[by_direction]
-        d_x = dxw @ wx.transpose(0, 2, 1)
-        d_wx = x.data.T @ dxw
-        # bwd's parts first: the order their bits rest on
+        # one direction at a time, bwd's first: the order their bits rest on
+        _, step, col = by_direction
         for d, wx_d in ((1, bwd[0]), (0, fwd[0])):
-            _acc(x, d_x[d])
-            _acc(wx_d, d_wx[d])
+            dxw = gates[d, step[d], col[0]]
+            _acc(x, dxw @ wx[d].T)
+            _acc(wx_d, x.data.T @ dxw)
 
     return _record(out, (x, *fwd, *bwd), vjp)
 

@@ -166,11 +166,24 @@ class PlateauScheduler:
 
 
 @dataclass
+class BatchRecord:
+    """One training step: its loss parts and total as logged, the
+    gradient norm before clipping, whether clipping scaled the gradients
+    (norm above grad_clip), and the tape's records before backward."""
+    epoch: int
+    losses: dict[str, float]
+    grad_norm: float
+    clipped: bool
+    tape_records: int
+
+
+@dataclass
 class TrainResult:
     best_metric: float
     best_epoch: int
     epochs_run: int
-    log_rows: list[dict]
+    log_rows: list[dict]  # one per epoch: its batches' mean losses
+    batches: list[BatchRecord]
 
 
 LOG_FIELDS = ("epoch", "loss_ti", "loss_fi", "loss_srl", "loss",
@@ -236,17 +249,19 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     best_epoch = 0
     best_params: list[np.ndarray] = []
     rows: list[dict] = []
+    batches: list[BatchRecord] = []
     order = np.arange(len(preps))
 
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         model.shuffle_rng.shuffle(order)
-        records: list[dict[str, float]] = []  # one per batch
+        first = len(batches)
         for lo in range(0, len(order), cfg.batch_size):
             batch = [preps[i] for i in order[lo:lo + cfg.batch_size]]
             try:
                 with ad.fresh_tape():
-                    loss, record = _objective(model, batch, task, penalties)
+                    loss, losses = _objective(model, batch, task, penalties)
+                    tape_records = ad.tape_length()
                     ad.backward(loss)
             except FloatingPointError as e:
                 idx = [int(i) for i in order[lo:lo + cfg.batch_size]]
@@ -256,10 +271,11 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             for _, entry in entries:
                 if entry.tensor.grad is None:
                     entry.tensor.grad = np.zeros_like(entry.tensor.data)
-            clip_global_norm(tensors, cfg.grad_clip)
+            norm = clip_global_norm(tensors, cfg.grad_clip)
             adam_step(state, entries)
             ad.zero_grads(tensors)
-            records.append(record)
+            batches.append(BatchRecord(epoch, losses, norm,
+                                       norm > cfg.grad_clip, tape_records))
 
         try:
             metric = dev_metric(model, dev_sentences, task)
@@ -267,6 +283,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
             raise TrainingError(f"non-finite dev metric at epoch {epoch}, "
                                 f"lr {state.lr}: {e}") from e
         # plain float adds in batch order (sum() may compensate)
+        records = [b.losses for b in batches[first:]]
         means = {key: reduce(operator.add, [r[key] for r in records], 0.0)
                  / len(records) for key in records[0]}
         rows.append({"epoch": epoch, **means, "dev_metric": metric,
@@ -287,4 +304,4 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
     if log_path is not None:
         write_metric_log(log_path, rows)
     return TrainResult(best_metric=float(best_metric), best_epoch=best_epoch,
-                       epochs_run=epoch, log_rows=rows)
+                       epochs_run=epoch, log_rows=rows, batches=batches)

@@ -6,9 +6,11 @@ The span codec, tokenizer, tree and forest-index oracles are the loops
 the package replaced with its one O/B/I/C codec, one string split, one
 flat pass over the tokens or nodes and one vectorized shift; the tree
 path oracle is a breadth-first search; the L2 penalty reference is the
-op chain add_sq_norms replaced.  The evaluation oracles encode one
-sentence per encode call and score each task in its own pass, as the
-package did before its chunked pass.
+op chain add_sq_norms replaced; the BiLSTM backward reference is the
+block-per-factor form the op ran before it wrote its factors over its
+gates.  The evaluation oracles encode one sentence per encode call and
+score each task in its own pass, as the package did before its chunked
+pass.
 """
 
 import itertools
@@ -87,6 +89,48 @@ def add_sq_norms_reference(x, terms):
     for t, c in terms:
         x = ad.add(x, ad.mul(ad.sum_all(ad.mul(t, t)), ad.tensor(c)))
     return x
+
+
+def bilstm_backward_reference(x, fwd, bwd, packed, gates, cs, out,
+                              grad_h):
+    """autodiff.bilstm_layer's backward as it ran before it wrote its
+    gate-derivative factors over the gates block: each factor its own
+    block, joined by one concatenate, the states block kept beside them,
+    and both directions' input products batched.  gates and cs are the
+    op's (2, step, sequence, ...) blocks and out its (n, 2H) rows.
+    Returns the gradients of x and of fwd's and bwd's (wx, wh, b), as
+    the op accumulates them into tensors without one."""
+    n = len(out)
+    h = cs.shape[-1]
+    wx, wh = (np.array([p.data, q.data]) for p, q in zip(fwd[:2], bwd[:2]))
+    _, cells = packed.mirrored
+    hs = np.zeros_like(cs)
+    hs[cells] = out.reshape(n, 2, h)
+    i, f, g, o = (gates[..., j * h:(j + 1) * h] for j in range(4))
+    tc = np.tanh(cs)
+    c_before = np.concatenate([np.zeros_like(cs[:, :1]), cs[:, :-1]], 1)
+    h_before = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], 1)
+    draws = np.concatenate([g * i * (1.0 - i), c_before * f * (1.0 - f),
+                            i * (1.0 - g * g), tc * o * (1.0 - o)], axis=-1)
+    dc_from_dh = o * (1.0 - tc * tc)
+    grad_block = np.zeros_like(hs)
+    grad_block[cells] = grad_h.reshape(n, 2, h)
+    dh = dc = np.zeros((2,) + hs.shape[2:])
+    for t in range(packed.steps - 1, -1, -1):
+        dh = dh + grad_block[:, t]
+        dc = dc + dh * dc_from_dh[:, t]
+        draw = np.multiply(np.concatenate([dc, dc, dc, dh], axis=-1),
+                           draws[:, t], out=draws[:, t])
+        dh = draw @ wh.transpose(0, 2, 1)
+        dc = dc * f[:, t]
+    flat = draws.reshape(2, -1, 4 * h)
+    d_wh = h_before.reshape(2, -1, h).transpose(0, 2, 1) @ flat
+    d_b = flat.sum(axis=1)
+    dxw = draws[packed.by_direction]
+    d_x = dxw @ wx.transpose(0, 2, 1)
+    d_wx = x.T @ dxw
+    return ([d_x[1] + d_x[0]]
+            + [part[d] for d in (0, 1) for part in (d_wx, d_wh, d_b)])
 
 
 def encode_iob2(spans, n):

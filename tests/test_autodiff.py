@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from framepath.corpus import build_vocab
 from framepath.model import FrameParser
 from framepath.synth import generate
 
-from helpers import add_sq_norms_reference
+from helpers import add_sq_norms_reference, bilstm_backward_reference
 
 RNG = np.random.default_rng(1234)
 
@@ -205,6 +206,53 @@ class TestScatterRows:
         np.add.at(gw, x_rows, g[:, :, None] * y.data[:, None, :])
         self.assert_bitwise(y.grad, np.einsum("rk,rkq->rq", g, w[x_rows]))
         self.assert_bitwise(us[1].grad, x.data.T @ gw[:, 1])
+
+    def test_bilinear_rows_gradients_match_a_per_label_reference(self):
+        # Each label's rows of w take their own scatter, in row order, and
+        # x's gradient adds the labels' products in label order, as sum()
+        # does.  Labels 0 and 1 give products of 1e16 that cancel
+        # exactly, so adding them in another order rounds away the small
+        # products of labels 2 and 3.
+        rng = np.random.default_rng(24)
+        x, y = param(rng.normal(size=(4, 3))), param(rng.normal(size=(9, 5)))
+        big = rng.normal(size=(3, 5)) * 1e16
+        us = [param(big), param(-big)] + [param(rng.normal(size=(3, 5)))
+                                         for _ in range(2)]
+        x_rows = np.array([0, 0, 0, 1, 3, 3, 3, 3, 3])
+        g = rng.normal(size=(9, 4))
+        g[:, 1] = g[:, 0]
+        with fresh_tape():
+            out = ad.bilinear_rows(x, us, y, x_rows)
+            backward(ad.sum_all(ad.mul(out, tensor(g))))
+        w = np.stack([x.data @ u.data for u in us], axis=1)
+        gws = []
+        for k in range(len(us)):
+            gw = np.zeros((4, 5))
+            np.add.at(gw, x_rows, g[:, k, None] * y.data)
+            gws.append(gw)
+        self.assert_bitwise(x.grad, sum(gw @ u.data.T
+                                        for gw, u in zip(gws, us)))
+        for gw, u in zip(gws, us):
+            self.assert_bitwise(u.grad, x.data.T @ gw)
+        self.assert_bitwise(y.grad, np.einsum("rk,rkq->rq", g, w[x_rows]))
+
+    def test_bilinear_rows_backward_scatters_one_label_at_a_time(self):
+        # At the argument head's train-long shape (767 rows, 3 labels,
+        # width 64), with y constant so only the scatter runs, the
+        # backward adds less than one (rows, labels * width) product:
+        # scattered whole, that product, its keys and its source came
+        # to 2.1 products.
+        rng = np.random.default_rng(25)
+        m, k, q, r = 31, 3, 64, 767
+        x = param(rng.normal(size=(m, q)))
+        us = [param(rng.normal(size=(q, q))) for _ in range(k)]
+        y = tensor(rng.normal(size=(r, q)))
+        x_rows = np.sort(rng.integers(0, m, size=r))
+        with fresh_tape():
+            ad.bilinear_rows(x, us, y, x_rows)
+            (_, vjp), = ad._tape().records
+            ad._tape().records.clear()
+            assert traced_peak(vjp, rng.normal(size=(r, k))) < r * k * q * 8
 
 
 class TestNonlinearGrads:
@@ -454,6 +502,22 @@ def reverse_each(rows, lengths):
     return np.vstack([rows[end - m:end][::-1] for m, end in zip(lengths, ends)])
 
 
+def traced_peak(vjp, g):
+    """Peak bytes a vjp allocates while it runs on gradient g."""
+    tracemalloc.start()
+    try:
+        vjp(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def closure(vjp):
+    """A vjp's free variables, by name."""
+    return dict(zip(vjp.__code__.co_freevars,
+                    (cell.cell_contents for cell in vjp.__closure__)))
+
+
 def directions(n, hidden, width=3):
     """Random (n, width) input rows x and forward and backward (wx, wh,
     b), as [x, fwd, bwd]."""
@@ -669,6 +733,29 @@ class TestLstmSequence:
         for got, expected in zip(packed, want, strict=True):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("lengths", [None, [1], [3, 1, 5, 2, 5],
+                                         [4, 4, 2, 2]])
+    def test_backward_matches_block_per_factor_reference(self, lengths):
+        # Writing the factors over the gates, reading the states back
+        # from the output and taking the input products one direction
+        # at a time keep every bit of the gradients.
+        n = 6 if lengths is None else sum(lengths)
+        x, fwd, bwd = directions(n, 3, width=4)
+        grad_h = RNG.normal(size=(n, 6))
+        grad_h[::2] = -0.0
+        packed = ad.packed(n, lengths)
+        with fresh_tape():
+            out = ad.bilstm_layer(x, fwd, bwd, packed)
+            (_, vjp), = ad._tape().records
+            held = closure(vjp)
+            want = bilstm_backward_reference(
+                x.data, fwd, bwd, packed, held["gates"].copy(),
+                held["cs"].copy(), out.data, grad_h)
+            backward(ad.sum_all(ad.mul(out, tensor(grad_h))))
+        for t, expected in zip((x, *fwd, *bwd), want, strict=True):
+            assert np.array_equal(t.grad.view(np.uint64),
+                                  expected.view(np.uint64)), t.name
+
     def test_shape_mismatch_rejected(self):
         for wrong in (1, 2):  # either direction
             args = directions(3, 2)
@@ -741,9 +828,32 @@ class TestTapeLifetime:
         with fresh_tape():
             ad.bilstm_layer(x, fwd, bwd, ad.packed(5, [3, 2]))
             _, vjp = ad._tape().records[-1]
-        free = vjp.__code__.co_freevars
+        free = closure(vjp)
         assert "gates" in free  # what it does keep is visible here
         assert "xs" not in free
-        held = [cell.cell_contents for cell in vjp.__closure__]
+        assert "hs" not in free  # the states come back from the output
+        held = list(free.values())
         assert any(v is x for v in held)
         assert not [v for v in held if getattr(v, "shape", None) == (5, 8)]
+
+    def test_bilstm_backward_works_inside_its_gates_block(self):
+        # At a train-long backbone-B shape (26 sequences of 15-35 steps,
+        # H = 32, input width 96) one backward adds less than twice the
+        # (2, step, sequence, 4H) gates block it holds: its factors are
+        # written over that block.  With each factor its own block it
+        # added 4.0 blocks.
+        rng = np.random.default_rng(26)
+        lengths = rng.integers(15, 36, size=26)
+        n, h, width = int(lengths.sum()), 32, 96
+        x = param(rng.normal(size=(n, width)))
+        fwd, bwd = (tuple(param(rng.normal(size=shape) * 0.3) for shape in
+                          ((width, 4 * h), (h, 4 * h), (4 * h,)))
+                    for _ in range(2))
+        packed = ad.packed(n, lengths)
+        with fresh_tape():
+            ad.bilstm_layer(x, fwd, bwd, packed)
+            (_, vjp), = ad._tape().records
+            ad._tape().records.clear()
+            block = closure(vjp)["gates"].nbytes
+            assert block == 2 * packed.steps * 26 * 4 * h * 8
+            assert traced_peak(vjp, rng.normal(size=(n, 2 * h))) < 2 * block

@@ -262,6 +262,39 @@ class TestTrainLoop:
                 logs.append(fh.read())
         assert logs[0] == logs[1]
 
+    def test_batch_records(self, monkeypatch):
+        # One record per batch, equal across two same-seed runs: the norm
+        # before clipping (what reaches Adam is the smaller of it and
+        # grad_clip), whether clipping fired, the tape's records before
+        # backward and the loss parts, whose means are the epoch's row.
+        seen = []
+
+        def adam(state, entries):
+            seen.append(math.sqrt(sum(float((e.tensor.grad ** 2).sum())
+                                      for _, e in entries)))
+            return adam_step(state, entries)
+
+        monkeypatch.setattr(training, "adam_step", adam)
+        results = []
+        for _ in range(2):
+            model, sent = make_model(max_epochs=3, task="joint", dropout=0.1,
+                                     grad_clip=25.0, batch_size=1)
+            results.append(train(model, [sent, make_sentence()], [sent]))
+        first, second = results
+        assert first.batches == second.batches
+        assert [b.epoch for b in first.batches] == [1, 1, 2, 2, 3, 3]
+        assert {b.clipped for b in first.batches} == {False, True}
+        for b, reached in zip(first.batches, seen[:6], strict=True):
+            assert b.clipped == (b.grad_norm > 25.0)
+            assert math.isclose(reached, min(b.grad_norm, 25.0),
+                                rel_tol=1e-12)
+            assert b.tape_records > 0
+        for row in first.log_rows:
+            losses = [b.losses for b in first.batches
+                      if b.epoch == row["epoch"]]
+            for key in losses[0]:
+                assert row[key] == (losses[0][key] + losses[1][key]) / 2
+
     def test_stop_metric_early_exit(self):
         model, sent = make_model(max_epochs=50, task="fi", stop_metric=0.0)
         result = train(model, [sent], [sent])
