@@ -8,11 +8,11 @@ positive and a miss.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import autodiff as ad
 from .corpus import Sentence
-from .model import TASK_LOSSES, FrameParser
+from .model import TASK_LOSSES, FrameParser, Prepared
 
 
 def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -52,18 +52,19 @@ def _span_report(task: str, gold: Sequence, pred: Sequence) -> dict:
             "counts": {"gold": n_gold, "pred": n_pred, "matched": matched}}
 
 
-def _reports(model: FrameParser, sentences: Sequence[Sentence],
+def _reports(model: FrameParser, preps: Iterable[Prepared],
              tasks: Sequence[str]) -> list[dict]:
-    """The reports of tasks, in order, from one pass over the sentences
-    (the annotated ones only, unless ti is asked for), in the chunks
-    parse_many runs: per chunk, one encode, the ti decoding, and one sum
-    of the gold target rows that frame and role prediction share."""
+    """The reports of tasks, in order, from one pass over the prepared
+    sentences (the annotated ones only, unless ti is asked for), gold read
+    from prep.sentence: per encode_chunks chunk, one encode, ti decoding and
+    one sum of the gold target rows that frame and role prediction share."""
     ti, fi, srl = ("ti" in tasks, "fi" in tasks, "srl" in tasks)
     found, anns, frames, roles = [], [], [], []  # roles: (spans, labels)
     with ad.fresh_tape(), ad.no_grad():
-        for enc in model.encode_chunks(sentences if ti else [
-                sent for sent in sentences if sent.annotations]):
-            found += model.ti_predict(enc) if ti else []
+        for enc in model.encode_chunks(prep for prep in preps
+                                       if ti or prep.sentence.annotations):
+            found += zip(model.ti_predict(enc), [  # (targets, sentence)
+                prep.sentence for prep in enc.preps]) if ti else []
             items = [(k, a) for k, prep in enumerate(enc.preps)
                      for a in prep.sentence.annotations]
             if not (items and (fi or srl)):
@@ -80,7 +81,7 @@ def _reports(model: FrameParser, sentences: Sequence[Sentence],
     if ti:
         out["ti"] = _span_report("ti", [
             [tuple(sorted(a.target)) for a in sent.annotations]
-            for sent in sentences], [list(map(tuple, ts)) for ts in found])
+            for _, sent in found], [list(map(tuple, ts)) for ts, _ in found])
     if fi:
         gold = [a.frame for a in anns]
         out["fi"] = {"task": "fi", "accuracy": fi_accuracy(gold, frames),
@@ -94,15 +95,15 @@ def _reports(model: FrameParser, sentences: Sequence[Sentence],
     return [out[task] for task in tasks]
 
 
-def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
-    """Labeled-span P/R/F1 with gold targets and gold frames."""
-    return _reports(model, sentences, ["srl"])[0]
-
-
 def evaluate(model: FrameParser, sentences: Sequence[Sentence],
              task: str) -> list[dict]:
     """Reports of the task's parts (all three for joint), from one pass."""
-    return _reports(model, sentences, TASK_LOSSES[task])
+    return _reports(model, (model.prepare(s) for s in sentences), TASK_LOSSES[task])
+
+
+def evaluate_srl(model: FrameParser, sentences: Sequence[Sentence]) -> dict:
+    """Labeled-span P/R/F1 with gold targets and gold frames."""
+    return evaluate(model, sentences, "srl")[0]
 
 
 # task -> {report: key}, the report values whose mean is its dev metric
@@ -110,11 +111,12 @@ DEV_METRICS = {"ti": {"ti": "f1"}, "fi": {"fi": "accuracy"},
                "srl": {"srl": "f1"}, "joint": {"fi": "accuracy", "srl": "f1"}}
 
 
-def dev_metric(model: FrameParser, sentences: Sequence[Sentence],
+def dev_metric(model: FrameParser, preps: Sequence[Prepared],
                task: str) -> float:
-    """The scalar the scheduler and early stopping watch (higher = better)."""
+    """The scalar the scheduler and early stopping watch (higher = better),
+    over the dev preps that train() builds once and scores every epoch on."""
     if task not in DEV_METRICS:
         raise ValueError(f"unknown task {task!r}")
     keys = DEV_METRICS[task]
     return sum(report[keys[report["task"]]] for report in _reports(
-        model, sentences, list(keys))) / len(keys)
+        model, preps, list(keys))) / len(keys)

@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
+from typing import Iterable
 
 import numpy as np
 
@@ -82,8 +83,8 @@ TASK_LOSSES: dict[str, tuple[str, ...]] = {
 
 @dataclass
 class Prepared:
-    """A sentence with its vocabulary lookups done once.  Its gold stays
-    in sentence.annotations, which only batch_losses reads."""
+    """A sentence with its vocabulary lookups done once, which every model
+    pass takes; in the model only batch_losses reads its gold annotations."""
 
     sentence: Sentence
     token_ids: list[int]
@@ -244,9 +245,7 @@ class FrameParser:
     # heads: each runs once over every target it is given
 
     def _drop(self, t: Tensor, train: bool) -> Tensor:
-        if train and self.config.dropout > 0.0:
-            return ad.dropout(t, self.config.dropout, self.dropout_rng)
-        return t
+        return ad.dropout(t, self.config.dropout, self.dropout_rng) if train else t
 
     def encoded_target_rows(self, enc: Encoding,
                             targets: list[tuple[int, list[int]]]) -> Tensor:
@@ -281,16 +280,16 @@ class FrameParser:
                   t: Tensor, lu_ids: list[int], frame_ids: list[int],
                   train: bool = False):
         """The role-labeling body training and prediction share, target j
-        with target rows t[j]: z = [lu embedding; t; frame embedding], its
-        projection pr, target_b's b and b_first, and the (len(b), 3) O/B/I
-        scores pairing pr[j] with target j's b rows."""
+        with target rows t[j]: z = [lu embedding; t; frame embedding],
+        target_b's b and b_first, and the (len(b), 3) O/B/I scores pairing
+        z[j]'s projection pr[j] with target j's b rows."""
         b, b_first = self.target_b(enc, targets, train)
         z = ad.concat([self.lu_emb(lu_ids), t, self.frame_emb(frame_ids)],
                       axis=1)
         pr = self._drop(ad.tanh(self.ai_v1(z)), train)
         pb = self._drop(ad.tanh(self.ai_v2(b)), train)
         owner = np.repeat(np.arange(len(targets)), np.diff(b_first))
-        return z, pr, b, b_first, ad.bilinear_rows(pr, self.ai_u, pb, owner)
+        return z, b, b_first, ad.bilinear_rows(pr, self.ai_u, pb, owner)
 
     def role_scores(self, z: Tensor, b: Tensor, b_first: list[int],
                     spans: list[list[tuple[int, int]]], frame_ids: list[int],
@@ -349,7 +348,7 @@ class FrameParser:
             return [], []
         frame_ids = [self.ontology.frame_id(f) for f in frames]
         with ad.no_grad():
-            z, _, b, b_first, emissions = self.srl_heads(
+            z, b, b_first, emissions = self.srl_heads(
                 enc, targets, t or self.encoded_target_rows(enc, targets),
                 [self.ontology.lu_id(lu) for lu in lus], frame_ids)
             if spans is None:
@@ -427,7 +426,7 @@ class FrameParser:
                                    lengths[k])]
             fe_ids = [self.ontology.fe_id(label) for ann in anns
                       for _, label in ann.elements]
-            z, _, b, b_first, emissions = self.srl_heads(
+            z, b, b_first, emissions = self.srl_heads(
                 enc, targets, t, lu_ids, frame_ids, train)
             ai = self.ai_crf.nll(emissions, ai_tags, True,
                                  [lengths[k] for k, _ in items])
@@ -450,17 +449,17 @@ class FrameParser:
     # ------------------------------------------------------------------
     # full pipeline
 
-    def encode_chunks(self, sentences: list[Sentence]):
-        """encode of the prepared sentences in maximal runs of consecutive
-        sentences whose count times longest length is at most CELLS; a
-        longer sentence runs alone."""
+    def encode_chunks(self, preps: Iterable[Prepared]):
+        """encode of the preps in maximal runs of consecutive sentences whose
+        count times longest length is at most CELLS (a longer one runs
+        alone), read as the runs fill: a generator prepares chunk by chunk."""
         run, longest = [], 0
-        for sent in sentences:
-            longest = max(longest, len(sent))
+        for prep in preps:
+            longest = max(longest, len(prep.sentence))
             if run and (len(run) + 1) * longest > CELLS:
                 yield self.encode(run)
-                run, longest = [], len(sent)
-            run.append(self.prepare(sent))
+                run, longest = [], len(prep.sentence)
+            run.append(prep)
         if run:
             yield self.encode(run)
 
@@ -471,7 +470,7 @@ class FrameParser:
         every kept target."""
         out = []
         with ad.fresh_tape(), ad.no_grad():
-            for enc in self.encode_chunks(sentences):
+            for enc in self.encode_chunks(self.prepare(s) for s in sentences):
                 found = self.ti_predict(enc)
                 kept = [((k, t), key) for k, ts in enumerate(found) for t in ts
                         if (key := lu_key(enc.preps[k].sentence.tokens, t,

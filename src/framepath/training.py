@@ -29,7 +29,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import Config
 from .corpus import CorpusError, Sentence
 from .evaluation import dev_metric
 from .layers import ParamEntry
@@ -234,10 +233,10 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
         raise TrainingError("empty training corpus")
     if not dev_sentences:
         raise TrainingError("empty dev corpus")
-    cfg: Config = model.config
+    cfg = model.config
     task = cfg.task
     preps = _prepared(model, train_sentences, "training")
-    _prepared(model, dev_sentences, "dev")  # fails now, not after epoch 1
+    dev = _prepared(model, dev_sentences, "dev")
     entries = model.trainable_entries(task)
     tensors = [e.tensor for _, e in entries]
     penalties = model.penalty_terms(task)
@@ -278,7 +277,7 @@ def train(model: FrameParser, train_sentences: Sequence[Sentence],
                                        norm > cfg.grad_clip, tape_records))
 
         try:
-            metric = dev_metric(model, dev_sentences, task)
+            metric = dev_metric(model, dev, task)
         except FloatingPointError as e:
             raise TrainingError(f"non-finite dev metric at epoch {epoch}, "
                                 f"lr {state.lr}: {e}") from e

@@ -358,9 +358,10 @@ def evaluate_oracle(model, sentences, task):
     return [ORACLES[t](model, sentences) for t in tasks]
 
 
-def dev_metric_oracle(model, sentences, task):
+def dev_metric_oracle(model, preps, task):
     """evaluation.dev_metric over the oracles: the mean of the task's
-    report values, summed in the same order."""
+    report values, summed in the same order, on the preps' sentences."""
     parts = ORACLE_DEV_METRICS[task]
+    sentences = [p.sentence for p in preps]
     return sum(ORACLES[t](model, sentences)[key]
                for t, key in parts) / len(parts)

@@ -134,7 +134,7 @@ class TestDrivers:
         model, sent = make_model()
         fi = evaluate(model, [sent], "fi")[0]["accuracy"]
         srl = evaluate_srl(model, [sent])["f1"]
-        got = dev_metric(model, [sent], "joint")
+        got = dev_metric(model, [model.prepare(sent)], "joint")
         assert abs(got - 0.5 * (fi + srl)) < 1e-12
 
     def test_evaluate_srl_runs_backbone_b_once(self):
@@ -146,7 +146,7 @@ class TestDrivers:
     def test_dev_metric_unknown_task(self):
         model, sent = make_model()
         with pytest.raises(ValueError):
-            dev_metric(model, [sent], "parse")
+            dev_metric(model, [model.prepare(sent)], "parse")
 
 
 def gold_corpus(n_annotated):
@@ -190,9 +190,10 @@ class TestChunkedGoldPass:
         assert evaluate(model, corpus, "fi") == [joint[1]]
         assert evaluate_srl(model, corpus) == joint[2]
         assert evaluate(model, corpus, "joint") == joint
+        preps = [model.prepare(s) for s in corpus]
         for task in ("ti", "fi", "srl", "joint"):
-            assert dev_metric(model, corpus, task) == dev_metric_oracle(
-                model, corpus, task)
+            assert dev_metric(model, preps, task) == dev_metric_oracle(
+                model, preps, task)
 
     def test_training_metric_log_equals_the_oracle_run(self, tmp_path,
                                                        monkeypatch):
@@ -260,12 +261,13 @@ def test_results_do_not_depend_on_the_cell_budget(monkeypatch):
     model = FrameParser(tiny_config(), build_vocab(corpus, ontology),
                         ontology)
     model.ti_emit.b.data[:] = [0.0, 2.0, 0.0, 0.0]  # many targets found
+    preps = [model.prepare(s) for s in corpus]
     seen = []
     for cells in (1, 16, 256, 10**6):
         monkeypatch.setattr(model_module, "CELLS", cells)
         seen.append((model.parse_many(corpus),
                      evaluate(model, corpus, "joint"),
-                     [dev_metric(model, corpus, task)
+                     [dev_metric(model, preps, task)
                       for task in ("ti", "fi", "srl", "joint")]))
     assert all(run == seen[0] for run in seen[1:])
     parsed, (ti, fi, srl), _ = seen[0]

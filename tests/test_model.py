@@ -134,8 +134,8 @@ def fi_scores(model, enc, target, lu) -> np.ndarray:
 
 
 def srl_heads(model, enc, target, lu_id, frame_id):
-    """z, pr, b, b_first and the (n, 3) bilinear scores of one target,
-    from the role-labeling body training and prediction share."""
+    """z, b, b_first and the (n, 3) bilinear scores of one target, from
+    the role-labeling body training and prediction share."""
     return model.srl_heads(enc, [(0, target)],
                            model.encoded_target_rows(enc, [(0, target)]),
                            [lu_id], [frame_id])
@@ -301,10 +301,12 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, pr, *_ = srl_heads(model, enc, [2], 0, 0)
+            z, *_ = srl_heads(model, enc, [2], 0, 0)
+        pr = np.tanh(z.data @ model.store["srl.ai.v1.w"].data
+                     + model.store["srl.ai.v1.b"].data)
         assert z.data.shape == (1, c.lu_dim + model.e_dim + c.frame_dim)
-        assert pr.data.shape == (1, c.ai_pr_dim)
-        assert np.all(np.abs(pr.data) < 1.0)
+        assert pr.shape == (1, c.ai_pr_dim)
+        assert np.all(np.abs(pr) < 1.0)
 
     def test_zero_v1_zeroes_emissions(self):
         model, sent = make_model()
@@ -320,14 +322,17 @@ class TestArgId:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            _, pr, b, _, emissions = srl_heads(model, enc, [2], 1, 2)
-        b, emissions = b.data, emissions.data
+            z, b, _, emissions = srl_heads(model, enc, [2], 1, 2)
+        z, b, emissions = z.data, b.data, emissions.data
+        v1w = model.store["srl.ai.v1.w"].data
+        v1b = model.store["srl.ai.v1.b"].data
+        pr = np.tanh(z @ v1w + v1b)
         v2w = model.store["srl.ai.v2.w"].data
         v2b = model.store["srl.ai.v2.b"].data
         pb = np.tanh(b @ v2w + v2b)
         for i in range(5):
             for k in range(3):
-                want = float(pr.data[0] @ model.ai_u[k].data @ pb[i])
+                want = float(pr[0] @ model.ai_u[k].data @ pb[i])
                 assert abs(emissions[i, k] - want) < 1e-10
 
     def test_predicted_spans_disjoint_sorted(self):
@@ -368,7 +373,7 @@ class TestArgClass:
         prep = model.prepare(sent)
         with ad.fresh_tape(), ad.no_grad():
             enc = model.encode(prep)
-            z, _, b, _, _ = srl_heads(model, enc, [2], 1, 2)
+            z, b, _, _ = srl_heads(model, enc, [2], 1, 2)
             emissions, licensed = model.role_scores(
                 z, b, [0], [[(3, 3), (0, 1)]], [2])
             emissions, b = emissions.data, b.data
@@ -824,7 +829,8 @@ class TestCellChunks:
                      bare_run(1), bare_run(3)]
         with ad.fresh_tape(), ad.no_grad():
             chunks = [[prep.sentence for prep in enc.preps]
-                      for enc in model.encode_chunks(sentences)]
+                      for enc in model.encode_chunks(
+                          [model.prepare(s) for s in sentences])]
             assert list(model.encode_chunks([])) == []
         assert [[len(s) for s in c] for c in chunks] == [
             [5], [3, 1, 1], [12], [7], [5], [2, 1, 3]]

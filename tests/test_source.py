@@ -99,6 +99,19 @@ def test_encodings_are_built_only_by_encode():
     assert {k: v for k, v in found.items() if v} == {"model.py": ["encode"]}
 
 
+def test_only_entry_points_prepare():
+    # Every model pass takes Prepared sentences, so each public entry
+    # point prepares a sentence once and passes the preps on: train()
+    # scores every epoch's dev metric on the dev preps it built.
+    found = {path.name: [where for where, _ in
+                         callers_of(path.read_text(), "prepare")]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {
+        "cli.py": ["cmd_gradcheck"], "evaluation.py": ["evaluate"],
+        "model.py": ["parse_many"], "trace.py": ["generate_trace"],
+        "training.py": ["_prepared"]}
+
+
 def readers_of(source: str, attr: str) -> list[str]:
     """The scope ("Class.method", "function" or "<module>") of each read
     of ``anything.attr``; assignments to it are not reads."""

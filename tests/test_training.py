@@ -328,7 +328,7 @@ class TestTrainLoop:
         assert best == result.best_metric
         assert all(row["dev_metric"] <= best for row in result.log_rows)
         from framepath.evaluation import dev_metric as dm
-        assert dm(model, [sent], "ti") == pytest.approx(best)
+        assert dm(model, [model.prepare(sent)], "ti") == pytest.approx(best)
 
     @pytest.mark.parametrize("task", ["joint", "ti"])
     def test_parameters_end_at_their_best_epoch_values(self, monkeypatch,
@@ -426,6 +426,23 @@ class TestTrainLoop:
         assert calls == []
         for path, entry in model.store.entries():
             assert np.array_equal(entry.tensor.data, before[path]), path
+
+    def test_each_sentence_is_prepared_once_per_run(self, monkeypatch):
+        # train() prepares its training and dev sets before the first
+        # batch, and every epoch's dev metric scores those dev preps.
+        model, sent = make_model(task="joint", max_epochs=3)
+        train_set, dev = [sent, make_sentence(), sent], [sent, sent]
+        assert all(s.annotations for s in dev)  # every one is scored
+        prepared = []
+        prepare = FrameParser.prepare
+
+        def counted(self, s):
+            prepared.append(s)
+            return prepare(self, s)
+
+        monkeypatch.setattr(FrameParser, "prepare", counted)
+        assert train(model, train_set, dev).epochs_run == 3
+        assert len(prepared) == len(train_set) + len(dev)
 
     def test_log_file_layout(self, tmp_path):
         path = str(tmp_path / "log.csv")
