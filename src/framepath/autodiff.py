@@ -4,14 +4,20 @@ Everything is float64 numpy.  Each primitive computes its value eagerly,
 verifies the result is finite, and (when recording is enabled and some
 input wants a gradient) appends a record to the thread-local tape.
 ``backward`` drains the tape in reverse, accumulating vector-Jacobian
-products into ``Tensor.grad``.  It pops each record before running its
-vjp, so the closure and the forward arrays it holds are freed once
-consumed, and drops each recorded output's gradient once passed on: only
-leaves (parameters) keep ``.grad``, and a second backward needs a fresh
-forward pass.
+products into ``Tensor.grad``.
+
+A tensor's gradient lives in its ``Slot``, apart from its value.  A
+record holds the output's slot and its vjp; a vjp holds the slots of
+the inputs it accumulates into and only the arrays it reads (``affine``
+keeps x and w, ``tanh`` its output, ``add`` no value at all).  So a
+forward value lives only while the caller or a vjp that reads it holds
+it.  ``backward`` pops each record before running its vjp, so the
+closure and the arrays it holds are freed once consumed, and drops each
+recorded slot's gradient once passed on: only leaves (parameters) keep
+``.grad``, and a second backward needs a fresh forward pass.
 
 Gradients are never mutated in place; accumulation always rebinds
-``t.grad = t.grad + g`` so aliased arrays stay safe.
+``slot.grad = slot.grad + g`` so aliased arrays stay safe.
 
 Hot paths are single records with hand-written backwards, each over a
 whole batch: ``affine`` (every linear map), ``bilstm_layer`` (a layer's
@@ -24,9 +30,10 @@ Their backward scatters go through ``scatter_rows``, one ``np.bincount``.
 both directions: the arrays a ``BiLstm`` layer keeps, which its
 direction tensors view, or else stacked copies.  Every sequence starts
 from zero states, so the first step adds no h @ wh and no f * c.  Its
-closure holds the gates and cells of the recurrence, not the states,
-which the backward reads back from the output rows, and the backward
-writes its gate-derivative factors over the gates.
+closure holds x, the stacked weights, its own output rows, and the
+gates and cells of the recurrence; not the states, which the backward
+reads back from the output rows.  The backward writes its
+gate-derivative factors over the gates.
 
 A ``Packed`` layout holds integer indices only, so it is a shared,
 immutable value: ``packed(n, lengths)`` builds one per distinct lengths
@@ -48,16 +55,39 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+class Slot:
+    """Where a tensor's gradient accumulates, apart from its value: the
+    tape and each vjp hold slots, not tensors."""
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "needs_grad", "name")
+    __slots__ = ("data", "slot", "name")
 
     def __init__(self, data, needs_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        # needs_grad marks parameters and tensors on a path from one:
-        # gradients are only accumulated where it is set.
-        self.needs_grad = needs_grad
+        # A slot marks parameters and tensors on a path from one:
+        # gradients are only accumulated where there is one.
+        self.slot = Slot() if needs_grad else None
         self.name = name
+
+    @property
+    def needs_grad(self) -> bool:
+        return self.slot is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.slot is not None:
+            self.slot.grad = g
+        elif g is not None:
+            raise ValueError(f"{self!r} takes no gradient")
 
     @property
     def shape(self):
@@ -84,8 +114,8 @@ class _Tape:
     __slots__ = ("records", "enabled")
 
     def __init__(self):
-        # records: (output tensor, vjp callable taking the output gradient)
-        self.records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        # records: (output slot, vjp callable taking the output gradient)
+        self.records: list[tuple[Slot, Callable[[np.ndarray], None]]] = []
         self.enabled = True
 
 
@@ -139,18 +169,18 @@ def _check(arr: np.ndarray, op: str) -> np.ndarray:
     raise FloatingPointError(f"non-finite value produced by {op}")
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.needs_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _acc(s: Slot | None, g: np.ndarray) -> None:
+    if s is not None:
+        s.grad = g if s.grad is None else s.grad + g
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjp) -> Tensor:
     t = _tape()
     if t.enabled:
         for i in inputs:  # any() over a generator costs more, per op
-            if i.needs_grad:
-                out.needs_grad = True
-                t.records.append((out, vjp))
+            if i.slot is not None:
+                out.slot = Slot()
+                t.records.append((out.slot, vjp))
                 break
     return out
 
@@ -163,10 +193,11 @@ def backward(root: Tensor) -> None:
     if root.data.ndim != 0:
         raise ValueError(f"backward needs a scalar, got shape {root.data.shape}")
     records = _tape().records
-    root.grad = np.ones_like(root.data)
+    if root.slot is not None:  # a constant root only drains the tape
+        root.slot.grad = np.ones_like(root.data)
     while records:
-        out, vjp = records.pop()
-        g, out.grad = out.grad, None
+        slot, vjp = records.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             vjp(g)
 
@@ -181,22 +212,24 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b[None, :], as one op that keeps no pre-bias product."""
-    out = Tensor(_check(x.data @ w.data + b.data[None, :], "affine"))
+    xd, wd, sx, sw, sb = x.data, w.data, x.slot, w.slot, b.slot
+    out = Tensor(_check(xd @ wd + b.data[None, :], "affine"))
 
     def vjp(g):
-        _acc(b, g.sum(axis=0))
-        _acc(x, g @ w.data.T)
-        _acc(w, x.data.T @ g)
+        _acc(sb, g.sum(axis=0))
+        _acc(sx, g @ wd.T)
+        _acc(sw, xd.T @ g)
 
     return _record(out, (x, w, b), vjp)
 
 
 def dot(x: Tensor, y: Tensor) -> Tensor:
-    out = Tensor(_check(np.dot(x.data, y.data), "dot"))
+    xd, yd, sx, sy = x.data, y.data, x.slot, y.slot
+    out = Tensor(_check(np.dot(xd, yd), "dot"))
 
     def vjp(g):
-        _acc(x, g * y.data)
-        _acc(y, g * x.data)
+        _acc(sx, g * yd)
+        _acc(sy, g * xd)
 
     return _record(out, (x, y), vjp)
 
@@ -207,19 +240,21 @@ def bilinear_rows(x: Tensor, us: Sequence[Tensor], y: Tensor,
     through each map once, w[:, k] = x @ us[k], and each output row dots
     a gathered row of w with its row of y."""
     x_rows = np.asarray(x_rows, dtype=np.intp)
-    w = np.stack([x.data @ m.data for m in us], axis=1)  # (m, k, q)
-    out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], y.data),
+    xd, yd, sx, sy = x.data, y.data, x.slot, y.slot
+    maps = [(m.data, m.slot) for m in us]
+    w = np.stack([xd @ m for m, _ in maps], axis=1)  # (m, k, q)
+    out = Tensor(_check(np.einsum("rkq,rq->rk", w[x_rows], yd),
                         "bilinear_rows"))
 
     def vjp(g):
         d_x = 0  # the labels' products added in order, as sum() adds
-        for k, m in enumerate(us):  # one label's (m, q) block at a time
-            gw = scatter_rows(x_rows, g[:, k, None] * y.data, len(w))
-            d_x = d_x + gw @ m.data.T
-            _acc(m, x.data.T @ gw)
-        _acc(x, d_x)
-        if y.needs_grad:
-            _acc(y, np.einsum("rk,rkq->rq", g, w[x_rows]))
+        for k, (m, sm) in enumerate(maps):  # one label's (m, q) at a time
+            gw = scatter_rows(x_rows, g[:, k, None] * yd, len(w))
+            d_x = d_x + gw @ m.T
+            _acc(sm, xd.T @ gw)
+        _acc(sx, d_x)
+        if sy is not None:
+            _acc(sy, np.einsum("rk,rkq->rq", g, w[x_rows]))
 
     return _record(out, (x, y, *us), vjp)
 
@@ -231,10 +266,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     out = Tensor(_check(a.data + b.data, "add"))
+    sa, sb = a.slot, b.slot
 
     def vjp(g):
-        _acc(a, g)
-        _acc(b, g)
+        _acc(sa, g)
+        _acc(sb, g)
 
     return _record(out, (a, b), vjp)
 
@@ -243,10 +279,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
     out = Tensor(_check(a.data - b.data, "sub"))
+    sa, sb = a.slot, b.slot
 
     def vjp(g):
-        _acc(a, g)
-        _acc(b, -g)
+        _acc(sa, g)
+        _acc(sb, -g)
 
     return _record(out, (a, b), vjp)
 
@@ -254,11 +291,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(_check(a.data * b.data, "mul"))
+    a_data, b_data, sa, sb = a.data, b.data, a.slot, b.slot
+    out = Tensor(_check(a_data * b_data, "mul"))
 
     def vjp(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
+        _acc(sa, g * b_data)
+        _acc(sb, g * a_data)
 
     return _record(out, (a, b), vjp)
 
@@ -266,17 +304,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def add_sq_norms(x: Tensor, terms: Sequence[tuple[Tensor, float]]) -> Tensor:
     """x + c * sum(t * t) for each (t, c) of terms in order, as one op:
     bit for bit each term's mul, sum_all, product with c and add."""
+    kept = [(t.data, t.slot, c) for t, c in terms]
     total = x.data
-    for t, c in terms:
-        total = total + (t.data * t.data).sum() * c
+    for t, _, c in kept:
+        total = total + (t * t).sum() * c
     out = Tensor(_check(total, "add_sq_norms"))
+    sx = x.slot
 
     def vjp(g):
-        _acc(x, g)
-        for t, c in reversed(terms):  # the order separate ops run backward
-            gt = float(g * c) * t.data
-            _acc(t, gt)
-            _acc(t, gt)
+        _acc(sx, g)
+        for t, st, c in reversed(kept):  # the order separate ops run backward
+            gt = float(g * c) * t
+            _acc(st, gt)
+            _acc(st, gt)
 
     return _record(out, (x, *(t for t, _ in terms)), vjp)
 
@@ -287,13 +327,14 @@ def add_sq_norms(x: Tensor, terms: Sequence[tuple[Tensor, float]]) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(_check(np.concatenate([p.data for p in parts], axis=axis),
                         "concat"))
+    kept = [(p.slot, p.data.shape[axis]) for p in parts]  # no values
 
     def vjp(g):
         lead = (slice(None),) * (axis % g.ndim)
         lo = 0
-        for p in parts:
-            hi = lo + p.data.shape[axis]
-            _acc(p, g[lead + (slice(lo, hi),)])
+        for s, width in kept:
+            hi = lo + width
+            _acc(s, g[lead + (slice(lo, hi),)])
             lo = hi
 
     return _record(out, parts, vjp)
@@ -302,10 +343,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def row_select(m: Tensor, idx: Sequence[int]) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(m.data[idx])
+    sm, n = m.slot, len(m.data)
 
     def vjp(g):
-        if m.needs_grad:
-            _acc(m, scatter_rows(idx, g, len(m.data)))
+        if sm is not None:
+            _acc(sm, scatter_rows(idx, g, n))
 
     return _record(out, (m,), vjp)
 
@@ -339,20 +381,22 @@ def sum_row_groups(m: Tensor, groups: Sequence[Sequence[int]] | np.ndarray,
     idx = groups if isinstance(groups, np.ndarray) else pad_groups(groups)
     padded = np.concatenate([m.data, np.zeros((1, m.data.shape[1]))])
     out = Tensor(_check(padded[idx].sum(axis=1), "sum_row_groups"))
+    sm, n = m.slot, len(m.data)
 
     def vjp(g):
-        if m.needs_grad:
+        if sm is not None:
             k, j = np.nonzero(idx >= 0)  # pad cells take no gradient
-            _acc(m, scatter_rows(idx[k, j], g[k], len(m.data)))
+            _acc(sm, scatter_rows(idx[k, j], g[k], n))
 
     return _record(out, (m,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(_check(x.data.sum(), "sum_all"))
+    sx, shape = x.slot, x.data.shape
 
     def vjp(g):
-        _acc(x, np.full_like(x.data, float(g)))
+        _acc(sx, np.full(shape, float(g)))
 
     return _record(out, (x,), vjp)
 
@@ -361,19 +405,21 @@ def sum_all(x: Tensor) -> Tensor:
 # primitives: nonlinearities and normalization
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    xd, sx = x.data, x.slot
+    out = Tensor(np.maximum(xd, 0.0))
 
     def vjp(g):
-        _acc(x, g * (x.data > 0.0))
+        _acc(sx, g * (xd > 0.0))
 
     return _record(out, (x,), vjp)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data))
+    xd, sx = x.data, x.slot
+    out = Tensor(np.where(xd > 0.0, xd, slope * xd))
 
     def vjp(g):
-        _acc(x, g * np.where(x.data > 0.0, 1.0, slope))
+        _acc(sx, g * np.where(xd > 0.0, 1.0, slope))
 
     return _record(out, (x,), vjp)
 
@@ -381,9 +427,10 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)
+    sx = x.slot
 
     def vjp(g):
-        _acc(x, g * (1.0 - y * y))
+        _acc(sx, g * (1.0 - y * y))
 
     return _record(out, (x,), vjp)
 
@@ -398,15 +445,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(d * d, axis=1, keepdims=True) / k
     inv = 1.0 / np.sqrt(var + eps)
     xhat = d * inv
-    out = Tensor(_check(xhat * gain.data + bias.data, "layer_norm"))
+    gn, sx, sg, sb = gain.data, x.slot, gain.slot, bias.slot
+    out = Tensor(_check(xhat * gn + bias.data, "layer_norm"))
 
     def vjp(g):
-        _acc(gain, (g * xhat).sum(axis=0))
-        _acc(bias, g.sum(axis=0))
-        gd = g * gain.data
+        _acc(sg, (g * xhat).sum(axis=0))
+        _acc(sb, g.sum(axis=0))
+        gd = g * gn
         term = gd - gd.mean(axis=1, keepdims=True) \
             - xhat * (gd * xhat).sum(axis=1, keepdims=True) / k
-        _acc(x, inv * term)
+        _acc(sx, inv * term)
 
     return _record(out, (x, gain, bias), vjp)
 
@@ -420,10 +468,11 @@ def log_softmax(x: Tensor, allowed: np.ndarray | bool = True) -> Tensor:
     m = z.max(axis=-1, keepdims=True, initial=-np.inf)
     lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
     out = Tensor(_check(np.where(allowed, z - lse, 0.0), "log_softmax"))
+    sx = x.slot
 
     def vjp(g):
         g = np.where(allowed, g, 0.0)
-        _acc(x, g - np.exp(z - lse) * g.sum(axis=-1, keepdims=True))
+        _acc(sx, g - np.exp(z - lse) * g.sum(axis=-1, keepdims=True))
 
     return _record(out, (x,), vjp)
 
@@ -436,9 +485,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * mask)
+    sx = x.slot
 
     def vjp(g):
-        _acc(x, g * mask)
+        _acc(sx, g * mask)
 
     return _record(out, (x,), vjp)
 
@@ -550,11 +600,12 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     bwd's rows flipped, and is not kept, so a step is one stacked
     (2, k, H) @ (2, H, 4H) product over the k sequences still running.
     The first step starts from zero states, so it adds no h @ wh and no
-    f * c term.  The op keeps the gates and cells for its backward, not
-    the states: those it reads back from the output rows.  The
-    hand-written backward writes all gate-derivative factors over the
-    gates up front and keeps only the dh/dc recurrence of both
-    directions in its loop, one (2, K, 4H) @ (2, 4H, H) product a step.
+    f * c term.  For its backward the op keeps x, the stacked weights,
+    its output rows, and the gates and cells; not the states: those it
+    reads back from the output rows.  The hand-written backward writes
+    all gate-derivative factors over the gates up front and keeps only
+    the dh/dc recurrence of both directions in its loop, one
+    (2, K, 4H) @ (2, 4H, H) product a step.
     """
     n, in_dim = x.data.shape
     four_h = fwd[1].data.shape[1]
@@ -601,6 +652,8 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
         if keep:
             gates[:, t, :k], cs[:, t, :k] = act, c_prev
     out = Tensor(_check(hs[cells].reshape(n, 2 * h), "bilstm_layer"))
+    xd, rows, sx = x.data, out.data, x.slot
+    slots = [[t.slot for t in ws] for ws in (fwd, bwd)]  # [d][wx, wh, b]
 
     def vjp(grad_h):
         nonlocal cs
@@ -640,20 +693,20 @@ def bilstm_layer(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
         # Each step's input states, zero at the first: the output rows
         # scattered one step on, into a block one step longer.
         h_before = np.zeros((2, packed.steps + 1) + shape[2:])
-        h_before[cells[0], cells[1] + 1, cells[2]] = out.data.reshape(n, 2, h)
+        h_before[cells[0], cells[1] + 1, cells[2]] = rows.reshape(n, 2, h)
         flat = gates.reshape(2, -1, four_h)
         d_wh = h_before[:, :-1].reshape(2, -1, h).transpose(0, 2, 1) @ flat
         d_b = flat.sum(axis=1)
         del h_before
-        for d, (_, wh_d, b_d) in enumerate((fwd, bwd)):
-            _acc(wh_d, d_wh[d])
-            _acc(b_d, d_b[d])
+        for d, (_, s_wh, s_b) in enumerate(slots):
+            _acc(s_wh, d_wh[d])
+            _acc(s_b, d_b[d])
         # one direction at a time, bwd's first: the order their bits rest on
         _, step, col = by_direction
-        for d, wx_d in ((1, bwd[0]), (0, fwd[0])):
+        for d in (1, 0):
             dxw = gates[d, step[d], col[0]]
-            _acc(x, dxw @ wx[d].T)
-            _acc(wx_d, x.data.T @ dxw)
+            _acc(sx, dxw @ wx[d].T)
+            _acc(slots[d][0], xd.T @ dxw)
 
     return _record(out, (x, *fwd, *bwd), vjp)
 

@@ -113,6 +113,8 @@ class LinearChainCrf:
         log_z = np.empty(len(chains.order))
         log_z[chains.order] = _logsumexp(alpha[chains.last] + end, 1)
         ad._check(log_z, "crf.log_partition")
+        s_emit, s_start, s_end, s_trans = (emissions.slot, self.start.slot,
+                                           self.end.slot, self.trans.slot)
 
         def vjp(g):
             g, lz = np.reshape(g, -1)[chains.order], log_z[chains.order]
@@ -128,10 +130,10 @@ class LinearChainCrf:
             edges = np.exp(alpha[:-1, :, :, None] + trans
                            + (x[1:] + beta[1:])[:, :, None, :]
                            - lz[:, None, None])
-            ad._acc(emissions, chains.from_block(nodes))
-            ad._acc(self.start, nodes[0].sum(axis=0))
-            ad._acc(self.end, nodes[chains.last].sum(axis=0))
-            ad._acc(self.trans, np.einsum("c,tcij->ij", g, edges))
+            ad._acc(s_emit, chains.from_block(nodes))
+            ad._acc(s_start, nodes[0].sum(axis=0))
+            ad._acc(s_end, nodes[chains.last].sum(axis=0))
+            ad._acc(s_trans, np.einsum("c,tcij->ij", g, edges))
 
         out = Tensor(log_z[0] if lengths is None else log_z)
         return ad._record(out, (emissions, self.start, self.trans, self.end),
@@ -161,14 +163,16 @@ class LinearChainCrf:
                  + np.bincount(chain, emissions.data[np.arange(n), tags])
                  + np.bincount(chain[inner], trans.reshape(-1)[pairs],
                                len(chains.lengths)))
+        s_emit, s_start, s_end, s_trans = (emissions.slot, self.start.slot,
+                                           self.end.slot, self.trans.slot)
 
         def vjp(g):
             g = np.reshape(g, -1)
-            ad._acc(emissions, np.eye(k)[tags] * g[chain, None])
-            ad._acc(self.start, np.bincount(firsts, g, k))
-            ad._acc(self.end, np.bincount(lasts, g, k))
-            ad._acc(self.trans, np.bincount(pairs, g[chain[inner]],
-                                            k * k).reshape(k, k))
+            ad._acc(s_emit, np.eye(k)[tags] * g[chain, None])
+            ad._acc(s_start, np.bincount(firsts, g, k))
+            ad._acc(s_end, np.bincount(lasts, g, k))
+            ad._acc(s_trans, np.bincount(pairs, g[chain[inner]],
+                                         k * k).reshape(k, k))
 
         out = Tensor(ad._check(score[0] if lengths is None else score,
                                "crf.gold_score"))

@@ -1,5 +1,7 @@
 import threading
 import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +383,18 @@ class TestTapeMechanics:
             backward(ad.dot(x, c))
         assert c.grad is None
         assert x.grad is not None
+
+    def test_a_constant_root_drains_the_tape_and_takes_no_gradient(self):
+        x = randp(3)
+        c = tensor(np.asarray(2.0))
+        with fresh_tape():
+            ad.tanh(x)
+            backward(c)
+            assert tape_length() == 0
+        assert c.grad is None and x.grad is None
+        with pytest.raises(ValueError, match="takes no gradient"):
+            c.grad = np.ones(())
+        c.grad = None  # as zero_grads does
 
     def test_no_grad_records_nothing(self):
         x = randp(3)
@@ -790,22 +804,48 @@ class TestComposite:
         assert x.grad is None
 
 
+def tiny_model():
+    """A small joint model and its prepared training sentences."""
+    sentences, ontology = generate(2, 6)
+    model = FrameParser(
+        Config(token_dim=6, pos_dim=2, gcn_emb_dim=4, gcn_dim=4,
+               lstm_hidden=4, lu_dim=3, frame_dim=3, fi_hidden1=5,
+               fi_hidden2=4, ai_pr_dim=4, ai_pb_dim=4, ac_dim=4),
+        build_vocab(sentences, ontology), ontology)
+    return model, [model.prepare(s) for s in sentences]
+
+
+def held_tensors(values):
+    """The Tensors among values, looking through containers and plain
+    objects' attributes (not through arrays, types or modules)."""
+    found, seen, todo = [], set(), list(values)
+    while todo:
+        v = todo.pop()
+        if id(v) in seen or isinstance(v, (np.ndarray, type,
+                                           types.ModuleType)):
+            continue
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            found.append(v)
+        elif isinstance(v, (tuple, list, set, frozenset)):
+            todo.extend(v)
+        elif isinstance(v, dict):
+            todo.extend(v.values())
+        elif hasattr(v, "__dict__"):
+            todo.extend(vars(v).values())
+    return found
+
+
 class TestTapeLifetime:
     def test_only_leaves_keep_grads_after_a_model_backward(self):
-        sentences, ontology = generate(2, 6)
-        model = FrameParser(
-            Config(token_dim=6, pos_dim=2, gcn_emb_dim=4, gcn_dim=4,
-                   lstm_hidden=4, lu_dim=3, frame_dim=3, fi_hidden1=5,
-                   fi_hidden2=4, ai_pr_dim=4, ai_pb_dim=4, ac_dim=4),
-            build_vocab(sentences, ontology), ontology)
-        preps = [model.prepare(s) for s in sentences]
+        model, preps = tiny_model()
         with fresh_tape():
             loss = model.loss(preps, "joint", train=True)
-            produced = [out for out, _ in ad._tape().records]
+            produced = [slot for slot, _ in ad._tape().records]
             backward(loss)
             assert tape_length() == 0
-        assert loss in produced
-        assert all(t.grad is None for t in produced)
+        assert any(slot is loss.slot for slot in produced)
+        assert all(slot.grad is None for slot in produced)
         for path, entry in model.store.entries():
             assert entry.tensor.grad is not None, path
 
@@ -833,7 +873,8 @@ class TestTapeLifetime:
         assert "xs" not in free
         assert "hs" not in free  # the states come back from the output
         held = list(free.values())
-        assert any(v is x for v in held)
+        assert any(v is x.data for v in held)  # x's array, not x
+        assert not held_tensors(held)
         assert not [v for v in held if getattr(v, "shape", None) == (5, 8)]
 
     def test_bilstm_backward_works_inside_its_gates_block(self):
@@ -857,3 +898,47 @@ class TestTapeLifetime:
             block = closure(vjp)["gates"].nbytes
             assert block == 2 * packed.steps * 26 * 4 * h * 8
             assert traced_peak(vjp, rng.normal(size=(n, 2 * h))) < 2 * block
+
+    def test_a_value_no_vjp_reads_is_freed_in_the_forward_pass(self):
+        # tanh's backward reads its output, so the sum it takes dies with
+        # the caller's tensor; affine's reads its input, which lives on.
+        x, w, b = randp(4, 3), randp(3, 2), randp(2)
+
+        def loss(drop):
+            s = ad.add(x, x)
+            freed = weakref.ref(s.data)
+            t = ad.tanh(s)
+            if drop:
+                del s
+                assert freed() is None
+            u = ad.add(t, t)
+            kept = weakref.ref(u.data)
+            y = ad.affine(u, w, b)
+            if drop:
+                del u
+                assert kept() is not None
+            return ad.sum_all(ad.tanh(y))
+
+        grads = []
+        for drop in (False, True):
+            with fresh_tape():
+                backward(loss(drop))
+            grads.append([p.grad.tobytes() for p in (x, w, b)])
+            ad.zero_grads([x, w, b])
+        assert grads[0] == grads[1]
+
+    def test_no_record_of_a_joint_step_holds_a_tensor(self):
+        # Each record holds its output's slot and a vjp whose closure
+        # holds input slots and arrays: a tensor there would pin every
+        # value it holds until backward.
+        model, preps = tiny_model()
+        with fresh_tape():
+            model.batch_losses(preps, train=True)
+            records = list(ad._tape().records)
+        ops = {vjp.__qualname__.split(".<locals>")[0] for _, vjp in records}
+        assert {"affine", "bilstm_layer", "bilinear_rows", "sum_row_groups",
+                "LinearChainCrf.log_partition",
+                "LinearChainCrf.gold_score"} <= ops
+        for slot, vjp in records:
+            cells = [cell.cell_contents for cell in vjp.__closure__ or ()]
+            assert not held_tensors([slot, *cells]), vjp.__qualname__
